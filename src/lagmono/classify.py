@@ -19,11 +19,11 @@ from typing import Literal, Sequence
 
 from .cyclotomic import euler_phi
 from .errors import NonUnimodularError, NotFiniteError, ParseError, TooLargeError
-from .groups import MatrixGroup, Perm, compose, identity_perm
+from .groups import MatrixGroup, Perm, cayley_closure, compose, identity_perm
 from .intlat import IntMat, matrix_order, primitive_vector, rational_kernel_basis
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
-from .torussym import TorsionPoint, admissible_group
+from .torussym import TorsionPoint, admissible_group, content_lines, read_group_block
 from .toric import toric_fiber_data
 
 ROT = {
@@ -213,11 +213,7 @@ def ingest_catalog(text: str, cap: int = 10_000) -> GroupCatalog:
     names are rejected.  An optional leading 'classes z|q' line records
     whether the representatives are integral or only rational classes.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = content_lines(text)
     q_class = False
     i = 0
     if i < len(lines) and lines[i][1].startswith("classes"):
@@ -241,36 +237,12 @@ def ingest_catalog(text: str, cap: int = 10_000) -> GroupCatalog:
         i += 1
         if i >= len(lines):
             raise ParseError(f"line {lineno}: group {name!r} missing dim")
-        dim_lineno, dim_line = lines[i]
-        parts = dim_line.split()
-        if len(parts) != 2 or parts[0] != "dim":
-            raise ParseError(f"line {dim_lineno}: expected 'dim <n>'")
-        try:
-            dim = int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {dim_lineno}: bad dimension") from exc
+        dim_lineno = lines[i][0]
+        dim, gens, i = read_group_block(lines, i)
         if dim_overall is None:
             dim_overall = dim
         elif dim != dim_overall:
             raise ParseError(f"line {dim_lineno}: group {name!r} has mismatched dimension")
-        i += 1
-        gens = []
-        while i < len(lines) and lines[i][1] == "gen":
-            gen_lineno = lines[i][0]
-            if len(lines) - (i + 1) < dim:
-                raise ParseError(f"line {gen_lineno}: generator needs {dim} rows")
-            rows = []
-            for k in range(dim):
-                row_lineno, row_line = lines[i + 1 + k]
-                fields = row_line.split()
-                if len(fields) != dim:
-                    raise ParseError(f"line {row_lineno}: expected {dim} integers")
-                try:
-                    rows.append(tuple(int(x) for x in fields))
-                except ValueError as exc:
-                    raise ParseError(f"line {row_lineno}: bad integer entry") from exc
-            gens.append(IntMat.from_rows(rows))
-            i += 1 + dim
         try:
             group = MatrixGroup.from_generators(dim, gens, cap=cap)
         except NonUnimodularError as exc:
@@ -344,8 +316,6 @@ def embed_symmetric_product(
         orders_available.setdefault(target_order(x), []).append(x)
 
     gens = group.generators()
-    if not gens:
-        return ((IntMat.identity(group.dim), ident_target),)
     gen_orders = [matrix_order(g, cap=group.order + 1) for g in gens]
     candidate_lists = []
     for order in gen_orders:
@@ -354,19 +324,7 @@ def embed_symmetric_product(
             return None
         candidate_lists.append(candidates)
 
-    # Express every group element as a word in the generators once.
-    words: dict[IntMat, tuple[int, ...]] = {IntMat.identity(group.dim): ()}
-    frontier = [IntMat.identity(group.dim)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for idx, gen in enumerate(gens):
-                h = g @ gen
-                if h not in words:
-                    words[h] = words[g] + (idx,)
-                    nxt.append(h)
-        frontier = nxt
-    assert len(words) == group.order
+    words = cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order)
 
     elements = list(group.elements)
 

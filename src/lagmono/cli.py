@@ -28,12 +28,12 @@ from .laurent import parse_laurent, torsion_critical_points
 from .monodromy import (
     coefficient_partition,
     hamiltonian_monodromy,
-    induced_matrix_group,
+    induced_matrices,
     partition_bound_check,
     symplectic_monodromy,
 )
 from .toric import Mode, monotone_normalize, parse_polytope, toric_fiber_data, validate_delzant
-from .torussym import TorsionPoint, admissible_group, forced_critical_points, parse_group
+from .torussym import TorsionPoint, first_moved_point, forced_critical_points, parse_group
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -135,31 +135,19 @@ def run_toric(args) -> int:
     symplectic = symplectic_monodromy(data, max_degree=args.cap or 12)
     for name, group in (("hamiltonian", hamiltonian), ("symplectic", symplectic)):
         gens = group.generators()
-        mats = induced_matrix_group(data, group)
+        mats = dict(zip(group.elements, induced_matrices(data, group.elements)))
         records.append(
             {
                 "record": name,
                 "order": group.order,
                 "generators": [cycle_notation(p) for p in gens] or ["id"],
-                "induced": [
-                    f"{cycle_notation(p)} -> {_induced_matrix_for(data, group.degree, p)}"
-                    for p in gens
-                ],
-                "matrix_group_order": mats.order,
+                "induced": [f"{cycle_notation(p)} -> {mats[p]}" for p in gens],
+                "matrix_group_order": len(set(mats.values())),
             }
         )
     records.append({"record": "equal_groups", "value": hamiltonian == symplectic})
     _emit(records, args.json)
     return EXIT_OK
-
-
-def _induced_matrix_for(data, degree: int, perm) -> IntMat:
-    from .groups import PermutationGroup
-
-    single = PermutationGroup.from_elements(degree, [tuple(range(degree)), perm])
-    mats = induced_matrix_group(data, single)
-    non_identity = [g for g in mats.elements if not g.is_identity()]
-    return non_identity[0] if non_identity else IntMat.identity(data.polytope.dim)
 
 
 def run_classify2d(args) -> int:
@@ -184,16 +172,16 @@ def run_classify2d(args) -> int:
 def run_filter(args) -> int:
     group = parse_group(_read(args.group), cap=args.cap or 10_000)
     records = [{"record": "group", "dim": group.dim, "order": group.order}]
-    forced = forced_critical_points(group)
+    forced = forced_critical_points(group).finite_points()
     records.append(
         {
             "record": "forced_critical_points",
-            "count": len(forced.finite_points()),
-            "points": list(forced.finite_points()),
+            "count": len(forced),
+            "points": list(forced),
         }
     )
-    ok, witness = admissible_group(group)
-    record = {"record": "admissible", "value": ok}
+    witness = first_moved_point(group, forced)
+    record = {"record": "admissible", "value": witness is None}
     if witness is not None:
         record["witness_element"] = witness[0]
         record["witness_point"] = witness[1]
@@ -264,6 +252,8 @@ def run_clifford(args) -> int:
         coords = tuple(Fraction(part) for part in args.at.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point {args.at!r}") from exc
+    if len(coords) != w.dim:
+        raise ParseError(f"point {args.at!r} has {len(coords)} coordinates, the potential has dim {w.dim}")
     point = TorsionPoint.make(coords)
     data = clifford_constants(w, point)
     _emit(

@@ -50,6 +50,10 @@ class NotInvariantError(ValidationError):
     """Potential is not invariant under the required group."""
 
 
+class DimensionError(ValidationError):
+    """Input has a dimension the computation does not support."""
+
+
 class NotUnivariateError(ValidationError):
     """Potential does not depend on a single variable."""
 

@@ -20,6 +20,7 @@ from typing import Literal
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from .errors import (
     BadDiscriminantError,
+    DimensionError,
     NotCriticalError,
     NotInvariantError,
     NotUnivariateError,
@@ -130,7 +131,7 @@ def clifford_constants(w: LaurentPolynomial, p: TorsionPoint) -> CliffordData:
     odd; that is reported through the half_integral flag, not rejected.
     """
     if w.dim != 2:
-        raise ValueError("Clifford constants need a two-variable potential")
+        raise DimensionError("Clifford constants need a two-variable potential")
     if not is_critical(w, p):
         raise NotCriticalError(f"{p} is not a critical point")
     _, hess = gradient_hessian(w, p)

@@ -2,18 +2,21 @@
 
 Desk-scale orders make explicit lists practical and keep closure checks,
 subgroup tests and isomorphism searches trivial.  Element lists are stored in
-a canonical sorted order so all reports are deterministic.
+a canonical sorted order so all reports are deterministic.  Closures,
+generating sets and words in generators all come from one breadth-first
+search over the right Cayley graph, ``cayley_closure``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NonUnimodularError, NotFiniteError
 from .intlat import IntMat
 
 Perm = tuple[int, ...]
+E = TypeVar("E", bound=Hashable)
 
 
 def identity_perm(n: int) -> Perm:
@@ -57,8 +60,59 @@ def cycle_notation(p: Perm) -> str:
     return "".join(cycles) if cycles else "id"
 
 
+def cayley_closure(identity: E, gens: Sequence[E], mul: Callable[[E, E], E], cap: int) -> dict[E, tuple[int, ...]]:
+    """Every element of the group generated by gens, mapped to a shortest word.
+
+    Breadth-first search over the right Cayley graph, one product per element
+    and generator; a word lists generator indices, multiplied left to right.
+    Positive words reach every inverse in a finite group and infinitely many
+    elements otherwise, so NotFiniteError means exactly: more than cap elements.
+    """
+    words = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for idx, s in enumerate(gens):
+                h = mul(g, s)
+                if h not in words:
+                    words[h] = words[g] + (idx,)
+                    fresh.append(h)
+                    if len(words) > cap:
+                        raise NotFiniteError(f"closure exceeded cap {cap}; group not verified finite")
+        frontier = fresh
+    return words
+
+
+def _greedy_generators(elements: Sequence[E], identity: E, mul: Callable[[E, E], E]) -> tuple[E, ...]:
+    """Each element, in the given order, that the ones picked before do not generate."""
+    gens: list[E] = []
+    generated = {identity: ()}
+    for x in elements:
+        if x not in generated:
+            gens.append(x)
+            generated = cayley_closure(identity, gens, mul, len(elements))
+            if len(generated) == len(elements):
+                break
+    return tuple(gens)
+
+
+class _ElementList:
+    """Order, membership and iteration of a group held as its element tuple."""
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def __contains__(self, x) -> bool:
+        return x in set(self.elements)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.elements)
+
+
 @dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(_ElementList):
     degree: int
     elements: tuple[Perm, ...]
 
@@ -68,44 +122,11 @@ class PermutationGroup:
 
     @classmethod
     def from_generators(cls, degree: int, gens: Iterable[Perm], cap: int = 10_000_000) -> "PermutationGroup":
-        elems = {identity_perm(degree)}
-        frontier = [g for g in gens]
-        elems.update(frontier)
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for h in list(elems):
-                    for prod in (compose(g, h), compose(h, g)):
-                        if prod not in elems:
-                            elems.add(prod)
-                            fresh.append(prod)
-                            if len(elems) > cap:
-                                raise NotFiniteError("permutation closure exceeded cap")
-            frontier = fresh
-        return cls(degree, tuple(sorted(elems)))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
+        return cls.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose, cap))
 
     def generators(self) -> tuple[Perm, ...]:
         """Small generating set found greedily over the sorted element list."""
-        gens: list[Perm] = []
-        generated = {identity_perm(self.degree)}
-        for p in self.elements:
-            if p in generated:
-                continue
-            gens.append(p)
-            generated = set(PermutationGroup.from_generators(self.degree, gens).elements)
-            if len(generated) == self.order:
-                break
-        return tuple(gens)
+        return _greedy_generators(self.elements, identity_perm(self.degree), compose)
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         big = set(other.elements)
@@ -113,7 +134,7 @@ class PermutationGroup:
 
 
 @dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(_ElementList):
     """Finite subgroup of GL(n, Z) stored as an explicit sorted element list."""
 
     dim: int
@@ -132,50 +153,15 @@ class MatrixGroup:
                 raise ValueError("generator dimension mismatch")
             if abs(g.det()) != 1:
                 raise NonUnimodularError(f"generator {g} has determinant {g.det()}")
-        ident = IntMat.identity(dim)
-        elems = {ident}
-        elems.update(gens)
-        frontier = list(gens)
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for h in list(elems):
-                    for prod in (g @ h, h @ g):
-                        if prod not in elems:
-                            elems.add(prod)
-                            fresh.append(prod)
-                            if len(elems) > cap:
-                                raise NotFiniteError(
-                                    f"matrix closure exceeded cap {cap}; group not verified finite"
-                                )
-            frontier = fresh
-        return cls.from_elements(dim, elems)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, g: IntMat) -> bool:
-        return g in set(self.elements)
-
-    def __iter__(self) -> Iterator[IntMat]:
-        return iter(self.elements)
+        return cls.from_elements(dim, cayley_closure(IntMat.identity(dim), gens, IntMat.__matmul__, cap))
 
     def nonidentity(self) -> list[IntMat]:
         ident = IntMat.identity(self.dim)
         return [g for g in self.elements if g != ident]
 
     def generators(self) -> tuple[IntMat, ...]:
-        gens: list[IntMat] = []
-        generated = {IntMat.identity(self.dim)}
-        for g in self.elements:
-            if g in generated:
-                continue
-            gens.append(g)
-            generated = set(MatrixGroup.from_generators(self.dim, gens, cap=self.order).elements)
-            if len(generated) == self.order:
-                break
-        return tuple(gens)
+        """Small generating set found greedily over the sorted element list."""
+        return _greedy_generators(self.elements, IntMat.identity(self.dim), IntMat.__matmul__)
 
     def conjugate(self, u: IntMat, u_inv: IntMat) -> "MatrixGroup":
         return MatrixGroup.from_elements(self.dim, [u @ g @ u_inv for g in self.elements])

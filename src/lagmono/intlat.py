@@ -341,24 +341,30 @@ def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
 
 
 def matrix_order(g: IntMat, cap: int | None = None) -> int | None:
-    """Least k <= cap with g^k = I, or None when the order exceeds cap.
+    """Order of g, or None when g has infinite order or (with a cap) order above cap.
 
-    cap defaults to 12 * dim, a generous bound for the finite orders arising
-    at desk scale; None therefore signals an infinite-order element there.
+    Exact, by reduction mod 3: the kernel of GL(n, Z) -> GL(n, F_3) is
+    torsion-free (Minkowski), so an element of finite order has the same
+    order k as its residue mod 3, and g has finite order exactly when
+    g^k = I.  The residue order is at most 3^n - 1.
     """
     if g.nrows != g.ncols:
         raise ValueError("order of non-square matrix")
     if abs(g.det()) != 1:
         raise NonUnimodularError(f"matrix has determinant {g.det()}, not +-1")
-    if cap is None:
-        cap = 12 * g.nrows
     ident = IntMat.identity(g.nrows)
+    residue = tuple(tuple(x % 3 for x in r) for r in g.rows)
+    cols = tuple(zip(*residue))
+    power, k = residue, 1
+    while power != ident.rows:
+        if cap is not None and k >= cap:
+            return None
+        power = tuple(tuple(dot(r, c) % 3 for c in cols) for r in power)
+        k += 1
     power = g
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
+    for _ in range(k - 1):
         power = power @ g
-    return None
+    return k if power == ident else None
 
 
 # ---------------------------------------------------------------------------

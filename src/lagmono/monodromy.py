@@ -14,16 +14,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InconsistentPermutationError, SearchTooLargeError
-from .groups import MatrixGroup, PermutationGroup, permute_vector
+from .groups import MatrixGroup, Perm, PermutationGroup, permute_vector
 from .intlat import (
     IntMat,
     LatticeBasis,
     lattice_equal,
     rational_rref,
-    solve_rational_system,
 )
 from .toric import ToricFiberData
 
@@ -68,21 +67,27 @@ def partition_bound_check(partition: NormalPartition, dim: int) -> bool:
     return sum(len(b) - 1 for b in partition.blocks) <= dim
 
 
+def _block_map_group(partition: NormalPartition, block_maps: Iterable[Sequence[int]]) -> PermutationGroup:
+    """Every permutation sending each block b onto block block_map[b], over the block maps."""
+    elements = []
+    for block_map in block_maps:
+        arrangements = [itertools.permutations(partition.blocks[image]) for image in block_map]
+        for combo in itertools.product(*arrangements):
+            perm = list(range(partition.size))
+            for block, images in zip(partition.blocks, combo):
+                for src, dst in zip(block, images):
+                    perm[src] = dst
+            elements.append(tuple(perm))
+    return PermutationGroup.from_elements(partition.size, elements)
+
+
 def _young_subgroup(partition: NormalPartition, max_order: int) -> PermutationGroup:
     order = 1
     for block in partition.blocks:
         order *= math.factorial(len(block))
     if order > max_order:
         raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
-    elements = []
-    per_block = [list(itertools.permutations(block)) for block in partition.blocks]
-    for combo in itertools.product(*per_block):
-        perm = list(range(partition.size))
-        for block, images in zip(partition.blocks, combo):
-            for src, dst in zip(block, images):
-                perm[src] = dst
-        elements.append(tuple(perm))
-    return PermutationGroup.from_elements(partition.size, elements)
+    return _block_map_group(partition, [range(len(partition.blocks))])
 
 
 def hamiltonian_monodromy(data: ToricFiberData, max_order: int = 50_000) -> PermutationGroup:
@@ -160,35 +165,34 @@ def symplectic_monodromy(
     if order > max_order:
         raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
 
-    elements = []
-    for block_map in confirmed:
-        target_arrangements = [
-            list(itertools.permutations(blocks[block_map[b]])) for b in range(len(blocks))
-        ]
-        for combo in itertools.product(*target_arrangements):
-            perm = list(range(n))
-            for b, images in enumerate(combo):
-                for src, dst in zip(blocks[b], images):
-                    perm[src] = dst
-            elements.append(tuple(perm))
-    return PermutationGroup.from_elements(n, elements)
+    return _block_map_group(partition, confirmed)
 
 
-def induced_matrix_group(data: ToricFiberData, group: PermutationGroup) -> MatrixGroup:
-    """Unique unimodular matrices realising each permutation of the normals."""
+def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat]:
+    """The unique unimodular matrix realising each permutation of the normals.
+
+    The matrix M of a permutation sends normal j to normal perm[j].  With B
+    the matrix whose columns are n independent normals and P the matrix of
+    their images, M = P B^-1; B is inverted once, as adj(B) / det(B), and
+    every M is checked to be integral, unimodular and right on every normal.
+    """
     normals = data.polytope.normals
     n = data.polytope.dim
-    rows = [list(map(Fraction, nu)) for nu in normals]
-    _, pivots = rational_rref(list(map(list, zip(*rows))))
+    _, pivots = rational_rref(list(zip(*normals)))
     base_idx = pivots[:n]
     if len(base_idx) < n:
         raise InconsistentPermutationError("facet normals do not span")
     base = IntMat.from_rows([normals[i] for i in base_idx]).transpose()
+    det = base.det()
+    augmented, _ = rational_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(base.rows)])
+    adjugate = IntMat.from_rows([[int(x * det) for x in r[n:]] for r in augmented])
     mats = []
-    for perm in group.elements:
+    for perm in perms:
         image = IntMat.from_rows([normals[perm[i]] for i in base_idx]).transpose()
-        mat = _solve_matrix(base, image)
-        if mat is None or abs(mat.det()) != 1:
+        scaled = image @ adjugate
+        integral = not any(x % det for r in scaled.rows for x in r)
+        mat = IntMat.from_rows([[x // det for x in r] for r in scaled.rows])
+        if not integral or abs(mat.det()) != 1:
             raise InconsistentPermutationError(
                 f"permutation {perm} is not induced by a unimodular map"
             )
@@ -198,21 +202,9 @@ def induced_matrix_group(data: ToricFiberData, group: PermutationGroup) -> Matri
                     f"permutation {perm} inconsistent on normal {j + 1}"
                 )
         mats.append(mat)
-    return MatrixGroup.from_elements(n, mats)
+    return mats
 
 
-def _solve_matrix(base: IntMat, image: IntMat) -> IntMat | None:
-    """Integer matrix M with M @ base = image, if one exists."""
-    n = base.nrows
-    rows_out = []
-    base_cols = [[Fraction(base.rows[i][j]) for j in range(n)] for i in range(n)]
-    for r in range(n):
-        rhs = [Fraction(image.rows[r][j]) for j in range(n)]
-        solved = solve_rational_system(list(map(list, zip(*base_cols))), rhs)
-        if solved is None:
-            return None
-        particular, kernel = solved
-        if kernel or any(x.denominator != 1 for x in particular):
-            return None
-        rows_out.append(tuple(int(x) for x in particular))
-    return IntMat.from_rows(rows_out)
+def induced_matrix_group(data: ToricFiberData, group: PermutationGroup) -> MatrixGroup:
+    """Unique unimodular matrices realising each permutation of the normals."""
+    return MatrixGroup.from_elements(data.polytope.dim, induced_matrices(data, group.elements))

@@ -148,38 +148,49 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     return FixedPointSet(n, tuple(sorted(found)))
 
 
+def first_moved_point(group: MatrixGroup, points: Sequence[TorsionPoint]) -> tuple[IntMat, TorsionPoint] | None:
+    """First element moving one of the points, with that point, or None.
+
+    Elements and points are scanned in canonical order.
+    """
+    for g in group.nonidentity():
+        for p in points:
+            if act(g, p) != p:
+                return g, p
+    return None
+
+
 def admissible_group(group: MatrixGroup) -> tuple[bool, tuple[IntMat, TorsionPoint] | None]:
     """Check that every element fixes every forced critical point.
 
     Returns (True, None) or (False, (element, moved point)) with the first
     witness in canonical element and point order.
     """
-    forced = forced_critical_points(group).finite_points()
-    for g in group.nonidentity():
-        for p in forced:
-            if act(g, p) != p:
-                return False, (g, p)
-    return True, None
+    witness = first_moved_point(group, forced_critical_points(group).finite_points())
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
 # Group text format
 
 
-def parse_group(text: str, cap: int = 10_000) -> MatrixGroup:
-    """Parse the group text format and close the generators.
-
-    Line 1 is ``dim <n>``; each generator is a ``gen`` line followed by n rows
-    of n integers.  ``#`` starts a comment.
-    """
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of every line left nonempty once ``#`` comments are cut."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))
-    if not lines:
-        raise ParseError("empty group file")
-    lineno, head = lines[0]
+    return lines
+
+
+def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, list[IntMat], int]:
+    """Read ``dim <n>`` at lines[i] and the ``gen`` blocks after it.
+
+    Each ``gen`` line is followed by n rows of n integers.  Returns the
+    dimension, the generators and the index of the first line not read.
+    """
+    lineno, head = lines[i]
     parts = head.split()
     if len(parts) != 2 or parts[0] != "dim":
         raise ParseError(f"line {lineno}: expected 'dim <n>'")
@@ -190,16 +201,12 @@ def parse_group(text: str, cap: int = 10_000) -> MatrixGroup:
     if dim < 1:
         raise ParseError(f"line {lineno}: dimension must be positive")
     gens = []
-    i = 1
-    while i < len(lines):
-        lineno, tok = lines[i]
-        if tok != "gen":
-            raise ParseError(f"line {lineno}: expected 'gen', got {tok!r}")
+    i += 1
+    while i < len(lines) and lines[i][1] == "gen":
         if len(lines) - (i + 1) < dim:
-            raise ParseError(f"line {lineno}: generator needs {dim} rows")
+            raise ParseError(f"line {lines[i][0]}: generator needs {dim} rows")
         rows = []
-        for k in range(dim):
-            rlineno, rline = lines[i + 1 + k]
+        for rlineno, rline in lines[i + 1 : i + 1 + dim]:
             entries = rline.split()
             if len(entries) != dim:
                 raise ParseError(f"line {rlineno}: expected {dim} integers")
@@ -209,4 +216,20 @@ def parse_group(text: str, cap: int = 10_000) -> MatrixGroup:
                 raise ParseError(f"line {rlineno}: bad integer entry") from exc
         gens.append(IntMat.from_rows(rows))
         i += 1 + dim
+    return dim, gens, i
+
+
+def parse_group(text: str, cap: int = 10_000) -> MatrixGroup:
+    """Parse the group text format and close the generators.
+
+    Line 1 is ``dim <n>``, followed by ``gen`` blocks (see read_group_block).
+    ``#`` starts a comment.
+    """
+    lines = content_lines(text)
+    if not lines:
+        raise ParseError("empty group file")
+    dim, gens, i = read_group_block(lines, 0)
+    if i < len(lines):
+        lineno, tok = lines[i]
+        raise ParseError(f"line {lineno}: expected 'gen', got {tok!r}")
     return MatrixGroup.from_generators(dim, gens, cap=cap)

@@ -123,6 +123,13 @@ class TestConjecture:
         signs = next(line for line in lines if "name=signs" in line)
         assert "parts=[2, 2, 2]" in signs
 
+    def test_dim_zero_catalog_is_a_parse_error(self, capsys, tmp_path):
+        catalog = tmp_path / "dim0.cat"
+        catalog.write_text("group empty\ndim 0\n")
+        code, _, err = invoke(capsys, "conjecture", str(catalog))
+        assert code == 3
+        assert "line 2" in err
+
 
 class TestPotential:
     def test_crit(self, capsys):
@@ -155,6 +162,20 @@ class TestClifford:
             capsys, "clifford", str(FIXTURES / "triangle_potential.laurent"), "--at", "1/2,0"
         )
         assert code == 2
+
+    def test_wrong_coordinate_count_is_a_parse_error(self, capsys):
+        code, _, err = invoke(
+            capsys, "clifford", str(FIXTURES / "triangle_potential.laurent"), "--at", "1/3"
+        )
+        assert code == 3
+        assert "coordinates" in err
+
+    def test_one_variable_potential_rejected(self, capsys, tmp_path):
+        potential = tmp_path / "one.laurent"
+        potential.write_text("dim 1\nterm 3 0\nterm 1 1\nterm 1 -1\n")
+        code, _, err = invoke(capsys, "clifford", str(potential), "--at", "1/2")
+        assert code == 2
+        assert "two-variable" in err
 
 
 class TestQform:

@@ -225,6 +225,23 @@ class TestMatrixOrder:
     def test_infinite_order_shear(self):
         assert matrix_order(IntMat.from_rows([[1, 1], [0, 1]])) is None
 
+    def test_order_210_in_gl12(self):
+        # Block sum of the companion matrices of Phi_6, Phi_5 and Phi_7.
+        blocks = [[1, -1], [1, 1, 1, 1], [1, 1, 1, 1, 1, 1]]
+        rows = [[0] * 12 for _ in range(12)]
+        start = 0
+        for coeffs in blocks:
+            size = len(coeffs)
+            for i in range(size):
+                if i:
+                    rows[start + i][start + i - 1] = 1
+                rows[start + i][start + size - 1] = -coeffs[i]
+            start += size
+        g = IntMat.from_rows(rows)
+        assert matrix_order(g) == 210
+        assert matrix_order(g, cap=210) == 210
+        assert matrix_order(g, cap=209) is None
+
     def test_rejects_non_unimodular(self):
         with pytest.raises(NonUnimodularError):
             matrix_order(IntMat.from_rows([[2, 0], [0, 1]]))
