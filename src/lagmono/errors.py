@@ -23,7 +23,7 @@ class NonUnimodularError(ValidationError):
 
 
 class NotFiniteError(ValidationError):
-    """Group closure exceeded its cap, so the group is not (verified) finite."""
+    """Group proved infinite, or its closure exceeded its cap (not verified finite)."""
 
 
 class NotMonotoneError(ValidationError):

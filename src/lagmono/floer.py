@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedActionError,
 )
 from .intlat import IntMat
-from .laurent import LaurentPolynomial, gradient_hessian, invariance_check, is_critical
+from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
 Cyc = CyclotomicNumber
@@ -134,10 +134,10 @@ def clifford_constants(w: LaurentPolynomial, p: TorsionPoint) -> CliffordData:
         raise DimensionError("Clifford constants need a two-variable potential")
     if not is_critical(w, p):
         raise NotCriticalError(f"{p} is not a critical point")
-    _, hess = gradient_hessian(w, p)
-    lam = hess[0][0] * Fraction(-1, 2)
-    mu = -hess[0][1]
-    nu = hess[1][1] * Fraction(-1, 2)
+    first = w.partial(0)
+    lam = evaluate(first.partial(0), p) * Fraction(-1, 2)
+    mu = -evaluate(first.partial(1), p)
+    nu = evaluate(w.partial(1).partial(1), p) * Fraction(-1, 2)
     half = not (lam.is_integral() and mu.is_integral() and nu.is_integral())
     return CliffordData(lam, mu, nu, half_integral=half)
 

@@ -60,15 +60,25 @@ def cycle_notation(p: Perm) -> str:
     return "".join(cycles) if cycles else "id"
 
 
-def cayley_closure(identity: E, gens: Sequence[E], mul: Callable[[E, E], E], cap: int) -> dict[E, tuple[int, ...]]:
+def cayley_closure(
+    identity: E,
+    gens: Sequence[E],
+    mul: Callable[[E, E], E],
+    cap: int,
+    residue: Callable[[E], Hashable] | None = None,
+) -> dict[E, tuple[int, ...]]:
     """Every element of the group generated by gens, mapped to a shortest word.
 
     Breadth-first search over the right Cayley graph, one product per element
     and generator; a word lists generator indices, multiplied left to right.
     Positive words reach every inverse in a finite group and infinitely many
-    elements otherwise, so NotFiniteError means exactly: more than cap elements.
+    elements otherwise.  ``residue``, when given, is a homomorphism to a
+    finite group that is injective on every finite subgroup, so two distinct
+    elements with one residue prove the group infinite.  NotFiniteError is
+    raised on such a pair, or, as a resource limit, above cap elements.
     """
     words = {identity: ()}
+    seen = None if residue is None else {residue(identity)}
     frontier = [identity]
     while frontier:
         fresh = []
@@ -76,12 +86,21 @@ def cayley_closure(identity: E, gens: Sequence[E], mul: Callable[[E, E], E], cap
             for idx, s in enumerate(gens):
                 h = mul(g, s)
                 if h not in words:
+                    if seen is not None:
+                        r = residue(h)
+                        if r in seen:
+                            raise NotFiniteError("group is infinite: two distinct elements share a residue")
+                        seen.add(r)
                     words[h] = words[g] + (idx,)
                     fresh.append(h)
                     if len(words) > cap:
                         raise NotFiniteError(f"closure exceeded cap {cap}; group not verified finite")
         frontier = fresh
     return words
+
+
+def _residue_mod_3(g: IntMat) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(x % 3 for x in row) for row in g.rows)
 
 
 def _greedy_generators(elements: Sequence[E], identity: E, mul: Callable[[E, E], E]) -> tuple[E, ...]:
@@ -153,7 +172,11 @@ class MatrixGroup(_ElementList):
                 raise ValueError("generator dimension mismatch")
             if abs(g.det()) != 1:
                 raise NonUnimodularError(f"generator {g} has determinant {g.det()}")
-        return cls.from_elements(dim, cayley_closure(IntMat.identity(dim), gens, IntMat.__matmul__, cap))
+        # Minkowski: the kernel of GL(n, Z) -> GL(n, Z/3) is torsion-free, so
+        # reduction mod 3 is injective on finite subgroups and a collision of
+        # residues proves the group infinite.
+        closure = cayley_closure(IntMat.identity(dim), gens, IntMat.__matmul__, cap, _residue_mod_3)
+        return cls.from_elements(dim, closure)
 
     def nonidentity(self) -> list[IntMat]:
         ident = IntMat.identity(self.dim)

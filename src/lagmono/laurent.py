@@ -3,18 +3,27 @@
 These polynomials play the role of disc-counting potentials: exponent vectors
 live in the first homology lattice of the torus and coefficients in Z.
 Evaluation at a torsion local system lands in a cyclotomic ring and is exact.
+
+Criticality needs only a zero test, which stays in integers.  At a point p of
+order d, each term c z^e of a partial contributes c at x^((e . p d) mod d),
+giving the partial's image in Z[x]/(x^d - 1), with x standing for
+exp(2 pi i / d).  The partial vanishes at p exactly when that image reduces
+to zero modulo the monic integer cyclotomic polynomial Phi_d.  ``evaluate``
+and ``gradient_hessian`` build full ``CyclotomicNumber`` values for callers
+that need them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cyclotomic import CyclotomicNumber
-from .errors import GridTooLargeError, ParseError
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from .errors import DimensionError, GridTooLargeError, ParseError
 from .intlat import IntMat, rational_rank
 from .torussym import TorsionPoint
 
@@ -138,10 +147,14 @@ class LaurentPolynomial:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def _check_dim(w: LaurentPolynomial, p: TorsionPoint) -> None:
+    if p.dim != w.dim:
+        raise DimensionError(f"point has {p.dim} coordinates, potential has {w.dim} variables")
+
+
 def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     """Exact value of w at the unitary point with angles p."""
-    if p.dim != w.dim:
-        raise ValueError("dimension mismatch")
+    _check_dim(w, p)
     d = 1
     for c in p.coords:
         d = math.lcm(d, c.denominator)
@@ -182,33 +195,85 @@ def log_gradient_hessian(
     return grad, hess
 
 
+@functools.lru_cache(maxsize=64)
+def _first_partials(w: LaurentPolynomial) -> tuple[tuple[LaurentPolynomial, ...], tuple[LaurentPolynomial, ...]]:
+    """Affine and logarithmic first partials of w, kept across grid points."""
+    n = w.dim
+    return tuple(w.partial(i) for i in range(n)), tuple(w.log_partial(i) for i in range(n))
+
+
+def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
+    """True when w is zero at the point of order d with angles scaled / d.
+
+    The image of w in Z[x]/(x^d - 1) is reduced modulo the monic Phi_d, all
+    in integers; w vanishes exactly when the remainder is zero.
+    """
+    image = [0] * d
+    for e, c in w.terms:
+        image[sum(x * a for x, a in zip(e, scaled)) % d] += c
+    phi = cyclotomic_polynomial(d)
+    deg = len(phi) - 1
+    for top in range(d - 1, deg - 1, -1):
+        q = image[top]
+        if q:
+            base = top - deg
+            for j in range(deg):
+                image[base + j] -= q * phi[j]
+    return not any(image[:deg])
+
+
 def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:
     """True when every first partial of w vanishes at p.
 
-    Affine and logarithmic partials vanish together at unitary points; both
-    are computed and must agree.
+    Affine and logarithmic partials vanish together at unitary points; each
+    is tested from its own partial polynomial, and the two must agree.
     """
-    affine = all(evaluate(w.partial(i), p).is_zero() for i in range(w.dim))
-    logarithmic = all(evaluate(w.log_partial(i), p).is_zero() for i in range(w.dim))
-    assert affine == logarithmic, "affine and logarithmic criticality disagree"
-    return affine
+    _check_dim(w, p)
+    d = p.order()
+    scaled = [c.numerator * (d // c.denominator) for c in p.coords]
+    affine, logarithmic = _first_partials(w)
+    is_affine = all(_vanishes(f, scaled, d) for f in affine)
+    is_logarithmic = all(_vanishes(f, scaled, d) for f in logarithmic)
+    assert is_affine == is_logarithmic, "affine and logarithmic criticality disagree"
+    return is_affine
+
+
+def _grid_point(combo: Sequence[int], bound: int) -> TorsionPoint:
+    return TorsionPoint.make(Fraction(k, bound) for k in combo)
 
 
 def torsion_critical_points(
     w: LaurentPolynomial, order_bound: int, grid_cap: int = 200_000
 ) -> tuple[TorsionPoint, ...]:
-    """All critical torsion points with coordinate denominators dividing the bound."""
+    """All critical torsion points with coordinate denominators dividing the bound.
+
+    The grid is walked by Galois orbits.  The coefficients of w are integers,
+    so the automorphism zeta_d -> zeta_d^k of Q(zeta_d) maps every partial at
+    p to the same partial at k p, for each k prime to d = ord(p); a point is
+    critical exactly when its whole orbit {k p : gcd(k, d) = 1} is.  Each
+    orbit is tested once, at its first grid point, and added whole when
+    critical.  Visited points are marked by their mixed-radix grid index.
+    """
     if order_bound < 1:
         raise ValueError("order bound must be positive")
     if order_bound ** w.dim > grid_cap:
         raise GridTooLargeError(
             f"grid of size {order_bound}^{w.dim} exceeds cap {grid_cap}"
         )
+    visited = bytearray(order_bound ** w.dim)
     out = []
-    for combo in itertools.product(range(order_bound), repeat=w.dim):
-        p = TorsionPoint.make(Fraction(k, order_bound) for k in combo)
-        if is_critical(w, p):
-            out.append(p)
+    for index, combo in enumerate(itertools.product(range(order_bound), repeat=w.dim)):
+        if visited[index]:
+            continue
+        d = order_bound // math.gcd(order_bound, *combo)
+        orbit = [tuple(k * x % order_bound for x in combo) for k in range(d) if math.gcd(k, d) == 1]
+        for image in orbit:
+            mixed = 0
+            for x in image:
+                mixed = mixed * order_bound + x
+            visited[mixed] = 1
+        if is_critical(w, _grid_point(combo, order_bound)):
+            out.extend(_grid_point(image, order_bound) for image in orbit)
     return tuple(sorted(set(out)))
 
 

@@ -9,6 +9,7 @@ import pytest
 from lagmono.cyclotomic import CyclotomicNumber
 from lagmono.errors import (
     BadDiscriminantError,
+    DimensionError,
     NotCriticalError,
     NotInvariantError,
     NotUnivariateError,
@@ -30,7 +31,7 @@ from lagmono.floer import (
     _verify_witness,
 )
 from lagmono.intlat import IntMat
-from lagmono.laurent import LaurentPolynomial
+from lagmono.laurent import LaurentPolynomial, gradient_hessian, torsion_critical_points
 from lagmono.torussym import TorsionPoint
 
 F = Fraction
@@ -82,6 +83,28 @@ class TestCliffordConstants:
         odd_w = LaurentPolynomial.from_dict(2, {(1, 0): 1, (-1, 0): 1, (0, 3): 1, (0, -3): 1})
         odd_data = clifford_constants(odd_w, pt(F(1, 2), F(1, 3)))
         assert isinstance(odd_data.half_integral, bool)
+
+
+    def test_rejects_point_of_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            clifford_constants(W_CP2, pt(F(1, 3)))
+
+    def test_constants_match_full_hessian(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = (rng.randint(-3, 3), rng.randint(-3, 3))
+                c = rng.randint(-3, 3)
+                terms[e] = terms.get(e, 0) + c
+                terms[(-e[0], -e[1])] = terms.get((-e[0], -e[1]), 0) + c
+            w = LaurentPolynomial.from_dict(2, terms)
+            for p in torsion_critical_points(w, 6):
+                _, hess = gradient_hessian(w, p)
+                data = clifford_constants(w, p)
+                assert data.constants() == (
+                    hess[0][0] * F(-1, 2), -hess[0][1], hess[1][1] * F(-1, 2)
+                )
 
 
 class TestCliffordProduct:

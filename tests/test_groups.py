@@ -1,5 +1,7 @@
 """Group closure, greedy generators and words against a brute-force oracle."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,3 +122,18 @@ def test_cap_is_exact():
         MatrixGroup.from_generators(2, [rot], cap=3)
     with pytest.raises(NotFiniteError):
         PermutationGroup.from_generators(3, [(1, 2, 0), (1, 0, 2)], cap=5)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [[[1, 1], [0, 1]]],
+        [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]],
+    ],
+    ids=["shear", "infinite-dihedral"],
+)
+def test_infinite_group_refused_at_once(gens):
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteError, match="infinite"):
+        MatrixGroup.from_generators(2, [IntMat.from_rows(g) for g in gens])
+    assert time.perf_counter() - start < 0.01

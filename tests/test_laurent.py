@@ -1,13 +1,15 @@
 """Laurent potentials: exact evaluation, criticality, support data, symmetry."""
 
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagmono.cyclotomic import CyclotomicNumber
-from lagmono.errors import GridTooLargeError, ParseError
+from lagmono.errors import DimensionError, GridTooLargeError, ParseError, ValidationError
 from lagmono.intlat import IntMat
 from lagmono.laurent import (
     LaurentPolynomial,
@@ -177,6 +179,90 @@ class TestCriticality:
             assert is_critical(w, p) == float_verdict
             checked += 1
         assert checked == 200
+
+
+def oracle_critical_points(w, bound):
+    """The original grid walk: every point, every affine partial evaluated exactly."""
+    out = []
+    for combo in itertools.product(range(bound), repeat=w.dim):
+        p = TorsionPoint.make(F(k, bound) for k in combo)
+        if all(evaluate(w.partial(i), p).is_zero() for i in range(w.dim)):
+            out.append(p)
+    return tuple(sorted(set(out)))
+
+
+def symmetrised(dim, raw_terms):
+    """w(z) + w(1/z): invariant under -1, so every half-period point is critical."""
+    terms = {}
+    for e, c in raw_terms:
+        e = tuple(e[:dim])
+        for key in (e, tuple(-x for x in e)):
+            terms[key] = terms.get(key, 0) + c
+    return LaurentPolynomial.from_dict(dim, terms)
+
+
+raw_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(-3, 3)] * 3), st.integers(-3, 3)), min_size=1, max_size=4
+)
+
+
+class TestFastGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim_bound=st.one_of(
+            st.tuples(st.integers(1, 2), st.integers(1, 12)), st.tuples(st.just(3), st.integers(1, 6))
+        ),
+        raw=raw_terms,
+    )
+    def test_grid_equals_pointwise_oracle(self, dim_bound, raw):
+        dim, bound = dim_bound
+        w = symmetrised(dim, raw)
+        assert torsion_critical_points(w, bound) == oracle_critical_points(w, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        raw=raw_terms,
+        order=st.integers(1, 30),
+        numerators=st.lists(st.integers(0, 29), min_size=3, max_size=3),
+        symmetric=st.booleans(),
+    )
+    def test_is_critical_equals_exact_evaluation(self, dim, raw, order, numerators, symmetric):
+        terms = [(tuple(e[:dim]), c) for e, c in raw]
+        w = symmetrised(dim, raw) if symmetric else LaurentPolynomial(dim, tuple(terms))
+        p = TorsionPoint.make(F(a, order) for a in numerators[:dim])
+        expected = all(evaluate(w.partial(i), p).is_zero() for i in range(dim))
+        assert is_critical(w, p) == expected
+
+    def test_known_critical_points_agree_with_evaluation(self):
+        w = symmetrised(2, [((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 1, 0), 2)])
+        for p in [pt(0, 0), pt(F(1, 2), 0), pt(0, F(1, 2)), pt(F(1, 2), F(1, 2))]:
+            assert all(evaluate(w.partial(i), p).is_zero() for i in range(2))
+            assert is_critical(w, p)
+        for p in [pt(F(1, 3), F(1, 3)), pt(F(2, 3), F(2, 3))]:
+            assert all(evaluate(W_CP2.partial(i), p).is_zero() for i in range(2))
+            assert is_critical(W_CP2, p)
+
+    def test_triangle_at_bound_48(self):
+        assert torsion_critical_points(W_CP2, 48) == (
+            pt(0, 0), pt(F(1, 3), F(1, 3)), pt(F(2, 3), F(2, 3))
+        )
+
+    def test_whole_orbits_are_reported(self):
+        # x^5 + x^-5 is critical exactly where x^10 = 1; orders 1, 2, 5 and 10.
+        w = LaurentPolynomial.from_dict(1, {(5,): 1, (-5,): 1})
+        assert torsion_critical_points(w, 20) == tuple(pt(F(k, 10)) for k in range(10))
+
+
+class TestDimensionErrors:
+    def test_evaluate(self):
+        with pytest.raises(DimensionError):
+            evaluate(W_CP2, pt(F(1, 3)))
+
+    def test_is_critical(self):
+        with pytest.raises(DimensionError) as info:
+            is_critical(W_CP2, pt(F(1, 3)))
+        assert isinstance(info.value, ValidationError)
 
 
 class TestSupportRank:
