@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlat import solve_rational_system
+from .intlat import IntMat, solve_rational_system
 
 
 def euler_phi(d: int) -> int:
@@ -46,42 +46,41 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     # x^d - 1 divided by the cyclotomic polynomials of all proper divisors.
     poly = [-1] + [0] * (d - 1) + [1]
     for k in divisors(d)[:-1]:
-        poly = _polydiv_exact(poly, list(cyclotomic_polynomial(k)))
+        poly, rem = _polydivmod(poly, cyclotomic_polynomial(k))
+        assert not any(rem), "non-exact polynomial division"
     return tuple(poly)
 
 
-def _polydiv_exact(num: list, den: list) -> list:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coeff = num[i + len(den) - 1]
-        if isinstance(coeff, int) and isinstance(den[-1], int) and den[-1] != 0:
-            q, r = divmod(coeff, den[-1])
-            assert r == 0, "non-exact polynomial division"
-            coeff = q
-        else:
-            coeff = coeff / den[-1]
-        out[i] = coeff
-        for j, dj in enumerate(den):
-            num[i + j] -= coeff * dj
-    assert all(x == 0 for x in num)
-    return out
+def _polydivmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of num by den, coefficient lists constant term first.
+
+    Generic over int and Fraction coefficients; den[-1] must be nonzero.
+    When den is monic, as every Phi_d is, no division is made, so integer
+    inputs give integer results.  The remainder keeps all deg(den)
+    coefficients (fewer when num is shorter), trailing zeros included.
+    """
+    deg = len(den) - 1
+    lead = den[-1]
+    monic = lead == 1
+    rem = list(num)
+    quot = [0] * max(len(rem) - deg, 1)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        q = rem[top]
+        if q:
+            if not monic:
+                q = Fraction(q) / lead
+            base = top - deg
+            quot[base] = q
+            for j in range(deg):
+                rem[base + j] -= q * den[j]
+    return quot, rem[:deg]
 
 
-def _polymod(coeffs: list[Fraction], d: int) -> list[Fraction]:
+def _polymod(coeffs: Sequence, d: int) -> list[Fraction]:
     """Reduce a polynomial in zeta_d modulo the d-th cyclotomic polynomial."""
     phi = cyclotomic_polynomial(d)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        for j in range(deg + 1):
-            work[i - deg + j] -= c * phi[j]
-    out = [Fraction(x) for x in work[:deg]]
-    out += [Fraction(0)] * (deg - len(out))
-    return out
+    rem = _polydivmod(coeffs, phi)[1]
+    return [Fraction(x) for x in rem] + [Fraction(0)] * (len(phi) - 1 - len(rem))
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,6 +175,9 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return self.conductor == 1 and self.coeffs[0] == 0
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -242,7 +244,7 @@ class CyclotomicNumber:
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while _deg(r1) > 0:
             q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
+            r0, r1 = r1, _trim(r)
             s0, s1 = s1, _polysub(s0, _polymul(q, s1))
         lead = r1[0]
         inv_coeffs = [c / lead for c in s1]
@@ -250,6 +252,9 @@ class CyclotomicNumber:
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return _coerce(other) * self.inverse()
 
     def galois(self, a: int) -> "CyclotomicNumber":
         """Image under zeta -> zeta^a, for a coprime to the conductor."""
@@ -262,15 +267,21 @@ class CyclotomicNumber:
         return CyclotomicNumber(d, tuple(out))
 
     def norm(self) -> Fraction:
-        """Field norm down to Q: determinant of multiplication by the value."""
-        d = self.conductor
-        phi = euler_phi(d)
-        if d == 1:
+        """Field norm down to Q: determinant of multiplication by the value.
+
+        With the denominators cleared by their lcm s, the columns s a zeta^i
+        mod Phi_d are integral, and Bareiss gives their determinant s^phi N(a).
+        """
+        if self.conductor == 1:
             return self.coeffs[0]
+        phi = cyclotomic_polynomial(self.conductor)
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        col = [c.numerator * (scale // c.denominator) for c in self.coeffs]
         cols = []
-        for i in range(phi):
-            cols.append(_polymod(_polymul_shift(self.coeffs, i), d))
-        return _det_fraction([[cols[j][i] for j in range(phi)] for i in range(phi)])
+        for _ in range(len(phi) - 1):
+            cols.append(col)
+            col = _polydivmod([0] + col, phi)[1]
+        return Fraction(IntMat.from_rows(cols).det(), scale ** len(cols))
 
     def is_integral_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
@@ -356,48 +367,8 @@ def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _polymul_shift(coeffs: Sequence[Fraction], k: int) -> list[Fraction]:
-    return [Fraction(0)] * k + [Fraction(c) for c in coeffs]
-
-
 def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     n = max(len(a), len(b))
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def _polydivmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = _trim(list(num))
-    den = _trim(list(den))
-    if _deg(num) < _deg(den):
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    work = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                work[i + j] -= c * dj
-    return out, _trim(work)
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi
 from .errors import (
     BadDiscriminantError,
     DimensionError,
@@ -26,7 +26,7 @@ from .errors import (
     NotUnivariateError,
     UnsupportedActionError,
 )
-from .intlat import IntMat
+from .intlat import IntMat, rational_kernel_basis
 from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
@@ -193,10 +193,13 @@ def _parity_norm(c: CliffordElement, d: CliffordData, parity: str) -> Cyc | None
     return prod.a0
 
 
-def _solution_space(
-    d: CliffordData, action: IntMat, parity: str
-) -> list[tuple[Cyc, Cyc]]:
-    """Basis over Q(zeta) of the parity-homogeneous conjugation solutions."""
+def _residual_columns(d: CliffordData, action: IntMat, parity: str) -> list[list[Cyc]]:
+    """Conjugation residuals of the two parity basis elements, one column each.
+
+    The equations are linear in the coefficient pair (x1, x2), so the
+    residuals of x1 e1 + x2 e2 are x1 times the first column plus x2 times
+    the second.
+    """
     basis = (
         [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
         if parity == "odd"
@@ -205,40 +208,16 @@ def _solution_space(
     cols = []
     for e in basis:
         residuals = _conjugation_residuals(e, d, action, parity)
-        cols.append(
-            [r for res in residuals for r in (res.a0, res.au, res.av, res.auv)]
-        )
-    # Solve x1 * cols[0] + x2 * cols[1] = 0 over the cyclotomic field.
-    rows = list(zip(*cols))
-    pivots: list[tuple[int, int]] = []
-    work = [list(r) for r in rows]
-    col_used: list[int] = []
-    for col in range(2):
-        pivot_row = next(
-            (i for i, r in enumerate(work) if not r[col].is_zero() and i not in [p[0] for p in pivots]),
-            None,
-        )
-        if pivot_row is None:
-            continue
-        inv = work[pivot_row][col].inverse()
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for i in range(len(work)):
-            if i != pivot_row and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[pivot_row])]
-        pivots.append((pivot_row, col))
-        col_used.append(col)
-    free_cols = [c for c in range(2) if c not in col_used]
-    out = []
-    zero = Cyc.zero()
-    one = Cyc.one()
-    for fc in free_cols:
-        vec = [zero, zero]
-        vec[fc] = one
-        for prow, pcol in pivots:
-            vec[pcol] = -work[prow][fc]
-        out.append((vec[0], vec[1]))
-    return out
+        cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
+    return cols
+
+
+def _solution_space(
+    d: CliffordData, action: IntMat, parity: str
+) -> list[tuple[Cyc, Cyc]]:
+    """Basis over Q(zeta) of the parity-homogeneous conjugation solutions."""
+    rows = list(zip(*_residual_columns(d, action, parity)))
+    return [(_cyc(x1), _cyc(x2)) for x1, x2 in rational_kernel_basis(rows, 2)]
 
 
 def _element_from_pair(pair: tuple[Cyc, Cyc], parity: str) -> CliffordElement:
@@ -346,19 +325,10 @@ def _bounded_search(
 ) -> CliffordElement | None:
     """Search rational-integer coefficient pairs by increasing height.
 
-    The conjugation equations are linear in the pair, so residual columns of
-    the two basis elements are computed once and each candidate is screened
-    by an integer combination before the full invertibility check.
+    Each candidate is screened by its integer combination of the residual
+    columns before the full invertibility check.
     """
-    basis = (
-        [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
-        if parity == "odd"
-        else [CliffordElement.even(1, 0), CliffordElement.even(0, 1)]
-    )
-    cols = []
-    for e in basis:
-        residuals = _conjugation_residuals(e, d, action, parity)
-        cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
+    cols = _residual_columns(d, action, parity)
     for h in range(0, height + 1):
         ring = range(-h, h + 1)
         for x1 in ring:
@@ -588,45 +558,18 @@ def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | 
     # phi(d) grows at least like sqrt(d/2), so this window covers every
     # divisor whose cyclotomic polynomial could fit the remaining degree.
     while d <= 2 * degree * degree + 2:
-        phi = list(cyclotomic_polynomial(d))
-        if len(phi) - 1 <= _poly_degree(coeffs):
-            quotient = _try_divide(coeffs, phi)
-            if quotient is not None:
-                if _try_divide(quotient, phi) is not None:
+        if euler_phi(d) <= len(coeffs) - 1:
+            phi = cyclotomic_polynomial(d)
+            quotient, rem = _polydivmod(coeffs, phi)
+            if not any(rem):
+                if not any(_polydivmod(quotient, phi)[1]):
                     return None  # repeated root of unity
                 coeffs = quotient
                 found.append(d)
         d += 1
-    if _poly_degree(coeffs) != 0 or coeffs[0] != 1:
+    if coeffs != [1]:
         return None  # leftover non-cyclotomic factor
     return content, sorted(found)
-
-
-def _poly_degree(coeffs: list[int]) -> int:
-    deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0:
-        deg -= 1
-    return deg
-
-
-def _try_divide(num: list[int], den: list[int]) -> list[int] | None:
-    num = num[: _poly_degree(num) + 1]
-    den = den[: _poly_degree(den) + 1]
-    if len(num) < len(den):
-        return None
-    work = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + len(den) - 1]
-        if c % den[-1] != 0:
-            return None
-        q = c // den[-1]
-        out[i] = q
-        for j, dj in enumerate(den):
-            work[i + j] -= q * dj
-    if any(x != 0 for x in work):
-        return None
-    return out
 
 
 def rk1_classify(w: LaurentPolynomial) -> Rk1Report:
@@ -733,7 +676,7 @@ def hessian_theorem_check(
     the group only the split shape is possible.
     """
     if w.dim != 2:
-        raise ValueError("check needs a two-variable potential")
+        raise DimensionError("Hessian check needs a two-variable potential")
     if group_kind == "ORDER3":
         required = [ORDER3_GENERATOR]
     elif group_kind == "ORDER2":

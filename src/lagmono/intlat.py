@@ -2,8 +2,9 @@
 
 Everything here runs on Python integers and fractions, never floats: Hermite
 and Smith normal forms with unimodular transforms, saturated kernel lattices,
-canonical sublattice comparison, finite matrix order, and a few rational
-helpers (solving, rank) used by the geometric modules.
+canonical sublattice comparison, finite matrix order, and one Gauss-Jordan
+elimination (solving, rank, kernels) over Q or any exact field such as
+Q(zeta_d).
 """
 
 from __future__ import annotations
@@ -368,26 +369,30 @@ def matrix_order(g: IntMat, cap: int | None = None) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Rational helpers (exact, Fraction based)
+# Exact field helpers: Fraction entries, or any exact field element that
+# supports + - * /, 1 / x and truthiness (such as CyclotomicNumber)
 
 
-def rational_rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def rational_rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over an exact field; returns (rref rows, pivot columns).
+
+    Integer entries become Fractions; other entries are kept as given.
+    """
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
     if not m:
         return [], []
     nc = len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -397,44 +402,42 @@ def rational_rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[F
     return m, pivots
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+def rational_rank(rows: Sequence[Sequence]) -> int:
     _, pivots = rational_rref(rows)
     return len(pivots)
 
 
-def solve_rational_system(
-    a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve a x = b over Q.
+def solve_rational_system(a: Sequence[Sequence], b: Sequence) -> tuple[list, list[list]] | None:
+    """Solve a x = b over an exact field.
 
     Returns (particular solution with free variables set to 0, kernel basis),
     or None when the system is inconsistent.
     """
-    rows = [list(r) + [v] for r, v in zip(a, b)]
     nc = len(a[0]) if a else 0
-    rref, pivots = rational_rref(rows)
-    for row in rref:
-        if all(x == 0 for x in row[:nc]) and row[nc] != 0:
-            return None
+    rref, pivots = rational_rref([list(r) + [v] for r, v in zip(a, b)])
+    if nc in pivots:
+        return None
     particular = [Fraction(0)] * nc
-    pivot_of_col = {c: i for i, c in enumerate(pivots) if c < nc}
-    for c, i in pivot_of_col.items():
+    for i, c in enumerate(pivots):
         particular[c] = rref[i][nc]
+    return particular, _kernel_from_rref(rref, pivots, nc)
+
+
+def rational_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list]:
+    """Basis of {x : rows @ x = 0} over an exact field."""
+    rref, pivots = rational_rref(rows)
+    return _kernel_from_rref(rref, pivots, ncols)
+
+
+def _kernel_from_rref(rref: list[list], pivots: list[int], ncols: int) -> list[list]:
+    """One kernel vector per free column among the first ncols, with a 1 there."""
     kernel = []
-    free_cols = [c for c in range(nc) if c not in pivot_of_col]
-    for fc in free_cols:
-        vec = [Fraction(0)] * nc
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for c, i in pivot_of_col.items():
+        for i, c in enumerate(pivots):
             vec[c] = -rref[i][fc]
         kernel.append(vec)
-    return particular, kernel
-
-
-def rational_kernel_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x = 0} over Q."""
-    if not rows:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)] for j in range(ncols)]
-    solved = solve_rational_system(rows, [Fraction(0)] * len(rows))
-    assert solved is not None
-    return solved[1]
+    return kernel

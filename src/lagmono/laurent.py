@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial
 from .errors import DimensionError, GridTooLargeError, ParseError
 from .intlat import IntMat, rational_rank
-from .torussym import TorsionPoint
+from .torussym import TorsionPoint, content_lines, read_dim
 
 Exponent = tuple[int, ...]
 
@@ -83,7 +83,7 @@ class LaurentPolynomial:
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise DimensionError(f"operands have {self.dim} and {other.dim} variables")
         out = dict(self.terms)
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
@@ -97,7 +97,7 @@ class LaurentPolynomial:
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise DimensionError(f"operands have {self.dim} and {other.dim} variables")
         out: dict[Exponent, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -122,7 +122,7 @@ class LaurentPolynomial:
     def relabel(self, g: IntMat) -> "LaurentPolynomial":
         """Push exponents through alpha -> g alpha."""
         if g.nrows != self.dim or g.ncols != self.dim:
-            raise ValueError("dimension mismatch")
+            raise DimensionError(f"{g.nrows}x{g.ncols} matrix on a potential in {self.dim} variables")
         out: dict[Exponent, int] = {}
         for e, c in self.terms:
             key = g.apply(e)
@@ -211,15 +211,7 @@ def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
     image = [0] * d
     for e, c in w.terms:
         image[sum(x * a for x, a in zip(e, scaled)) % d] += c
-    phi = cyclotomic_polynomial(d)
-    deg = len(phi) - 1
-    for top in range(d - 1, deg - 1, -1):
-        q = image[top]
-        if q:
-            base = top - deg
-            for j in range(deg):
-                image[base + j] -= q * phi[j]
-    return not any(image[:deg])
+    return not any(_polydivmod(image, cyclotomic_polynomial(d))[1])
 
 
 def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:
@@ -316,23 +308,10 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     Line 1 is ``dim <n>``; each following line is ``term <coeff> <e1> .. <en>``.
     ``#`` starts a comment.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty potential file")
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ParseError(f"line {lineno}: expected 'dim <n>'")
-    try:
-        dim = int(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from exc
-    if dim < 1:
-        raise ParseError(f"line {lineno}: dimension must be positive")
+    dim = read_dim(lines[0])
     terms: dict[Exponent, int] = {}
     for lineno, line in lines[1:]:
         fields = line.split()

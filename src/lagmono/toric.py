@@ -30,6 +30,7 @@ from .intlat import (
     vec_gcd,
 )
 from .laurent import LaurentPolynomial
+from .torussym import content_lines, read_dim
 
 
 class Mode(Enum):
@@ -272,21 +273,10 @@ def parse_polytope(text: str, mode_override: Mode | None = None) -> DelzantPolyt
     ``facet <nu_1> .. <nu_n> <offset>`` line per facet with the offset a
     rational ``p/q`` or integer.  ``#`` starts a comment.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = content_lines(text)
     if len(lines) < 2:
         raise ParseError("polytope file needs dim and mode lines")
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ParseError(f"line {lineno}: expected 'dim <n>'")
-    try:
-        dim = int(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from exc
+    dim = read_dim(lines[0])
     lineno, modeline = lines[1]
     parts = modeline.split()
     if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("compact", "vertex"):

@@ -184,14 +184,10 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, list[IntMat], int]:
-    """Read ``dim <n>`` at lines[i] and the ``gen`` blocks after it.
-
-    Each ``gen`` line is followed by n rows of n integers.  Returns the
-    dimension, the generators and the index of the first line not read.
-    """
-    lineno, head = lines[i]
-    parts = head.split()
+def read_dim(line: tuple[int, str]) -> int:
+    """The n of a ``dim <n>`` content line; n must be at least 1."""
+    lineno, text = line
+    parts = text.split()
     if len(parts) != 2 or parts[0] != "dim":
         raise ParseError(f"line {lineno}: expected 'dim <n>'")
     try:
@@ -200,6 +196,16 @@ def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, lis
         raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from exc
     if dim < 1:
         raise ParseError(f"line {lineno}: dimension must be positive")
+    return dim
+
+
+def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, list[IntMat], int]:
+    """Read ``dim <n>`` at lines[i] and the ``gen`` blocks after it.
+
+    Each ``gen`` line is followed by n rows of n integers.  Returns the
+    dimension, the generators and the index of the first line not read.
+    """
+    dim = read_dim(lines[i])
     gens = []
     i += 1
     while i < len(lines) and lines[i][1] == "gen":

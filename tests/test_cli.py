@@ -68,6 +68,20 @@ class TestToric:
         assert code == 3
         assert "line 3" in err
 
+    def test_dim_zero_polytope_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "dim0.poly"
+        bad.write_text("dim 0\nmode compact\nfacet 1\n")
+        code, _, err = invoke(capsys, "toric", str(bad))
+        assert code == 3
+        assert "line 1: dimension must be positive" in err
+
+    def test_negative_dim_polytope_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "dim-1.poly"
+        bad.write_text("dim -1\nmode compact\nfacet 1\n")
+        code, _, err = invoke(capsys, "toric", str(bad))
+        assert code == 3
+        assert "line 1: dimension must be positive" in err
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "toric", "no-such-file.poly")
         assert code == 3

@@ -1,0 +1,77 @@
+"""Mutated fixture files: every CLI run ends in exit 0, 2 or 3, never a traceback.
+
+Each example takes one shipped fixture, drops or duplicates a line or swaps
+one token for a hostile one, and runs the matching subcommand in-process.
+Two fixtures are kept small so the whole test stays fast: the catalog is cut
+to its first two groups, and the hexagon ``bl3cp2`` runs with ``--cap 5``,
+which refuses its six-normal symplectic search at once.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from lagmono.cli import run
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+TOKENS = ("0", "-1", "1/0", "x", "dim", "gen", "")
+ARGV = {
+    ".poly": [["toric", "{}"]],
+    ".group": [["filter", "{}"]],
+    ".cat": [["conjecture", "{}"]],
+    ".laurent": [
+        ["potential", "rk1", "{}"],
+        ["potential", "crit", "{}", "--bound", "6"],
+        ["clifford", "{}", "--at", "1/2,1/2"],
+    ],
+}
+EXTRA_ARGS = {"bl3cp2.poly": ["--cap", "5"]}
+
+
+def fixture_text(path: pathlib.Path) -> str:
+    text = path.read_text()
+    if path.suffix == ".cat":
+        lines = text.splitlines(keepends=True)
+        third_group = [i for i, line in enumerate(lines) if line.startswith("group ")][2]
+        text = "".join(lines[:third_group])
+    return text
+
+
+@st.composite
+def mutations(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif lines[i].split():
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir() if p.suffix in ARGV))
+def test_mutated_fixture_exits_cleanly(name, tmp_path_factory):
+    path = FIXTURES / name
+    target = tmp_path_factory.mktemp("fuzz") / name
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutations(fixture_text(path)))
+    def check(text):
+        target.write_text(text)
+        for template in ARGV[path.suffix]:
+            argv = [arg.format(target) for arg in template] + EXTRA_ARGS.get(name, [])
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            assert code in (0, 2, 3), (argv, text)
+
+    check()

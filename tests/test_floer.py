@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,15 @@ class TestRk1Classifier:
         assert report.case == "RESIDUAL"
         assert report.shears.kind == "zero"
 
+    def test_high_degree_potential_is_quick(self):
+        # The factor profile scans d up to 2 * 31^2 + 2; it must build only the
+        # Phi_d whose degree fits the remaining factor.
+        w = LaurentPolynomial.from_dict(1, {(30,): 1, (-1,): 1})
+        start = time.perf_counter()
+        report = rk1_classify(w)
+        assert time.perf_counter() - start < 1.0
+        assert report.case == "RESIDUAL" and report.shears.kind == "zero"
+
     def test_residual_with_cyclotomic_derivative(self):
         # x + 1/x scaled by 2: critical points survive but second derivative
         # is not +-2, so the symmetric shape is excluded.
@@ -387,3 +397,8 @@ class TestHessianTheorem:
         w = LaurentPolynomial.from_dict(2, {(1, 0): 1, (-1, 0): 1, (0, 1): -1, (0, -1): -1})
         report = hessian_theorem_check(w, "ORDER2_F")
         assert report.status == "PASS" and report.eps_pair == (1, -1)
+
+    def test_rejects_potential_without_two_variables(self):
+        w = LaurentPolynomial.from_dict(1, {(1,): 1, (-1,): 1})
+        with pytest.raises(DimensionError):
+            hessian_theorem_check(w, "ORDER2")

@@ -1,6 +1,7 @@
 """Text output of the README commands, byte for byte against the committed goldens.
 
-The goldens live in perfbench/expected/golden/ and are only read here.
+The text goldens live in perfbench/expected/golden/ and are only read here;
+the --json goldens live in tests/golden/.
 """
 
 import pathlib
@@ -49,3 +50,14 @@ def test_text_output_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert run(COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+JSON_GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_output_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run(["--json", *COMMANDS[name]]) == 0
+    golden = JSON_GOLDEN / name.replace(".out", ".jsonl")
+    assert capsys.readouterr().out == golden.read_text()

@@ -1,0 +1,403 @@
+"""The shared exact kernels against the hand-rolled routines they replaced.
+
+Each ``old_*`` function below is a copy of a routine that one shared kernel
+replaced: the elimination loop of ``floer._solution_space``, the Fraction
+determinant behind ``CyclotomicNumber.norm``, the polynomial divisions
+``_polydiv_exact``, ``_polydivmod`` (Fraction version) and
+``floer._try_divide``, the Phi_d reduction loop of ``laurent._vanishes``, and
+the rank-one cyclotomic factor profile.  They are kept here only as oracles.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from lagmono.cyclotomic import (
+    CyclotomicNumber,
+    _polydivmod,
+    _polymod,
+    cyclotomic_polynomial,
+    euler_phi,
+)
+from lagmono.floer import (
+    CliffordData,
+    CliffordElement,
+    _conjugation_residuals,
+    _cyclotomic_factor_profile,
+    _solution_space,
+)
+from lagmono.intlat import IntMat, rational_kernel_basis
+
+Cyc = CyclotomicNumber
+CONDUCTORS = (1, 3, 4, 5, 12)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the replaced routines
+
+
+def old_kernel_pairs(rows):
+    """Elimination loop of the old floer._solution_space, for two columns."""
+    pivots = []
+    work = [list(r) for r in rows]
+    col_used = []
+    for col in range(2):
+        pivot_row = next(
+            (i for i, r in enumerate(work) if not r[col].is_zero() and i not in [p[0] for p in pivots]),
+            None,
+        )
+        if pivot_row is None:
+            continue
+        inv = work[pivot_row][col].inverse()
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for i in range(len(work)):
+            if i != pivot_row and not work[i][col].is_zero():
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[pivot_row])]
+        pivots.append((pivot_row, col))
+        col_used.append(col)
+    out = []
+    for fc in [c for c in range(2) if c not in col_used]:
+        vec = [Cyc.zero(), Cyc.zero()]
+        vec[fc] = Cyc.one()
+        for prow, pcol in pivots:
+            vec[pcol] = -work[prow][fc]
+        out.append((vec[0], vec[1]))
+    return out
+
+
+def old_solution_space(d, action, parity):
+    basis = (
+        [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
+        if parity == "odd"
+        else [CliffordElement.even(1, 0), CliffordElement.even(0, 1)]
+    )
+    cols = []
+    for e in basis:
+        residuals = _conjugation_residuals(e, d, action, parity)
+        cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
+    return old_kernel_pairs(list(zip(*cols)))
+
+
+def old_det_fraction(rows):
+    n = len(rows)
+    m = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def old_norm(x):
+    d = x.conductor
+    phi = euler_phi(d)
+    if d == 1:
+        return x.coeffs[0]
+    cols = [_polymod([Fraction(0)] * i + list(x.coeffs), d) for i in range(phi)]
+    return old_det_fraction([[cols[j][i] for j in range(phi)] for i in range(phi)])
+
+
+def old_polydiv_exact(num, den):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        coeff = num[i + len(den) - 1]
+        if isinstance(coeff, int) and isinstance(den[-1], int) and den[-1] != 0:
+            q, r = divmod(coeff, den[-1])
+            assert r == 0, "non-exact polynomial division"
+            coeff = q
+        else:
+            coeff = coeff / den[-1]
+        out[i] = coeff
+        for j, dj in enumerate(den):
+            num[i + j] -= coeff * dj
+    assert all(x == 0 for x in num)
+    return out
+
+
+def old_trim(p):
+    out = list(p)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def old_fraction_divmod(num, den):
+    num = old_trim(list(num))
+    den = old_trim(list(den))
+    if len(num) < len(den):
+        return [Fraction(0)], num
+    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    work = list(num)
+    for i in range(len(out) - 1, -1, -1):
+        c = work[i + len(den) - 1] / den[-1]
+        out[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                work[i + j] -= c * dj
+    return out, old_trim(work)
+
+
+def old_poly_degree(coeffs):
+    deg = len(coeffs) - 1
+    while deg > 0 and coeffs[deg] == 0:
+        deg -= 1
+    return deg
+
+
+def old_try_divide(num, den):
+    num = num[: old_poly_degree(num) + 1]
+    den = den[: old_poly_degree(den) + 1]
+    if len(num) < len(den):
+        return None
+    work = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = work[i + len(den) - 1]
+        if c % den[-1] != 0:
+            return None
+        q = c // den[-1]
+        out[i] = q
+        for j, dj in enumerate(den):
+            work[i + j] -= q * dj
+    if any(x != 0 for x in work):
+        return None
+    return out
+
+
+def old_phi_residue(image, d):
+    """Reduction loop of the old laurent._vanishes: image mod Phi_d."""
+    image = list(image)
+    phi = cyclotomic_polynomial(d)
+    deg = len(phi) - 1
+    for top in range(d - 1, deg - 1, -1):
+        q = image[top]
+        if q:
+            base = top - deg
+            for j in range(deg):
+                image[base + j] -= q * phi[j]
+    return image[:deg]
+
+
+def old_factor_profile(poly):
+    if not poly:
+        return None
+    low = min(poly)
+    coeffs = [0] * (max(poly) - low + 1)
+    for e, c in poly.items():
+        coeffs[e - low] = c
+    content = 0
+    for c in coeffs:
+        content = math.gcd(content, c)
+    content *= 1 if coeffs[-1] > 0 else -1
+    coeffs = [c // content for c in coeffs]
+    degree = len(coeffs) - 1
+    found = []
+    d = 1
+    while d <= 2 * degree * degree + 2:
+        phi = list(cyclotomic_polynomial(d))
+        if len(phi) - 1 <= old_poly_degree(coeffs):
+            quotient = old_try_divide(coeffs, phi)
+            if quotient is not None:
+                if old_try_divide(quotient, phi) is not None:
+                    return None
+                coeffs = quotient
+                found.append(d)
+        d += 1
+    if old_poly_degree(coeffs) != 0 or coeffs[0] != 1:
+        return None
+    return content, sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def cyclotomics(draw, conductors=CONDUCTORS, denominators=(1,)):
+    d = draw(st.sampled_from(conductors))
+    coeffs = draw(st.lists(small, min_size=d, max_size=d))
+    den = draw(st.sampled_from(denominators))
+    return Cyc(d, tuple(Fraction(c, den) for c in coeffs))
+
+
+@st.composite
+def two_column_rows(draw):
+    """Rows (a, b) over one Q(zeta_d), the second column often dependent on the first."""
+    field = cyclotomics(conductors=(draw(st.sampled_from(CONDUCTORS)),))
+    n = draw(st.integers(1, 8))
+    first = draw(st.lists(field, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("random", "multiple", "zero")))
+    if shape == "random":
+        second = draw(st.lists(field, min_size=n, max_size=n))
+    elif shape == "multiple":
+        factor = draw(field)
+        second = [factor * a for a in first]
+    else:
+        second = [Cyc.zero()] * n
+    return [list(r) for r in zip(first, second)]
+
+
+def int_polys(min_size=1, max_size=12):
+    return st.lists(st.integers(-4, 4), min_size=min_size, max_size=max_size)
+
+
+def cyclotomic_product(ds):
+    out = [1]
+    for d in ds:
+        phi = cyclotomic_polynomial(d)
+        prod = [0] * (len(out) + len(phi) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(phi):
+                prod[i + j] += x * y
+        out = prod
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Elimination
+
+
+class TestElimination:
+    @settings(max_examples=40, deadline=None)
+    @given(two_column_rows())
+    def test_kernel_over_cyclotomics_equals_old_loop(self, rows):
+        new = [tuple(Cyc.from_rational(x) if isinstance(x, Fraction) else x for x in v)
+               for v in rational_kernel_basis(rows, 2)]
+        assert new == old_kernel_pairs(rows)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(cyclotomics(), min_size=3, max_size=3),
+        st.sampled_from((1, -1)),
+        st.integers(-3, 3),
+        st.sampled_from((1, -1)),
+        st.sampled_from(("even", "odd")),
+    )
+    def test_solution_space_equals_old(self, constants, eps1, m, eps2, parity):
+        data = CliffordData(*constants)
+        action = IntMat.from_rows([[eps1, m], [0, eps2]])
+        assert _solution_space(data, action, parity) == old_solution_space(data, action, parity)
+
+    def test_solution_space_on_rational_constants(self):
+        for lam in range(-2, 3):
+            for mu in range(-1, 2):
+                data = CliffordData.from_integers(lam, mu, 1)
+                for m in range(-2, 3):
+                    action = IntMat.from_rows([[1, m], [0, -1]])
+                    for parity in ("even", "odd"):
+                        assert _solution_space(data, action, parity) == old_solution_space(data, action, parity)
+
+
+class TestNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(cyclotomics(conductors=tuple(range(1, 31)), denominators=(1, 2, 3, 6)))
+    def test_norm_equals_old_fraction_determinant(self, x):
+        assert x.norm() == old_norm(x)
+
+    def test_norm_of_roots_of_unity_and_zero(self):
+        for d in (3, 4, 5, 7, 8, 9, 12, 15, 60):
+            assert abs(Cyc.root_of_unity(d).norm()) == 1
+            assert Cyc.root_of_unity(d).norm() == old_norm(Cyc.root_of_unity(d))
+        assert Cyc.zero().norm() == 0
+
+
+# ---------------------------------------------------------------------------
+# Division
+
+
+class TestDivision:
+    @settings(max_examples=60, deadline=None)
+    @given(int_polys(), st.lists(st.integers(-3, 3), min_size=0, max_size=5))
+    def test_monic_integer_division_equals_old_try_divide(self, num, low):
+        num = old_trim(num)
+        den = low + [1]
+        quotient, rem = _polydivmod(num, den)
+        old = old_try_divide(num, den)
+        if len(num) < len(den):
+            assert old is None and rem == num[: len(den) - 1]
+        elif old is None:
+            assert any(rem)
+        else:
+            assert not any(rem) and quotient == old
+        assert all(isinstance(x, int) for x in quotient + rem)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), min_size=1, max_size=9),
+        st.lists(st.integers(-3, 3), min_size=0, max_size=4),
+        st.integers(-3, 3).filter(bool),
+    )
+    def test_fraction_division_equals_old(self, num, low, lead):
+        num = [Fraction(x) for x in num]
+        den = [Fraction(x) for x in low] + [Fraction(lead)]
+        quotient, rem = _polydivmod(old_trim(num), den)
+        old_quotient, old_rem = old_fraction_divmod(num, den)
+        assert old_trim(quotient) == old_trim(old_quotient)
+        assert old_trim(rem or [Fraction(0)]) == old_rem
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 24), min_size=1, max_size=4, unique=True), st.integers(1, 24))
+    def test_exact_division_by_phi_equals_old(self, ds, k):
+        num = cyclotomic_product(sorted(set(ds) | {k}))
+        phi = list(cyclotomic_polynomial(k))
+        quotient, rem = _polydivmod(num, phi)
+        assert not any(rem)
+        assert quotient == old_polydiv_exact(num, phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_phi_residue_equals_old_reduction(self, d, data):
+        image = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        assert _polydivmod(image, cyclotomic_polynomial(d))[1] == old_phi_residue(image, d)
+
+    def test_cyclotomic_polynomials_equal_old_construction(self):
+        for d in range(1, 61):
+            poly = [-1] + [0] * (d - 1) + [1]
+            for k in [k for k in range(1, d) if d % k == 0]:
+                poly = old_polydiv_exact(poly, list(cyclotomic_polynomial(k)))
+            assert tuple(poly) == cyclotomic_polynomial(d)
+
+
+# ---------------------------------------------------------------------------
+# Rank-one cyclotomic profile
+
+
+class TestFactorProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 5), st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+    def test_random_polynomials_equal_old_profile(self, poly):
+        assert _cyclotomic_factor_profile(poly) == old_factor_profile(poly)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True),
+        st.sampled_from((1, -1, 2, -3)),
+        st.integers(-2, 2),
+    )
+    def test_products_of_distinct_phi_equal_old_profile(self, ds, content, shift):
+        coeffs = cyclotomic_product(ds)
+        poly = {i + shift: content * c for i, c in enumerate(coeffs) if c}
+        expected = old_factor_profile(poly)
+        assert expected == (content, sorted(ds))
+        assert _cyclotomic_factor_profile(poly) == expected
+
+    def test_repeated_factor_is_refused(self):
+        coeffs = cyclotomic_product([3, 3, 4])
+        poly = {i: c for i, c in enumerate(coeffs) if c}
+        assert _cyclotomic_factor_profile(poly) is None is old_factor_profile(poly)

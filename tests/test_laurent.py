@@ -264,6 +264,18 @@ class TestDimensionErrors:
             is_critical(W_CP2, pt(F(1, 3)))
         assert isinstance(info.value, ValidationError)
 
+    def test_add(self):
+        with pytest.raises(DimensionError):
+            W_CP2 + LaurentPolynomial.monomial(1, (1,))
+
+    def test_mul(self):
+        with pytest.raises(DimensionError):
+            W_CP2 * LaurentPolynomial.monomial(3, (1, 0, 0))
+
+    def test_relabel(self):
+        with pytest.raises(DimensionError):
+            W_CP2.relabel(IntMat.identity(3))
+
 
 class TestSupportRank:
     def test_toric_triangle_support(self):
