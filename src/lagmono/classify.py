@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .cyclotomic import euler_phi
+from .cyclotomic import divisors, euler_phi
 from .errors import NonUnimodularError, NotFiniteError, ParseError, TooLargeError
 from .groups import MatrixGroup, Perm, cayley_closure, compose, identity_perm
 from .intlat import IntMat, matrix_order, primitive_vector, rational_kernel_basis
@@ -363,7 +363,7 @@ def gl_order_feasible(m: int, k: int) -> bool:
         return True
     if k == 0:
         return False
-    divs = [d for d in range(1, m + 1) if m % d == 0]
+    divs = divisors(m)
     best: dict[int, int] = {1: 0}
     changed = True
     while changed:

@@ -5,6 +5,22 @@ d-th cyclotomic polynomial, with rational coefficients.  Every value is kept
 in a canonical form: coefficients reduced, and the conductor lowered to the
 least d whose field contains the value, so equality is structural.  Roots of
 unity never appear as floats anywhere.
+
+The conductors whose fields contain a value are closed under gcd, because
+Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the least one is
+reached by dropping one prime at a time, with no linear algebra.  For a prime
+p dividing d, with m = d / p:
+
+- when p divides m, Phi_d(x) = Phi_m(x^p): the value lies in Q(zeta_m)
+  exactly when its coefficients vanish off the multiples of p, and every
+  p-th coefficient is then its coefficient over Q(zeta_m);
+- otherwise the trace down to Q(zeta_m) sends zeta_d^i to
+  zeta_m^(i p^-1 mod m), times p - 1 when p divides i and -1 when not: the
+  value lies in Q(zeta_m) exactly when its trace over p - 1, reduced modulo
+  Phi_m, raises back to it.
+
+A prime that cannot be dropped at d cannot be dropped at any divisor of d
+either, so one pass over the primes of d reaches the least conductor.
 """
 
 from __future__ import annotations
@@ -18,24 +34,30 @@ from typing import Sequence
 from .intlat import IntMat, solve_rational_system
 
 
-def euler_phi(d: int) -> int:
-    out = d
-    n = d
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
+            out.append(p)
             while n % p == 0:
                 n //= p
-            out -= out // p
         p += 1
     if n > 1:
-        out -= out // n
+        out.append(n)
+    return out
+
+
+def euler_phi(d: int) -> int:
+    out = d
+    for p in prime_divisors(d):
+        out -= out // p
     return out
 
 
 def divisors(d: int) -> list[int]:
-    out = [k for k in range(1, d + 1) if d % k == 0]
-    return out
+    return [k for k in range(1, d + 1) if d % k == 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,23 +105,42 @@ def _polymod(coeffs: Sequence, d: int) -> list[Fraction]:
     return [Fraction(x) for x in rem] + [Fraction(0)] * (len(phi) - 1 - len(rem))
 
 
-@functools.lru_cache(maxsize=None)
-def _power_table(d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_d^k on the power basis for k = 0 .. d-1."""
-    phi = euler_phi(d)
-    table = []
-    for k in range(d):
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        table.append(tuple(_polymod(coeffs, d)[:phi]))
-    return tuple(table)
+def _promote(coeffs: Sequence, c: int, d: int) -> list[Fraction]:
+    """Coefficients of a value of Q(zeta_c) on the power basis of Q(zeta_d), for c | d.
+
+    zeta_c is zeta_d^(d/c), so coefficient i moves to exponent i d / c.
+    """
+    step = d // c
+    spread = [0] * (step * (len(coeffs) - 1) + 1)
+    spread[::step] = coeffs
+    return _polymod(spread, d)
 
 
-@functools.lru_cache(maxsize=None)
-def _descent_matrix(d: int, sub: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns expressing the powers of zeta_sub on the power basis of zeta_d."""
-    step = d // sub
-    return tuple(_power_table(d)[(j * step) % d] for j in range(euler_phi(sub)))
+def _descend(d: int, p: int, coeffs: list[Fraction]) -> list[Fraction] | None:
+    """Coefficients over Q(zeta_(d/p)) of a value of Q(zeta_d), or None when it is not there."""
+    m = d // p
+    if m % p == 0:
+        if any(c for i, c in enumerate(coeffs) if i % p):
+            return None
+        return coeffs[::p]
+    inv = pow(p, -1, m)
+    trace = [0] * m
+    for i, c in enumerate(coeffs):
+        if c:
+            trace[i * inv % m] += c if i % p == 0 else c / (1 - p)
+    lowered = _polymod(trace, m)
+    return lowered if _promote(lowered, m, d) == coeffs else None
+
+
+def _canonicalize(d: int, coeffs: list[Fraction]) -> tuple[int, list[Fraction]]:
+    """Lower the conductor to the least one whose field holds the value."""
+    for p in prime_divisors(d):
+        while d % p == 0:
+            lowered = _descend(d, p, coeffs)
+            if lowered is None:
+                break
+            d, coeffs = d // p, lowered
+    return d, coeffs
 
 
 @dataclass(frozen=True)
@@ -110,17 +151,10 @@ class CyclotomicNumber:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        d = self.conductor
-        if d == 1:
-            coeffs = self.coeffs
-            if len(coeffs) == 1 and isinstance(coeffs[0], Fraction):
-                return
-            total = sum(Fraction(x) for x in coeffs) if coeffs else Fraction(0)
-            object.__setattr__(self, "coeffs", (total,))
+        d, coeffs = self.conductor, self.coeffs
+        if d == 1 and len(coeffs) == 1 and isinstance(coeffs[0], Fraction):
             return
-        coeffs = [Fraction(x) for x in self.coeffs]
-        coeffs = _polymod(coeffs, d)
-        d, coeffs = _canonicalize(d, coeffs)
+        d, coeffs = _canonicalize(d, _polymod(coeffs, d))
         object.__setattr__(self, "conductor", d)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -152,17 +186,7 @@ class CyclotomicNumber:
             raise ValueError(f"conductor {self.conductor} does not divide {d}")
         if d == self.conductor:
             return self.coeffs
-        table = _power_table(d)
-        step = d // self.conductor
-        phi = euler_phi(d)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            base = table[(i * step) % d]
-            for j in range(phi):
-                out[j] += c * base[j]
-        return tuple(out)
+        return tuple(_promote(self.coeffs, self.conductor, d))
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -231,24 +255,19 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Field inverse via the extended Euclidean algorithm modulo Phi_d."""
+        """Field inverse: the x with sum of x_i (s a zeta^i) = 1, times s.
+
+        The columns s a zeta^i are those of ``_scaled_columns``, the matrix
+        whose determinant is the norm; it is invertible for a nonzero value.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return CyclotomicNumber.from_rational(1 / self.coeffs[0])
-        d = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(d)]
-        a = list(self.coeffs)
-        # Extended gcd of a and phi in Q[x]; phi is irreducible so gcd is 1.
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _deg(r1) > 0:
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        lead = r1[0]
-        inv_coeffs = [c / lead for c in s1]
-        return CyclotomicNumber(d, tuple(_polymod(inv_coeffs, d)))
+        scale, cols = self._scaled_columns()
+        one = [1] + [0] * (len(cols) - 1)
+        x, _ = solve_rational_system(list(zip(*cols)), one)
+        return CyclotomicNumber(self.conductor, tuple(scale * c for c in x))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -266,14 +285,12 @@ class CyclotomicNumber:
             out[(i * a) % d] += c
         return CyclotomicNumber(d, tuple(out))
 
-    def norm(self) -> Fraction:
-        """Field norm down to Q: determinant of multiplication by the value.
+    def _scaled_columns(self) -> tuple[int, list[list[int]]]:
+        """(s, the columns s a zeta^i mod Phi_d for i < phi(d)), s the lcm of the denominators.
 
-        With the denominators cleared by their lcm s, the columns s a zeta^i
-        mod Phi_d are integral, and Bareiss gives their determinant s^phi N(a).
+        They are the integral matrix of multiplication by s a on the power
+        basis, built by repeated multiplication by zeta.
         """
-        if self.conductor == 1:
-            return self.coeffs[0]
         phi = cyclotomic_polynomial(self.conductor)
         scale = math.lcm(*(c.denominator for c in self.coeffs))
         col = [c.numerator * (scale // c.denominator) for c in self.coeffs]
@@ -281,6 +298,17 @@ class CyclotomicNumber:
         for _ in range(len(phi) - 1):
             cols.append(col)
             col = _polydivmod([0] + col, phi)[1]
+        return scale, cols
+
+    def norm(self) -> Fraction:
+        """Field norm down to Q: determinant of multiplication by the value.
+
+        Bareiss gives the determinant s^phi N(a) of the integral columns
+        s a zeta^i.
+        """
+        if self.conductor == 1:
+            return self.coeffs[0]
+        scale, cols = self._scaled_columns()
         return Fraction(IntMat.from_rows(cols).det(), scale ** len(cols))
 
     def is_integral_unit(self) -> bool:
@@ -310,65 +338,3 @@ def _coerce(x) -> CyclotomicNumber:
     if isinstance(x, (int, Fraction)):
         return CyclotomicNumber.from_rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to CyclotomicNumber")
-
-
-def _canonicalize(d: int, coeffs: list[Fraction]) -> tuple[int, list[Fraction]]:
-    """Lower the conductor to the least divisor whose field holds the value."""
-    if d == 1:
-        return 1, coeffs
-    for sub in divisors(d)[:-1]:
-        if _fixed_by_subfield_galois(d, sub, coeffs) :
-            reduced = _express_in_subfield(d, sub, coeffs)
-            if reduced is not None:
-                return sub, reduced
-    return d, coeffs
-
-
-def _fixed_by_subfield_galois(d: int, sub: int, coeffs: list[Fraction]) -> bool:
-    for a in range(1, d):
-        if math.gcd(a, d) != 1 or a % sub != 1 % sub:
-            continue
-        out = [Fraction(0)] * d
-        for i, c in enumerate(coeffs):
-            out[(i * a) % d] += c
-        if _polymod(out, d) != list(coeffs):
-            return False
-    return True
-
-
-def _express_in_subfield(d: int, sub: int, coeffs: list[Fraction]) -> list[Fraction] | None:
-    cols = _descent_matrix(d, sub)
-    rows = [[col[i] for col in cols] for i in range(euler_phi(d))]
-    solved = solve_rational_system(rows, list(coeffs))
-    if solved is None:
-        return None
-    particular, _ = solved
-    return _polymod(particular, sub)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    out = list(p)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _deg(p: list[Fraction]) -> int:
-    return len(_trim(p)) - 1
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

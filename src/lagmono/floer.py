@@ -26,7 +26,7 @@ from .errors import (
     NotUnivariateError,
     UnsupportedActionError,
 )
-from .intlat import IntMat, rational_kernel_basis
+from .intlat import IntMat, rational_kernel_basis, vec_gcd
 from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
@@ -193,12 +193,12 @@ def _parity_norm(c: CliffordElement, d: CliffordData, parity: str) -> Cyc | None
     return prod.a0
 
 
-def _residual_columns(d: CliffordData, action: IntMat, parity: str) -> list[list[Cyc]]:
-    """Conjugation residuals of the two parity basis elements, one column each.
+def _solution_space(d: CliffordData, action: IntMat, parity: str) -> list[tuple[Cyc, Cyc]]:
+    """Basis over Q(zeta) of the parity-homogeneous conjugation solutions.
 
-    The equations are linear in the coefficient pair (x1, x2), so the
-    residuals of x1 e1 + x2 e2 are x1 times the first column plus x2 times
-    the second.
+    The equations are linear in the coefficient pair (x1, x2) of
+    x1 e1 + x2 e2, so their rows are the residuals of the two parity basis
+    elements e1 and e2, side by side.
     """
     basis = (
         [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
@@ -209,15 +209,7 @@ def _residual_columns(d: CliffordData, action: IntMat, parity: str) -> list[list
     for e in basis:
         residuals = _conjugation_residuals(e, d, action, parity)
         cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
-    return cols
-
-
-def _solution_space(
-    d: CliffordData, action: IntMat, parity: str
-) -> list[tuple[Cyc, Cyc]]:
-    """Basis over Q(zeta) of the parity-homogeneous conjugation solutions."""
-    rows = list(zip(*_residual_columns(d, action, parity)))
-    return [(_cyc(x1), _cyc(x2)) for x1, x2 in rational_kernel_basis(rows, 2)]
+    return [(_cyc(x1), _cyc(x2)) for x1, x2 in rational_kernel_basis(list(zip(*cols)), 2)]
 
 
 def _element_from_pair(pair: tuple[Cyc, Cyc], parity: str) -> CliffordElement:
@@ -325,17 +317,19 @@ def _bounded_search(
 ) -> CliffordElement | None:
     """Search rational-integer coefficient pairs by increasing height.
 
-    Each candidate is screened by its integer combination of the residual
-    columns before the full invertibility check.
+    Each candidate is screened against the solution space before the full
+    invertibility check: every pair solves a two-dimensional space, and a
+    one-dimensional space spanned by (v1, v2) holds (x1, x2) exactly when
+    x1 v2 = x2 v1.
     """
-    cols = _residual_columns(d, action, parity)
+    solutions = _solution_space(d, action, parity)
     for h in range(0, height + 1):
         ring = range(-h, h + 1)
         for x1 in ring:
             for x2 in ring:
                 if max(abs(x1), abs(x2)) != h or (x1 == 0 and x2 == 0):
                     continue
-                if any(not (a * x1 + b * x2).is_zero() for a, b in zip(cols[0], cols[1])):
+                if len(solutions) != 2 and not any(x1 * v2 == x2 * v1 for v1, v2 in solutions):
                     continue
                 c = _element_from_pair(
                     (Cyc.from_rational(x1), Cyc.from_rational(x2)), parity
@@ -546,11 +540,7 @@ def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | 
     coeffs = [0] * (max(poly) - low + 1)
     for e, c in poly.items():
         coeffs[e - low] = c
-    content = 0
-    for c in coeffs:
-        content = math.gcd(content, c)
-    lead_sign = 1 if coeffs[-1] > 0 else -1
-    content *= lead_sign
+    content = vec_gcd(coeffs) * (1 if coeffs[-1] > 0 else -1)
     coeffs = [c // content for c in coeffs]
     degree = len(coeffs) - 1
     found: list[int] = []

@@ -28,13 +28,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 def permute_vector(p: Perm, v: Sequence) -> tuple:
     """Move the entry at position i to position p(i)."""
     out = [None] * len(v)

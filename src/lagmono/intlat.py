@@ -23,18 +23,6 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
 def vec_gcd(a: Sequence[int]) -> int:
     g = 0
     for x in a:

@@ -9,8 +9,8 @@ order d, each term c z^e of a partial contributes c at x^((e . p d) mod d),
 giving the partial's image in Z[x]/(x^d - 1), with x standing for
 exp(2 pi i / d).  The partial vanishes at p exactly when that image reduces
 to zero modulo the monic integer cyclotomic polynomial Phi_d.  ``evaluate``
-and ``gradient_hessian`` build full ``CyclotomicNumber`` values for callers
-that need them.
+and ``gradient_hessian`` build full ``CyclotomicNumber`` values from the same
+image for callers that need them.
 """
 
 from __future__ import annotations
@@ -64,22 +64,6 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, dim: int, expo: Sequence[int], coeff: int = 1) -> "LaurentPolynomial":
         return cls(dim, ((tuple(expo), coeff),))
-
-    def coefficient(self, expo: Sequence[int]) -> int:
-        key = tuple(expo)
-        for e, c in self.terms:
-            if e == key:
-                return c
-        return 0
-
-    def support(self) -> tuple[Exponent, ...]:
-        return tuple(e for e, _ in self.terms)
-
-    def constant_term(self) -> int:
-        return self.coefficient((0,) * self.dim)
-
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e, _ in self.terms)
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.dim != other.dim:
@@ -152,21 +136,23 @@ def _check_dim(w: LaurentPolynomial, p: TorsionPoint) -> None:
         raise DimensionError(f"point has {p.dim} coordinates, potential has {w.dim} variables")
 
 
+def _image(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> list[int]:
+    """Image of w in Z[x]/(x^d - 1) at the point of order d with angles scaled / d.
+
+    Each term c z^e adds c at x^((e . scaled) mod d).
+    """
+    image = [0] * d
+    for e, c in w.terms:
+        image[sum(x * a for x, a in zip(e, scaled)) % d] += c
+    return image
+
+
 def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     """Exact value of w at the unitary point with angles p."""
     _check_dim(w, p)
-    d = 1
-    for c in p.coords:
-        d = math.lcm(d, c.denominator)
-    powers: dict[int, int] = {}
-    for e, coeff in w.terms:
-        angle = sum(Fraction(x) * c for x, c in zip(e, p.coords))
-        k = int(angle * d) % d
-        powers[k] = powers.get(k, 0) + coeff
-    coeffs = [Fraction(0)] * d
-    for k, c in powers.items():
-        coeffs[k] += c
-    return CyclotomicNumber(d, tuple(coeffs))
+    d = p.order()
+    scaled = [c.numerator * (d // c.denominator) for c in p.coords]
+    return CyclotomicNumber(d, tuple(_image(w, scaled, d)))
 
 
 def gradient_hessian(
@@ -208,10 +194,7 @@ def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
     The image of w in Z[x]/(x^d - 1) is reduced modulo the monic Phi_d, all
     in integers; w vanishes exactly when the remainder is zero.
     """
-    image = [0] * d
-    for e, c in w.terms:
-        image[sum(x * a for x, a in zip(e, scaled)) % d] += c
-    return not any(_polydivmod(image, cyclotomic_polynomial(d))[1])
+    return not any(_polydivmod(_image(w, scaled, d), cyclotomic_polynomial(d))[1])
 
 
 def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:

@@ -34,12 +34,6 @@ class NormalPartition:
     size: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def block_of(self, i: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if i in block:
-                return b
-        raise IndexError(i)
-
     def __str__(self) -> str:
         return " ".join(
             "{" + ", ".join(str(i + 1) for i in block) + "}" for block in self.blocks

@@ -25,7 +25,6 @@ from .intlat import (
     kernel_lattice,
     primitive_vector,
     rational_kernel_basis,
-    rational_rank,
     solve_rational_system,
     vec_gcd,
 )
@@ -97,8 +96,6 @@ def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
     for subset in itertools.combinations(range(N), n):
         rows = [list(p.normals[j]) for j in subset]
         rhs = [-p.offsets[j] for j in subset]
-        if rational_rank(rows) < n:
-            continue
         solved = solve_rational_system(rows, rhs)
         if solved is None:
             continue
@@ -119,17 +116,15 @@ def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
 def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
     """A nonzero integer direction staying inside the polytope, if one exists."""
     n, N = p.dim, p.nfacets
-    rows = [list(nu) for nu in p.normals]
-    if rational_rank(rows) < n:
-        kernel = rational_kernel_basis(rows, n)
+    kernel = rational_kernel_basis([list(nu) for nu in p.normals], n)
+    if kernel:
         return primitive_vector(kernel[0])
     # The recession cone is pointed; it is nonzero exactly when it has an
     # extreme ray, spanned by the kernel of some n-1 independent normals.
     for subset in itertools.combinations(range(N), n - 1):
-        sub = [list(p.normals[j]) for j in subset]
-        if rational_rank(sub) != n - 1:
+        kernel = rational_kernel_basis([list(p.normals[j]) for j in subset], n)
+        if len(kernel) != 1:
             continue
-        kernel = rational_kernel_basis(sub, n)
         direction = primitive_vector(kernel[0])
         for candidate in (direction, tuple(-x for x in direction)):
             if all(dot(candidate, nu) >= 0 for nu in p.normals):

@@ -60,6 +60,22 @@ class TestCanonicalForm:
         assert z.conductor == 3
         assert z == zeta(3)
 
+    def test_zeta_2m_descends_to_odd_m(self):
+        # zeta_2m = -zeta_m^((m+1)/2), and Q(zeta_2m) = Q(zeta_m) for odd m.
+        for m in (1, 3, 5, 7, 9, 15, 21, 35):
+            assert zeta(2 * m).conductor == m
+            assert zeta(2 * m) == -zeta(m, (m + 1) // 2)
+
+    def test_powers_of_zeta_p_squared(self):
+        for p in (2, 3, 5, 7):
+            for k in range(p * p):
+                z = zeta(p * p, k)
+                if k % p:
+                    assert z.conductor == p * p
+                else:
+                    assert z == zeta(p, k // p)
+                    assert z.conductor == (p if k and p > 2 else 1)
+
     def test_cross_conductor_equality(self):
         a = zeta(4) * zeta(4)  # -1 via conductor 4
         assert a.conductor == 1 and a == rat(-1)
@@ -70,6 +86,7 @@ class TestArithmetic:
         z12 = zeta(3) * zeta(4)
         assert z12.conductor == 12
         assert z12 == zeta(12, 7)  # zeta_3 zeta_4 = zeta_12^(4+3)
+        assert z12.coeffs == (F(0), F(-1), F(0), F(0))  # zeta_12^6 = -1
 
     def test_inverse_roundtrip(self):
         rng = random.Random(3)

@@ -4,10 +4,14 @@ Each ``old_*`` function below is a copy of a routine that one shared kernel
 replaced: the elimination loop of ``floer._solution_space``, the Fraction
 determinant behind ``CyclotomicNumber.norm``, the polynomial divisions
 ``_polydiv_exact``, ``_polydivmod`` (Fraction version) and
-``floer._try_divide``, the Phi_d reduction loop of ``laurent._vanishes``, and
-the rank-one cyclotomic factor profile.  They are kept here only as oracles.
+``floer._try_divide``, the Phi_d reduction loop of ``laurent._vanishes``, the
+rank-one cyclotomic factor profile, the divisor scan of the cyclotomic
+canonical form (Galois-fixedness loop, descent matrix and power table), the
+power-table promotion, the Euclidean inverse, and the residual-column screen
+of ``floer._bounded_search``.  They are kept here only as oracles.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -18,16 +22,20 @@ from lagmono.cyclotomic import (
     _polydivmod,
     _polymod,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
 )
 from lagmono.floer import (
     CliffordData,
     CliffordElement,
+    _bounded_search,
     _conjugation_residuals,
     _cyclotomic_factor_profile,
+    _element_from_pair,
+    _parity_norm,
     _solution_space,
 )
-from lagmono.intlat import IntMat, rational_kernel_basis
+from lagmono.intlat import IntMat, rational_kernel_basis, solve_rational_system
 
 Cyc = CyclotomicNumber
 CONDUCTORS = (1, 3, 4, 5, 12)
@@ -221,6 +229,132 @@ def old_factor_profile(poly):
     return content, sorted(found)
 
 
+@functools.lru_cache(maxsize=None)
+def old_power_table(d):
+    """zeta_d^k on the power basis for k = 0 .. d-1."""
+    phi = euler_phi(d)
+    table = []
+    for k in range(d):
+        coeffs = [Fraction(0)] * (k + 1)
+        coeffs[k] = Fraction(1)
+        table.append(tuple(_polymod(coeffs, d)[:phi]))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def old_descent_matrix(d, sub):
+    step = d // sub
+    return tuple(old_power_table(d)[(j * step) % d] for j in range(euler_phi(sub)))
+
+
+def old_fixed_by_subfield_galois(d, sub, coeffs):
+    for a in range(1, d):
+        if math.gcd(a, d) != 1 or a % sub != 1 % sub:
+            continue
+        out = [Fraction(0)] * d
+        for i, c in enumerate(coeffs):
+            out[(i * a) % d] += c
+        if _polymod(out, d) != list(coeffs):
+            return False
+    return True
+
+
+def old_express_in_subfield(d, sub, coeffs):
+    cols = old_descent_matrix(d, sub)
+    rows = [[col[i] for col in cols] for i in range(euler_phi(d))]
+    solved = solve_rational_system(rows, list(coeffs))
+    if solved is None:
+        return None
+    particular, _ = solved
+    return _polymod(particular, sub)
+
+
+def old_canonicalize(d, coeffs):
+    """The divisor scan: least conductor and coefficients of a reduced value."""
+    if d == 1:
+        return 1, coeffs
+    for sub in divisors(d)[:-1]:
+        if old_fixed_by_subfield_galois(d, sub, coeffs):
+            reduced = old_express_in_subfield(d, sub, coeffs)
+            if reduced is not None:
+                return sub, reduced
+    return d, coeffs
+
+
+def old_promoted_coeffs(x, d):
+    """Power-table promotion of x to the power basis of Q(zeta_d)."""
+    table = old_power_table(d)
+    step = d // x.conductor
+    phi = euler_phi(d)
+    out = [Fraction(0)] * phi
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        base = table[(i * step) % d]
+        for j in range(phi):
+            out[j] += c * base[j]
+    return tuple(out)
+
+
+def old_polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def old_polysub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def old_inverse(x):
+    """Field inverse by the extended Euclidean algorithm modulo Phi_d."""
+    if x.is_rational():
+        return Cyc.from_rational(1 / x.coeffs[0])
+    d = x.conductor
+    phi = [Fraction(c) for c in cyclotomic_polynomial(d)]
+    r0, r1 = phi, old_trim(list(x.coeffs))
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(old_trim(r1)) - 1 > 0:
+        q, r = _polydivmod(r0, r1)
+        r0, r1 = r1, old_trim(r)
+        s0, s1 = s1, old_polysub(s0, old_polymul(q, s1))
+    lead = r1[0]
+    return Cyc(d, tuple(_polymod([c / lead for c in s1], d)))
+
+
+def old_bounded_search(d, action, parity, height):
+    """Bounded search screening each pair by its combination of the residual columns."""
+    basis = (
+        [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
+        if parity == "odd"
+        else [CliffordElement.even(1, 0), CliffordElement.even(0, 1)]
+    )
+    cols = []
+    for e in basis:
+        residuals = _conjugation_residuals(e, d, action, parity)
+        cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
+    for h in range(0, height + 1):
+        ring = range(-h, h + 1)
+        for x1 in ring:
+            for x2 in ring:
+                if max(abs(x1), abs(x2)) != h or (x1 == 0 and x2 == 0):
+                    continue
+                if any(not (a * x1 + b * x2).is_zero() for a, b in zip(cols[0], cols[1])):
+                    continue
+                c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
+                norm = _parity_norm(c, d, parity)
+                if norm is not None and norm.is_integral_unit() and c.is_integral():
+                    return c
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -251,6 +385,38 @@ def two_column_rows(draw):
     else:
         second = [Cyc.zero()] * n
     return [list(r) for r in zip(first, second)]
+
+
+@st.composite
+def subfield_elements(draw, max_conductor=72):
+    """(d, coefficients of zeta_d^0 .. zeta_d^(d-1)) of a random value of a subfield Q(zeta_c).
+
+    The value is a random element of Q(zeta_c), c | d, with denominators up
+    to 3, written through zeta_c = zeta_d^(d/c) and then moved by a random
+    Galois automorphism zeta_d -> zeta_d^k.
+    """
+    d = draw(st.integers(1, max_conductor))
+    c = draw(st.sampled_from(divisors(d)))
+    numerators = draw(st.lists(st.integers(-3, 3), min_size=euler_phi(c), max_size=euler_phi(c)))
+    den = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([k for k in range(1, d + 1) if math.gcd(k, d) == 1]))
+    spread = [Fraction(0)] * d
+    for i, x in enumerate(numerators):
+        spread[i * (d // c) * k % d] += Fraction(x, den)
+    return d, spread
+
+
+@st.composite
+def clifford_problems(draw):
+    """Clifford data (integers, or one random conductor) with an upper-triangular action."""
+    conductor = draw(st.sampled_from(CONDUCTORS))
+    if draw(st.booleans()):
+        constants = [Cyc.from_rational(draw(st.integers(-2, 2))) for _ in range(3)]
+    else:
+        constants = draw(st.lists(cyclotomics(conductors=(conductor,)), min_size=3, max_size=3))
+    eps1, eps2 = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    action = IntMat.from_rows([[eps1, draw(st.integers(-4, 4))], [0, eps2]])
+    return CliffordData(*constants), action, draw(st.sampled_from(("even", "odd"))), conductor
 
 
 def int_polys(min_size=1, max_size=12):
@@ -401,3 +567,45 @@ class TestFactorProfile:
         coeffs = cyclotomic_product([3, 3, 4])
         poly = {i: c for i, c in enumerate(coeffs) if c}
         assert _cyclotomic_factor_profile(poly) is None is old_factor_profile(poly)
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic canonical form, promotion and inverse
+
+
+class TestCanonicalForm:
+    @settings(max_examples=80, deadline=None)
+    @given(subfield_elements())
+    def test_construction_equals_divisor_scan(self, case):
+        d, spread = case
+        value = Cyc(d, tuple(spread))
+        conductor, coeffs = old_canonicalize(d, _polymod(spread, d))
+        assert (value.conductor, value.coeffs) == (conductor, tuple(coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(subfield_elements(max_conductor=36), st.integers(1, 4))
+    def test_promotion_equals_power_table(self, case, multiple):
+        d, spread = case
+        value = Cyc(d, tuple(spread))
+        target = value.conductor * multiple
+        assert value.promoted_coeffs(target) == old_promoted_coeffs(value, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclotomics(conductors=tuple(range(1, 31)), denominators=(1, 2, 3)))
+    def test_inverse_equals_euclidean(self, x):
+        if x.is_zero():
+            return
+        assert x.inverse() == old_inverse(x)
+
+
+# ---------------------------------------------------------------------------
+# Continuation search
+
+
+class TestBoundedSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(clifford_problems(), st.integers(0, 6))
+    def test_witness_equals_residual_column_screen(self, problem, height):
+        data, action, parity, conductor = problem
+        found = _bounded_search(data, action, parity, conductor, height)
+        assert found == old_bounded_search(data, action, parity, height)
