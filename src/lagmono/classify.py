@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .cyclotomic import divisors, euler_phi
@@ -81,13 +80,11 @@ def catalog_n2() -> GroupCatalog:
 
 def _reflection_eigenvectors(s: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Primitive +1 and -1 eigenvectors of an orientation-reversing involution."""
-    plus = rational_kernel_basis(
-        [[Fraction(s.rows[i][j] - (1 if i == j else 0)) for j in range(2)] for i in range(2)], 2
-    )
-    minus = rational_kernel_basis(
-        [[Fraction(s.rows[i][j] + (1 if i == j else 0)) for j in range(2)] for i in range(2)], 2
-    )
-    return primitive_vector(plus[0]), primitive_vector(minus[0])
+    def eigenvector(e: int) -> tuple[int, ...]:
+        rows = [[x - e * (i == j) for j, x in enumerate(r)] for i, r in enumerate(s.rows)]
+        return primitive_vector(rational_kernel_basis(rows, 2)[0])
+
+    return eigenvector(1), eigenvector(-1)
 
 
 def _reflection_eigenbasis_index(s: IntMat) -> int:
@@ -245,10 +242,8 @@ def ingest_catalog(text: str, cap: int = 10_000) -> GroupCatalog:
             raise ParseError(f"line {dim_lineno}: group {name!r} has mismatched dimension")
         try:
             group = MatrixGroup.from_generators(dim, gens, cap=cap)
-        except NonUnimodularError as exc:
-            raise NonUnimodularError(f"group {name!r}: {exc}") from exc
-        except NotFiniteError as exc:
-            raise NotFiniteError(f"group {name!r}: {exc}") from exc
+        except (NonUnimodularError, NotFiniteError) as exc:
+            raise type(exc)(f"group {name!r}: {exc}") from exc
         entries.append((name, group))
     if dim_overall is None:
         return GroupCatalog(0, (), q_class)

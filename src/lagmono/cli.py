@@ -135,14 +135,15 @@ def run_toric(args) -> int:
     symplectic = symplectic_monodromy(data, max_degree=args.cap or 12)
     for name, group in (("hamiltonian", hamiltonian), ("symplectic", symplectic)):
         gens = group.generators()
-        mats = dict(zip(group.elements, induced_matrices(data, group.elements)))
+        mats = induced_matrices(data, gens)
         records.append(
             {
                 "record": name,
                 "order": group.order,
                 "generators": [cycle_notation(p) for p in gens] or ["id"],
-                "induced": [f"{cycle_notation(p)} -> {mats[p]}" for p in gens],
-                "matrix_group_order": len(set(mats.values())),
+                "induced": [f"{cycle_notation(p)} -> {m}" for p, m in zip(gens, mats)],
+                # Exact: validation rejects repeated normals, so a matrix determines its permutation.
+                "matrix_group_order": group.order,
             }
         )
     records.append({"record": "equal_groups", "value": hamiltonian == symplectic})

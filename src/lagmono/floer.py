@@ -26,7 +26,7 @@ from .errors import (
     NotUnivariateError,
     UnsupportedActionError,
 )
-from .intlat import IntMat, rational_kernel_basis, vec_gcd
+from .intlat import IntMat, primitive_vector, rational_kernel_basis, vec_gcd
 from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
@@ -62,15 +62,15 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, value: Cyc | int) -> "CliffordElement":
-        return cls(_cyc(value), _zero(), _zero(), _zero())
+        return cls(_cyc(value), Cyc.zero(), Cyc.zero(), Cyc.zero())
 
     @classmethod
     def even(cls, p: Cyc | int, q: Cyc | int) -> "CliffordElement":
-        return cls(_cyc(p), _zero(), _zero(), _cyc(q))
+        return cls(_cyc(p), Cyc.zero(), Cyc.zero(), _cyc(q))
 
     @classmethod
     def odd(cls, s: Cyc | int, t: Cyc | int) -> "CliffordElement":
-        return cls(_zero(), _cyc(s), _cyc(t), _zero())
+        return cls(Cyc.zero(), _cyc(s), _cyc(t), Cyc.zero())
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in (self.a0, self.au, self.av, self.auv))
@@ -102,10 +102,6 @@ class CliffordElement:
 
 def _cyc(x) -> Cyc:
     return x if isinstance(x, Cyc) else Cyc.from_rational(x)
-
-
-def _zero() -> Cyc:
-    return Cyc.zero()
 
 
 def clifford_mul(a: CliffordElement, b: CliffordElement, d: CliffordData) -> CliffordElement:
@@ -187,7 +183,7 @@ def _parity_norm(c: CliffordElement, d: CliffordData, parity: str) -> Cyc | None
         if not (square.au.is_zero() and square.av.is_zero() and square.auv.is_zero()):
             return None
         return square.a0
-    conj = CliffordElement.even(c.a0 + d.mu * c.auv, _zero() - c.auv)
+    conj = CliffordElement.even(c.a0 + d.mu * c.auv, -c.auv)
     prod = clifford_mul(c, conj, d)
     assert prod.au.is_zero() and prod.av.is_zero() and prod.auv.is_zero()
     return prod.a0
@@ -258,16 +254,13 @@ def continuation_solvable(
         return ContinuationResult("unsolvable")
     # If the parity norm vanishes identically on the solution space no
     # invertible element exists at all.
-    norms = []
-    probes = [s for s in solutions]
+    probes = list(solutions)
     if len(solutions) == 2:
         probes.append((solutions[0][0] + solutions[1][0], solutions[0][1] + solutions[1][1]))
-    for pair in probes:
-        n = _parity_norm(_element_from_pair(pair, parity), d, parity)
-        norms.append(n)
+    norms = [_parity_norm(_element_from_pair(pair, parity), d, parity) for pair in probes]
     if all(n is not None and n.is_zero() for n in norms):
         return ContinuationResult("unsolvable")
-    found = _bounded_search(d, action, parity, conductor, search_height)
+    found = _bounded_search(d, action, parity, conductor, search_height, solutions)
     if found is not None:
         return ContinuationResult("solvable", found)
     return ContinuationResult("unknown")
@@ -313,31 +306,47 @@ def _reflection_closed_form(d: CliffordData, action: IntMat, lam: int, m: int) -
 
 
 def _bounded_search(
-    d: CliffordData, action: IntMat, parity: str, conductor: int, height: int
+    d: CliffordData, action: IntMat, parity: str, conductor: int, height: int, solutions: list | None = None
 ) -> CliffordElement | None:
-    """Search rational-integer coefficient pairs by increasing height.
+    """Search rational-integer coefficient pairs of the solution space by increasing height.
 
-    Each candidate is screened against the solution space before the full
-    invertibility check: every pair solves a two-dimensional space, and a
-    one-dimensional space spanned by (v1, v2) holds (x1, x2) exactly when
-    x1 v2 = x2 v1.
+    Every pair solves a two-dimensional space; a one-dimensional space holds
+    only the integer points of its line.  Within one height, x1 ascends,
+    then x2.
     """
-    solutions = _solution_space(d, action, parity)
-    for h in range(0, height + 1):
-        ring = range(-h, h + 1)
-        for x1 in ring:
-            for x2 in ring:
-                if max(abs(x1), abs(x2)) != h or (x1 == 0 and x2 == 0):
-                    continue
-                if len(solutions) != 2 and not any(x1 * v2 == x2 * v1 for v1, v2 in solutions):
-                    continue
-                c = _element_from_pair(
-                    (Cyc.from_rational(x1), Cyc.from_rational(x2)), parity
-                )
-                norm = _parity_norm(c, d, parity)
-                if norm is not None and norm.is_integral_unit() and c.is_integral():
-                    return c
+    if solutions is None:
+        solutions = _solution_space(d, action, parity)
+    if len(solutions) == 2:
+        points = (
+            (x1, x2) for h in range(1, height + 1) for x1 in range(-h, h + 1) for x2 in range(-h, h + 1)
+            if h in (abs(x1), abs(x2))
+        )
+    else:
+        points = _line_points(solutions, height)
+    for x1, x2 in points:
+        c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
+        norm = _parity_norm(c, d, parity)
+        if norm is not None and norm.is_integral_unit() and c.is_integral():
+            return c
     return None
+
+
+def _line_points(solutions: list[tuple[Cyc, Cyc]], height: int):
+    """Nonzero integer points of the line spanned by (v1, v2), by height up to height.
+
+    They are (0, +-h) when v1 = 0 and +-k (q, p) when v2 / v1 = p / q in
+    lowest terms with q > 0; an irrational slope leaves none.
+    """
+    if len(solutions) != 1:
+        return
+    (v1, v2), = solutions
+    slope = None if v1.is_zero() else v2 / v1
+    if slope is not None and not slope.is_rational():
+        return
+    q, p = (0, 1) if slope is None else primitive_vector((1, slope.as_rational()))
+    for k in range(1, height // max(q, abs(p)) + 1):
+        yield -k * q, -k * p
+        yield k * q, k * p
 
 
 # ---------------------------------------------------------------------------

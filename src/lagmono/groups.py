@@ -9,6 +9,7 @@ search over the right Cayley graph, ``cayley_closure``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -116,8 +117,12 @@ class _ElementList:
     def order(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+        return x in self._members
 
     def __iter__(self) -> Iterator:
         return iter(self.elements)
@@ -141,8 +146,7 @@ class PermutationGroup(_ElementList):
         return _greedy_generators(self.elements, identity_perm(self.degree), compose)
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        big = set(other.elements)
-        return all(p in big for p in self.elements)
+        return all(p in other for p in self.elements)
 
 
 @dataclass(frozen=True)

@@ -377,12 +377,13 @@ def rational_rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if m[r][c] != 1:
+            inv = 1 / m[r][c]
+            m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

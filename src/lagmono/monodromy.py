@@ -2,10 +2,12 @@
 
 The permutations of the facet normals fixing the relation lattice pointwise
 form the Hamiltonian group; those fixing it setwise form the symplectic
-group.  Both are computed exactly: the pointwise stabiliser is the product
-of symmetric groups on the blocks of the coefficient partition, and the
-setwise stabiliser is found by a pruned search over block maps, each
-candidate verified by canonical lattice comparison.
+group.  Both are computed exactly.  The pointwise stabiliser is the product
+of symmetric groups on the blocks of the coefficient partition.  The
+relation lattice is saturated, so the setwise stabiliser is the set of
+permutations induced by a linear map of the normals' span; such a map is
+fixed by the images of one base of normals, and the search runs over those
+images only.
 """
 
 from __future__ import annotations
@@ -13,17 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InconsistentPermutationError, SearchTooLargeError
-from .groups import MatrixGroup, Perm, PermutationGroup, permute_vector
-from .intlat import (
-    IntMat,
-    LatticeBasis,
-    lattice_equal,
-    rational_rref,
-)
+from .groups import MatrixGroup, Perm, PermutationGroup
+from .intlat import IntMat, LatticeBasis, rational_rref
 from .toric import ToricFiberData
 
 
@@ -61,8 +57,15 @@ def partition_bound_check(partition: NormalPartition, dim: int) -> bool:
     return sum(len(b) - 1 for b in partition.blocks) <= dim
 
 
-def _block_map_group(partition: NormalPartition, block_maps: Iterable[Sequence[int]]) -> PermutationGroup:
+def _block_map_group(
+    partition: NormalPartition, block_maps: Sequence[Sequence[int]], max_order: int
+) -> PermutationGroup:
     """Every permutation sending each block b onto block block_map[b], over the block maps."""
+    order = len(block_maps)
+    for block in partition.blocks:
+        order *= math.factorial(len(block))
+    if order > max_order:
+        raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
     elements = []
     for block_map in block_maps:
         arrangements = [itertools.permutations(partition.blocks[image]) for image in block_map]
@@ -75,30 +78,27 @@ def _block_map_group(partition: NormalPartition, block_maps: Iterable[Sequence[i
     return PermutationGroup.from_elements(partition.size, elements)
 
 
-def _young_subgroup(partition: NormalPartition, max_order: int) -> PermutationGroup:
-    order = 1
-    for block in partition.blocks:
-        order *= math.factorial(len(block))
-    if order > max_order:
-        raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
-    return _block_map_group(partition, [range(len(partition.blocks))])
-
-
 def hamiltonian_monodromy(data: ToricFiberData, max_order: int = 50_000) -> PermutationGroup:
     """Permutations of the normals fixing every relation pointwise."""
     partition = coefficient_partition(data.relations)
-    return _young_subgroup(partition, max_order)
+    return _block_map_group(partition, [range(len(partition.blocks))], max_order)
 
 
-def _block_map_preserves_lattice(
-    k: LatticeBasis, partition: NormalPartition, block_map: Sequence[int]
-) -> bool:
-    perm = [0] * partition.size
-    for b, image in enumerate(block_map):
-        for src, dst in zip(partition.blocks[b], partition.blocks[image]):
-            perm[src] = dst
-    moved = [permute_vector(tuple(perm), row) for row in k.basis]
-    return lattice_equal(LatticeBasis.from_vectors(k.ambient, moved), k)
+def _normal_base(normals: Sequence[Sequence[int]], dim: int) -> tuple[list[int], list[tuple[int, ...]], IntMat, int]:
+    """A base among the normals: the pivots of one row reduction of (normals as columns | identity).
+
+    Returns the base indices, every normal's coordinates over the base, the
+    base matrix's inverse when the normals span, and their common denominator.
+    """
+    nfacets = len(normals)
+    reduced, pivots = rational_rref(
+        [[nu[i] for nu in normals] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    )
+    base = [p for p in pivots if p < nfacets]
+    den = math.lcm(*(x.denominator for row in reduced for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in reduced]
+    coords = [tuple(row[j] for row in scaled[: len(base)]) for j in range(nfacets)]
+    return base, coords, IntMat.from_rows(row[nfacets:] for row in scaled), den
 
 
 def symplectic_monodromy(
@@ -106,60 +106,52 @@ def symplectic_monodromy(
 ) -> PermutationGroup:
     """Permutations of the normals fixing the relation lattice setwise.
 
-    Relations are constant on partition blocks, so within-block permutations
-    act trivially on the lattice and the search reduces to bijections of the
-    block set.  Candidate block maps must send blocks to blocks of equal size
-    and act consistently as a single linear map on the echelon-basis columns;
-    survivors are confirmed by canonical lattice comparison.
+    The relation lattice K is saturated, so sigma fixes K exactly when it
+    fixes K (x) Q: when one linear map of the normals' span sends every nu_i
+    to nu_sigma(i).  The images t_0 .. t_{r-1} of one base of normals fix
+    that map, and the search backtracks over them.  Once t_k is chosen, each
+    normal whose last nonzero base coordinate is k has a known image: it
+    must be integral, a normal not yet hit, and at the same position of a
+    block of the same size, consistent with the block map so far.  That
+    keeps one order-preserving representative per block map.
     """
-    k = data.relations
-    partition = coefficient_partition(k)
+    partition = coefficient_partition(data.relations)
     n = partition.size
     if n > max_degree:
         raise SearchTooLargeError(f"{n} normals exceeds search bound {max_degree}")
-    blocks = partition.blocks
-    columns = [tuple(row[block[0]] for row in k.basis) for block in blocks]
+    normals, dim = data.polytope.normals, data.polytope.dim
+    base, coords, _, den = _normal_base(normals, dim)
+    index = {nu: j for j, nu in enumerate(normals)}
+    block_of = {i: b for b, block in enumerate(partition.blocks) for i in block}
+    slot = {i: (len(block), pos) for block in partition.blocks for pos, i in enumerate(block)}
+    # checks[k + 1]: (j, nonzero base coordinates) of each normal whose last one is k.
+    checks: list[list] = [[] for _ in range(len(base) + 1)]
+    for j, a in enumerate(coords):
+        terms = [(i, x) for i, x in enumerate(a) if x]
+        checks[terms[-1][0] + 1 if terms else 0].append((j, terms))
+    # Base normal k is checked right after t_k, so t_k must share its slot.
+    candidates = [[t for t in range(n) if slot[t] == slot[b]] for b in base]
+    block_maps: list[tuple[int, ...]] = []
 
-    valid_maps: list[tuple[int, ...]] = []
-
-    def consistent(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
-        # A single linear map sending each source column to its image exists
-        # exactly when every dependency among the sources also kills the
-        # images, i.e. stacking (source | image) does not raise the rank.
-        if not k.basis:
-            return True
-        srcs = [list(map(Fraction, s)) for s, _ in pairs]
-        stacked = [list(map(Fraction, s)) + list(map(Fraction, t)) for s, t in pairs]
-        _, piv_src = rational_rref(srcs)
-        _, piv_stacked = rational_rref(stacked)
-        return len(piv_src) == len(piv_stacked)
-
-    def search(assigned: list[int], used: set[int]):
-        b = len(assigned)
-        if b == len(blocks):
-            valid_maps.append(tuple(assigned))
+    def extend(images: tuple[int, ...], sigma: dict[int, int], block_map: dict[int, int]) -> None:
+        for j, terms in checks[len(images)]:
+            moved = [sum(x * normals[images[i]][c] for i, x in terms) for c in range(dim)]
+            if any(v % den for v in moved):
+                return
+            image = index.get(tuple(v // den for v in moved))
+            if image is None or image in sigma.values() or slot[image] != slot[j]:
+                return
+            if block_map.setdefault(block_of[j], block_of[image]) != block_of[image]:
+                return
+            sigma[j] = image
+        if len(images) == len(base):
+            block_maps.append(tuple(block_map[b] for b in range(len(partition.blocks))))
             return
-        for image in range(len(blocks)):
-            if image in used or len(blocks[image]) != len(blocks[b]):
-                continue
-            pairs = [(columns[i], columns[img]) for i, img in enumerate(assigned)]
-            pairs.append((columns[b], columns[image]))
-            if not consistent(pairs):
-                continue
-            search(assigned + [image], used | {image})
+        for t in candidates[len(images)]:
+            extend(images + (t,), dict(sigma), dict(block_map))
 
-    search([], set())
-    confirmed = [
-        m for m in valid_maps if _block_map_preserves_lattice(k, partition, m)
-    ]
-
-    order = len(confirmed)
-    for block in blocks:
-        order *= math.factorial(len(block))
-    if order > max_order:
-        raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
-
-    return _block_map_group(partition, confirmed)
+    extend((), {}, {})
+    return _block_map_group(partition, block_maps, max_order)
 
 
 def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat]:
@@ -167,25 +159,20 @@ def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat
 
     The matrix M of a permutation sends normal j to normal perm[j].  With B
     the matrix whose columns are n independent normals and P the matrix of
-    their images, M = P B^-1; B is inverted once, as adj(B) / det(B), and
-    every M is checked to be integral, unimodular and right on every normal.
+    their images, M = P B^-1; B is inverted once, and every M is checked to
+    be integral, unimodular and right on every normal.
     """
     normals = data.polytope.normals
     n = data.polytope.dim
-    _, pivots = rational_rref(list(zip(*normals)))
-    base_idx = pivots[:n]
+    base_idx, _, inverse, den = _normal_base(normals, n)
     if len(base_idx) < n:
         raise InconsistentPermutationError("facet normals do not span")
-    base = IntMat.from_rows([normals[i] for i in base_idx]).transpose()
-    det = base.det()
-    augmented, _ = rational_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(base.rows)])
-    adjugate = IntMat.from_rows([[int(x * det) for x in r[n:]] for r in augmented])
     mats = []
     for perm in perms:
         image = IntMat.from_rows([normals[perm[i]] for i in base_idx]).transpose()
-        scaled = image @ adjugate
-        integral = not any(x % det for r in scaled.rows for x in r)
-        mat = IntMat.from_rows([[x // det for x in r] for r in scaled.rows])
+        scaled = image @ inverse
+        integral = not any(x % den for r in scaled.rows for x in r)
+        mat = IntMat.from_rows([[x // den for x in r] for r in scaled.rows])
         if not integral or abs(mat.det()) != 1:
             raise InconsistentPermutationError(
                 f"permutation {perm} is not induced by a unimodular map"

@@ -1,10 +1,12 @@
-"""Mutated fixture files: every CLI run ends in exit 0, 2 or 3, never a traceback.
+"""Mutated fixture files and arguments: every CLI run ends in exit 0, 2 or 3, never a traceback.
 
 Each example takes one shipped fixture, drops or duplicates a line or swaps
 one token for a hostile one, and runs the matching subcommand in-process.
 Two fixtures are kept small so the whole test stays fast: the catalog is cut
 to its first two groups, and the hexagon ``bl3cp2`` runs with ``--cap 5``,
-which refuses its six-normal symplectic search at once.
+which refuses its six-normal symplectic search at once.  The argument cases
+run the shipped files with hostile option values and a missing path;
+argparse rejects a malformed value with exit 2.
 """
 
 import contextlib
@@ -75,3 +77,35 @@ def test_mutated_fixture_exits_cleanly(name, tmp_path_factory):
             assert code in (0, 2, 3), (argv, text)
 
     check()
+
+
+def exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+POLYTOPES = sorted(p.name for p in FIXTURES.glob("*.poly"))
+POTENTIALS = sorted(p.name for p in FIXTURES.glob("*.laurent"))
+MISSING = str(FIXTURES / "no-such-file")
+HOSTILE_ARGV = (
+    [["toric", f"fixtures/{name}", "--cap", cap] for name in POLYTOPES for cap in ("0", "-1", "x", "13")]
+    + [["potential", "crit", f"fixtures/{name}", "--bound", b] for name in POTENTIALS for b in ("0", "-1", "1/2")]
+    + [["clifford", f"fixtures/{name}", "--at", at] for name in POTENTIALS for at in ("1/2", "1/2,1/2,1/2", "1/0,1/2")]
+    + [
+        ["toric", MISSING],
+        ["filter", MISSING],
+        ["conjecture", MISSING],
+        ["potential", "rk1", MISSING],
+        ["potential", "crit", MISSING, "--bound", "6"],
+        ["clifford", MISSING, "--at", "1/2,1/2"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", HOSTILE_ARGV, ids=" ".join)
+def test_hostile_arguments_exit_cleanly(argv, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    assert exit_code(argv) in (0, 2, 3)

@@ -7,14 +7,19 @@ determinant behind ``CyclotomicNumber.norm``, the polynomial divisions
 ``floer._try_divide``, the Phi_d reduction loop of ``laurent._vanishes``, the
 rank-one cyclotomic factor profile, the divisor scan of the cyclotomic
 canonical form (Galois-fixedness loop, descent matrix and power table), the
-power-table promotion, the Euclidean inverse, and the residual-column screen
-of ``floer._bounded_search``.  They are kept here only as oracles.
+power-table promotion, the Euclidean inverse, the residual-column screen
+of ``floer._bounded_search`` and its pair-by-pair line screen, and the
+block-map search of ``monodromy.symplectic_monodromy``.  They are kept here
+only as oracles.
 """
 
 import functools
+import itertools
 import math
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagmono.cyclotomic import (
@@ -32,10 +37,23 @@ from lagmono.floer import (
     _conjugation_residuals,
     _cyclotomic_factor_profile,
     _element_from_pair,
+    _line_points,
     _parity_norm,
     _solution_space,
 )
-from lagmono.intlat import IntMat, rational_kernel_basis, solve_rational_system
+from lagmono.errors import SearchTooLargeError
+from lagmono.groups import PermutationGroup, permute_vector
+from lagmono.intlat import (
+    IntMat,
+    LatticeBasis,
+    lattice_equal,
+    rational_kernel_basis,
+    rational_rref,
+    solve_rational_system,
+)
+from lagmono.monodromy import coefficient_partition, symplectic_monodromy
+from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product
+from lagmono.toric import DelzantPolytope, toric_fiber_data
 
 Cyc = CyclotomicNumber
 CONDUCTORS = (1, 3, 4, 5, 12)
@@ -355,6 +373,86 @@ def old_bounded_search(d, action, parity, height):
     return None
 
 
+def old_line_screen(solutions, height):
+    """Pairs of the old loop that pass the screen x1 v2 = x2 v1 of a one-dimensional space."""
+    return [
+        (x1, x2)
+        for h in range(1, height + 1)
+        for x1 in range(-h, h + 1)
+        for x2 in range(-h, h + 1)
+        if max(abs(x1), abs(x2)) == h and any(x1 * v2 == x2 * v1 for v1, v2 in solutions)
+    ]
+
+
+def old_block_map_group(partition, block_maps):
+    elements = []
+    for block_map in block_maps:
+        arrangements = [itertools.permutations(partition.blocks[image]) for image in block_map]
+        for combo in itertools.product(*arrangements):
+            perm = list(range(partition.size))
+            for block, images in zip(partition.blocks, combo):
+                for src, dst in zip(block, images):
+                    perm[src] = dst
+            elements.append(tuple(perm))
+    return PermutationGroup.from_elements(partition.size, elements)
+
+
+def old_block_map_preserves_lattice(k, partition, block_map):
+    perm = [0] * partition.size
+    for b, image in enumerate(block_map):
+        for src, dst in zip(partition.blocks[b], partition.blocks[image]):
+            perm[src] = dst
+    moved = [permute_vector(tuple(perm), row) for row in k.basis]
+    return lattice_equal(LatticeBasis.from_vectors(k.ambient, moved), k)
+
+
+def old_symplectic_monodromy(data, max_degree=12, max_order=50_000):
+    """Block-map backtracking with a rank test per node and an HNF comparison per leaf."""
+    k = data.relations
+    partition = coefficient_partition(k)
+    n = partition.size
+    if n > max_degree:
+        raise SearchTooLargeError(f"{n} normals exceeds search bound {max_degree}")
+    blocks = partition.blocks
+    columns = [tuple(row[block[0]] for row in k.basis) for block in blocks]
+
+    valid_maps = []
+
+    def consistent(pairs):
+        if not k.basis:
+            return True
+        srcs = [list(map(Fraction, s)) for s, _ in pairs]
+        stacked = [list(map(Fraction, s)) + list(map(Fraction, t)) for s, t in pairs]
+        _, piv_src = rational_rref(srcs)
+        _, piv_stacked = rational_rref(stacked)
+        return len(piv_src) == len(piv_stacked)
+
+    def search(assigned, used):
+        b = len(assigned)
+        if b == len(blocks):
+            valid_maps.append(tuple(assigned))
+            return
+        for image in range(len(blocks)):
+            if image in used or len(blocks[image]) != len(blocks[b]):
+                continue
+            pairs = [(columns[i], columns[img]) for i, img in enumerate(assigned)]
+            pairs.append((columns[b], columns[image]))
+            if not consistent(pairs):
+                continue
+            search(assigned + [image], used | {image})
+
+    search([], set())
+    confirmed = [m for m in valid_maps if old_block_map_preserves_lattice(k, partition, m)]
+
+    order = len(confirmed)
+    for block in blocks:
+        order *= math.factorial(len(block))
+    if order > max_order:
+        raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
+
+    return old_block_map_group(partition, confirmed)
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -417,6 +515,53 @@ def clifford_problems(draw):
     eps1, eps2 = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
     action = IntMat.from_rows([[eps1, draw(st.integers(-4, 4))], [0, eps2]])
     return CliffordData(*constants), action, draw(st.sampled_from(("even", "odd"))), conductor
+
+
+def polytope_product(a, b):
+    """Product of two monotone polytopes: the normals of each, padded with zeros."""
+    normals = [nu + (0,) * b.dim for nu in a.normals] + [(0,) * a.dim + nu for nu in b.normals]
+    return DelzantPolytope(a.dim + b.dim, tuple(normals), a.offsets + b.offsets)
+
+
+SETWISE_BASES = {
+    **STANDARD_FIXTURES,
+    "cube4": cube(4),
+    "cp1xcp1xcp2": projective_product((1, 1, 2)),
+    "bl2cp2xcp1": polytope_product(blowup_cp2(2), projective_product((1,))),
+}
+
+
+@st.composite
+def rebased_polytopes(draw):
+    """A base polytope under a facet shuffle and a unimodular change of basis.
+
+    The change of basis is a signed permutation of coordinates followed by a
+    few elementary shears; it keeps every offset, so the copy stays monotone.
+    """
+    name = draw(st.sampled_from(sorted(SETWISE_BASES)))
+    p = SETWISE_BASES[name]
+    n = p.dim
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    u = IntMat.from_rows([[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)])
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            shear = [[int(r == c) for c in range(n)] for r in range(n)]
+            shear[i][j] = draw(st.sampled_from((1, -1)))
+            u = IntMat.from_rows(shear) @ u
+    order = draw(st.permutations(range(p.nfacets)))
+    normals = tuple(u.apply(p.normals[j]) for j in order)
+    return name, DelzantPolytope(n, normals, tuple(p.offsets[j] for j in order), p.mode)
+
+
+@st.composite
+def normal_sets(draw):
+    """Distinct primitive vectors with offsets 1: no Delzant condition, any base index or rank."""
+    dim = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim).filter(lambda v: math.gcd(*v) == 1)
+    normals = draw(st.lists(vector, min_size=dim, max_size=6, unique=True))
+    return DelzantPolytope(dim, tuple(normals), (Fraction(1),) * len(normals))
 
 
 def int_polys(min_size=1, max_size=12):
@@ -609,3 +754,76 @@ class TestBoundedSearch:
         data, action, parity, conductor = problem
         found = _bounded_search(data, action, parity, conductor, height)
         assert found == old_bounded_search(data, action, parity, height)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cyclotomics(conductors=(1, 3, 4)),
+        cyclotomics(conductors=(1, 3, 4)),
+        st.sampled_from((None, Fraction(2, 3), Fraction(-3), Fraction(0), Fraction(1, 4))),
+        st.integers(0, 8),
+    )
+    def test_line_points_equal_pair_screen(self, v1, v2, slope, height):
+        # A drawn slope makes v2 a rational multiple of v1, so the line has points.
+        if slope is not None:
+            v2 = v1 * Cyc.from_rational(slope)
+        if v1.is_zero() and v2.is_zero():
+            v2 = Cyc.one()
+        assert list(_line_points([(v1, v2)], height)) == old_line_screen([(v1, v2)], height)
+
+
+# ---------------------------------------------------------------------------
+# Setwise stabiliser
+
+
+class TestSymplecticSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(rebased_polytopes())
+    def test_group_equals_block_map_search(self, case):
+        name, polytope = case
+        data = toric_fiber_data(polytope)
+        old = old_symplectic_monodromy(data)
+        # A cap equal to the order passes only if each block map is found once.
+        assert symplectic_monodromy(data, max_order=old.order).elements == old.elements, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(normal_sets())
+    def test_any_normal_set_equals_block_map_search(self, polytope):
+        data = toric_fiber_data(polytope)
+        assert symplectic_monodromy(data).elements == old_symplectic_monodromy(data).elements
+
+    def test_fractional_image_is_refused(self):
+        # Normals 1, 2 and 4 form a base of index 12 in Z^3; rounding a
+        # fractional image down would land on a normal and add a permutation.
+        normals = ((2, -2, 1), (1, 2, -1), (-2, -2, 1), (2, -2, -1))
+        data = toric_fiber_data(DelzantPolytope(3, normals, (Fraction(1),) * 4))
+        assert symplectic_monodromy(data).elements == old_symplectic_monodromy(data).elements == ((0, 1, 2, 3),)
+
+    def test_standard_fixtures_equal_block_map_search(self):
+        for name, polytope in SETWISE_BASES.items():
+            data = toric_fiber_data(polytope)
+            assert symplectic_monodromy(data).elements == old_symplectic_monodromy(data).elements, name
+
+    def test_dp6_squared_order_and_time(self):
+        data = toric_fiber_data(polytope_product(blowup_cp2(3), blowup_cp2(3)))
+        start = time.perf_counter()
+        group = symplectic_monodromy(data)
+        assert time.perf_counter() - start < 1.0
+        assert group.order == 288
+
+    def test_dp6_times_two_spheres_order(self):
+        data = toric_fiber_data(polytope_product(blowup_cp2(3), cube(2)))
+        assert symplectic_monodromy(data).order == 96
+
+    @pytest.mark.parametrize(
+        "polytope, kwargs, message",
+        [
+            (cube(7), {}, "14 normals exceeds search bound 12"),
+            (cube(3), {"max_order": 10}, "group order 48 exceeds cap 10"),
+        ],
+    )
+    def test_refusal_messages_unchanged(self, polytope, kwargs, message):
+        data = toric_fiber_data(polytope)
+        for search in (symplectic_monodromy, old_symplectic_monodromy):
+            with pytest.raises(SearchTooLargeError) as exc:
+                search(data, **kwargs)
+            assert str(exc.value) == message

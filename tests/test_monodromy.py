@@ -1,9 +1,11 @@
 """Monodromy groups of toric fibres against the exhaustive stabiliser oracle."""
 
 import itertools
+import pathlib
 
 import pytest
 
+from lagmono.cli import run
 from lagmono.groups import PermutationGroup, permute_vector
 from lagmono.intlat import IntMat, LatticeBasis, lattice_equal, matrix_order
 from lagmono.monodromy import (
@@ -16,6 +18,8 @@ from lagmono.monodromy import (
 )
 from lagmono.polytopes import STANDARD_FIXTURES
 from lagmono.toric import toric_fiber_data
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def fiber(name):
@@ -179,3 +183,11 @@ class TestPartitionBound:
             data = fiber(name)
             partition = coefficient_partition(data.relations)
             assert partition_bound_check(partition, p.dim), name
+
+
+class TestProductOfHexagons:
+    def test_json_output_matches_parent_golden(self, capsys, monkeypatch):
+        # dP6 x dP6 has 12 singleton blocks, the old block-map search's wall.
+        monkeypatch.chdir(ROOT)
+        assert run(["--json", "toric", "tests/data/dp6xdp6.poly"]) == 0
+        assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "toric-dp6xdp6.jsonl").read_text()
