@@ -57,8 +57,6 @@ from .laurent import (
     torsion_critical_points,
 )
 from .monodromy import (
-    NormalPartition,
-    coefficient_partition,
     hamiltonian_monodromy,
     induced_matrix_group,
     partition_bound_check,
@@ -67,8 +65,10 @@ from .monodromy import (
 from .toric import (
     DelzantPolytope,
     Mode,
+    NormalPartition,
     ToricFiberData,
     ValidationReport,
+    coefficient_partition,
     monotone_normalize,
     parse_polytope,
     toric_fiber_data,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .cyclotomic import divisors, euler_phi
-from .errors import NonUnimodularError, NotFiniteError, ParseError, TooLargeError
+from .errors import NonUnimodularError, NotFiniteError, ParseError
 from .groups import MatrixGroup, Perm, cayley_closure, compose, identity_perm
 from .intlat import IntMat, matrix_order, primitive_vector, rational_kernel_basis
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
@@ -279,69 +279,63 @@ def _symmetric_part_choices(n: int) -> list[tuple[int, ...]]:
 
 
 def embed_symmetric_product(
-    group: MatrixGroup, parts: Sequence[int], cap: int = 2000
+    group: MatrixGroup, parts: Sequence[int]
 ) -> tuple[tuple[IntMat, tuple[Perm, ...]], ...] | None:
-    """Verified injective homomorphism into a product of symmetric groups.
+    """Verified injective homomorphism into S_{p_1} x .. x S_{p_k}.
 
-    Generator images are searched by backtracking over order-matched
-    candidates; any complete assignment is expanded through words and then
-    re-verified on the full multiplication table before being returned.
+    By Lagrange's theorem there is none unless |G| divides prod p_j!.
+    Otherwise generator images t_s run over order-matched target elements
+    in product order, and each assignment is one walk over G in breadth-first
+    order of the right Cayley graph: every edge g -> g s must satisfy
+    image(g) t_s = image(g s), which makes the map a homomorphism, and no
+    image may repeat, which makes it injective.
     """
-    if group.order > cap:
-        raise TooLargeError(f"group order {group.order} exceeds cap {cap}")
     parts = tuple(parts)
-    product_elements = list(
-        itertools.product(*[itertools.permutations(range(p)) for p in parts])
-    )
-    ident_target = tuple(identity_perm(p) for p in parts)
-
-    def target_mul(x, y):
-        return tuple(compose(a, b) for a, b in zip(x, y))
-
-    def target_order(x):
-        k = 1
-        acc = x
-        while acc != ident_target:
-            acc = target_mul(acc, x)
-            k += 1
-        return k
-
-    orders_available: dict[int, list] = {}
-    for x in product_elements:
-        orders_available.setdefault(target_order(x), []).append(x)
+    if math.prod(map(math.factorial, parts)) % group.order:
+        return None
+    # A target element as one permutation of all sum(parts) points, mapped to its parts.
+    offsets = [sum(parts[:j]) for j in range(len(parts))]
+    split = {
+        tuple(off + i for off, perm in zip(offsets, x) for i in perm): x
+        for x in itertools.product(*[itertools.permutations(range(p)) for p in parts])
+    }
+    identity = identity_perm(sum(parts))
+    by_order: dict[int, list[Perm]] = {}
+    for t in split:
+        order, power = 1, t
+        while power != identity:
+            order, power = order + 1, compose(power, t)
+        by_order.setdefault(order, []).append(t)
 
     gens = group.generators()
-    gen_orders = [matrix_order(g, cap=group.order + 1) for g in gens]
     candidate_lists = []
-    for order in gen_orders:
-        candidates = orders_available.get(order, [])
+    for g in gens:
+        candidates = by_order.get(matrix_order(g, cap=group.order + 1), [])
         if not candidates:
             return None
         candidate_lists.append(candidates)
 
-    words = cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order)
+    walk = list(cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order))
+    position = {g: i for i, g in enumerate(walk)}
+    edges = [[position[g @ s] for s in gens] for g in walk]
 
-    elements = list(group.elements)
-
-    def check(assignment) -> tuple[tuple[IntMat, tuple[Perm, ...]], ...] | None:
-        image = {}
-        for g in elements:
-            acc = ident_target
-            for idx in words[g]:
-                acc = target_mul(acc, assignment[idx])
-            image[g] = acc
-        if len(set(image.values())) != group.order:
-            return None
-        for a in elements:
-            for b in elements:
-                if target_mul(image[a], image[b]) != image[a @ b]:
+    def images(assignment: tuple[Perm, ...]) -> list[Perm] | None:
+        image: list[Perm | None] = [identity] + [None] * (len(walk) - 1)
+        used = {identity}
+        for i, row in enumerate(edges):
+            for j, t in zip(row, assignment):
+                y = compose(image[i], t)
+                if image[j] is None and y not in used:
+                    image[j] = y
+                    used.add(y)
+                elif image[j] != y:  # a broken relation, or a repeated image
                     return None
-        return tuple((g, image[g]) for g in elements)
+        return image
 
     for assignment in itertools.product(*candidate_lists):
-        verified = check(assignment)
-        if verified is not None:
-            return verified
+        image = images(assignment)
+        if image is not None:
+            return tuple((g, split[image[position[g]]]) for g in group.elements)
     return None
 
 
@@ -373,7 +367,7 @@ def gl_order_feasible(m: int, k: int) -> bool:
     return m in best
 
 
-def conjecture_filter(catalog: GroupCatalog, embed_cap: int = 2000) -> tuple[ConjectureVerdict, ...]:
+def conjecture_filter(catalog: GroupCatalog) -> tuple[ConjectureVerdict, ...]:
     """Screen each catalog group against the two structural cases.
 
     Groups moving a forced critical point are ruled out.  Otherwise the
@@ -388,25 +382,12 @@ def conjecture_filter(catalog: GroupCatalog, embed_cap: int = 2000) -> tuple[Con
             out.append(ConjectureVerdict(name, "RULED_OUT", witness=witness))
             continue
         n = catalog.dim
-        case2 = None
-        case2_parts = None
-        for parts in _symmetric_part_choices(n):
-            embedding = embed_symmetric_product(group, parts, cap=embed_cap)
-            if embedding is not None:
-                case2 = embedding
-                case2_parts = parts
-                break
+        found = ((parts, embed_symmetric_product(group, parts)) for parts in _symmetric_part_choices(n))
+        case2_parts, case2 = next(((parts, e) for parts, e in found if e is not None), (None, None))
         orders = sorted({matrix_order(g, cap=group.order + 1) for g in group})
         case1 = all(gl_order_feasible(order, n - 1) for order in orders)
-        if case1 and case2 is not None:
-            status = "BOTH"
-        elif case2 is not None:
-            status = "CASE2"
-        elif case1:
-            status = "CASE1_NECESSARY"
-        else:
-            status = "UNKNOWN"
-        out.append(
-            ConjectureVerdict(name, status, parts=case2_parts, embedding=case2)
+        status = {(True, True): "BOTH", (False, True): "CASE2", (True, False): "CASE1_NECESSARY"}.get(
+            (case1, case2 is not None), "UNKNOWN"
         )
+        out.append(ConjectureVerdict(name, status, parts=case2_parts, embedding=case2))
     return tuple(out)

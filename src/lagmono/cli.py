@@ -26,7 +26,6 @@ from .groups import cycle_notation
 from .intlat import IntMat
 from .laurent import parse_laurent, torsion_critical_points
 from .monodromy import (
-    coefficient_partition,
     hamiltonian_monodromy,
     induced_matrices,
     partition_bound_check,
@@ -123,12 +122,11 @@ def run_toric(args) -> int:
         }
     )
     records.append({"record": "potential", "value": str(data.potential)})
-    partition = coefficient_partition(data.relations)
     records.append(
         {
             "record": "partition",
-            "blocks": [[i + 1 for i in block] for block in partition.blocks],
-            "bound_ok": partition_bound_check(partition, polytope.dim),
+            "blocks": [[i + 1 for i in block] for block in data.partition.blocks],
+            "bound_ok": partition_bound_check(data.partition, polytope.dim),
         }
     )
     hamiltonian = hamiltonian_monodromy(data)
@@ -356,7 +354,10 @@ def _positive_int(text: str) -> int:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message; keep its exit code
+        return exc.code
     try:
         return args.func(args)
     except ParseError as exc:

@@ -56,6 +56,16 @@ def euler_phi(d: int) -> int:
     return out
 
 
+def euler_phi_table(n: int) -> list[int]:
+    """phi(d) for d = 0 .. n by one sieve (phi(0) reads 0)."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
 def divisors(d: int) -> list[int]:
     return [k for k in range(1, d + 1) if d % k == 0]
 

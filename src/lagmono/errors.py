@@ -64,7 +64,3 @@ class BadDiscriminantError(ValidationError):
 
 class UnsupportedActionError(ValidationError):
     """Monodromy action shape not handled by the solver."""
-
-
-class TooLargeError(ValidationError):
-    """Group too large for an exhaustive embedding search."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi
+from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi_table
 from .errors import (
     BadDiscriminantError,
     DimensionError,
@@ -553,11 +553,11 @@ def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | 
     coeffs = [c // content for c in coeffs]
     degree = len(coeffs) - 1
     found: list[int] = []
-    d = 1
     # phi(d) grows at least like sqrt(d/2), so this window covers every
     # divisor whose cyclotomic polynomial could fit the remaining degree.
-    while d <= 2 * degree * degree + 2:
-        if euler_phi(d) <= len(coeffs) - 1:
+    window = euler_phi_table(2 * degree * degree + 2)
+    for d in range(1, len(window)):
+        if window[d] <= len(coeffs) - 1:
             phi = cyclotomic_polynomial(d)
             quotient, rem = _polydivmod(coeffs, phi)
             if not any(rem):
@@ -565,7 +565,6 @@ def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | 
                     return None  # repeated root of unity
                 coeffs = quotient
                 found.append(d)
-        d += 1
     if coeffs != [1]:
         return None  # leftover non-cyclotomic factor
     return content, sorted(found)

@@ -14,42 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InconsistentPermutationError, SearchTooLargeError
 from .groups import MatrixGroup, Perm, PermutationGroup
-from .intlat import IntMat, LatticeBasis, rational_rref
-from .toric import ToricFiberData
-
-
-@dataclass(frozen=True)
-class NormalPartition:
-    """Partition of facet indices by equal coefficients in every relation."""
-
-    size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __str__(self) -> str:
-        return " ".join(
-            "{" + ", ".join(str(i + 1) for i in block) + "}" for block in self.blocks
-        )
-
-
-def coefficient_partition(k: LatticeBasis) -> NormalPartition:
-    """Group indices whose coordinates agree in every lattice element.
-
-    Two indices are equivalent exactly when the corresponding columns of the
-    canonical echelon basis are equal; with no relations at all every index
-    is equivalent.
-    """
-    n = k.ambient
-    columns: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        col = tuple(row[i] for row in k.basis)
-        columns.setdefault(col, []).append(i)
-    blocks = tuple(tuple(v) for v in sorted(columns.values()))
-    return NormalPartition(n, blocks)
+from .intlat import IntMat
+from .toric import NormalPartition, ToricFiberData
 
 
 def partition_bound_check(partition: NormalPartition, dim: int) -> bool:
@@ -80,25 +50,8 @@ def _block_map_group(
 
 def hamiltonian_monodromy(data: ToricFiberData, max_order: int = 50_000) -> PermutationGroup:
     """Permutations of the normals fixing every relation pointwise."""
-    partition = coefficient_partition(data.relations)
+    partition = data.partition
     return _block_map_group(partition, [range(len(partition.blocks))], max_order)
-
-
-def _normal_base(normals: Sequence[Sequence[int]], dim: int) -> tuple[list[int], list[tuple[int, ...]], IntMat, int]:
-    """A base among the normals: the pivots of one row reduction of (normals as columns | identity).
-
-    Returns the base indices, every normal's coordinates over the base, the
-    base matrix's inverse when the normals span, and their common denominator.
-    """
-    nfacets = len(normals)
-    reduced, pivots = rational_rref(
-        [[nu[i] for nu in normals] + [int(i == j) for j in range(dim)] for i in range(dim)]
-    )
-    base = [p for p in pivots if p < nfacets]
-    den = math.lcm(*(x.denominator for row in reduced for x in row))
-    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in reduced]
-    coords = [tuple(row[j] for row in scaled[: len(base)]) for j in range(nfacets)]
-    return base, coords, IntMat.from_rows(row[nfacets:] for row in scaled), den
 
 
 def symplectic_monodromy(
@@ -115,12 +68,12 @@ def symplectic_monodromy(
     block of the same size, consistent with the block map so far.  That
     keeps one order-preserving representative per block map.
     """
-    partition = coefficient_partition(data.relations)
+    partition = data.partition
     n = partition.size
     if n > max_degree:
         raise SearchTooLargeError(f"{n} normals exceeds search bound {max_degree}")
     normals, dim = data.polytope.normals, data.polytope.dim
-    base, coords, _, den = _normal_base(normals, dim)
+    base, coords, _, den = data.normal_base
     index = {nu: j for j, nu in enumerate(normals)}
     block_of = {i: b for b, block in enumerate(partition.blocks) for i in block}
     slot = {i: (len(block), pos) for block in partition.blocks for pos, i in enumerate(block)}
@@ -164,7 +117,7 @@ def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat
     """
     normals = data.polytope.normals
     n = data.polytope.dim
-    base_idx, _, inverse, den = _normal_base(normals, n)
+    base_idx, _, inverse, den = data.normal_base
     if len(base_idx) < n:
         raise InconsistentPermutationError("facet normals do not span")
     mats = []

@@ -5,16 +5,19 @@ normals nu_j and rational offsets lambda_j.  Validation enumerates vertices
 exactly over Q and checks simplicity, smoothness, non-redundancy and the
 mode-specific condition (compactness, or existence of a vertex).  The
 monotone fibre sits over the point where all offsets agree; its data are the
-relation lattice of the normals and the potential summing one monomial per
-facet.
+relation lattice of the normals, the potential summing one monomial per
+facet, and, computed once per fibre, the coefficient partition of the normals
+and a base among them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NotMonotoneError, ParseError
@@ -25,6 +28,7 @@ from .intlat import (
     kernel_lattice,
     primitive_vector,
     rational_kernel_basis,
+    rational_rref,
     solve_rational_system,
     vec_gcd,
 )
@@ -236,16 +240,70 @@ def monotone_normalize(p: DelzantPolytope) -> DelzantPolytope:
 
 
 @dataclass(frozen=True)
+class NormalPartition:
+    """Partition of facet indices by equal coefficients in every relation."""
+
+    size: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __str__(self) -> str:
+        return " ".join(
+            "{" + ", ".join(str(i + 1) for i in block) + "}" for block in self.blocks
+        )
+
+
+def coefficient_partition(k: LatticeBasis) -> NormalPartition:
+    """Group indices whose coordinates agree in every lattice element.
+
+    Two indices are equivalent exactly when the corresponding columns of the
+    canonical echelon basis are equal; with no relations at all every index
+    is equivalent.
+    """
+    n = k.ambient
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for i in range(n):
+        col = tuple(row[i] for row in k.basis)
+        columns.setdefault(col, []).append(i)
+    blocks = tuple(tuple(v) for v in sorted(columns.values()))
+    return NormalPartition(n, blocks)
+
+
+@dataclass(frozen=True)
 class ToricFiberData:
     """Combinatorial data of the monotone fibre.
 
     relations is the saturated lattice of integer relations among the facet
-    normals; the potential has one unit monomial per facet normal.
+    normals; the potential has one unit monomial per facet normal.  The
+    coefficient partition and a base among the normals are computed on first
+    use and then shared by every monodromy computation on the fibre.
     """
 
     polytope: DelzantPolytope
     relations: LatticeBasis
     potential: LaurentPolynomial
+
+    @cached_property
+    def partition(self) -> NormalPartition:
+        return coefficient_partition(self.relations)
+
+    @cached_property
+    def normal_base(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], IntMat, int]:
+        """A base among the normals: the pivots of one row reduction of (normals as columns | identity).
+
+        Returns the base indices, every normal's coordinates over the base,
+        the base matrix's inverse when the normals span, and their common
+        denominator.
+        """
+        normals, dim = self.polytope.normals, self.polytope.dim
+        nfacets = len(normals)
+        reduced, pivots = rational_rref(
+            [[nu[i] for nu in normals] + [int(i == j) for j in range(dim)] for i in range(dim)]
+        )
+        base = tuple(p for p in pivots if p < nfacets)
+        den = math.lcm(*(x.denominator for row in reduced for x in row))
+        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in reduced]
+        coords = tuple(tuple(row[j] for row in scaled[: len(base)]) for j in range(nfacets))
+        return base, coords, IntMat.from_rows(row[nfacets:] for row in scaled), den
 
 
 def toric_fiber_data(p: DelzantPolytope) -> ToricFiberData:

@@ -1,5 +1,6 @@
 """The 13 planar classes, catalog ingestion, and the structural filter."""
 
+import pathlib
 import random
 
 import pytest
@@ -15,9 +16,12 @@ from lagmono.classify import (
     ingest_catalog,
     toric_realized_labels,
 )
-from lagmono.errors import NonUnimodularError, NotFiniteError, ParseError, TooLargeError
+from lagmono.cli import run
+from lagmono.errors import NonUnimodularError, NotFiniteError, ParseError
 from lagmono.groups import MatrixGroup
 from lagmono.intlat import IntMat, matrix_order
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestCatalog13:
@@ -189,10 +193,15 @@ class TestEmbedding:
                 )
                 assert composed == images[a @ b]
 
-    def test_cap_enforced(self):
-        group = catalog_n2().group("6ft")
-        with pytest.raises(TooLargeError):
-            embed_symmetric_product(group, (3, 2), cap=5)
+    def test_order_not_dividing_target_order_is_none(self):
+        # Lagrange: B3 (order 48) embeds in none of S4, S3 x S2 and S2^3.
+        signs = [IntMat.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+        perms = [IntMat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), IntMat.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+        b3 = MatrixGroup.from_generators(3, signs + perms)
+        assert b3.order == 48
+        for parts in ((4,), (3, 2), (2, 2, 2)):
+            assert embed_symmetric_product(b3, parts) is None
+        assert embed_symmetric_product(catalog_n2().group("6ft"), (3,)) is None
 
 
 class TestGlOrderFeasible:
@@ -293,3 +302,9 @@ class TestConjectureFilter:
         for name, v in verdicts.items():
             if name not in ruled_out:
                 assert v.status in ("CASE2", "BOTH", "CASE1_NECESSARY")
+
+    def test_rank_four_symmetric_group_matches_golden(self, capsys, monkeypatch):
+        # S4 permuting coordinates: order 24 divides |S5| and |S4 x S2| only.
+        monkeypatch.chdir(ROOT)
+        assert run(["--json", "conjecture", "tests/data/s4.cat"]) == 0
+        assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "conjecture-s4.jsonl").read_text()

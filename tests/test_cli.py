@@ -86,6 +86,12 @@ class TestToric:
         code, _, err = invoke(capsys, "toric", "no-such-file.poly")
         assert code == 3
 
+    def test_malformed_option_value_returns_two(self, capsys):
+        for value in ("0", "x"):
+            code, _, err = invoke(capsys, "toric", str(FIXTURES / "cp2.poly"), "--cap", value)
+            assert code == 2
+            assert "argument --cap" in err
+
     def test_mode_override(self, capsys, tmp_path):
         strip = tmp_path / "strip.poly"
         strip.write_text("dim 2\nmode compact\nfacet 1 0 1\nfacet 0 1 1\nfacet 0 -1 1\n")

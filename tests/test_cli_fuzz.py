@@ -81,10 +81,7 @@ def test_mutated_fixture_exits_cleanly(name, tmp_path_factory):
 
 def exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return run(argv)
-        except SystemExit as exc:
-            return exc.code
+        return run(argv)
 
 
 POLYTOPES = sorted(p.name for p in FIXTURES.glob("*.poly"))

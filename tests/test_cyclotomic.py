@@ -9,6 +9,7 @@ from lagmono.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
+    euler_phi_table,
 )
 
 F = Fraction
@@ -34,6 +35,10 @@ class TestCyclotomicPolynomials:
     def test_degree_is_phi(self):
         for d in range(1, 40):
             assert len(cyclotomic_polynomial(d)) - 1 == euler_phi(d)
+
+    def test_phi_sieve_equals_trial_division(self):
+        assert euler_phi_table(0) == [0]
+        assert euler_phi_table(3000) == [0] + [euler_phi(d) for d in range(1, 3001)]
 
 
 class TestCanonicalForm:

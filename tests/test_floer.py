@@ -21,6 +21,8 @@ from lagmono.floer import (
     BinaryForm,
     CliffordData,
     CliffordElement,
+    Rk1Report,
+    ShearConstraints,
     clifford_constants,
     clifford_mul,
     continuation_solvable,
@@ -331,6 +333,12 @@ class TestRk1Classifier:
         report = rk1_classify(w)
         assert time.perf_counter() - start < 1.0
         assert report.case == "RESIDUAL" and report.shears.kind == "zero"
+
+    def test_degree_240_report_unchanged(self):
+        # The window reaches d = 2 * 241^2 + 2; phi comes from one sieve over it.
+        w = LaurentPolynomial.from_dict(1, {(240,): 1, (-1,): 1})
+        expected = Rk1Report("RESIDUAL", "[[1, 2Z], [0, 1]]", ShearConstraints("zero", (0,)), a=0)
+        assert rk1_classify(w) == expected
 
     def test_residual_with_cyclotomic_derivative(self):
         # x + 1/x scaled by 2: critical points survive but second derivative

@@ -8,14 +8,16 @@ determinant behind ``CyclotomicNumber.norm``, the polynomial divisions
 rank-one cyclotomic factor profile, the divisor scan of the cyclotomic
 canonical form (Galois-fixedness loop, descent matrix and power table), the
 power-table promotion, the Euclidean inverse, the residual-column screen
-of ``floer._bounded_search`` and its pair-by-pair line screen, and the
-block-map search of ``monodromy.symplectic_monodromy``.  They are kept here
-only as oracles.
+of ``floer._bounded_search`` and its pair-by-pair line screen, the
+block-map search of ``monodromy.symplectic_monodromy``, and the word
+expansion and multiplication-table check of
+``classify.embed_symmetric_product``.  They are kept here only as oracles.
 """
 
 import functools
 import itertools
 import math
+import pathlib
 import time
 from fractions import Fraction
 
@@ -41,20 +43,30 @@ from lagmono.floer import (
     _parity_norm,
     _solution_space,
 )
+from lagmono.classify import _symmetric_part_choices, catalog_n2, embed_symmetric_product, ingest_catalog
 from lagmono.errors import SearchTooLargeError
-from lagmono.groups import PermutationGroup, permute_vector
+from lagmono.groups import (
+    MatrixGroup,
+    PermutationGroup,
+    cayley_closure,
+    compose,
+    identity_perm,
+    permute_vector,
+)
 from lagmono.intlat import (
     IntMat,
     LatticeBasis,
     lattice_equal,
+    matrix_order,
     rational_kernel_basis,
     rational_rref,
     solve_rational_system,
 )
-from lagmono.monodromy import coefficient_partition, symplectic_monodromy
+from lagmono.monodromy import symplectic_monodromy
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product
-from lagmono.toric import DelzantPolytope, toric_fiber_data
+from lagmono.toric import DelzantPolytope, coefficient_partition, toric_fiber_data
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Cyc = CyclotomicNumber
 CONDUCTORS = (1, 3, 4, 5, 12)
 
@@ -453,6 +465,64 @@ def old_symplectic_monodromy(data, max_degree=12, max_order=50_000):
     return old_block_map_group(partition, confirmed)
 
 
+def old_embed_symmetric_product(group, parts):
+    """Word expansion of every assignment, then the full multiplication table."""
+    parts = tuple(parts)
+    product_elements = list(
+        itertools.product(*[itertools.permutations(range(p)) for p in parts])
+    )
+    ident_target = tuple(identity_perm(p) for p in parts)
+
+    def target_mul(x, y):
+        return tuple(compose(a, b) for a, b in zip(x, y))
+
+    def target_order(x):
+        k = 1
+        acc = x
+        while acc != ident_target:
+            acc = target_mul(acc, x)
+            k += 1
+        return k
+
+    orders_available = {}
+    for x in product_elements:
+        orders_available.setdefault(target_order(x), []).append(x)
+
+    gens = group.generators()
+    gen_orders = [matrix_order(g, cap=group.order + 1) for g in gens]
+    candidate_lists = []
+    for order in gen_orders:
+        candidates = orders_available.get(order, [])
+        if not candidates:
+            return None
+        candidate_lists.append(candidates)
+
+    words = cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order)
+
+    elements = list(group.elements)
+
+    def check(assignment):
+        image = {}
+        for g in elements:
+            acc = ident_target
+            for idx in words[g]:
+                acc = target_mul(acc, assignment[idx])
+            image[g] = acc
+        if len(set(image.values())) != group.order:
+            return None
+        for a in elements:
+            for b in elements:
+                if target_mul(image[a], image[b]) != image[a @ b]:
+                    return None
+        return tuple((g, image[g]) for g in elements)
+
+    for assignment in itertools.product(*candidate_lists):
+        verified = check(assignment)
+        if verified is not None:
+            return verified
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -827,3 +897,36 @@ class TestSymplecticSearch:
             with pytest.raises(SearchTooLargeError) as exc:
                 search(data, **kwargs)
             assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Embedding into products of symmetric groups
+
+
+def companion(low):
+    """Companion matrix of x^n + low[n-1] x^(n-1) + .. + low[0]."""
+    n = len(low)
+    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -low[i]
+    return IntMat.from_rows(rows)
+
+
+def embedding_cases():
+    """The planar classes, the rank-3 catalog, and cyclic groups of orders 5, 8, 10, 12 in GL(4, Z)."""
+    yield from catalog_n2().entries
+    yield from ingest_catalog((FIXTURES / "rank3_extensions.cat").read_text()).entries
+    # Companions of Phi_5, Phi_8, Phi_10 and Phi_12.
+    for name, low in (("C5", (1, 1, 1, 1)), ("C8", (1, 0, 0, 0)), ("C10", (1, -1, 1, -1)), ("C12", (1, 0, -1, 0))):
+        yield name, MatrixGroup.from_generators(4, [companion(low)])
+
+
+EMBEDDING_CASES = dict(embedding_cases())
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("name", EMBEDDING_CASES)
+    def test_embedding_equals_multiplication_table_search(self, name):
+        group = EMBEDDING_CASES[name]
+        for parts in _symmetric_part_choices(group.dim):
+            assert embed_symmetric_product(group, parts) == old_embed_symmetric_product(group, parts), parts

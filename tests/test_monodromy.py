@@ -5,19 +5,18 @@ import pathlib
 
 import pytest
 
+from lagmono import toric
 from lagmono.cli import run
 from lagmono.groups import PermutationGroup, permute_vector
 from lagmono.intlat import IntMat, LatticeBasis, lattice_equal, matrix_order
 from lagmono.monodromy import (
-    NormalPartition,
-    coefficient_partition,
     hamiltonian_monodromy,
     induced_matrix_group,
     partition_bound_check,
     symplectic_monodromy,
 )
 from lagmono.polytopes import STANDARD_FIXTURES
-from lagmono.toric import toric_fiber_data
+from lagmono.toric import NormalPartition, coefficient_partition, toric_fiber_data
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -191,3 +190,22 @@ class TestProductOfHexagons:
         monkeypatch.chdir(ROOT)
         assert run(["--json", "toric", "tests/data/dp6xdp6.poly"]) == 0
         assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "toric-dp6xdp6.jsonl").read_text()
+
+
+class TestSharedFrame:
+    def test_toric_builds_base_and_partition_once(self, capsys, monkeypatch):
+        calls = {"rational_rref": 0, "coefficient_partition": 0}
+
+        def counted(name):
+            inner = getattr(toric, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(toric, name, counted(name))
+        assert run(["toric", str(ROOT / "fixtures" / "bl2cp2.poly")]) == 0
+        assert calls == {"rational_rref": 1, "coefficient_partition": 1}
