@@ -284,11 +284,12 @@ def embed_symmetric_product(
     """Verified injective homomorphism into S_{p_1} x .. x S_{p_k}.
 
     By Lagrange's theorem there is none unless |G| divides prod p_j!.
-    Otherwise generator images t_s run over order-matched target elements
-    in product order, and each assignment is one walk over G in breadth-first
-    order of the right Cayley graph: every edge g -> g s must satisfy
-    image(g) t_s = image(g s), which makes the map a homomorphism, and no
-    image may repeat, which makes it injective.
+    Otherwise generator images t_s are chosen one at a time among
+    order-matched target elements, in product order, and each choice walks
+    the subgroup generated so far in breadth-first order of its right Cayley
+    graph: every edge g -> g s must satisfy image(g) t_s = image(g s), for a
+    homomorphism, and no image may repeat, for injectivity.  A broken edge
+    cuts every completion of the choices made.
     """
     parts = tuple(parts)
     if math.prod(map(math.factorial, parts)) % group.order:
@@ -308,21 +309,21 @@ def embed_symmetric_product(
         by_order.setdefault(order, []).append(t)
 
     gens = group.generators()
-    candidate_lists = []
-    for g in gens:
-        candidates = by_order.get(matrix_order(g, cap=group.order + 1), [])
-        if not candidates:
-            return None
-        candidate_lists.append(candidates)
+    candidate_lists = [by_order.get(matrix_order(g, cap=group.order + 1), []) for g in gens]
+    if not all(candidate_lists):
+        return None
 
-    walk = list(cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order))
-    position = {g: i for i, g in enumerate(walk)}
-    edges = [[position[g @ s] for s in gens] for g in walk]
+    ident = IntMat.identity(group.dim)
+    walks = [list(cayley_closure(ident, gens[:m], IntMat.__matmul__, group.order)) for m in range(len(gens) + 1)]
+    position = {g: i for i, g in enumerate(walks[-1])}
+    # edges[m]: the Cayley edges of the subgroup generated by gens[:m], in its walk order.
+    edges = [[(position[g], [position[g @ s] for s in gens[:m]]) for g in walk] for m, walk in enumerate(walks)]
 
-    def images(assignment: tuple[Perm, ...]) -> list[Perm] | None:
-        image: list[Perm | None] = [identity] + [None] * (len(walk) - 1)
+    def search(assignment: tuple[Perm, ...]) -> list[Perm] | None:
+        """Images of the first completion of the assignment that embeds G, or None."""
+        image: list[Perm | None] = [identity] + [None] * (len(position) - 1)
         used = {identity}
-        for i, row in enumerate(edges):
+        for i, row in edges[len(assignment)]:
             for j, t in zip(row, assignment):
                 y = compose(image[i], t)
                 if image[j] is None and y not in used:
@@ -330,13 +331,12 @@ def embed_symmetric_product(
                     used.add(y)
                 elif image[j] != y:  # a broken relation, or a repeated image
                     return None
-        return image
+        if len(assignment) == len(gens):
+            return image
+        return next(filter(None, (search(assignment + (t,)) for t in candidate_lists[len(assignment)])), None)
 
-    for assignment in itertools.product(*candidate_lists):
-        image = images(assignment)
-        if image is not None:
-            return tuple((g, split[image[position[g]]]) for g in group.elements)
-    return None
+    image = search(())
+    return None if image is None else tuple((g, split[image[position[g]]]) for g in group.elements)
 
 
 def gl_order_feasible(m: int, k: int) -> bool:

@@ -72,15 +72,22 @@ def divisors(d: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the d-th cyclotomic polynomial, constant term first.
+
+    For d > 1, Phi_d is the product of (1 - x^(d/k))^mu(k) over the
+    squarefree k | d, computed as a power series to degree phi(d).
+    """
     if d < 1:
         raise ValueError("conductor must be positive")
-    # x^d - 1 divided by the cyclotomic polynomials of all proper divisors.
-    poly = [-1] + [0] * (d - 1) + [1]
-    for k in divisors(d)[:-1]:
-        poly, rem = _polydivmod(poly, cyclotomic_polynomial(k))
-        assert not any(rem), "non-exact polynomial division"
-    return tuple(poly)
+    signed = [1]  # mu(k) k for the squarefree divisors k of d
+    for p in prime_divisors(d):
+        signed += [-k * p for k in signed]
+    poly = [1] + [0] * euler_phi(d)
+    for k in signed:  # times 1 - x^m from the top down, or over it from the bottom up
+        m = d // abs(k)
+        for i in range(len(poly) - 1, m - 1, -1) if k > 0 else range(m, len(poly)):
+            poly[i] -= poly[i - m] if k > 0 else -poly[i - m]
+    return tuple(poly) if d > 1 else (-1, 1)
 
 
 def _polydivmod(num: Sequence, den: Sequence) -> tuple[list, list]:

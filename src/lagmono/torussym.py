@@ -16,13 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError, ParseError
 from .groups import MatrixGroup
-from .intlat import IntMat, rational_rank, smith_normal_form
-
-Coord = Fraction
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+from .intlat import IntMat, LatticeBasis, smith_normal_form
 
 
 @dataclass(frozen=True, order=True)
@@ -33,17 +27,14 @@ class TorsionPoint:
 
     @classmethod
     def make(cls, coords: Iterable[Fraction | int]) -> "TorsionPoint":
-        return cls(tuple(_mod1(Fraction(c)) for c in coords))
+        return cls(tuple(Fraction(c) % 1 for c in coords))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
     def order(self) -> int:
-        out = 1
-        for c in self.coords:
-            out = math.lcm(out, c.denominator)
-        return out
+        return math.lcm(*(c.denominator for c in self.coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -78,6 +69,21 @@ class FixedPointSet:
         return self.points
 
 
+def _delta_rows(g: IntMat) -> tuple[tuple[int, ...], ...]:
+    """Rows of g^T - I."""
+    return tuple(tuple(a - (i == j) for j, a in enumerate(row)) for i, row in enumerate(g.transpose().rows))
+
+
+def _fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> FixedPointSet:
+    """All v in (Q/Z)^n with r . v in Z for every row r, from one Smith form."""
+    _, d, v = smith_normal_form(IntMat.from_rows(rows))
+    divisors = [d.rows[i][i] if i < d.nrows else 0 for i in range(n)]
+    torsion_axes = [[Fraction(k, di) for k in range(di)] if di else [Fraction(0)] for di in divisors]
+    reps = sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*torsion_axes))
+    free = tuple(v.column(i) for i, di in enumerate(divisors) if di == 0)
+    return FixedPointSet(n, None, free, tuple(reps)) if free else FixedPointSet(n, tuple(reps))
+
+
 def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
     """All v in (Q/Z)^n with g^T v = v mod 1 for every g in gs.
 
@@ -91,60 +97,45 @@ def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
             raise ValueError("dimension mismatch")
         if abs(g.det()) != 1:
             raise NonUnimodularError(f"matrix {g} is not unimodular")
-    ident = IntMat.identity(n)
-    stacked = []
-    for g in gs:
-        gt = g.transpose()
-        stacked.extend(tuple(a - b for a, b in zip(row, irow)) for row, irow in zip(gt.rows, ident.rows))
-    m = IntMat.from_rows(stacked)
-    _, d, v = smith_normal_form(m)
-    divisors = [d.rows[i][i] if i < d.nrows else 0 for i in range(n)]
-    free = [i for i, di in enumerate(divisors) if di == 0]
-    torsion_axes = [
-        [Fraction(k, di) for k in range(di)] if di != 0 else [Fraction(0)]
-        for di in divisors
-    ]
-    reps = []
-    for combo in itertools.product(*torsion_axes):
-        point = TorsionPoint.make(v.apply(combo))
-        reps.append(point)
-    reps.sort()
-    if free:
-        directions = tuple(v.column(i) for i in free)
-        return FixedPointSet(n, None, free_directions=directions, torsion_reps=tuple(reps))
-    return FixedPointSet(n, tuple(reps))
+    return _fixed_locus(n, [row for g in gs for row in _delta_rows(g)])
 
 
 def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     """Points every admissible monodromy element must fix.
 
-    Union, over subsets S of the group with no common fixed vector
-    (intersection of the 1-eigenspaces trivial, tested by rank over Q), of
-    the common fixed loci of the induced torus automorphisms.  Subsets of
-    size at most dim suffice, and each qualifying locus is finite.
+    A point is forced when some subset S of the group fixes it while S has
+    no common fixed vector.  Fix(S) depends only on L(S), the row lattice of
+    the stacked g^T - I for g in S, which has rank n exactly when S has no
+    common fixed vector; L(S + g) = L(S) + L(g) and L(g^-1) = L(g).  A
+    breadth-first search over canonical LatticeBasis states adds one
+    distinct L(g) per step, skipping a step whose rows are members of the
+    state or that does not raise its rank.  Conjugation by h maps L(S) to
+    L(S) h^T, so the orbit of each new state is marked seen and only the
+    state itself is extended.  The answer unites the Smith-form loci of the
+    seen states of rank n.  It is exact: a subset S of rank n holds a subset,
+    in index order, whose rank rises at each element; the search marks the
+    state of that subset seen, and its locus contains Fix(S).
     """
-    n = group.dim
-    ident = IntMat.identity(n)
-    candidates = group.nonidentity()
-    deltas = {g: [tuple(a - b for a, b in zip(row, irow)) for row, irow in zip(g.rows, ident.rows)] for g in candidates}
-    found: set[TorsionPoint] = set()
-
-    def extend(start: int, chosen: list[IntMat], stacked_rows: list, rank: int):
-        for idx in range(start, len(candidates)):
-            g = candidates[idx]
-            rows = stacked_rows + deltas[g]
-            new_rank = rational_rank(rows)
-            if new_rank == rank:
+    n, gens = group.dim, group.generators()
+    steps = dict.fromkeys(LatticeBasis.from_vectors(n, _delta_rows(g)) for g in group.nonidentity())
+    seen: set[LatticeBasis] = set()
+    queue = [LatticeBasis(n, ())]
+    for state in queue:  # appended to while read, so breadth first
+        for step in steps:
+            if all(map(state.member, step.basis)):
                 continue
-            subset = chosen + [g]
-            if new_rank == n:
-                fixed = monomial_fixed_points(subset)
-                assert fixed.is_finite, "finite-order stack with trivial common 1-eigenspace"
-                found.update(fixed.finite_points())
-            elif len(subset) < n:
-                extend(idx + 1, subset, rows, new_rank)
-
-    extend(0, [], [], 0)
+            joined = LatticeBasis.from_vectors(n, state.basis + step.basis)
+            if joined.rank == state.rank or joined in seen:
+                continue
+            seen.add(joined)
+            orbit = [joined]
+            for lattice in orbit:
+                fresh = {LatticeBasis.from_vectors(n, map(h.apply, lattice.basis)) for h in gens} - seen
+                seen |= fresh
+                orbit += fresh
+            if joined.rank < n:
+                queue.append(joined)
+    found = {p for state in seen if state.rank == n for p in _fixed_locus(n, state.basis).finite_points()}
     return FixedPointSet(n, tuple(sorted(found)))
 
 

@@ -9,9 +9,11 @@ rank-one cyclotomic factor profile, the divisor scan of the cyclotomic
 canonical form (Galois-fixedness loop, descent matrix and power table), the
 power-table promotion, the Euclidean inverse, the residual-column screen
 of ``floer._bounded_search`` and its pair-by-pair line screen, the
-block-map search of ``monodromy.symplectic_monodromy``, and the word
+block-map search of ``monodromy.symplectic_monodromy``, the word
 expansion and multiplication-table check of
-``classify.embed_symmetric_product``.  They are kept here only as oracles.
+``classify.embed_symmetric_product``, the subset enumeration of
+``torussym.forced_critical_points`` and the division builder of
+``cyclotomic.cyclotomic_polynomial``.  They are kept here only as oracles.
 """
 
 import functools
@@ -59,10 +61,12 @@ from lagmono.intlat import (
     lattice_equal,
     matrix_order,
     rational_kernel_basis,
+    rational_rank,
     rational_rref,
     solve_rational_system,
 )
 from lagmono.monodromy import symplectic_monodromy
+from lagmono.torussym import TorsionPoint, forced_critical_points, monomial_fixed_points
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product
 from lagmono.toric import DelzantPolytope, coefficient_partition, toric_fiber_data
 
@@ -523,6 +527,42 @@ def old_embed_symmetric_product(group, parts):
     return None
 
 
+def old_forced_critical_points(group):
+    """Enumeration of subsets, in index order, whose rank rises at each element."""
+    n = group.dim
+    ident = IntMat.identity(n)
+    candidates = group.nonidentity()
+    deltas = {g: [tuple(a - b for a, b in zip(row, irow)) for row, irow in zip(g.rows, ident.rows)] for g in candidates}
+    found = set()
+
+    def extend(start, chosen, stacked_rows, rank):
+        for idx in range(start, len(candidates)):
+            g = candidates[idx]
+            rows = stacked_rows + deltas[g]
+            new_rank = rational_rank(rows)
+            if new_rank == rank:
+                continue
+            subset = chosen + [g]
+            if new_rank == n:
+                fixed = monomial_fixed_points(subset)
+                assert fixed.is_finite
+                found.update(fixed.finite_points())
+            elif len(subset) < n:
+                extend(idx + 1, subset, rows, new_rank)
+
+    extend(0, [], [], 0)
+    return tuple(sorted(found))
+
+
+@functools.lru_cache(maxsize=None)
+def old_cyclotomic_polynomial(d):
+    """x^d - 1 divided by the cyclotomic polynomials of all proper divisors of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for k in divisors(d)[:-1]:
+        poly = old_polydiv_exact(poly, list(old_cyclotomic_polynomial(k)))
+    return tuple(poly)
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -748,11 +788,8 @@ class TestDivision:
         assert _polydivmod(image, cyclotomic_polynomial(d))[1] == old_phi_residue(image, d)
 
     def test_cyclotomic_polynomials_equal_old_construction(self):
-        for d in range(1, 61):
-            poly = [-1] + [0] * (d - 1) + [1]
-            for k in [k for k in range(1, d) if d % k == 0]:
-                poly = old_polydiv_exact(poly, list(cyclotomic_polynomial(k)))
-            assert tuple(poly) == cyclotomic_polynomial(d)
+        for d in range(1, 301):
+            assert cyclotomic_polynomial(d) == old_cyclotomic_polynomial(d), d
 
 
 # ---------------------------------------------------------------------------
@@ -930,3 +967,113 @@ class TestEmbedding:
         group = EMBEDDING_CASES[name]
         for parts in _symmetric_part_choices(group.dim):
             assert embed_symmetric_product(group, parts) == old_embed_symmetric_product(group, parts), parts
+
+
+# ---------------------------------------------------------------------------
+# Forced critical points
+
+
+def signed_permutation(perm, signs):
+    n = len(perm)
+    return IntMat.from_rows([[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)])
+
+
+def diagonal(*entries):
+    return signed_permutation(range(len(entries)), entries)
+
+
+FORCED_HEAVY_CASES = {
+    "B3": MatrixGroup.from_generators(3, [diagonal(-1, 1, 1), signed_permutation((1, 0, 2), (1,) * 3), signed_permutation((1, 2, 0), (1,) * 3)]),
+    "S4": MatrixGroup.from_generators(4, [signed_permutation((1, 0, 2, 3), (1,) * 4), signed_permutation((1, 2, 3, 0), (1,) * 4)]),
+    "signs4": MatrixGroup.from_generators(4, [diagonal(*(-1 if i == j else 1 for i in range(4))) for j in range(4)]),
+}
+
+
+@st.composite
+def unimodular_pairs(draw, n):
+    """(u, u^-1) for a signed permutation followed by up to three elementary shears."""
+    perm = draw(st.permutations(range(n)))
+    u = signed_permutation(perm, draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    u_inv = u.transpose()
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = draw(st.sampled_from((1, -1)))
+        shear = [[int(r == col) for col in range(n)] for r in range(n)]
+        inverse = [row[:] for row in shear]
+        shear[i][j], inverse[i][j] = c, -c
+        u, u_inv = u @ IntMat.from_rows(shear), IntMat.from_rows(inverse) @ u_inv
+    return u, u_inv
+
+
+def block_sum(a, b):
+    """The block-diagonal matrix diag(a, b)."""
+    n, m = a.nrows, b.nrows
+    return IntMat.from_rows([list(r) + [0] * m for r in a.rows] + [[0] * n + list(r) for r in b.rows])
+
+
+# Groups whose small subgroups feed the stabiliser brute force.
+SMALL_GROUP_AMBIENTS = [
+    catalog_n2().group("4ft"),
+    catalog_n2().group("6ft"),
+    FORCED_HEAVY_CASES["B3"],
+    MatrixGroup.from_generators(3, [block_sum(g, IntMat.identity(1)) for g in catalog_n2().group("6ft").generators()] + [-IntMat.identity(3)]),
+    *(group for _, group in ingest_catalog((FIXTURES / "rank3_extensions.cat").read_text()).entries),
+]
+
+
+@st.composite
+def small_groups(draw):
+    """A subgroup of order at most 12 of an ambient group, under a unimodular conjugation."""
+    ambient = draw(st.sampled_from(SMALL_GROUP_AMBIENTS))
+    gens = draw(st.lists(st.sampled_from(ambient.elements), min_size=1, max_size=3))
+    group = MatrixGroup.from_generators(ambient.dim, gens)
+    if group.order > 12:
+        group = MatrixGroup.from_generators(ambient.dim, gens[:1])
+    return group.conjugate(*draw(unimodular_pairs(ambient.dim)))
+
+
+def stabiliser_forced_points(group):
+    """Points p of the (1/|G|)-grid whose stabiliser in G has no common fixed vector.
+
+    Every forced point lies on this grid: H = Stab_G(p) has no fixed vector,
+    so the sum of h^T over h in H is zero, and |H| p, hence |G| p, is integral.
+    """
+    n, order = group.dim, group.order
+    ident = IntMat.identity(n)
+    transposes = [g.transpose() for g in group.elements]
+    no_fixed_vector = {}
+    out = []
+    for k in itertools.product(range(order), repeat=n):
+        stab = tuple(i for i, t in enumerate(transposes) if all((a - b) % order == 0 for a, b in zip(t.apply(k), k)))
+        if stab not in no_fixed_vector:
+            rows = [[a - b for a, b in zip(r, e)] for i in stab for r, e in zip(group.elements[i].rows, ident.rows)]
+            no_fixed_vector[stab] = rational_rank(rows) == n
+        if no_fixed_vector[stab]:
+            out.append(TorsionPoint.make(Fraction(x, order) for x in k))
+    return tuple(sorted(out))
+
+
+def assert_forced_equals_subset_enumeration(group, u_pair):
+    conjugate = group.conjugate(*u_pair)
+    assert forced_critical_points(conjugate).finite_points() == old_forced_critical_points(conjugate)
+
+
+class TestForcedCriticalPoints:
+    @pytest.mark.parametrize("name", EMBEDDING_CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_lattice_search_equals_subset_enumeration(self, name, data):
+        group = EMBEDDING_CASES[name]
+        assert_forced_equals_subset_enumeration(group, data.draw(unimodular_pairs(group.dim)))
+
+    @pytest.mark.parametrize("name", FORCED_HEAVY_CASES)
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_rank_three_and_four_groups_equal_subset_enumeration(self, name, data):
+        group = FORCED_HEAVY_CASES[name]
+        assert_forced_equals_subset_enumeration(group, data.draw(unimodular_pairs(group.dim)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups())
+    def test_forced_points_equal_stabiliser_brute_force(self, group):
+        assert forced_critical_points(group).finite_points() == stabiliser_forced_points(group)

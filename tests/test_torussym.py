@@ -1,6 +1,8 @@
 """Torsion fixed points of monomial automorphisms and the admissibility filter."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,6 +152,30 @@ class TestForcedCriticalPoints:
             forced = set(forced_critical_points(group).finite_points())
             for g in group:
                 assert {act(g, p) for p in forced} == forced
+
+
+def signed_permutation_group(n):
+    """B_n: every signed permutation matrix, from a sign change, a transposition and an n-cycle."""
+    def perm(p):
+        return IntMat.from_rows([[int(p[i] == j) for j in range(n)] for i in range(n)])
+
+    sign = IntMat.from_rows([[(-1 if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)])
+    return MatrixGroup.from_generators(n, [sign, perm([1, 0, *range(2, n)]), perm([*range(1, n), 0])])
+
+
+class TestRankFourWall:
+    def test_b4_forces_the_half_points(self):
+        b4 = signed_permutation_group(4)
+        assert b4.order == 384
+        start = time.perf_counter()
+        forced = forced_critical_points(b4).finite_points()
+        elapsed = time.perf_counter() - start
+        assert forced == tuple(sorted(pt(*c) for c in itertools.product((0, F(1, 2)), repeat=4)))
+        sign_changes = [IntMat.from_rows([[(-1 if i == k else 1) * (i == j) for j in range(4)] for i in range(4)]) for k in range(4)]
+        signs = MatrixGroup.from_generators(4, sign_changes)
+        assert signs.order == 16
+        assert set(forced_critical_points(signs).finite_points()) <= set(forced)
+        assert elapsed < 10, f"B4 forced points took {elapsed:.1f} s"
 
 
 class TestAdmissibleGroup:
