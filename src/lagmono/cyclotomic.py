@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlat import IntMat, solve_rational_system
+from .intlat import IntMat, bareiss_solve
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -188,6 +188,14 @@ class CyclotomicNumber:
         return cls(d, tuple(coeffs))
 
     @classmethod
+    def _canonical(cls, d: int, coeffs: tuple[Fraction, ...]) -> "CyclotomicNumber":
+        """The value with these coefficients, which must already be canonical at conductor d."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "conductor", d)
+        object.__setattr__(value, "coeffs", coeffs)
+        return value
+
+    @classmethod
     def zero(cls) -> "CyclotomicNumber":
         return cls.from_rational(0)
 
@@ -226,6 +234,10 @@ class CyclotomicNumber:
 
     def _binary(self, other, op):
         other = _coerce(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other._scaled(op(0, 1))  # y or -y
         if self.conductor == 1 and other.conductor == 1:
             return CyclotomicNumber(1, (op(self.coeffs[0], other.coeffs[0]),))
         d = math.lcm(self.conductor, other.conductor)
@@ -245,18 +257,24 @@ class CyclotomicNumber:
         return _coerce(other) - self
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coeffs))
+        return self._scaled(-1)
+
+    def _scaled(self, q: Fraction | int) -> "CyclotomicNumber":
+        """q times this value, with no reduction: a nonzero multiple keeps the canonical form."""
+        if q == 0:
+            return CyclotomicNumber.zero()
+        if q == 1:
+            return self
+        return CyclotomicNumber._canonical(self.conductor, tuple(q * c for c in self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         other = _coerce(other)
-        if self.conductor == 1 and other.conductor == 1:
-            return CyclotomicNumber(1, (self.coeffs[0] * other.coeffs[0],))
-        if self.conductor == 1:
-            q = self.coeffs[0]
-            return CyclotomicNumber(other.conductor, tuple(q * c for c in other.coeffs))
         if other.conductor == 1:
-            q = other.coeffs[0]
-            return CyclotomicNumber(self.conductor, tuple(q * c for c in self.coeffs))
+            return self._scaled(other.coeffs[0])
+        if self.conductor == 1:
+            return other._scaled(self.coeffs[0])
         d = math.lcm(self.conductor, other.conductor)
         a = self.promoted_coeffs(d)
         b = other.promoted_coeffs(d)
@@ -274,8 +292,10 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         """Field inverse: the x with sum of x_i (s a zeta^i) = 1, times s.
 
-        The columns s a zeta^i are those of ``_scaled_columns``, the matrix
-        whose determinant is the norm; it is invertible for a nonzero value.
+        The columns s a zeta^i are those of ``_scaled_columns``, the integral
+        matrix whose determinant is the norm; it is invertible for a nonzero
+        value, and the fraction-free solve gives D x in integers.  The
+        inverse generates the same field, so it keeps the conductor.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -283,8 +303,8 @@ class CyclotomicNumber:
             return CyclotomicNumber.from_rational(1 / self.coeffs[0])
         scale, cols = self._scaled_columns()
         one = [1] + [0] * (len(cols) - 1)
-        x, _ = solve_rational_system(list(zip(*cols)), one)
-        return CyclotomicNumber(self.conductor, tuple(scale * c for c in x))
+        det, y = bareiss_solve(list(zip(*cols)), one)
+        return CyclotomicNumber._canonical(self.conductor, tuple(Fraction(scale * c, det) for c in y))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()

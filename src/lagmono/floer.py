@@ -5,8 +5,9 @@ a Clifford algebra on two odd generators u, v with u^2 = lam, uv + vu = mu,
 v^2 = nu, where (lam, mu, nu) is -1/2 times the Hessian of the potential.
 Conjugation by an integrally invertible continuation element realises each
 monodromy action; solvability of those conjugation equations over Z[zeta]
-yields divisibility obstructions, derived here directly from the product
-rather than transcribed equation by equation.
+yields divisibility obstructions.  The equations and the norm that decides
+invertibility are the product multiplied out once, in closed form, and every
+continuation element reported is checked against the product itself.
 """
 
 from __future__ import annotations
@@ -176,36 +177,76 @@ def _conjugation_residuals(
     ]
 
 
-def _parity_norm(c: CliffordElement, d: CliffordData, parity: str) -> Cyc | None:
-    """Scalar whose unit-ness decides integral invertibility, if c is scalar-square."""
+def _parity_norm(c: CliffordElement, d: CliffordData, parity: str) -> Cyc:
+    """Scalar whose unit-ness decides integral invertibility: c^2 when odd, c conj(c) when even."""
     if parity == "odd":
-        square = clifford_mul(c, c, d)
-        if not (square.au.is_zero() and square.av.is_zero() and square.auv.is_zero()):
-            return None
-        return square.a0
-    conj = CliffordElement.even(c.a0 + d.mu * c.auv, -c.auv)
-    prod = clifford_mul(c, conj, d)
+        prod = clifford_mul(c, c, d)
+    else:
+        prod = clifford_mul(c, CliffordElement.even(c.a0 + d.mu * c.auv, -c.auv), d)
     assert prod.au.is_zero() and prod.av.is_zero() and prod.auv.is_zero()
     return prod.a0
+
+
+def _norm_form(d: CliffordData, parity: str) -> tuple[Cyc, Cyc, Cyc]:
+    """(A, B, C) with _parity_norm(x1 e1 + x2 e2) = A x1^2 + B x1 x2 + C x2^2.
+
+    The coefficients are central, so (s u + t v)^2 = lam s^2 + mu s t + nu t^2,
+    and (uv)^2 = mu uv - lam nu gives
+    (p + q uv)(p + mu q - q uv) = p^2 + mu p q + lam nu q^2.
+    """
+    if parity == "odd":
+        return d.lam, d.mu, d.nu
+    return Cyc.one(), d.mu, d.lam * d.nu
+
+
+def _form_value(form: tuple[Cyc, Cyc, Cyc], x1, x2) -> Cyc:
+    a, b, c = form
+    return a * (x1 * x1) + b * (x1 * x2) + c * (x2 * x2)
+
+
+def _residual_columns(
+    d: CliffordData, action: IntMat, parity: str
+) -> tuple[list[Cyc], list[Cyc]]:
+    """Coordinates of _conjugation_residuals(e, d, action, parity) for the parity basis e1, e2.
+
+    Each column lists the 1, u, v, uv coordinates of c u - s action(u) c and
+    then of c v - s action(v) c, with s = -1 for odd c in {u, v} and s = 1
+    for even c in {1, uv}.  Multiplied out with vu = mu - uv, u^2 = lam and
+    v^2 = nu, every coordinate is an integer combination of 1, lam, mu, nu
+    read off from action = [[eps1, m], [0, eps2]].
+    """
+    eps1, m, eps2 = _action_images(action)
+    zero = Cyc.zero()
+
+    def comb(k: int, a: int = 0, b: int = 0, c: int = 0) -> Cyc:
+        """k + a lam + b mu + c nu."""
+        total = Cyc.from_rational(k)
+        for coeff, x in ((a, d.lam), (b, d.mu), (c, d.nu)):
+            if coeff:
+                total = total + x * coeff
+        return total
+
+    if parity == "odd":
+        # u u = lam, v u = mu - uv, u v = uv, v v = nu
+        col_u = [comb(0, 1 + eps1, m), zero, zero, comb(-m), comb(0, 0, eps2), zero, zero, comb(1 - eps2)]
+        col_v = [comb(0, 0, 1, m), zero, zero, comb(eps1 - 1), comb(0, 0, 0, 1 + eps2), zero, zero, zero]
+        return col_u, col_v
+    # uv u = mu u - lam v, uv v = nu u, u uv = lam v, v uv = mu v - nu u
+    col_1 = [zero, comb(1 - eps1), comb(-m), zero, zero, zero, comb(1 - eps2), zero]
+    col_uv = [zero, comb(0, 0, 1, m), comb(0, -1 - eps1, -m), zero,
+              zero, comb(0, 0, 0, 1 + eps2), comb(0, 0, -eps2), zero]
+    return col_1, col_uv
 
 
 def _solution_space(d: CliffordData, action: IntMat, parity: str) -> list[tuple[Cyc, Cyc]]:
     """Basis over Q(zeta) of the parity-homogeneous conjugation solutions.
 
     The equations are linear in the coefficient pair (x1, x2) of
-    x1 e1 + x2 e2, so their rows are the residuals of the two parity basis
-    elements e1 and e2, side by side.
+    x1 e1 + x2 e2, so their rows are the residual coordinates of the two
+    parity basis elements e1 and e2, side by side.
     """
-    basis = (
-        [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
-        if parity == "odd"
-        else [CliffordElement.even(1, 0), CliffordElement.even(0, 1)]
-    )
-    cols = []
-    for e in basis:
-        residuals = _conjugation_residuals(e, d, action, parity)
-        cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
-    return [(_cyc(x1), _cyc(x2)) for x1, x2 in rational_kernel_basis(list(zip(*cols)), 2)]
+    rows = list(zip(*_residual_columns(d, action, parity)))
+    return [(_cyc(x1), _cyc(x2)) for x1, x2 in rational_kernel_basis(rows, 2)]
 
 
 def _element_from_pair(pair: tuple[Cyc, Cyc], parity: str) -> CliffordElement:
@@ -226,7 +267,8 @@ def continuation_solvable(
     The element c must be parity-homogeneous with coefficients in the
     cyclotomic integers of the given conductor, invertible with integral
     inverse, and satisfy c a = (-1)^parity action(a) c for a = u, v.  The
-    relations are built from the Clifford product itself.  Divisibility
+    relations and the norm come in closed form from the Clifford product,
+    which checks every witness before it is returned.  Divisibility
     closed forms decide the upper-triangular integer cases; otherwise a
     bounded search over rational-integer coefficient pairs either produces a
     verified witness or the result is reported unknown.
@@ -257,8 +299,8 @@ def continuation_solvable(
     probes = list(solutions)
     if len(solutions) == 2:
         probes.append((solutions[0][0] + solutions[1][0], solutions[0][1] + solutions[1][1]))
-    norms = [_parity_norm(_element_from_pair(pair, parity), d, parity) for pair in probes]
-    if all(n is not None and n.is_zero() for n in norms):
+    form = _norm_form(d, parity)
+    if all(_form_value(form, x1, x2).is_zero() for x1, x2 in probes):
         return ContinuationResult("unsolvable")
     found = _bounded_search(d, action, parity, conductor, search_height, solutions)
     if found is not None:
@@ -274,8 +316,7 @@ def _verify_witness(
     residuals = _conjugation_residuals(c, d, action, parity)
     if not all(r.is_zero() for r in residuals):
         return False
-    norm = _parity_norm(c, d, parity)
-    return norm is not None and norm.is_integral_unit()
+    return _parity_norm(c, d, parity).is_integral_unit()
 
 
 def _shear_closed_form(d: CliffordData, action: IntMat, lam: int, m: int) -> ContinuationResult:
@@ -312,7 +353,9 @@ def _bounded_search(
 
     Every pair solves a two-dimensional space; a one-dimensional space holds
     only the integer points of its line.  Within one height, x1 ascends,
-    then x2.
+    then x2.  A pair is screened by the parity-norm form, and the first one
+    it takes to an integral unit is checked by the Clifford product itself
+    before it is returned.
     """
     if solutions is None:
         solutions = _solution_space(d, action, parity)
@@ -323,10 +366,11 @@ def _bounded_search(
         )
     else:
         points = _line_points(solutions, height)
+    form = _norm_form(d, parity)
     for x1, x2 in points:
-        c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
-        norm = _parity_norm(c, d, parity)
-        if norm is not None and norm.is_integral_unit() and c.is_integral():
+        if _form_value(form, x1, x2).is_integral_unit():
+            c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
+            assert _verify_witness(c, d, action, parity)
             return c
     return None
 

@@ -121,6 +121,15 @@ class _ElementList:
     def _members(self) -> frozenset:
         return frozenset(self.elements)
 
+    @functools.cached_property
+    def _generators(self) -> tuple:
+        """Small generating set found greedily over the sorted element list, once per group.
+
+        ``_cayley`` gives the identity and the product of the subclass.
+        """
+        identity, mul = self._cayley()
+        return _greedy_generators(self.elements, identity, mul)
+
     def __contains__(self, x) -> bool:
         return x in self._members
 
@@ -141,9 +150,12 @@ class PermutationGroup(_ElementList):
     def from_generators(cls, degree: int, gens: Iterable[Perm], cap: int = 10_000_000) -> "PermutationGroup":
         return cls.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose, cap))
 
+    def _cayley(self):
+        return identity_perm(self.degree), compose
+
     def generators(self) -> tuple[Perm, ...]:
         """Small generating set found greedily over the sorted element list."""
-        return _greedy_generators(self.elements, identity_perm(self.degree), compose)
+        return self._generators
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return all(p in other for p in self.elements)
@@ -179,9 +191,12 @@ class MatrixGroup(_ElementList):
         ident = IntMat.identity(self.dim)
         return [g for g in self.elements if g != ident]
 
+    def _cayley(self):
+        return IntMat.identity(self.dim), IntMat.__matmul__
+
     def generators(self) -> tuple[IntMat, ...]:
         """Small generating set found greedily over the sorted element list."""
-        return _greedy_generators(self.elements, IntMat.identity(self.dim), IntMat.__matmul__)
+        return self._generators
 
     def conjugate(self, u: IntMat, u_inv: IntMat) -> "MatrixGroup":
         return MatrixGroup.from_elements(self.dim, [u @ g @ u_inv for g in self.elements])

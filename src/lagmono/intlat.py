@@ -2,9 +2,10 @@
 
 Everything here runs on Python integers and fractions, never floats: Hermite
 and Smith normal forms with unimodular transforms, saturated kernel lattices,
-canonical sublattice comparison, finite matrix order, and one Gauss-Jordan
-elimination (solving, rank, kernels) over Q or any exact field such as
-Q(zeta_d).
+canonical sublattice comparison, finite matrix order, one fraction-free
+Bareiss elimination (determinants and square integral solves), and one
+Gauss-Jordan elimination (solving, rank, kernels) over Q or any exact field
+such as Q(zeta_d).
 """
 
 from __future__ import annotations
@@ -104,27 +105,15 @@ class IntMat:
 
     def det(self) -> int:
         """Determinant by the fraction-free Bareiss elimination."""
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        if n == 0:
+        if self.nrows == 0:
             return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        eliminated = _bareiss([list(r) for r in self.rows])
+        if eliminated is None:
+            return 0
+        sign, m = eliminated
+        return sign * m[-1][-1]
 
     def is_identity(self) -> bool:
         return self == IntMat.identity(self.nrows) if self.nrows == self.ncols else False
@@ -354,6 +343,51 @@ def matrix_order(g: IntMat, cap: int | None = None) -> int | None:
     for _ in range(k - 1):
         power = power @ g
     return k if power == ident else None
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, list[list[int]]] | None:
+    """Fraction-free elimination of the n x n block of an n-row integer matrix, in place.
+
+    Columns past the n-th, such as right-hand sides, are carried along.
+    Returns (the sign of the row swaps, the matrix, now upper triangular on
+    the block, with the block's determinant times that sign in its last
+    pivot), or None when the block is singular.
+    """
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return None
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign, m
+
+
+def bareiss_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]] | None:
+    """(D, y) with a y = D b in integers, D = +-det(a), for a square a; None when a is singular.
+
+    By Cramer's rule each D x_k of the solution x is an integer, so the
+    back substitution over the eliminated rows divides exactly.
+    """
+    eliminated = _bareiss([list(r) + [v] for r, v in zip(a, b)])
+    if eliminated is None:
+        return None
+    _, m = eliminated
+    n = len(m)
+    det = m[-1][n - 1]
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        total = det * m[k][n] - sum(m[k][j] * y[j] for j in range(k + 1, n))
+        y[k] = total // m[k][k]
+    return det, y
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lagmono import groups
 from lagmono.errors import NotFiniteError
 from lagmono.groups import (
     MatrixGroup,
@@ -137,3 +138,30 @@ def test_infinite_group_refused_at_once(gens):
     with pytest.raises(NotFiniteError, match="infinite"):
         MatrixGroup.from_generators(2, [IntMat.from_rows(g) for g in gens])
     assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PermutationGroup.from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+        lambda: MatrixGroup.from_generators(
+            3, [IntMat.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), IntMat.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+        ),
+    ],
+    ids=["S4", "signed-cyclic-3"],
+)
+def test_generators_are_found_once_per_group(make, monkeypatch):
+    group = make()
+    calls = []
+    original = groups.cayley_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "cayley_closure", counted)
+    first = group.generators()
+    assert calls
+    made = len(calls)
+    assert group.generators() is first
+    assert len(calls) == made

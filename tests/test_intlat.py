@@ -9,6 +9,7 @@ from lagmono.errors import NonUnimodularError
 from lagmono.intlat import (
     IntMat,
     LatticeBasis,
+    bareiss_solve,
     hermite_normal_form,
     kernel_lattice,
     lattice_equal,
@@ -256,3 +257,48 @@ class TestMatrixOrder:
         nk = matrix_order(gk)
         assert n is not None and nk is not None
         assert (nk * k) % n == 0
+
+
+square_systems = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    )
+)
+
+
+def laplace_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+class TestBareiss:
+    @settings(max_examples=150, deadline=None)
+    @given(square_systems)
+    def test_det_equals_cofactor_expansion(self, system):
+        a, _ = system
+        assert IntMat.from_rows(a).det() == laplace_det(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_systems)
+    def test_solve_equals_fraction_solve(self, system):
+        a, b = system
+        solved = bareiss_solve(a, b)
+        det = laplace_det(a)
+        if det == 0:
+            assert solved is None
+            return
+        d, y = solved
+        assert abs(d) == abs(det)
+        assert [sum(x * v for x, v in zip(r, y)) for r in a] == [d * v for v in b]
+        particular, kernel = solve_rational_system(a, b)
+        assert not kernel and particular == [Fraction(v, d) for v in y]
+
+    def test_singular_and_pivoting_cases(self):
+        assert bareiss_solve([[1, 2], [2, 4]], [1, 0]) is None
+        assert bareiss_solve([[0, 1], [1, 0]], [3, 5]) == (1, [5, 3])

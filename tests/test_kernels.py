@@ -7,8 +7,9 @@ determinant behind ``CyclotomicNumber.norm``, the polynomial divisions
 ``floer._try_divide``, the Phi_d reduction loop of ``laurent._vanishes``, the
 rank-one cyclotomic factor profile, the divisor scan of the cyclotomic
 canonical form (Galois-fixedness loop, descent matrix and power table), the
-power-table promotion, the Euclidean inverse, the residual-column screen
-of ``floer._bounded_search`` and its pair-by-pair line screen, the
+power-table promotion, the Euclidean inverse and the Fraction solve that
+replaced it, the Clifford-product residual columns and residual-column
+screen of ``floer._bounded_search`` and its pair-by-pair line screen, the
 block-map search of ``monodromy.symplectic_monodromy``, the word
 expansion and multiplication-table check of
 ``classify.embed_symmetric_product``, the subset enumeration of
@@ -42,7 +43,10 @@ from lagmono.floer import (
     _cyclotomic_factor_profile,
     _element_from_pair,
     _line_points,
+    _form_value,
+    _norm_form,
     _parity_norm,
+    _residual_columns,
     _solution_space,
 )
 from lagmono.classify import _symmetric_part_choices, catalog_n2, embed_symmetric_product, ingest_catalog
@@ -109,7 +113,8 @@ def old_kernel_pairs(rows):
     return out
 
 
-def old_solution_space(d, action, parity):
+def old_residual_columns(d, action, parity):
+    """The residual coordinates of the two parity basis elements, by Clifford products."""
     basis = (
         [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
         if parity == "odd"
@@ -119,7 +124,11 @@ def old_solution_space(d, action, parity):
     for e in basis:
         residuals = _conjugation_residuals(e, d, action, parity)
         cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
-    return old_kernel_pairs(list(zip(*cols)))
+    return cols
+
+
+def old_solution_space(d, action, parity):
+    return old_kernel_pairs(list(zip(*old_residual_columns(d, action, parity))))
 
 
 def old_det_fraction(rows):
@@ -363,17 +372,23 @@ def old_inverse(x):
     return Cyc(d, tuple(_polymod([c / lead for c in s1], d)))
 
 
+def old_solve_inverse(x):
+    """Field inverse by the Fraction Gauss-Jordan solve of the scaled multiplication matrix."""
+    if x.is_rational():
+        return Cyc.from_rational(1 / x.coeffs[0])
+    scale, cols = x._scaled_columns()
+    one = [1] + [0] * (len(cols) - 1)
+    solution, _ = solve_rational_system(list(zip(*cols)), one)
+    return Cyc(x.conductor, tuple(scale * c for c in solution))
+
+
 def old_bounded_search(d, action, parity, height):
-    """Bounded search screening each pair by its combination of the residual columns."""
-    basis = (
-        [CliffordElement.odd(1, 0), CliffordElement.odd(0, 1)]
-        if parity == "odd"
-        else [CliffordElement.even(1, 0), CliffordElement.even(0, 1)]
-    )
-    cols = []
-    for e in basis:
-        residuals = _conjugation_residuals(e, d, action, parity)
-        cols.append([r for res in residuals for r in (res.a0, res.au, res.av, res.auv)])
+    """Bounded search screening each pair by its combination of the residual columns.
+
+    Each pair's norm is the Clifford product of its element with itself or
+    its conjugate.
+    """
+    cols = old_residual_columns(d, action, parity)
     for h in range(0, height + 1):
         ring = range(-h, h + 1)
         for x1 in ring:
@@ -849,9 +864,80 @@ class TestCanonicalForm:
             return
         assert x.inverse() == old_inverse(x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(cyclotomics(conductors=tuple(range(1, 31)) + (35, 36), denominators=(1, 2, 3, 6)))
+    def test_inverse_equals_fraction_solve(self, x):
+        if x.is_zero():
+            return
+        inverse = x.inverse()
+        assert inverse == old_solve_inverse(x)
+        assert x * inverse == Cyc.one()
+        # The fast constructor must leave the same canonical form as the full one.
+        assert inverse == Cyc(inverse.conductor, inverse.coeffs)
+
+
+class TestRationalScaling:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cyclotomics(conductors=tuple(range(1, 31)), denominators=(1, 2, 3)),
+        st.sampled_from((0, 1, -1, 2, -3, Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4))),
+    )
+    def test_scaling_equals_canonicalising_constructor(self, x, q):
+        expected = Cyc(x.conductor, tuple(q * c for c in x.coeffs))
+        assert x * q == expected
+        assert q * x == expected
+        assert x * Cyc.from_rational(q) == expected
+        assert Cyc.from_rational(q) * x == expected
+        assert -x == Cyc(x.conductor, tuple(-c for c in x.coeffs))
+        assert (x * q).conductor == (x.conductor if q else 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cyclotomics(), cyclotomics())
+    def test_sum_with_zero_is_unchanged(self, x, y):
+        zero = Cyc.zero()
+        assert x + zero == x and zero + x == x and x - zero == x
+        assert zero - x == -x == Cyc(x.conductor, tuple(-c for c in x.coeffs))
+        assert (x + y) - y == x
+
 
 # ---------------------------------------------------------------------------
 # Continuation search
+
+
+unit_diagonal_actions = st.builds(
+    lambda eps1, m, eps2: IntMat.from_rows([[eps1, m], [0, eps2]]),
+    st.sampled_from((1, -1)),
+    st.integers(-4, 4),
+    st.sampled_from((1, -1)),
+)
+parities = st.sampled_from(("even", "odd"))
+
+
+class TestClosedForms:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(cyclotomics(), min_size=3, max_size=3), unit_diagonal_actions, parities)
+    def test_residual_columns_equal_clifford_products(self, constants, action, parity):
+        data = CliffordData(*constants)
+        assert list(_residual_columns(data, action, parity)) == old_residual_columns(data, action, parity)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(cyclotomics(), min_size=3, max_size=3),
+        cyclotomics(denominators=(1, 2)),
+        cyclotomics(denominators=(1, 3)),
+        parities,
+    )
+    def test_norm_form_equals_clifford_product(self, constants, x1, x2, parity):
+        data = CliffordData(*constants)
+        c = _element_from_pair((x1, x2), parity)
+        assert _form_value(_norm_form(data, parity), x1, x2) == _parity_norm(c, data, parity)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(cyclotomics(), min_size=3, max_size=3), st.integers(-6, 6), st.integers(-6, 6), parities)
+    def test_norm_form_on_integer_pairs(self, constants, x1, x2, parity):
+        data = CliffordData(*constants)
+        c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
+        assert _form_value(_norm_form(data, parity), x1, x2) == _parity_norm(c, data, parity)
 
 
 class TestBoundedSearch:
