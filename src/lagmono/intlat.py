@@ -3,7 +3,8 @@
 Everything here runs on Python integers and fractions, never floats: Hermite
 and Smith normal forms with unimodular transforms, saturated kernel lattices,
 canonical sublattice comparison, finite matrix order, one fraction-free
-Bareiss elimination (determinants and square integral solves), and one
+Bareiss elimination (determinants, square integral solves and the reduced
+row echelon form scaled to integers), and one
 Gauss-Jordan elimination (solving, rank, kernels) over Q or any exact field
 such as Q(zeta_d).
 """
@@ -109,10 +110,10 @@ class IntMat:
             raise ValueError("determinant of non-square matrix")
         if self.nrows == 0:
             return 1
-        eliminated = _bareiss([list(r) for r in self.rows])
-        if eliminated is None:
+        m = [list(r) for r in self.rows]
+        sign, pivots = _bareiss(m)
+        if len(pivots) < self.nrows:
             return 0
-        sign, m = eliminated
         return sign * m[-1][-1]
 
     def is_identity(self) -> bool:
@@ -345,49 +346,82 @@ def matrix_order(g: IntMat, cap: int | None = None) -> int | None:
     return k if power == ident else None
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, list[list[int]]] | None:
-    """Fraction-free elimination of the n x n block of an n-row integer matrix, in place.
+def _bareiss(m: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free elimination of an integer matrix, in place.
 
-    Columns past the n-th, such as right-hand sides, are carried along.
-    Returns (the sign of the row swaps, the matrix, now upper triangular on
-    the block, with the block's determinant times that sign in its last
-    pivot), or None when the block is singular.
+    Forward elimination steps through the columns in order and skips a
+    column with no nonzero entry at or below the current row; then every
+    non-pivot column is back-substituted.  Afterwards each non-pivot column
+    holds D times that column of the reduced row echelon form, where D, the
+    last pivot, is the determinant of the pivot columns on the top rows
+    after the swaps.  The pivot columns keep the eliminated triangle.  By
+    Cramer's rule D times each reduced entry is an integer, so every
+    division is exact.  Returns (the sign of the row swaps, the pivot
+    columns).
     """
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return None
-            m[k], m[pivot] = m[pivot], m[k]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    sign, prev, pivots, free = 1, 1, [], []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            free.extend(range(c, ncols))
+            break
+        row = m[r]
+        if row[c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if m[i][c] != 0), None)
+            if swap is None:
+                free.append(c)
+                continue
+            m[r], m[swap] = m[swap], row
+            row = m[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(m[i])):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign, m
+        pivot = row[c]
+        for i in range(r + 1, nrows):
+            other = m[i]
+            f = other[c]
+            for j in range(c + 1, ncols):
+                other[j] = (other[j] * pivot - f * row[j]) // prev
+            other[c] = 0
+        prev = pivot
+        pivots.append(c)
+    rank = len(pivots)
+    for k in range(rank - 1 if free else -1, -1, -1):
+        row = m[k]
+        below = [(row[pivots[l]], m[l]) for l in range(k + 1, rank)]
+        for j in free:
+            total = prev * row[j]
+            for a, other in below:
+                total -= a * other[j]
+            row[j] = total // row[pivots[k]]
+    return sign, pivots
 
 
 def bareiss_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]] | None:
-    """(D, y) with a y = D b in integers, D = +-det(a), for a square a; None when a is singular.
-
-    By Cramer's rule each D x_k of the solution x is an integer, so the
-    back substitution over the eliminated rows divides exactly.
-    """
-    eliminated = _bareiss([list(r) + [v] for r, v in zip(a, b)])
-    if eliminated is None:
-        return None
-    _, m = eliminated
+    """(D, y) with a y = D b in integers, D = +-det(a), for a square a; None when a is singular."""
+    m = [list(r) + [v] for r, v in zip(a, b)]
     n = len(m)
-    det = m[-1][n - 1]
-    y = [0] * n
-    for k in range(n - 1, -1, -1):
-        total = det * m[k][n] - sum(m[k][j] * y[j] for j in range(k + 1, n))
-        y[k] = total // m[k][k]
-    return det, y
+    _, pivots = _bareiss(m)
+    if pivots != list(range(n)):
+        return None
+    return m[-1][n - 1], [row[n] for row in m]
+
+
+def integer_rref(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]]]:
+    """(D, pivot columns, R) with R = D times the reduced row echelon form of rows, D > 0.
+
+    One fraction-free elimination with no Fraction: D is the absolute
+    determinant of the pivot columns' leading block, a common denominator
+    of the reduced form though not always the least.
+    """
+    m = [list(r) for r in rows]
+    _, pivots = _bareiss(m)
+    den = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for k, row in enumerate(m[: len(pivots)]):
+        for l, c in enumerate(pivots):
+            row[c] = den if k == l else 0
+    if den < 0:
+        den, m = -den, [[-x for x in r] for r in m]
+    return den, pivots, m
 
 
 # ---------------------------------------------------------------------------

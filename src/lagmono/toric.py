@@ -2,18 +2,22 @@
 
 A polytope is the set of x with <x, nu_j> >= -lambda_j for primitive integer
 normals nu_j and rational offsets lambda_j.  Validation enumerates vertices
-exactly over Q and checks simplicity, smoothness, non-redundancy and the
-mode-specific condition (compactness, or existence of a vertex).  The
-monotone fibre sits over the point where all offsets agree; its data are the
-relation lattice of the normals, the potential summing one monomial per
-facet, and, computed once per fibre, the coefficient partition of the normals
-and a base among them.
+in integers: each n-subset of facets is solved by one fraction-free
+elimination, and feasibility and activity are integer sign tests.  It then
+checks simplicity, smoothness, non-redundancy and the mode-specific
+condition: compactness, decided by counting the vertices on each edge, or
+existence of a vertex.  The monotone fibre sits over the point where all
+offsets agree; its data are the relation lattice of the normals, the
+potential summing one monomial per facet, and, computed once per fibre, the
+coefficient partition of the normals and a base among them, found by one
+fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,11 +28,12 @@ from .errors import NotMonotoneError, ParseError
 from .intlat import (
     IntMat,
     LatticeBasis,
+    bareiss_solve,
     dot,
+    integer_rref,
     kernel_lattice,
     primitive_vector,
     rational_kernel_basis,
-    rational_rref,
     solve_rational_system,
     vec_gcd,
 )
@@ -94,37 +99,42 @@ class ValidationReport:
 
 
 def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
-    """All vertices as exact rational points with their active facet sets."""
+    """All vertices as exact rational points with their active facet sets, sorted by point.
+
+    With the offsets scaled by their common denominator L to integers l_j,
+    the vertex of an independent n-subset of facets solves A x = -l / L.
+    ``bareiss_solve`` gives (D, y) with A y = -D l, so x = y / (D L); with
+    D made positive, x is feasible exactly when <y, nu_j> + l_j D >= 0 for
+    every facet j, and facet j is active exactly when equality holds.  Only
+    a kept vertex becomes a Fraction point.
+    """
     n, N = p.dim, p.nfacets
-    points: dict[tuple[Fraction, ...], None] = {}
+    scale = math.lcm(*(o.denominator for o in p.offsets))
+    levels = [o.numerator * (scale // o.denominator) for o in p.offsets]
+    facets = list(zip(p.normals, levels))
+    found: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for subset in itertools.combinations(range(N), n):
-        rows = [list(p.normals[j]) for j in subset]
-        rhs = [-p.offsets[j] for j in subset]
-        solved = solve_rational_system(rows, rhs)
+        solved = bareiss_solve([p.normals[j] for j in subset], [-levels[j] for j in subset])
         if solved is None:
             continue
-        point, kernel = solved
-        if kernel:
+        d, y = solved
+        if d < 0:
+            d, y = -d, [-x for x in y]
+        slack = [dot(y, nu) + level * d for nu, level in facets]
+        if min(slack) < 0:
             continue
-        if all(dot(point, p.normals[j]) >= -p.offsets[j] for j in range(N)):
-            points.setdefault(tuple(point), None)
-    out = []
-    for point in sorted(points):
-        active = tuple(
-            j for j in range(N) if dot(point, p.normals[j]) == -p.offsets[j]
-        )
-        out.append(Vertex(point, active))
-    return out
+        active = tuple(j for j, s in enumerate(slack) if s == 0)
+        if active not in found:
+            found[active] = tuple(Fraction(x, d * scale) for x in y)
+    return [Vertex(point, active) for active, point in sorted(found.items(), key=lambda item: item[1])]
 
 
 def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
     """A nonzero integer direction staying inside the polytope, if one exists."""
     n, N = p.dim, p.nfacets
-    kernel = rational_kernel_basis([list(nu) for nu in p.normals], n)
-    if kernel:
-        return primitive_vector(kernel[0])
-    # The recession cone is pointed; it is nonzero exactly when it has an
-    # extreme ray, spanned by the kernel of some n-1 independent normals.
+    # Called only once a vertex exists, so the normals span, the recession
+    # cone is pointed, and it is nonzero exactly when it has an extreme ray,
+    # spanned by the kernel of some n-1 independent normals.
     for subset in itertools.combinations(range(N), n - 1):
         kernel = rational_kernel_basis([list(p.normals[j]) for j in subset], n)
         if len(kernel) != 1:
@@ -137,7 +147,18 @@ def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
 
 
 def validate_delzant(p: DelzantPolytope) -> ValidationReport:
-    """Check the smooth-polytope conditions, reporting the first failure."""
+    """Check the smooth-polytope conditions, reporting the first failure.
+
+    The checks run in order: primitive and distinct normals, at least n
+    facets, a vertex, then simplicity, smoothness and non-redundancy at
+    every vertex, and in compact mode compactness.  Vertices come from the
+    integer enumeration of ``_enumerate_vertices``.  Once every vertex is
+    simple and there is one, the polytope is bounded exactly when each edge
+    has two ends.  The edge at vertex v leaving facet j is cut out by the
+    n - 1 facets of v.active other than j, so each such set must be shared
+    by exactly two vertices; an unbounded edge has only one end.  Only then
+    does ``_recession_ray`` look for the direction that the refusal names.
+    """
     warnings = ()
     if p.mode is Mode.VERTEX_REQUIRED:
         warnings = ("UNCHECKED_TOPOLOGY: vertex mode only checks for a vertex",)
@@ -189,12 +210,12 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
                 warnings=warnings,
             )
     if p.mode is Mode.COMPACT:
-        ray = _recession_ray(p)
-        if ray is not None:
+        edges = Counter(v.active[:k] + v.active[k + 1 :] for v in vertices for k in range(p.dim))
+        if any(count != 2 for count in edges.values()):
             return ValidationReport(
                 False,
                 "NOT_COMPACT",
-                f"unbounded along direction {ray}",
+                f"unbounded along direction {_recession_ray(p)}",
                 vertices=vertices,
                 warnings=warnings,
             )
@@ -288,20 +309,19 @@ class ToricFiberData:
 
     @cached_property
     def normal_base(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], IntMat, int]:
-        """A base among the normals: the pivots of one row reduction of (normals as columns | identity).
+        """A base among the normals: the pivots of one fraction-free reduction of (normals as columns | identity).
 
         Returns the base indices, every normal's coordinates over the base,
-        the base matrix's inverse when the normals span, and their common
-        denominator.
+        the base matrix's inverse when the normals span, all scaled to
+        integers, and the positive common denominator they share (not always
+        the least one).
         """
         normals, dim = self.polytope.normals, self.polytope.dim
         nfacets = len(normals)
-        reduced, pivots = rational_rref(
+        den, pivots, scaled = integer_rref(
             [[nu[i] for nu in normals] + [int(i == j) for j in range(dim)] for i in range(dim)]
         )
         base = tuple(p for p in pivots if p < nfacets)
-        den = math.lcm(*(x.denominator for row in reduced for x in row))
-        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in reduced]
         coords = tuple(tuple(row[j] for row in scaled[: len(base)]) for j in range(nfacets))
         return base, coords, IntMat.from_rows(row[nfacets:] for row in scaled), den
 

@@ -2,7 +2,8 @@
 
 The text goldens live in perfbench/expected/golden/ and are only read here;
 the --json goldens live in tests/golden/, as do the answers of
-``continuation_solvable`` on the committed continuation cases.
+``continuation_solvable`` on the committed continuation cases and both forms
+of the NOT_COMPACT refusal of ``toric --mode compact`` on three fixtures.
 """
 
 import json
@@ -47,6 +48,13 @@ def readme_commands():
     ]
 
 
+# toric in compact mode on the non-compact fixtures, pinning the refusal witness.
+REFUSALS = {
+    f"toric-compact-{stem}": ["toric", "--mode", "compact", f"fixtures/{stem}.poly"]
+    for stem in ("c2", "cxcp1", "orthant3")
+}
+
+
 def test_every_readme_command_has_a_golden():
     missing = [argv for argv in readme_commands() if argv not in COMMANDS.values()]
     assert readme_commands() and not missing
@@ -68,6 +76,14 @@ def test_json_output_matches_golden(name, capsys, monkeypatch):
     assert run(["--json", *COMMANDS[name]]) == 0
     golden = JSON_GOLDEN / name.replace(".out", ".jsonl")
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+@pytest.mark.parametrize("json_flag, suffix", [([], ".out"), (["--json"], ".jsonl")])
+def test_refusal_matches_golden(name, json_flag, suffix, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run([*json_flag, *REFUSALS[name]]) == 2
+    assert capsys.readouterr().out == (JSON_GOLDEN / (name + suffix)).read_text()
 
 
 CONTINUATION_CASES = ROOT / "perfbench" / "expected" / "continuation.json"

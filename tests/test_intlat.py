@@ -11,10 +11,12 @@ from lagmono.intlat import (
     LatticeBasis,
     bareiss_solve,
     hermite_normal_form,
+    integer_rref,
     kernel_lattice,
     lattice_equal,
     matrix_order,
     rational_rank,
+    rational_rref,
     smith_normal_form,
     solve_rational_system,
 )
@@ -302,3 +304,13 @@ class TestBareiss:
     def test_singular_and_pivoting_cases(self):
         assert bareiss_solve([[1, 2], [2, 4]], [1, 0]) is None
         assert bareiss_solve([[0, 1], [1, 0]], [3, 5]) == (1, [5, 3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices, st.integers(1, 9))
+    def test_integer_rref_equals_rational_rref(self, rows, bound):
+        # Reducing entries modulo a small bound makes rank-deficient rows and zero columns common.
+        rows = [[x % bound - bound // 2 for x in r] for r in rows]
+        den, pivots, scaled = integer_rref(rows)
+        reduced, rational_pivots = rational_rref(rows)
+        assert den > 0 and pivots == rational_pivots
+        assert [[Fraction(x, den) for x in r] for r in scaled] == reduced

@@ -13,8 +13,12 @@ screen of ``floer._bounded_search`` and its pair-by-pair line screen, the
 block-map search of ``monodromy.symplectic_monodromy``, the word
 expansion and multiplication-table check of
 ``classify.embed_symmetric_product``, the subset enumeration of
-``torussym.forced_critical_points`` and the division builder of
-``cyclotomic.cyclotomic_polynomial``.  They are kept here only as oracles.
+``torussym.forced_critical_points``, the division builder of
+``cyclotomic.cyclotomic_polynomial``, the Fraction vertex enumeration and
+recession-ray compactness test of ``toric.validate_delzant``, the Fraction
+row reduction of ``ToricFiberData.normal_base`` and the square-only Bareiss
+elimination behind ``IntMat.det`` and ``bareiss_solve``.  They are kept here
+only as oracles.
 """
 
 import functools
@@ -25,7 +29,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lagmono.cyclotomic import (
     CyclotomicNumber,
@@ -62,17 +66,30 @@ from lagmono.groups import (
 from lagmono.intlat import (
     IntMat,
     LatticeBasis,
+    bareiss_solve,
+    dot,
     lattice_equal,
     matrix_order,
+    primitive_vector,
     rational_kernel_basis,
     rational_rank,
     rational_rref,
     solve_rational_system,
+    vec_gcd,
 )
 from lagmono.monodromy import symplectic_monodromy
 from lagmono.torussym import TorsionPoint, forced_critical_points, monomial_fixed_points
-from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product
-from lagmono.toric import DelzantPolytope, coefficient_partition, toric_fiber_data
+from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product, projective_space
+from lagmono.toric import (
+    DelzantPolytope,
+    Mode,
+    ValidationReport,
+    Vertex,
+    _fmt_point,
+    coefficient_partition,
+    toric_fiber_data,
+    validate_delzant,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Cyc = CyclotomicNumber
@@ -576,6 +593,138 @@ def old_cyclotomic_polynomial(d):
     for k in divisors(d)[:-1]:
         poly = old_polydiv_exact(poly, list(old_cyclotomic_polynomial(k)))
     return tuple(poly)
+
+
+def old_enumerate_vertices(p):
+    """One Fraction solve per n-subset of facets, then a Fraction feasibility and activity test."""
+    n, N = p.dim, p.nfacets
+    points = {}
+    for subset in itertools.combinations(range(N), n):
+        rows = [list(p.normals[j]) for j in subset]
+        rhs = [-p.offsets[j] for j in subset]
+        solved = solve_rational_system(rows, rhs)
+        if solved is None:
+            continue
+        point, kernel = solved
+        if kernel:
+            continue
+        if all(dot(point, p.normals[j]) >= -p.offsets[j] for j in range(N)):
+            points.setdefault(tuple(point), None)
+    out = []
+    for point in sorted(points):
+        active = tuple(j for j in range(N) if dot(point, p.normals[j]) == -p.offsets[j])
+        out.append(Vertex(point, active))
+    return out
+
+
+def old_recession_ray(p):
+    """The kernel of all normals, else an extreme ray of the recession cone, by Fraction kernels."""
+    n, N = p.dim, p.nfacets
+    kernel = rational_kernel_basis([list(nu) for nu in p.normals], n)
+    if kernel:
+        return primitive_vector(kernel[0])
+    for subset in itertools.combinations(range(N), n - 1):
+        kernel = rational_kernel_basis([list(p.normals[j]) for j in subset], n)
+        if len(kernel) != 1:
+            continue
+        direction = primitive_vector(kernel[0])
+        for candidate in (direction, tuple(-x for x in direction)):
+            if all(dot(candidate, nu) >= 0 for nu in p.normals):
+                return candidate
+    return None
+
+
+def old_validate_delzant(p):
+    """validate_delzant over the Fraction vertex enumeration, with compactness by recession ray."""
+    warnings = ()
+    if p.mode is Mode.VERTEX_REQUIRED:
+        warnings = ("UNCHECKED_TOPOLOGY: vertex mode only checks for a vertex",)
+    for j, nu in enumerate(p.normals):
+        if all(x == 0 for x in nu) or vec_gcd(nu) != 1:
+            return ValidationReport(False, "NON_PRIMITIVE_NORMAL", f"facet {j + 1} normal {nu}", warnings=warnings)
+    if len(set(p.normals)) != p.nfacets:
+        return ValidationReport(False, "DUPLICATE_NORMAL", "repeated facet normal", warnings=warnings)
+    if p.nfacets < p.dim:
+        return ValidationReport(False, "TOO_FEW_FACETS", f"{p.nfacets} facets in dimension {p.dim}", warnings=warnings)
+    vertices = tuple(old_enumerate_vertices(p))
+    if not vertices:
+        code = "NOT_COMPACT" if p.mode is Mode.COMPACT else "NO_VERTEX"
+        return ValidationReport(False, code, "no vertex found", warnings=warnings)
+    for v in vertices:
+        if len(v.active) != p.dim:
+            witness = f"vertex {_fmt_point(v.point)} lies on facets {[j + 1 for j in v.active]}"
+            return ValidationReport(False, "VERTEX_SIMPLICITY", witness, vertices=vertices, warnings=warnings)
+    for v in vertices:
+        det = IntMat.from_rows([p.normals[j] for j in v.active]).det()
+        if abs(det) != 1:
+            witness = f"vertex {_fmt_point(v.point)} has normal determinant {det}"
+            return ValidationReport(False, "VERTEX_SMOOTHNESS", witness, vertices=vertices, warnings=warnings)
+    touched = set(itertools.chain.from_iterable(v.active for v in vertices))
+    for j in range(p.nfacets):
+        if j not in touched:
+            return ValidationReport(
+                False, "REDUNDANT_FACET", f"facet {j + 1} supports no vertex", vertices=vertices, warnings=warnings
+            )
+    if p.mode is Mode.COMPACT:
+        ray = old_recession_ray(p)
+        if ray is not None:
+            return ValidationReport(
+                False, "NOT_COMPACT", f"unbounded along direction {ray}", vertices=vertices, warnings=warnings
+            )
+    return ValidationReport(True, vertices=vertices, warnings=warnings)
+
+
+def old_normal_base(data):
+    """One Fraction row reduction of (normals as columns | identity), scaled by the least common denominator."""
+    normals, dim = data.polytope.normals, data.polytope.dim
+    nfacets = len(normals)
+    reduced, pivots = rational_rref(
+        [[nu[i] for nu in normals] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    )
+    base = tuple(p for p in pivots if p < nfacets)
+    den = math.lcm(*(x.denominator for row in reduced for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in reduced]
+    coords = tuple(tuple(row[j] for row in scaled[: len(base)]) for j in range(nfacets))
+    return base, coords, IntMat.from_rows(row[nfacets:] for row in scaled), den
+
+
+def old_bareiss(m):
+    """Square-block Bareiss elimination that stops at the first column with no pivot."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return None
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign, m
+
+
+def old_det(rows):
+    eliminated = old_bareiss([list(r) for r in rows])
+    return 0 if eliminated is None else eliminated[0] * eliminated[1][-1][-1]
+
+
+def old_bareiss_solve(a, b):
+    eliminated = old_bareiss([list(r) + [v] for r, v in zip(a, b)])
+    if eliminated is None:
+        return None
+    _, m = eliminated
+    n = len(m)
+    det = m[-1][n - 1]
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        total = det * m[k][n] - sum(m[k][j] * y[j] for j in range(k + 1, n))
+        y[k] = total // m[k][k]
+    return det, y
 
 
 # ---------------------------------------------------------------------------
@@ -1163,3 +1312,172 @@ class TestForcedCriticalPoints:
     @given(small_groups())
     def test_forced_points_equal_stabiliser_brute_force(self, group):
         assert forced_critical_points(group).finite_points() == stabiliser_forced_points(group)
+
+
+# ---------------------------------------------------------------------------
+# Delzant validation and the normal base
+
+
+offsets = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+modes = st.sampled_from((Mode.COMPACT, Mode.VERTEX_REQUIRED))
+
+DELZANT_BASES = {
+    **SETWISE_BASES,
+    "cp4": projective_space(4),
+    "cp2xcp2": projective_product((2, 2)),
+    "cp1xcp3": projective_product((1, 3)),
+}
+
+
+@st.composite
+def moved_polytopes(draw, p, mode):
+    """p in the given mode under a unimodular change of basis, a rational translation and a facet shuffle."""
+    n = p.dim
+    u = draw(unimodular_pairs(n))[0] if n > 1 else IntMat.from_rows([[draw(st.sampled_from((1, -1)))]])
+    shift = draw(st.lists(offsets, min_size=n, max_size=n))
+    order = draw(st.permutations(range(p.nfacets)))
+    normals = tuple(u.apply(p.normals[j]) for j in order)
+    return DelzantPolytope(n, normals, tuple(p.offsets[j] + dot(shift, nu) for j, nu in zip(order, normals)), mode)
+
+
+@st.composite
+def moved_fixtures(draw):
+    p = DELZANT_BASES[draw(st.sampled_from(sorted(DELZANT_BASES)))]
+    return draw(moved_polytopes(p, draw(modes)))
+
+
+@st.composite
+def redundant_polytopes(draw):
+    """A fixture plus a facet at its support level or beyond.
+
+    At the support level the facet is weakly redundant: it touches the
+    polytope along a face, whose vertices stop being simple.  Beyond it the
+    facet touches no vertex.
+    """
+    p = DELZANT_BASES[draw(st.sampled_from(sorted(DELZANT_BASES)))]
+    vector = st.tuples(*[st.integers(-2, 2)] * p.dim).filter(lambda v: vec_gcd(v) == 1 and v not in p.normals)
+    nu = draw(vector)
+    support = -min(dot(v.point, nu) for v in old_enumerate_vertices(p))
+    slack = draw(st.sampled_from((0, 0, Fraction(1, 2), 1)))
+    extended = DelzantPolytope(p.dim, p.normals + (nu,), p.offsets + (support + slack,))
+    return draw(moved_polytopes(extended, draw(modes)))
+
+
+@st.composite
+def weighted_simplices(draw):
+    """Normals e_1 .. e_n and -(a_1, .., a_n): non-smooth at a vertex as soon as some a_i > 1."""
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    normals = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [tuple(-a for a in weights)]
+    if vec_gcd(normals[-1]) != 1:
+        normals[-1] = tuple(-1 for _ in weights)
+    p = DelzantPolytope(n, tuple(normals), tuple(draw(st.lists(offsets.filter(lambda o: o > 0), min_size=n + 1, max_size=n + 1))))
+    return draw(moved_polytopes(p, draw(modes)))
+
+
+@st.composite
+def unbounded_products(draw):
+    """A product of lines, rays and segments, in compact mode: strips, orthants, rays and half-strips."""
+    n = draw(st.integers(1, 4))
+    normals, levels = [], []
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        for sign in draw(st.sampled_from(((), (1,), (-1,), (1, -1)))):
+            normals.append(tuple(sign * x for x in e))
+            levels.append(draw(offsets.filter(lambda o: o > 0)))
+    assume(len(normals) >= n)
+    return draw(moved_polytopes(DelzantPolytope(n, tuple(normals), tuple(levels)), Mode.COMPACT))
+
+
+@st.composite
+def random_polytopes(draw):
+    """Primitive normals with entries in [-2, 2] and rational offsets, in dimensions 1 to 4."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: vec_gcd(v) == 1)
+    normals = draw(st.lists(vector, min_size=n, max_size=n + 4, unique=True))
+    levels = draw(st.lists(offsets, min_size=len(normals), max_size=len(normals)))
+    return DelzantPolytope(n, tuple(normals), tuple(levels), draw(modes))
+
+
+def assert_validation_equals_old(p):
+    assert validate_delzant(p) == old_validate_delzant(p), p
+
+
+def fractions_of(rows, den):
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+class TestDelzantValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(moved_fixtures())
+    def test_moved_fixtures_equal_fraction_enumeration(self, p):
+        assert_validation_equals_old(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(redundant_polytopes())
+    def test_redundant_facets_equal_fraction_enumeration(self, p):
+        assert_validation_equals_old(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_simplices())
+    def test_non_smooth_vertices_equal_fraction_enumeration(self, p):
+        assert_validation_equals_old(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(unbounded_products())
+    def test_strips_orthants_and_rays_equal_recession_ray(self, p):
+        assert_validation_equals_old(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_polytopes())
+    def test_random_polytopes_equal_fraction_enumeration(self, p):
+        assert_validation_equals_old(p)
+
+    @pytest.mark.parametrize(
+        "dim, normals, levels, mode, failure",
+        [
+            (2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)), (1, 1, 1, 1, 2), Mode.COMPACT, "VERTEX_SIMPLICITY"),
+            (2, ((1, 0), (0, 1), (-1, -2)), (1, 1, 1), Mode.COMPACT, "VERTEX_SMOOTHNESS"),
+            (2, ((1, 0), (0, 1), (0, -1)), (1, 1, 1), Mode.COMPACT, "NOT_COMPACT"),
+            (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1), Mode.COMPACT, "NOT_COMPACT"),
+            (2, ((1, 0), (-1, 0)), (1, 1), Mode.COMPACT, "NOT_COMPACT"),
+            (2, ((1, 0), (-1, 0)), (1, 1), Mode.VERTEX_REQUIRED, "NO_VERTEX"),
+            (1, ((1,),), (Fraction(1, 2),), Mode.COMPACT, "NOT_COMPACT"),
+            (1, ((1,), (-1,)), (Fraction(1, 2), Fraction(2, 3)), Mode.COMPACT, None),
+            (2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)), (1, 1, 1, 1, 5), Mode.COMPACT, "REDUNDANT_FACET"),
+        ],
+    )
+    def test_each_outcome_equals_fraction_enumeration(self, dim, normals, levels, mode, failure):
+        p = DelzantPolytope(dim, normals, levels, mode)
+        report = validate_delzant(p)
+        assert report == old_validate_delzant(p)
+        assert report.failure == failure
+
+
+class TestNormalBase:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(normal_sets(), rebased_polytopes().map(lambda case: case[1])))
+    def test_base_equals_rational_reduction(self, p):
+        data = toric_fiber_data(p)
+        base, coords, inverse, den = data.normal_base
+        old_base, old_coords, old_inverse, old_den = old_normal_base(data)
+        assert base == old_base
+        assert fractions_of(coords, den) == fractions_of(old_coords, old_den)
+        assert fractions_of(inverse.rows, den) == fractions_of(old_inverse.rows, old_den)
+
+
+square_systems = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    )
+)
+
+
+class TestSquareBareiss:
+    @settings(max_examples=150, deadline=None)
+    @given(square_systems)
+    def test_det_and_solve_equal_square_elimination(self, system):
+        a, b = system
+        assert IntMat.from_rows(a).det() == old_det(a)
+        assert bareiss_solve(a, b) == old_bareiss_solve(a, b)

@@ -194,7 +194,7 @@ class TestProductOfHexagons:
 
 class TestSharedFrame:
     def test_toric_builds_base_and_partition_once(self, capsys, monkeypatch):
-        calls = {"rational_rref": 0, "coefficient_partition": 0}
+        calls = {"integer_rref": 0, "coefficient_partition": 0}
 
         def counted(name):
             inner = getattr(toric, name)
@@ -208,4 +208,4 @@ class TestSharedFrame:
         for name in calls:
             monkeypatch.setattr(toric, name, counted(name))
         assert run(["toric", str(ROOT / "fixtures" / "bl2cp2.poly")]) == 0
-        assert calls == {"rational_rref": 1, "coefficient_partition": 1}
+        assert calls == {"integer_rref": 1, "coefficient_partition": 1}
