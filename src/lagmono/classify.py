@@ -19,7 +19,7 @@ from typing import Literal, Sequence
 from .cyclotomic import divisors, euler_phi
 from .errors import NonUnimodularError, NotFiniteError, ParseError
 from .groups import MatrixGroup, Perm, cayley_closure, compose, identity_perm
-from .intlat import IntMat, matrix_order, primitive_vector, rational_kernel_basis
+from .intlat import IntMat, kernel_lattice, matrix_order
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
 from .torussym import TorsionPoint, admissible_group, content_lines, read_group_block
@@ -82,7 +82,9 @@ def _reflection_eigenvectors(s: IntMat) -> tuple[tuple[int, ...], tuple[int, ...
     """Primitive +1 and -1 eigenvectors of an orientation-reversing involution."""
     def eigenvector(e: int) -> tuple[int, ...]:
         rows = [[x - e * (i == j) for j, x in enumerate(r)] for i, r in enumerate(s.rows)]
-        return primitive_vector(rational_kernel_basis(rows, 2)[0])
+        # The kernel of s - e I has rank one; its Hermite basis vector is
+        # primitive and led by a positive entry.
+        return kernel_lattice(IntMat.from_rows(rows).transpose()).basis[0]
 
     return eigenvector(1), eigenvector(-1)
 

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi_table
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     NotUnivariateError,
     UnsupportedActionError,
 )
-from .intlat import IntMat, primitive_vector, rational_kernel_basis, vec_gcd
+from .intlat import IntMat, primitive_vector, vec_gcd
 from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
@@ -238,6 +238,22 @@ def _residual_columns(
     return col_1, col_uv
 
 
+def _two_column_kernel(rows: Sequence[Sequence[Cyc]]) -> list[tuple[Cyc, Cyc]]:
+    """Basis over Q(zeta) of {(x1, x2) : a x1 + b x2 = 0 for every row (a, b)}.
+
+    With no nonzero row every pair solves.  Otherwise the first nonzero row
+    (a, b) leaves (-b/a, 1), or (1, 0) when a = 0, unless some row (c, e)
+    has a nonzero minor a e - b c and only zero solves.
+    """
+    first = next(((a, b) for a, b in rows if a or b), None)
+    if first is None:
+        return [(Cyc.one(), Cyc.zero()), (Cyc.zero(), Cyc.one())]
+    a, b = first
+    if any(a * e - b * c for c, e in rows):
+        return []
+    return [(-b / a, Cyc.one())] if a else [(Cyc.one(), Cyc.zero())]
+
+
 def _solution_space(d: CliffordData, action: IntMat, parity: str) -> list[tuple[Cyc, Cyc]]:
     """Basis over Q(zeta) of the parity-homogeneous conjugation solutions.
 
@@ -245,8 +261,7 @@ def _solution_space(d: CliffordData, action: IntMat, parity: str) -> list[tuple[
     x1 e1 + x2 e2, so their rows are the residual coordinates of the two
     parity basis elements e1 and e2, side by side.
     """
-    rows = list(zip(*_residual_columns(d, action, parity)))
-    return [(_cyc(x1), _cyc(x2)) for x1, x2 in rational_kernel_basis(rows, 2)]
+    return _two_column_kernel(list(zip(*_residual_columns(d, action, parity))))
 
 
 def _element_from_pair(pair: tuple[Cyc, Cyc], parity: str) -> CliffordElement:

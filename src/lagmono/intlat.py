@@ -2,11 +2,9 @@
 
 Everything here runs on Python integers and fractions, never floats: Hermite
 and Smith normal forms with unimodular transforms, saturated kernel lattices,
-canonical sublattice comparison, finite matrix order, one fraction-free
-Bareiss elimination (determinants, square integral solves and the reduced
-row echelon form scaled to integers), and one
-Gauss-Jordan elimination (solving, rank, kernels) over Q or any exact field
-such as Q(zeta_d).
+canonical sublattice comparison, finite matrix order, and one fraction-free
+Bareiss elimination for determinants, integral solves, ranks and the reduced
+row echelon form scaled to integers.
 """
 
 from __future__ import annotations
@@ -422,79 +420,3 @@ def integer_rref(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[li
     if den < 0:
         den, m = -den, [[-x for x in r] for r in m]
     return den, pivots, m
-
-
-# ---------------------------------------------------------------------------
-# Exact field helpers: Fraction entries, or any exact field element that
-# supports + - * /, 1 / x and truthiness (such as CyclotomicNumber)
-
-
-def rational_rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over an exact field; returns (rref rows, pivot columns).
-
-    Integer entries become Fractions; other entries are kept as given.
-    """
-    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    if not m:
-        return [], []
-    nc = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        if m[r][c] != 1:
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    _, pivots = rational_rref(rows)
-    return len(pivots)
-
-
-def solve_rational_system(a: Sequence[Sequence], b: Sequence) -> tuple[list, list[list]] | None:
-    """Solve a x = b over an exact field.
-
-    Returns (particular solution with free variables set to 0, kernel basis),
-    or None when the system is inconsistent.
-    """
-    nc = len(a[0]) if a else 0
-    rref, pivots = rational_rref([list(r) + [v] for r, v in zip(a, b)])
-    if nc in pivots:
-        return None
-    particular = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        particular[c] = rref[i][nc]
-    return particular, _kernel_from_rref(rref, pivots, nc)
-
-
-def rational_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list]:
-    """Basis of {x : rows @ x = 0} over an exact field."""
-    rref, pivots = rational_rref(rows)
-    return _kernel_from_rref(rref, pivots, ncols)
-
-
-def _kernel_from_rref(rref: list[list], pivots: list[int], ncols: int) -> list[list]:
-    """One kernel vector per free column among the first ncols, with a 1 there."""
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rref[i][fc]
-        kernel.append(vec)
-    return kernel

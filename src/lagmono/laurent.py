@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial
 from .errors import DimensionError, GridTooLargeError, ParseError
-from .intlat import IntMat, rational_rank
+from .intlat import IntMat, integer_rref
 from .torussym import TorsionPoint, content_lines, read_dim
 
 Exponent = tuple[int, ...]
@@ -259,7 +259,7 @@ def b1_support_rank(w: LaurentPolynomial) -> tuple[tuple[Exponent, ...], int]:
     """
     zero = (0,) * w.dim
     b1 = tuple(e for e, _ in w.terms if e != zero)
-    rank = rational_rank([list(e) for e in b1]) if b1 else 0
+    rank = len(integer_rref(b1)[1])
     return b1, rank
 
 

@@ -33,8 +33,6 @@ from .intlat import (
     integer_rref,
     kernel_lattice,
     primitive_vector,
-    rational_kernel_basis,
-    solve_rational_system,
     vec_gcd,
 )
 from .laurent import LaurentPolynomial
@@ -98,6 +96,12 @@ class ValidationReport:
         return text
 
 
+def _integer_levels(p: DelzantPolytope) -> tuple[int, list[int]]:
+    """(L, l) with L the common denominator of the offsets and l_j = L lambda_j."""
+    scale = math.lcm(*(o.denominator for o in p.offsets))
+    return scale, [o.numerator * (scale // o.denominator) for o in p.offsets]
+
+
 def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
     """All vertices as exact rational points with their active facet sets, sorted by point.
 
@@ -109,8 +113,7 @@ def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
     a kept vertex becomes a Fraction point.
     """
     n, N = p.dim, p.nfacets
-    scale = math.lcm(*(o.denominator for o in p.offsets))
-    levels = [o.numerator * (scale // o.denominator) for o in p.offsets]
+    scale, levels = _integer_levels(p)
     facets = list(zip(p.normals, levels))
     found: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for subset in itertools.combinations(range(N), n):
@@ -134,12 +137,14 @@ def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
     n, N = p.dim, p.nfacets
     # Called only once a vertex exists, so the normals span, the recession
     # cone is pointed, and it is nonzero exactly when it has an extreme ray,
-    # spanned by the kernel of some n-1 independent normals.
+    # spanned by the kernel of some n-1 independent normals: their signed
+    # maximal minors, which all vanish exactly when the normals are dependent.
     for subset in itertools.combinations(range(N), n - 1):
-        kernel = rational_kernel_basis([list(p.normals[j]) for j in subset], n)
-        if len(kernel) != 1:
+        rows = [p.normals[j] for j in subset]
+        minors = [(-1) ** c * IntMat.from_rows(r[:c] + r[c + 1 :] for r in rows).det() for c in range(n)]
+        if not any(minors):
             continue
-        direction = primitive_vector(kernel[0])
+        direction = primitive_vector(minors)
         for candidate in (direction, tuple(-x for x in direction)):
             if all(dot(candidate, nu) >= 0 for nu in p.normals):
                 return candidate
@@ -225,28 +230,34 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
 def monotone_normalize(p: DelzantPolytope) -> DelzantPolytope:
     """Translate so the point with all facet offsets equal sits at the origin.
 
-    Solves <q, nu_j> + lambda_j = c exactly over Q; the translated polytope
-    has every offset equal to c > 0.  Raises NotMonotoneError when no
-    interior such point exists.
+    Solves <q, nu_j - nu_1> = lambda_1 - lambda_j by one fraction-free
+    elimination: with the offsets scaled by their common denominator L to
+    integers l_j, ``integer_rref`` of the rows [nu_j - nu_1 | l_1 - l_j]
+    gives D times their reduced form R.  The system is inconsistent exactly
+    when the last column is a pivot; otherwise q is R[i][n] / (D L) at each
+    pivot and 0 at each free column.  When the level c of q is not
+    positive, q moves to level 1 along the first kernel direction (kept D
+    times the reduced one, which moves q alike) with nonzero slope on nu_1.
+    The translated polytope has every offset equal to c > 0.  Raises
+    NotMonotoneError when no interior such point exists.
     """
     n, N = p.dim, p.nfacets
     nu1 = p.normals[0]
-    rows = [[Fraction(a - b) for a, b in zip(p.normals[j], nu1)] for j in range(1, N)]
-    rhs = [p.offsets[0] - p.offsets[j] for j in range(1, N)]
-    if rows:
-        solved = solve_rational_system(rows, rhs)
-    else:
-        solved = ([Fraction(0)] * n, [[Fraction(1) if i == j else Fraction(0) for i in range(n)] for j in range(n)])
-    if solved is None:
+    scale, levels = _integer_levels(p)
+    den, pivots, reduced = integer_rref(
+        [[a - b for a, b in zip(p.normals[j], nu1)] + [levels[0] - levels[j]] for j in range(1, N)]
+    )
+    if n in pivots:
         raise NotMonotoneError("facet offsets cannot be equalised by translation")
-    q, kernel = solved
-
-    def level(point):
-        return p.offsets[0] + dot(point, nu1)
-
-    c = level(q)
+    q = [Fraction(0)] * n
+    for row, col in zip(reduced, pivots):
+        q[col] = Fraction(row[n], den * scale)
+    c = p.offsets[0] + dot(q, nu1)
     if c <= 0:
-        for direction in kernel:
+        for free in (j for j in range(n) if j not in pivots):
+            direction = [den * (j == free) for j in range(n)]
+            for row, col in zip(reduced, pivots):
+                direction[col] = -row[free]
             slope = dot(direction, nu1)
             if slope != 0:
                 t = (1 - c) / slope

@@ -17,32 +17,39 @@ from lagmono.groups import (
 from lagmono.intlat import IntMat, matrix_order
 
 
-def two_sided_closure(identity, gens, mul):
-    """The original quadratic closure: every new element times every known one, both sides."""
-    elems = {identity, *gens}
-    frontier = list(gens)
+def left_closure(elems, frontier, gens, mul):
+    """Close the set elems under left multiplication by gens, multiplying only new elements.
+
+    Every element of elems outside frontier must already have its products
+    by gens in elems.  A finite group is generated as a monoid, so from the
+    identity this reaches the whole group with |G| |gens| products.
+    """
     while frontier:
         fresh = []
-        for g in frontier:
-            for h in list(elems):
-                for prod in (mul(g, h), mul(h, g)):
-                    if prod not in elems:
-                        elems.add(prod)
-                        fresh.append(prod)
+        for h in frontier:
+            for g in gens:
+                prod = mul(g, h)
+                if prod not in elems:
+                    elems.add(prod)
+                    fresh.append(prod)
         frontier = fresh
     return elems
 
 
+def generated(identity, gens, mul):
+    return left_closure({identity}, [identity], gens, mul)
+
+
 def greedy_oracle(elements, identity, mul):
-    """The original greedy pick: rebuild the closure after each new generator."""
+    """The original greedy pick, extending the closure by each new generator instead of restarting it."""
     gens = []
-    generated = {identity}
+    closure = {identity}
     for x in elements:
-        if x in generated:
+        if x in closure:
             continue
         gens.append(x)
-        generated = two_sided_closure(identity, gens, mul)
-        if len(generated) == len(elements):
+        closure = left_closure(closure, list(closure), gens, mul)
+        if len(closure) == len(elements):
             break
     return tuple(gens)
 
@@ -81,7 +88,7 @@ matrix_generators = st.integers(min_value=1, max_value=3).flatmap(
 
 
 def check_group_layer(group, gens, identity, mul):
-    assert set(group.elements) == two_sided_closure(identity, gens, mul)
+    assert set(group.elements) == generated(identity, gens, mul)
     picked = group.generators()
     assert picked == greedy_oracle(group.elements, identity, mul)
     words = cayley_closure(identity, picked, mul, group.order)

@@ -16,9 +16,15 @@ expansion and multiplication-table check of
 ``torussym.forced_critical_points``, the division builder of
 ``cyclotomic.cyclotomic_polynomial``, the Fraction vertex enumeration and
 recession-ray compactness test of ``toric.validate_delzant``, the Fraction
-row reduction of ``ToricFiberData.normal_base`` and the square-only Bareiss
-elimination behind ``IntMat.det`` and ``bareiss_solve``.  They are kept here
-only as oracles.
+row reduction of ``ToricFiberData.normal_base``, the square-only Bareiss
+elimination behind ``IntMat.det`` and ``bareiss_solve``, and the Fraction
+Gauss-Jordan family of ``intlat`` (``old_rational_rref``,
+``old_rational_rank``, ``old_solve_rational_system``,
+``old_rational_kernel_basis``, ``old_kernel_from_rref``) with the Fraction
+forms of its callers: ``old_monotone_normalize``, ``old_extreme_ray`` (for
+``toric._recession_ray``), ``old_reflection_eigenvectors`` and
+``old_b1_support_rank``.  ``floer._two_column_kernel`` is checked against the
+old elimination loop.  They are kept here only as oracles.
 """
 
 import functools
@@ -52,9 +58,16 @@ from lagmono.floer import (
     _parity_norm,
     _residual_columns,
     _solution_space,
+    _two_column_kernel,
 )
-from lagmono.classify import _symmetric_part_choices, catalog_n2, embed_symmetric_product, ingest_catalog
-from lagmono.errors import SearchTooLargeError
+from lagmono.classify import (
+    _reflection_eigenvectors,
+    _symmetric_part_choices,
+    catalog_n2,
+    embed_symmetric_product,
+    ingest_catalog,
+)
+from lagmono.errors import NotMonotoneError, SearchTooLargeError
 from lagmono.groups import (
     MatrixGroup,
     PermutationGroup,
@@ -71,12 +84,9 @@ from lagmono.intlat import (
     lattice_equal,
     matrix_order,
     primitive_vector,
-    rational_kernel_basis,
-    rational_rank,
-    rational_rref,
-    solve_rational_system,
     vec_gcd,
 )
+from lagmono.laurent import LaurentPolynomial, b1_support_rank
 from lagmono.monodromy import symplectic_monodromy
 from lagmono.torussym import TorsionPoint, forced_critical_points, monomial_fixed_points
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product, projective_space
@@ -86,7 +96,9 @@ from lagmono.toric import (
     ValidationReport,
     Vertex,
     _fmt_point,
+    _recession_ray,
     coefficient_partition,
+    monotone_normalize,
     toric_fiber_data,
     validate_delzant,
 )
@@ -98,6 +110,141 @@ CONDUCTORS = (1, 3, 4, 5, 12)
 
 # ---------------------------------------------------------------------------
 # Oracles: the replaced routines
+
+
+def old_rational_rref(rows):
+    """Reduced row echelon form over an exact field; returns (rref rows, pivot columns).
+
+    Integer entries become Fractions; other entries are kept as given.
+    """
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    if not m:
+        return [], []
+    nc = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        if m[r][c] != 1:
+            inv = 1 / m[r][c]
+            m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def old_rational_rank(rows):
+    _, pivots = old_rational_rref(rows)
+    return len(pivots)
+
+
+def old_solve_rational_system(a, b):
+    """Solve a x = b over an exact field.
+
+    Returns (particular solution with free variables set to 0, kernel basis),
+    or None when the system is inconsistent.
+    """
+    nc = len(a[0]) if a else 0
+    rref, pivots = old_rational_rref([list(r) + [v] for r, v in zip(a, b)])
+    if nc in pivots:
+        return None
+    particular = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        particular[c] = rref[i][nc]
+    return particular, old_kernel_from_rref(rref, pivots, nc)
+
+
+def old_rational_kernel_basis(rows, ncols):
+    """Basis of {x : rows @ x = 0} over an exact field."""
+    rref, pivots = old_rational_rref(rows)
+    return old_kernel_from_rref(rref, pivots, ncols)
+
+
+def old_kernel_from_rref(rref, pivots, ncols):
+    """One kernel vector per free column among the first ncols, with a 1 there."""
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rref[i][fc]
+        kernel.append(vec)
+    return kernel
+
+
+def old_monotone_normalize(p):
+    """The offset-equalising translation by the Fraction solve over Q."""
+    n, N = p.dim, p.nfacets
+    nu1 = p.normals[0]
+    rows = [[Fraction(a - b) for a, b in zip(p.normals[j], nu1)] for j in range(1, N)]
+    rhs = [p.offsets[0] - p.offsets[j] for j in range(1, N)]
+    if rows:
+        solved = old_solve_rational_system(rows, rhs)
+    else:
+        solved = ([Fraction(0)] * n, [[Fraction(1) if i == j else Fraction(0) for i in range(n)] for j in range(n)])
+    if solved is None:
+        raise NotMonotoneError("facet offsets cannot be equalised by translation")
+    q, kernel = solved
+
+    def level(point):
+        return p.offsets[0] + dot(point, nu1)
+
+    c = level(q)
+    if c <= 0:
+        for direction in kernel:
+            slope = dot(direction, nu1)
+            if slope != 0:
+                t = (1 - c) / slope
+                q = [a + t * b for a, b in zip(q, direction)]
+                c = Fraction(1)
+                break
+        else:
+            raise NotMonotoneError("offset-equalising locus misses the interior")
+    new_offsets = tuple(p.offsets[j] + dot(q, p.normals[j]) for j in range(N))
+    assert all(o == c for o in new_offsets)
+    return DelzantPolytope(p.dim, p.normals, new_offsets, p.mode)
+
+
+def old_extreme_ray(p):
+    """toric._recession_ray by Fraction kernels of n - 1 normals."""
+    n, N = p.dim, p.nfacets
+    for subset in itertools.combinations(range(N), n - 1):
+        kernel = old_rational_kernel_basis([list(p.normals[j]) for j in subset], n)
+        if len(kernel) != 1:
+            continue
+        direction = primitive_vector(kernel[0])
+        for candidate in (direction, tuple(-x for x in direction)):
+            if all(dot(candidate, nu) >= 0 for nu in p.normals):
+                return candidate
+    return None
+
+
+def old_reflection_eigenvectors(s):
+    """classify._reflection_eigenvectors by a Fraction kernel of s - e I."""
+    def eigenvector(e):
+        rows = [[x - e * (i == j) for j, x in enumerate(r)] for i, r in enumerate(s.rows)]
+        return primitive_vector(old_rational_kernel_basis(rows, 2)[0])
+
+    return eigenvector(1), eigenvector(-1)
+
+
+def old_b1_support_rank(w):
+    """laurent.b1_support_rank by the Fraction rank of the exponents."""
+    zero = (0,) * w.dim
+    b1 = tuple(e for e, _ in w.terms if e != zero)
+    rank = old_rational_rank([list(e) for e in b1]) if b1 else 0
+    return b1, rank
 
 
 def old_kernel_pairs(rows):
@@ -322,7 +469,7 @@ def old_fixed_by_subfield_galois(d, sub, coeffs):
 def old_express_in_subfield(d, sub, coeffs):
     cols = old_descent_matrix(d, sub)
     rows = [[col[i] for col in cols] for i in range(euler_phi(d))]
-    solved = solve_rational_system(rows, list(coeffs))
+    solved = old_solve_rational_system(rows, list(coeffs))
     if solved is None:
         return None
     particular, _ = solved
@@ -395,7 +542,7 @@ def old_solve_inverse(x):
         return Cyc.from_rational(1 / x.coeffs[0])
     scale, cols = x._scaled_columns()
     one = [1] + [0] * (len(cols) - 1)
-    solution, _ = solve_rational_system(list(zip(*cols)), one)
+    solution, _ = old_solve_rational_system(list(zip(*cols)), one)
     return Cyc(x.conductor, tuple(scale * c for c in solution))
 
 
@@ -471,8 +618,8 @@ def old_symplectic_monodromy(data, max_degree=12, max_order=50_000):
             return True
         srcs = [list(map(Fraction, s)) for s, _ in pairs]
         stacked = [list(map(Fraction, s)) + list(map(Fraction, t)) for s, t in pairs]
-        _, piv_src = rational_rref(srcs)
-        _, piv_stacked = rational_rref(stacked)
+        _, piv_src = old_rational_rref(srcs)
+        _, piv_stacked = old_rational_rref(stacked)
         return len(piv_src) == len(piv_stacked)
 
     def search(assigned, used):
@@ -571,7 +718,7 @@ def old_forced_critical_points(group):
         for idx in range(start, len(candidates)):
             g = candidates[idx]
             rows = stacked_rows + deltas[g]
-            new_rank = rational_rank(rows)
+            new_rank = old_rational_rank(rows)
             if new_rank == rank:
                 continue
             subset = chosen + [g]
@@ -602,7 +749,7 @@ def old_enumerate_vertices(p):
     for subset in itertools.combinations(range(N), n):
         rows = [list(p.normals[j]) for j in subset]
         rhs = [-p.offsets[j] for j in subset]
-        solved = solve_rational_system(rows, rhs)
+        solved = old_solve_rational_system(rows, rhs)
         if solved is None:
             continue
         point, kernel = solved
@@ -620,11 +767,11 @@ def old_enumerate_vertices(p):
 def old_recession_ray(p):
     """The kernel of all normals, else an extreme ray of the recession cone, by Fraction kernels."""
     n, N = p.dim, p.nfacets
-    kernel = rational_kernel_basis([list(nu) for nu in p.normals], n)
+    kernel = old_rational_kernel_basis([list(nu) for nu in p.normals], n)
     if kernel:
         return primitive_vector(kernel[0])
     for subset in itertools.combinations(range(N), n - 1):
-        kernel = rational_kernel_basis([list(p.normals[j]) for j in subset], n)
+        kernel = old_rational_kernel_basis([list(p.normals[j]) for j in subset], n)
         if len(kernel) != 1:
             continue
         direction = primitive_vector(kernel[0])
@@ -678,7 +825,7 @@ def old_normal_base(data):
     """One Fraction row reduction of (normals as columns | identity), scaled by the least common denominator."""
     normals, dim = data.polytope.normals, data.polytope.dim
     nfacets = len(normals)
-    reduced, pivots = rational_rref(
+    reduced, pivots = old_rational_rref(
         [[nu[i] for nu in normals] + [int(i == j) for j in range(dim)] for i in range(dim)]
     )
     base = tuple(p for p in pivots if p < nfacets)
@@ -862,9 +1009,7 @@ class TestElimination:
     @settings(max_examples=40, deadline=None)
     @given(two_column_rows())
     def test_kernel_over_cyclotomics_equals_old_loop(self, rows):
-        new = [tuple(Cyc.from_rational(x) if isinstance(x, Fraction) else x for x in v)
-               for v in rational_kernel_basis(rows, 2)]
-        assert new == old_kernel_pairs(rows)
+        assert _two_column_kernel(rows) == old_kernel_pairs(rows)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -1282,7 +1427,7 @@ def stabiliser_forced_points(group):
         stab = tuple(i for i, t in enumerate(transposes) if all((a - b) % order == 0 for a, b in zip(t.apply(k), k)))
         if stab not in no_fixed_vector:
             rows = [[a - b for a, b in zip(r, e)] for i in stab for r, e in zip(group.elements[i].rows, ident.rows)]
-            no_fixed_vector[stab] = rational_rank(rows) == n
+            no_fixed_vector[stab] = old_rational_rank(rows) == n
         if no_fixed_vector[stab]:
             out.append(TorsionPoint.make(Fraction(x, order) for x in k))
     return tuple(sorted(out))
@@ -1452,6 +1597,79 @@ class TestDelzantValidation:
         report = validate_delzant(p)
         assert report == old_validate_delzant(p)
         assert report.failure == failure
+
+
+@st.composite
+def offset_systems(draw):
+    """Polytopes in dimensions 2 to 4 whose offset-equalising system often has a kernel.
+
+    Before a unimodular change of basis the normals are at most n, or lie
+    on the affine hyperplane <nu, e_1> = 1 (a kernel direction of slope 1),
+    or in the hyperplane <nu, e_1> = 0 (a kernel direction of slope 0), or
+    are unconstrained.  Offsets may be zero or negative, so the particular
+    solution often sits at a level c <= 0.
+    """
+    n = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(("few", "affine", "flat", "free")))
+    tail = st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)
+    if shape == "affine":
+        vector = tail.map(lambda t: (1, *t))
+    elif shape == "flat":
+        vector = tail.map(lambda t: (0, *t)).filter(any)
+    else:
+        vector = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    count = draw(st.integers(1, n) if shape == "few" else st.integers(1, n + 3))
+    normals = draw(st.lists(vector, min_size=count, max_size=count, unique=True))
+    levels = draw(st.lists(offsets, min_size=count, max_size=count))
+    u = draw(unimodular_pairs(n))[0]
+    return DelzantPolytope(n, tuple(u.apply(nu) for nu in normals), tuple(levels), draw(modes))
+
+
+def normalized_or_refusal(normalize, p):
+    try:
+        return normalize(p)
+    except NotMonotoneError as e:
+        return str(e)
+
+
+class TestMonotoneNormalize:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(offset_systems(), random_polytopes().filter(lambda p: p.dim >= 2), moved_fixtures()))
+    def test_translation_equals_fraction_solve(self, p):
+        assert normalized_or_refusal(monotone_normalize, p) == normalized_or_refusal(old_monotone_normalize, p)
+
+
+@st.composite
+def planar_reflections(draw):
+    """u r u^-1 for r = diag(1, -1) or the coordinate swap, the two GL(2, Z) classes of reflections."""
+    r = IntMat.from_rows(draw(st.sampled_from(([[1, 0], [0, -1]], [[0, 1], [1, 0]]))))
+    u, u_inv = draw(unimodular_pairs(2))
+    return u @ r @ u_inv
+
+
+@st.composite
+def laurent_supports(draw):
+    """Unit-coefficient Laurent polynomials on up to six exponents in [-2, 2]^n, the constant term allowed."""
+    n = draw(st.integers(1, 4))
+    exponents = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=6, unique=True))
+    return LaurentPolynomial.from_dict(n, {e: 1 for e in exponents})
+
+
+class TestIntegerKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_polytopes(), unbounded_products(), offset_systems()))
+    def test_recession_ray_equals_fraction_kernel(self, p):
+        assert _recession_ray(p) == old_extreme_ray(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planar_reflections())
+    def test_reflection_eigenvectors_equal_fraction_kernel(self, s):
+        assert _reflection_eigenvectors(s) == old_reflection_eigenvectors(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_supports())
+    def test_b1_support_rank_equals_fraction_rank(self, w):
+        assert b1_support_rank(w) == old_b1_support_rank(w)
 
 
 class TestNormalBase:

@@ -103,7 +103,13 @@ class TestMonotoneNormalize:
             ((1, 0), (-1, 0), (0, 1), (0, -1)),
             (F(1, 2), F(1, 2), F(1), F(1)),
         )
-        with pytest.raises(NotMonotoneError):
+        with pytest.raises(NotMonotoneError, match="cannot be equalised by translation"):
+            monotone_normalize(p)
+
+    def test_strip_locus_misses_interior(self):
+        # Every offset-equalising point of the strip lies at level 0.
+        p = DelzantPolytope(2, ((1, 0), (-1, 0)), (F(0), F(0)), Mode.VERTEX_REQUIRED)
+        with pytest.raises(NotMonotoneError, match="misses the interior"):
             monotone_normalize(p)
 
     def test_lattice_translation_invariance(self):
