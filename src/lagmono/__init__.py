@@ -42,7 +42,6 @@ from .intlat import (
     kernel_lattice,
     lattice_equal,
     matrix_order,
-    smith_normal_form,
 )
 from .laurent import (
     LaurentPolynomial,

@@ -79,10 +79,7 @@ def _read(path: str) -> str:
 
 
 def run_toric(args) -> int:
-    mode_override = None
-    if args.mode:
-        mode_override = Mode.COMPACT if args.mode == "compact" else Mode.VERTEX_REQUIRED
-    polytope = parse_polytope(_read(args.polytope), mode_override)
+    polytope = parse_polytope(_read(args.polytope), Mode(args.mode) if args.mode else None)
     records = [
         {
             "record": "polytope",

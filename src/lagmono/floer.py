@@ -317,7 +317,7 @@ def continuation_solvable(
     form = _norm_form(d, parity)
     if all(_form_value(form, x1, x2).is_zero() for x1, x2 in probes):
         return ContinuationResult("unsolvable")
-    found = _bounded_search(d, action, parity, conductor, search_height, solutions)
+    found = _bounded_search(d, action, parity, search_height, solutions)
     if found is not None:
         return ContinuationResult("solvable", found)
     return ContinuationResult("unknown")
@@ -362,7 +362,7 @@ def _reflection_closed_form(d: CliffordData, action: IntMat, lam: int, m: int) -
 
 
 def _bounded_search(
-    d: CliffordData, action: IntMat, parity: str, conductor: int, height: int, solutions: list | None = None
+    d: CliffordData, action: IntMat, parity: str, height: int, solutions: list[tuple[Cyc, Cyc]]
 ) -> CliffordElement | None:
     """Search rational-integer coefficient pairs of the solution space by increasing height.
 
@@ -372,8 +372,6 @@ def _bounded_search(
     it takes to an integral unit is checked by the Clifford product itself
     before it is returned.
     """
-    if solutions is None:
-        solutions = _solution_space(d, action, parity)
     if len(solutions) == 2:
         points = (
             (x1, x2) for h in range(1, height + 1) for x1 in range(-h, h + 1) for x2 in range(-h, h + 1)

@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
-Everything here runs on Python integers and fractions, never floats: Hermite
-and Smith normal forms with unimodular transforms, saturated kernel lattices,
-canonical sublattice comparison, finite matrix order, and one fraction-free
-Bareiss elimination for determinants, integral solves, ranks and the reduced
-row echelon form scaled to integers.
+Everything here runs on Python integers and fractions, never floats.  Two
+eliminations: the Hermite normal form with its unimodular transform answers
+lattice questions (saturated kernel lattices, canonical sublattice
+comparison), and one fraction-free Bareiss elimination answers rational ones
+(determinants, integral solves, ranks and the reduced row echelon form scaled
+to integers).  Finite matrix order is exact by reduction mod 3.
 """
 
 from __future__ import annotations
@@ -173,82 +174,6 @@ def hermite_normal_form(m: IntMat) -> tuple[IntMat, IntMat]:
             if r == nr:
                 break
     return IntMat.from_rows(h), IntMat.from_rows(u)
-
-
-def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
-    """Smith normal form: returns (u, d, v) with d = u @ m @ v.
-
-    d is diagonal with nonnegative entries d1 | d2 | ..., u and v unimodular.
-    """
-    nr, nc = m.nrows, m.ncols
-    d = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        # Find a nonzero pivot in the trailing block.
-        entries = [(abs(d[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j] != 0]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            reduced = True
-            for i in range(t + 1, nr):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        reduced = False
-            for j in range(t + 1, nc):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        reduced = False
-            if not reduced:
-                continue
-            # Enforce divisibility: pivot must divide every trailing entry.
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if d[i][j] % d[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMat.from_rows(u), IntMat.from_rows(d), IntMat.from_rows(v)
 
 
 # ---------------------------------------------------------------------------

@@ -365,9 +365,7 @@ def parse_polytope(text: str, mode_override: Mode | None = None) -> DelzantPolyt
     parts = modeline.split()
     if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("compact", "vertex"):
         raise ParseError(f"line {lineno}: expected 'mode compact|vertex'")
-    mode = Mode.COMPACT if parts[1] == "compact" else Mode.VERTEX_REQUIRED
-    if mode_override is not None:
-        mode = mode_override
+    mode = mode_override or Mode(parts[1])
     normals = []
     offsets = []
     for lineno, line in lines[2:]:

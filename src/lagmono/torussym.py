@@ -8,7 +8,6 @@ the worked order-3 action (x, y) -> (y, 1/(xy)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError, ParseError
 from .groups import MatrixGroup
-from .intlat import IntMat, LatticeBasis, smith_normal_form
+from .intlat import IntMat, LatticeBasis, hermite_normal_form
 
 
 @dataclass(frozen=True, order=True)
@@ -74,20 +73,38 @@ def _delta_rows(g: IntMat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(a - (i == j) for j, a in enumerate(row)) for i, row in enumerate(g.transpose().rows))
 
 
-def _fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> FixedPointSet:
-    """All v in (Q/Z)^n with r . v in Z for every row r, from one Smith form."""
-    _, d, v = smith_normal_form(IntMat.from_rows(rows))
-    divisors = [d.rows[i][i] if i < d.nrows else 0 for i in range(n)]
-    torsion_axes = [[Fraction(k, di) for k in range(di)] if di else [Fraction(0)] for di in divisors]
-    reps = sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*torsion_axes))
-    free = tuple(v.column(i) for i, di in enumerate(divisors) if di == 0)
-    return FixedPointSet(n, None, free, tuple(reps)) if free else FixedPointSet(n, tuple(reps))
+def _fixed_locus(lattice: LatticeBasis) -> FixedPointSet:
+    """All v in (Q/Z)^n with r . v in Z for every r in the lattice, read off Hermite forms.
+
+    At full rank the basis H is upper triangular with a positive diagonal, so
+    the locus is {H^-1 w mod 1 : 0 <= w_i < H_ii}, built from the integer
+    columns of det(H) H^-1 by back substitution, where every division is
+    exact.  At rank k < n one Hermite form u H^T = [R; 0] gives the identity
+    component's directions, the last n - k rows of u; as H u^T = [R^T | 0],
+    the cosets are u^T (x', 0) for x' in the full-rank locus of the rows of
+    R^T.
+    """
+    n, h, k = lattice.ambient, lattice.basis, lattice.rank
+    if k == n:
+        det = math.prod(h[i][i] for i in range(n))
+        points = [(0,) * n]
+        for i in range(n):
+            col = [0] * n  # det times column i of H^-1
+            col[i] = det // h[i][i]
+            for r in reversed(range(i)):
+                col[r] = -sum(h[r][j] * col[j] for j in range(r + 1, i + 1)) // h[r][r]
+            points = [tuple(a + w * c for a, c in zip(p, col)) for p in points for w in range(h[i][i])]
+        return FixedPointSet(n, tuple(sorted(TorsionPoint.make(Fraction(x, det) for x in p) for p in points)))
+    echelon, u = hermite_normal_form(IntMat(tuple(zip(*h)) or ((),) * n))  # H^T keeps n rows at rank 0
+    inner = _fixed_locus(LatticeBasis.from_vectors(k, zip(*echelon.rows[:k])))
+    reps = sorted(TorsionPoint.make(u.transpose().apply(p.coords + (0,) * (n - k))) for p in inner.points)
+    return FixedPointSet(n, None, u.rows[k:], tuple(reps))
 
 
 def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
     """All v in (Q/Z)^n with g^T v = v mod 1 for every g in gs.
 
-    Solved exactly by a Smith normal form of the stacked matrices g^T - I.
+    Read off the Hermite basis of the row lattice of the stacked g^T - I.
     """
     if not gs:
         raise ValueError("need at least one matrix")
@@ -97,7 +114,7 @@ def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
             raise ValueError("dimension mismatch")
         if abs(g.det()) != 1:
             raise NonUnimodularError(f"matrix {g} is not unimodular")
-    return _fixed_locus(n, [row for g in gs for row in _delta_rows(g)])
+    return _fixed_locus(LatticeBasis.from_vectors(n, [row for g in gs for row in _delta_rows(g)]))
 
 
 def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
@@ -111,10 +128,10 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     distinct L(g) per step, skipping a step whose rows are members of the
     state or that does not raise its rank.  Conjugation by h maps L(S) to
     L(S) h^T, so the orbit of each new state is marked seen and only the
-    state itself is extended.  The answer unites the Smith-form loci of the
-    seen states of rank n.  It is exact: a subset S of rank n holds a subset,
-    in index order, whose rank rises at each element; the search marks the
-    state of that subset seen, and its locus contains Fix(S).
+    state itself is extended.  The answer unites the loci of the seen states
+    of rank n, read off their Hermite bases.  It is exact: a subset S of rank
+    n holds a subset, in index order, whose rank rises at each element; the
+    search marks the state of that subset seen, and its locus contains Fix(S).
     """
     n, gens = group.dim, group.generators()
     steps = dict.fromkeys(LatticeBasis.from_vectors(n, _delta_rows(g)) for g in group.nonidentity())
@@ -135,7 +152,7 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
                 orbit += fresh
             if joined.rank < n:
                 queue.append(joined)
-    found = {p for state in seen if state.rank == n for p in _fixed_locus(n, state.basis).finite_points()}
+    found = {p for state in seen if state.rank == n for p in _fixed_locus(state).finite_points()}
     return FixedPointSet(n, tuple(sorted(found)))
 
 

@@ -31,6 +31,7 @@ from lagmono.floer import (
     reduce_binary_form,
     rk1_classify,
     _bounded_search,
+    _solution_space,
     _verify_witness,
 )
 from lagmono.intlat import IntMat
@@ -214,7 +215,7 @@ class TestContinuation:
                 for m in range(-8, 9):
                     for action, parity in ((shear(m), "even"), (reflection(m), "odd")):
                         result = continuation_solvable(d, action, parity, conductor)
-                        searched = _bounded_search(d, action, parity, conductor, 5)
+                        searched = _bounded_search(d, action, parity, 5, _solution_space(d, action, parity))
                         if result.status == "solvable":
                             assert searched is not None
                         elif result.status == "unsolvable":

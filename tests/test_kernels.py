@@ -23,8 +23,10 @@ Gauss-Jordan family of ``intlat`` (``old_rational_rref``,
 ``old_rational_kernel_basis``, ``old_kernel_from_rref``) with the Fraction
 forms of its callers: ``old_monotone_normalize``, ``old_extreme_ray`` (for
 ``toric._recession_ray``), ``old_reflection_eigenvectors`` and
-``old_b1_support_rank``.  ``floer._two_column_kernel`` is checked against the
-old elimination loop.  They are kept here only as oracles.
+``old_b1_support_rank``, and the Smith normal form of ``intlat`` with the
+fixed locus read off it (``old_smith_normal_form``, ``old_fixed_locus``, for
+``torussym._fixed_locus``).  ``floer._two_column_kernel`` is checked against
+the old elimination loop.  They are kept here only as oracles.
 """
 
 import functools
@@ -32,7 +34,9 @@ import itertools
 import math
 import pathlib
 import time
+from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -81,6 +85,7 @@ from lagmono.intlat import (
     LatticeBasis,
     bareiss_solve,
     dot,
+    kernel_lattice,
     lattice_equal,
     matrix_order,
     primitive_vector,
@@ -88,7 +93,7 @@ from lagmono.intlat import (
 )
 from lagmono.laurent import LaurentPolynomial, b1_support_rank
 from lagmono.monodromy import symplectic_monodromy
-from lagmono.torussym import TorsionPoint, forced_critical_points, monomial_fixed_points
+from lagmono.torussym import FixedPointSet, TorsionPoint, _delta_rows, _fixed_locus, forced_critical_points
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product, projective_space
 from lagmono.toric import (
     DelzantPolytope,
@@ -706,6 +711,92 @@ def old_embed_symmetric_product(group, parts):
     return None
 
 
+def old_smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
+    """Smith normal form: returns (u, d, v) with d = u @ m @ v.
+
+    d is diagonal with nonnegative entries d1 | d2 | ..., u and v unimodular.
+    """
+    nr, nc = m.nrows, m.ncols
+    d = [list(r) for r in m.rows]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(nr, nc):
+        # Find a nonzero pivot in the trailing block.
+        entries = [(abs(d[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        while True:
+            reduced = True
+            for i in range(t + 1, nr):
+                if d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    add_row(i, t, -q)
+                    if d[i][t] != 0:
+                        swap_rows(t, i)
+                        reduced = False
+            for j in range(t + 1, nc):
+                if d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    add_col(j, t, -q)
+                    if d[t][j] != 0:
+                        swap_cols(t, j)
+                        reduced = False
+            if not reduced:
+                continue
+            # Enforce divisibility: pivot must divide every trailing entry.
+            bad = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if d[i][j] % d[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return IntMat.from_rows(u), IntMat.from_rows(d), IntMat.from_rows(v)
+
+
+def old_fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> FixedPointSet:
+    """All v in (Q/Z)^n with r . v in Z for every row r, from one Smith form."""
+    _, d, v = old_smith_normal_form(IntMat.from_rows(rows))
+    divisors = [d.rows[i][i] if i < d.nrows else 0 for i in range(n)]
+    torsion_axes = [[Fraction(k, di) for k in range(di)] if di else [Fraction(0)] for di in divisors]
+    reps = sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*torsion_axes))
+    free = tuple(v.column(i) for i, di in enumerate(divisors) if di == 0)
+    return FixedPointSet(n, None, free, tuple(reps)) if free else FixedPointSet(n, tuple(reps))
+
+
 def old_forced_critical_points(group):
     """Enumeration of subsets, in index order, whose rank rises at each element."""
     n = group.dim
@@ -723,7 +814,7 @@ def old_forced_critical_points(group):
                 continue
             subset = chosen + [g]
             if new_rank == n:
-                fixed = monomial_fixed_points(subset)
+                fixed = old_fixed_locus(n, [row for g in subset for row in _delta_rows(g)])
                 assert fixed.is_finite
                 found.update(fixed.finite_points())
             elif len(subset) < n:
@@ -935,7 +1026,7 @@ def clifford_problems(draw):
         constants = draw(st.lists(cyclotomics(conductors=(conductor,)), min_size=3, max_size=3))
     eps1, eps2 = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
     action = IntMat.from_rows([[eps1, draw(st.integers(-4, 4))], [0, eps2]])
-    return CliffordData(*constants), action, draw(st.sampled_from(("even", "odd"))), conductor
+    return CliffordData(*constants), action, draw(st.sampled_from(("even", "odd")))
 
 
 def polytope_product(a, b):
@@ -1238,8 +1329,8 @@ class TestBoundedSearch:
     @settings(max_examples=60, deadline=None)
     @given(clifford_problems(), st.integers(0, 6))
     def test_witness_equals_residual_column_screen(self, problem, height):
-        data, action, parity, conductor = problem
-        found = _bounded_search(data, action, parity, conductor, height)
+        data, action, parity = problem
+        found = _bounded_search(data, action, parity, height, _solution_space(data, action, parity))
         assert found == old_bounded_search(data, action, parity, height)
 
     @settings(max_examples=60, deadline=None)
@@ -1457,6 +1548,47 @@ class TestForcedCriticalPoints:
     @given(small_groups())
     def test_forced_points_equal_stabiliser_brute_force(self, group):
         assert forced_critical_points(group).finite_points() == stabiliser_forced_points(group)
+
+
+@st.composite
+def locus_rows(draw):
+    """(n, rows): 1-5 rows in Z^n, n = 1-4, entries in [-4, 4], or such rows confined to rank below n.
+
+    Confined rows (n > 1) are the drawn rows with the last entry zeroed, under
+    a unimodular change of basis.
+    """
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=5))
+    if n > 1 and draw(st.booleans()):
+        u, _ = draw(unimodular_pairs(n))
+        rows = [u.transpose().apply(row[:-1] + [0]) for row in rows]
+    return n, rows
+
+
+def assert_locus_equals_old(n, rows):
+    """Equal finite loci tuple for tuple; infinite ones with the same directions and cosets."""
+    new, old = _fixed_locus(LatticeBasis.from_vectors(n, rows)), old_fixed_locus(n, rows)
+    if old.is_finite:
+        assert new == old
+        return
+    assert not new.is_finite
+    assert LatticeBasis.from_vectors(n, new.free_directions) == LatticeBasis.from_vectors(n, old.free_directions)
+    assert len(new.torsion_reps) == len(old.torsion_reps)
+    # The pairings with the integer vectors orthogonal to every direction name a coset.
+    dual = kernel_lattice(IntMat.from_rows(old.free_directions).transpose()).basis
+    pairings = [Counter(tuple(dot(a, rep.coords) % 1 for a in dual) for rep in locus.torsion_reps) for locus in (new, old)]
+    assert pairings[0] == pairings[1]
+
+
+class TestFixedLocus:
+    @settings(max_examples=300, deadline=None)
+    @given(locus_rows())
+    def test_hermite_locus_equals_smith_locus(self, case):
+        assert_locus_equals_old(*case)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identity_fixes_the_whole_torus(self, n):
+        assert_locus_equals_old(n, _delta_rows(IntMat.identity(n)))
 
 
 # ---------------------------------------------------------------------------
