@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .cyclotomic import divisors, euler_phi
+from .cyclotomic import euler_phi, prime_divisors
 from .errors import NonUnimodularError, NotFiniteError, ParseError
-from .groups import MatrixGroup, Perm, cayley_closure, compose, identity_perm
+from .groups import MatrixGroup, Perm, compose, identity_perm
 from .intlat import IntMat, kernel_lattice, matrix_order
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
@@ -121,8 +121,8 @@ def identify_class_n2(group: MatrixGroup) -> str:
     if group.dim != 2:
         raise ValueError("classification needs dimension 2")
     for g in group:
-        if matrix_order(g, cap=24) is None:
-            raise NotFiniteError(f"element {g} has order above the finite cap")
+        if matrix_order(g) is None:
+            raise NotFiniteError(f"element {g} has infinite order")
     rotations = [g for g in group if g.det() == 1]
     reflections = [g for g in group if g.det() == -1]
     m = len(rotations)
@@ -287,9 +287,10 @@ def embed_symmetric_product(
 
     By Lagrange's theorem there is none unless |G| divides prod p_j!.
     Otherwise generator images t_s are chosen one at a time among
-    order-matched target elements, in product order, and each choice walks
-    the subgroup generated so far in breadth-first order of its right Cayley
-    graph: every edge g -> g s must satisfy image(g) t_s = image(g s), for a
+    order-matched target elements, in product order.  Choosing t_m extends
+    the images of <gens[:m]>, the first sizes[m] elements of the group's
+    chain walk, along the right Cayley edges that the walk added for gens[m]:
+    every edge g -> g s must satisfy image(g) t_s = image(g s), for a
     homomorphism, and no image may repeat, for injectivity.  A broken edge
     cuts every completion of the choices made.
     """
@@ -310,63 +311,57 @@ def embed_symmetric_product(
             order, power = order + 1, compose(power, t)
         by_order.setdefault(order, []).append(t)
 
-    gens = group.generators()
-    candidate_lists = [by_order.get(matrix_order(g, cap=group.order + 1), []) for g in gens]
+    gens, walk, sizes = group.chain
+    candidate_lists = [by_order.get(matrix_order(g), []) for g in gens]
     if not all(candidate_lists):
         return None
 
-    ident = IntMat.identity(group.dim)
-    walks = [list(cayley_closure(ident, gens[:m], IntMat.__matmul__, group.order)) for m in range(len(gens) + 1)]
-    position = {g: i for i, g in enumerate(walks[-1])}
-    # edges[m]: the Cayley edges of the subgroup generated by gens[:m], in its walk order.
-    edges = [[(position[g], [position[g @ s] for s in gens[:m]]) for g in walk] for m, walk in enumerate(walks)]
+    position = {g: i for i, g in enumerate(walk)}
+    right = [[position[g @ s] for s in gens] for g in walk]
 
-    def search(assignment: tuple[Perm, ...]) -> list[Perm] | None:
-        """Images of the first completion of the assignment that embeds G, or None."""
-        image: list[Perm | None] = [identity] + [None] * (len(position) - 1)
-        used = {identity}
-        for i, row in edges[len(assignment)]:
-            for j, t in zip(row, assignment):
-                y = compose(image[i], t)
-                if image[j] is None and y not in used:
-                    image[j] = y
-                    used.add(y)
-                elif image[j] != y:  # a broken relation, or a repeated image
+    def extend(image: list[Perm], used: set[Perm], targets: tuple[Perm, ...]):
+        """Images of <gens[:m + 1]> from those of <gens[:m]>, m = len(targets) - 1, or None."""
+        m = len(targets) - 1
+        image, used = image[:], set(used)
+        for i in range(sizes[m + 1]):  # image grows, in walk order, as new elements are reached
+            for k in range(m + 1) if i >= sizes[m] else (m,):
+                j, y = right[i][k], compose(image[i], targets[k])
+                if j < len(image):
+                    if image[j] != y:  # a broken relation
+                        return None
+                elif y in used:  # a repeated image
                     return None
-        if len(assignment) == len(gens):
-            return image
-        return next(filter(None, (search(assignment + (t,)) for t in candidate_lists[len(assignment)])), None)
+                else:
+                    image.append(y)
+                    used.add(y)
+        return image, used
 
-    image = search(())
+    def search(image: list[Perm], used: set[Perm], targets: tuple[Perm, ...]) -> list[Perm] | None:
+        """Images of the first completion of the targets that embeds G, or None."""
+        if len(targets) == len(gens):
+            return image
+        for t in candidate_lists[len(targets)]:
+            extended = extend(image, used, targets + (t,))
+            found = extended and search(*extended, targets + (t,))
+            if found:
+                return found
+        return None
+
+    image = search([identity], {identity}, ())
     return None if image is None else tuple((g, split[image[position[g]]]) for g in group.elements)
 
 
 def gl_order_feasible(m: int, k: int) -> bool:
     """Does some finite-order element of GL(k, Z) have order exactly m?
 
-    An order-m element exists exactly when m is the least common multiple of
-    conductors d_i whose cyclotomic degrees phi(d_i) fit in k columns, since
-    companion blocks realise any such multiset.
+    Exactly when psi(m) <= k (Hiller, Acta Cryst. A41, 1985): psi(m) sums
+    phi(p^a) over the prime powers p^a exactly dividing m, less 1 when
+    m = 2 mod 4 and m > 2, since phi(2d) = phi(d) for odd d.
     """
     if m < 1 or k < 0:
         raise ValueError("order and dimension must be nonnegative")
-    if m == 1:
-        return True
-    if k == 0:
-        return False
-    divs = divisors(m)
-    best: dict[int, int] = {1: 0}
-    changed = True
-    while changed:
-        changed = False
-        for lcm_now, cost in list(best.items()):
-            for d in divs:
-                new_lcm = math.lcm(lcm_now, d)
-                new_cost = cost + euler_phi(d)
-                if new_cost <= k and new_cost < best.get(new_lcm, k + 1):
-                    best[new_lcm] = new_cost
-                    changed = True
-    return m in best
+    psi = sum(euler_phi(math.gcd(m, p ** m.bit_length())) for p in prime_divisors(m))
+    return psi - (m % 4 == 2 and m > 2) <= k
 
 
 def conjecture_filter(catalog: GroupCatalog) -> tuple[ConjectureVerdict, ...]:
@@ -386,7 +381,7 @@ def conjecture_filter(catalog: GroupCatalog) -> tuple[ConjectureVerdict, ...]:
         n = catalog.dim
         found = ((parts, embed_symmetric_product(group, parts)) for parts in _symmetric_part_choices(n))
         case2_parts, case2 = next(((parts, e) for parts, e in found if e is not None), (None, None))
-        orders = sorted({matrix_order(g, cap=group.order + 1) for g in group})
+        orders = sorted({matrix_order(g) for g in group})
         case1 = all(gl_order_feasible(order, n - 1) for order in orders)
         status = {(True, True): "BOTH", (False, True): "CASE2", (True, False): "CASE1_NECESSARY"}.get(
             (case1, case2 is not None), "UNKNOWN"

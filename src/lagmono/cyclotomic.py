@@ -66,10 +66,6 @@ def euler_phi_table(n: int) -> list[int]:
     return phi
 
 
-def divisors(d: int) -> list[int]:
-    return [k for k in range(1, d + 1) if d % k == 0]
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Coefficients of the d-th cyclotomic polynomial, constant term first.

@@ -2,9 +2,10 @@
 
 Desk-scale orders make explicit lists practical and keep closure checks,
 subgroup tests and isomorphism searches trivial.  Element lists are stored in
-a canonical sorted order so all reports are deterministic.  Closures,
-generating sets and words in generators all come from one breadth-first
-search over the right Cayley graph, ``cayley_closure``.
+a canonical sorted order so all reports are deterministic.  Closures and
+generating sets come from one breadth-first search over the right Cayley
+graph, ``cayley_closure``, which can extend the walk of a subgroup by one
+more generator; each group keeps one such chain of subgroups.
 """
 
 from __future__ import annotations
@@ -60,54 +61,42 @@ def cayley_closure(
     mul: Callable[[E, E], E],
     cap: int,
     residue: Callable[[E], Hashable] | None = None,
-) -> dict[E, tuple[int, ...]]:
-    """Every element of the group generated by gens, mapped to a shortest word.
+    prefix: Sequence[E] | None = None,
+) -> list[E]:
+    """Every element of the group generated by gens, in breadth-first order.
 
     Breadth-first search over the right Cayley graph, one product per element
-    and generator; a word lists generator indices, multiplied left to right.
-    Positive words reach every inverse in a finite group and infinitely many
-    elements otherwise.  ``residue``, when given, is a homomorphism to a
-    finite group that is injective on every finite subgroup, so two distinct
-    elements with one residue prove the group infinite.  NotFiniteError is
-    raised on such a pair, or, as a resource limit, above cap elements.
+    and generator; positive products reach every inverse in a finite group
+    and infinitely many elements otherwise.  ``prefix``, the walk for
+    gens[:-1], is closed under gens[:-1]: it starts the result and only its
+    products by the last generator are taken.  ``residue``, when given, is a
+    homomorphism to a finite group that is injective on every finite
+    subgroup, so two distinct elements with one residue prove the group
+    infinite.  NotFiniteError is raised on such a pair, or, as a resource
+    limit, above cap elements.
     """
-    words = {identity: ()}
-    seen = None if residue is None else {residue(identity)}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for idx, s in enumerate(gens):
-                h = mul(g, s)
-                if h not in words:
-                    if seen is not None:
-                        r = residue(h)
-                        if r in seen:
-                            raise NotFiniteError("group is infinite: two distinct elements share a residue")
-                        seen.add(r)
-                    words[h] = words[g] + (idx,)
-                    fresh.append(h)
-                    if len(words) > cap:
-                        raise NotFiniteError(f"closure exceeded cap {cap}; group not verified finite")
-        frontier = fresh
-    return words
+    walk = [identity] if prefix is None else list(prefix)
+    closed = 0 if prefix is None else len(walk)
+    members = set(walk)
+    seen = None if residue is None else set(map(residue, walk))
+    for i, g in enumerate(walk):  # walk grows as it is read: a first-in first-out queue
+        for s in gens[-1:] if i < closed else gens:
+            h = mul(g, s)
+            if h not in members:
+                if seen is not None:
+                    r = residue(h)
+                    if r in seen:
+                        raise NotFiniteError("group is infinite: two distinct elements share a residue")
+                    seen.add(r)
+                members.add(h)
+                walk.append(h)
+                if len(walk) > cap:
+                    raise NotFiniteError(f"closure exceeded cap {cap}; group not verified finite")
+    return walk
 
 
 def _residue_mod_3(g: IntMat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x % 3 for x in row) for row in g.rows)
-
-
-def _greedy_generators(elements: Sequence[E], identity: E, mul: Callable[[E, E], E]) -> tuple[E, ...]:
-    """Each element, in the given order, that the ones picked before do not generate."""
-    gens: list[E] = []
-    generated = {identity: ()}
-    for x in elements:
-        if x not in generated:
-            gens.append(x)
-            generated = cayley_closure(identity, gens, mul, len(elements))
-            if len(generated) == len(elements):
-                break
-    return tuple(gens)
 
 
 class _ElementList:
@@ -122,13 +111,25 @@ class _ElementList:
         return frozenset(self.elements)
 
     @functools.cached_property
-    def _generators(self) -> tuple:
-        """Small generating set found greedily over the sorted element list, once per group.
+    def chain(self) -> tuple[tuple, tuple, tuple[int, ...]]:
+        """(gens, walk, sizes), found once per group.
 
+        Each element of the sorted list that the ones picked before do not
+        generate is picked, and the walk is extended by it, so the first
+        sizes[m] walk elements are the subgroup generated by gens[:m].
         ``_cayley`` gives the identity and the product of the subclass.
         """
         identity, mul = self._cayley()
-        return _greedy_generators(self.elements, identity, mul)
+        gens, walk, sizes, members = [], [identity], [1], {identity}
+        for x in self.elements:
+            if len(walk) == self.order:
+                break
+            if x not in members:
+                gens.append(x)
+                walk = cayley_closure(identity, gens, mul, self.order, prefix=walk)
+                members.update(walk[sizes[-1]:])
+                sizes.append(len(walk))
+        return tuple(gens), tuple(walk), tuple(sizes)
 
     def __contains__(self, x) -> bool:
         return x in self._members
@@ -155,7 +156,7 @@ class PermutationGroup(_ElementList):
 
     def generators(self) -> tuple[Perm, ...]:
         """Small generating set found greedily over the sorted element list."""
-        return self._generators
+        return self.chain[0]
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return all(p in other for p in self.elements)
@@ -196,7 +197,7 @@ class MatrixGroup(_ElementList):
 
     def generators(self) -> tuple[IntMat, ...]:
         """Small generating set found greedily over the sorted element list."""
-        return self._generators
+        return self.chain[0]
 
     def conjugate(self, u: IntMat, u_inv: IntMat) -> "MatrixGroup":
         return MatrixGroup.from_elements(self.dim, [u @ g @ u_inv for g in self.elements])

@@ -242,13 +242,14 @@ def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     return a == b
 
 
-def matrix_order(g: IntMat, cap: int | None = None) -> int | None:
-    """Order of g, or None when g has infinite order or (with a cap) order above cap.
+def matrix_order(g: IntMat) -> int | None:
+    """Order of g, or None when g has infinite order.
 
     Exact, by reduction mod 3: the kernel of GL(n, Z) -> GL(n, F_3) is
     torsion-free (Minkowski), so an element of finite order has the same
     order k as its residue mod 3, and g has finite order exactly when
-    g^k = I.  The residue order is at most 3^n - 1.
+    g^k = I.  The residue loop ends because GL(n, F_3) is finite; the
+    residue order is at most 3^n - 1.
     """
     if g.nrows != g.ncols:
         raise ValueError("order of non-square matrix")
@@ -259,8 +260,6 @@ def matrix_order(g: IntMat, cap: int | None = None) -> int | None:
     cols = tuple(zip(*residue))
     power, k = residue, 1
     while power != ident.rows:
-        if cap is not None and k >= cap:
-            return None
         power = tuple(tuple(dot(r, c) % 3 for c in cols) for r in power)
         k += 1
     power = g

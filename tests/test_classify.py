@@ -56,7 +56,7 @@ class TestCatalog13:
     def test_every_element_finite_order(self):
         for _, group in catalog_n2().entries:
             for g in group:
-                assert matrix_order(g, cap=12) in (1, 2, 3, 4, 6)
+                assert matrix_order(g) in (1, 2, 3, 4, 6)
 
 
 def random_unimodular(rng: random.Random) -> tuple[IntMat, IntMat]:
@@ -240,7 +240,7 @@ class TestGlOrderFeasible:
             def extend(remaining, start, mat):
                 if mat is not None:
                     full = _block_diag(mat, IntMat.identity(remaining)) if remaining else mat
-                    order = matrix_order(full, cap=1000)
+                    order = matrix_order(full)
                     assert order is not None
                     achievable.add(order)
                 for idx in range(start, len(candidates)):

@@ -2,11 +2,10 @@
 
 Each example takes one shipped fixture, drops or duplicates a line or swaps
 one token for a hostile one, and runs the matching subcommand in-process.
-Two fixtures are kept small so the whole test stays fast: the catalog is cut
-to its first two groups, and the hexagon ``bl3cp2`` runs with ``--cap 5``,
-which refuses its six-normal symplectic search at once.  The argument cases
-run the shipped files with hostile option values and a missing path;
-argparse rejects a malformed value with exit 2.
+The catalog is cut to its first two groups so the whole test stays fast;
+every polytope, the hexagon ``bl3cp2`` included, runs its full symplectic
+search.  The argument cases run the shipped files with hostile option
+values and a missing path; argparse rejects a malformed value with exit 2.
 """
 
 import contextlib
@@ -30,7 +29,6 @@ ARGV = {
         ["clifford", "{}", "--at", "1/2,1/2"],
     ],
 }
-EXTRA_ARGS = {"bl3cp2.poly": ["--cap", "5"]}
 
 
 def fixture_text(path: pathlib.Path) -> str:
@@ -71,7 +69,7 @@ def test_mutated_fixture_exits_cleanly(name, tmp_path_factory):
     def check(text):
         target.write_text(text)
         for template in ARGV[path.suffix]:
-            argv = [arg.format(target) for arg in template] + EXTRA_ARGS.get(name, [])
+            argv = [arg.format(target) for arg in template]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = run(argv)
             assert code in (0, 2, 3), (argv, text)

@@ -1,4 +1,4 @@
-"""Group closure, greedy generators and words against a brute-force oracle."""
+"""Group closure, greedy generators and the subgroup chain against a brute-force oracle."""
 
 import time
 
@@ -54,11 +54,14 @@ def greedy_oracle(elements, identity, mul):
     return tuple(gens)
 
 
-def evaluate(word, gens, identity, mul):
-    acc = identity
-    for idx in word:
-        acc = mul(acc, gens[idx])
-    return acc
+def check_walk(walk, gens, identity, mul):
+    """Distinct elements from the identity, closed under gens, each after the first an earlier one times a generator."""
+    position = {g: i for i, g in enumerate(walk)}
+    assert walk[0] == identity and len(position) == len(walk)
+    reached = {0}
+    for i, g in enumerate(walk):
+        assert i in reached
+        reached.update(position[mul(g, s)] for s in gens)
 
 
 def signed_permutation(perm, signs):
@@ -89,11 +92,31 @@ matrix_generators = st.integers(min_value=1, max_value=3).flatmap(
 
 def check_group_layer(group, gens, identity, mul):
     assert set(group.elements) == generated(identity, gens, mul)
-    picked = group.generators()
-    assert picked == greedy_oracle(group.elements, identity, mul)
-    words = cayley_closure(identity, picked, mul, group.order)
-    assert {evaluate(w, picked, identity, mul) for w in words.values()} == set(group.elements)
-    assert all(evaluate(w, picked, identity, mul) == g for g, w in words.items())
+    picked, walk, sizes = group.chain
+    assert group.generators() == picked == greedy_oracle(group.elements, identity, mul)
+    check_walk(walk, picked, identity, mul)
+    assert set(walk) == set(group.elements) and sizes[-1] == len(walk)
+    assert [set(walk[:n]) for n in sizes] == [generated(identity, picked[:m], mul) for m in range(len(sizes))]
+    check_resumed_walks(gens, identity, mul)
+
+
+def check_resumed_walks(gens, identity, mul):
+    """A walk resumed from the walk of gens[:m] keeps it, equals a fresh walk as a set, and takes
+    one product per old element and |gens[:m + 1]| per new one."""
+    products = []
+
+    def counted(a, b):
+        products.append(None)
+        return mul(a, b)
+
+    for m in range(len(gens)):
+        prefix = cayley_closure(identity, gens[:m], mul, 10_000)
+        products.clear()
+        resumed = cayley_closure(identity, gens[: m + 1], counted, 10_000, prefix=prefix)
+        assert resumed[: len(prefix)] == prefix
+        assert set(resumed) == set(cayley_closure(identity, gens[: m + 1], mul, 10_000))
+        assert len(products) == len(prefix) + (len(resumed) - len(prefix)) * (m + 1)
+        check_walk(resumed, gens[: m + 1], identity, mul)
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,10 +140,16 @@ def test_signed_permutation_groups_match_oracle(case):
         assert matrix_order(g) == k
 
 
-def test_words_are_shortest():
+def test_walk_is_breadth_first():
     rot = IntMat.from_rows([[0, -1], [1, 0]])
-    words = cayley_closure(IntMat.identity(2), [rot], IntMat.__matmul__, 4)
-    assert sorted(len(w) for w in words.values()) == [0, 1, 2, 3]
+    assert cayley_closure(IntMat.identity(2), [rot], IntMat.__matmul__, 4) == [
+        IntMat.identity(2), rot, rot @ rot, rot @ rot @ rot
+    ]
+    # S3 from a transposition and a 3-cycle: the walk of <(1 2)> is resumed by the 3-cycle.
+    swap, cycle = (1, 0, 2), (1, 2, 0)
+    walk = cayley_closure((0, 1, 2), [swap, cycle], compose, 6, prefix=[(0, 1, 2), swap])
+    assert walk[:2] == [(0, 1, 2), swap]
+    assert walk[2:4] == [cycle, compose(swap, cycle)]
 
 
 def test_cap_is_exact():
@@ -168,7 +197,6 @@ def test_generators_are_found_once_per_group(make, monkeypatch):
 
     monkeypatch.setattr(groups, "cayley_closure", counted)
     first = group.generators()
-    assert calls
-    made = len(calls)
+    assert len(calls) == len(first)
     assert group.generators() is first
-    assert len(calls) == made
+    assert len(calls) == len(first)

@@ -239,8 +239,6 @@ class TestMatrixOrder:
             start += size
         g = IntMat.from_rows(rows)
         assert matrix_order(g) == 210
-        assert matrix_order(g, cap=210) == 210
-        assert matrix_order(g, cap=209) is None
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(NonUnimodularError):

@@ -11,8 +11,11 @@ power-table promotion, the Euclidean inverse and the Fraction solve that
 replaced it, the Clifford-product residual columns and residual-column
 screen of ``floer._bounded_search`` and its pair-by-pair line screen, the
 block-map search of ``monodromy.symplectic_monodromy``, the word
-expansion and multiplication-table check of
-``classify.embed_symmetric_product``, the subset enumeration of
+breadth-first search behind ``groups.cayley_closure``
+(``old_cayley_closure``), the word expansion and multiplication-table check
+of ``classify.embed_symmetric_product`` and its search that re-walks each
+prefix subgroup (``old_rewalk_embed_symmetric_product``), the fixed-point
+search of ``classify.gl_order_feasible``, the subset enumeration of
 ``torussym.forced_critical_points``, the division builder of
 ``cyclotomic.cyclotomic_polynomial``, the Fraction vertex enumeration and
 recession-ray compactness test of ``toric.validate_delzant``, the Fraction
@@ -46,7 +49,6 @@ from lagmono.cyclotomic import (
     _polydivmod,
     _polymod,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
 )
 from lagmono.floer import (
@@ -69,9 +71,10 @@ from lagmono.classify import (
     _symmetric_part_choices,
     catalog_n2,
     embed_symmetric_product,
+    gl_order_feasible,
     ingest_catalog,
 )
-from lagmono.errors import NotMonotoneError, SearchTooLargeError
+from lagmono.errors import NotFiniteError, NotMonotoneError, SearchTooLargeError
 from lagmono.groups import (
     MatrixGroup,
     PermutationGroup,
@@ -111,6 +114,10 @@ from lagmono.toric import (
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Cyc = CyclotomicNumber
 CONDUCTORS = (1, 3, 4, 5, 12)
+
+
+def divisors(d):
+    return [k for k in range(1, d + 1) if d % k == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +660,67 @@ def old_symplectic_monodromy(data, max_degree=12, max_order=50_000):
     return old_block_map_group(partition, confirmed)
 
 
+def old_cayley_closure(identity, gens, mul, cap, residue=None):
+    """Every element of the group generated by gens, mapped to a shortest word.
+
+    Breadth-first search over the right Cayley graph, one product per element
+    and generator; a word lists generator indices, multiplied left to right.
+    Positive words reach every inverse in a finite group and infinitely many
+    elements otherwise.  ``residue``, when given, is a homomorphism to a
+    finite group that is injective on every finite subgroup, so two distinct
+    elements with one residue prove the group infinite.  NotFiniteError is
+    raised on such a pair, or, as a resource limit, above cap elements.
+    """
+    words = {identity: ()}
+    seen = None if residue is None else {residue(identity)}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for idx, s in enumerate(gens):
+                h = mul(g, s)
+                if h not in words:
+                    if seen is not None:
+                        r = residue(h)
+                        if r in seen:
+                            raise NotFiniteError("group is infinite: two distinct elements share a residue")
+                        seen.add(r)
+                    words[h] = words[g] + (idx,)
+                    fresh.append(h)
+                    if len(words) > cap:
+                        raise NotFiniteError(f"closure exceeded cap {cap}; group not verified finite")
+        frontier = fresh
+    return words
+
+
+def old_gl_order_feasible(m, k):
+    """Does some finite-order element of GL(k, Z) have order exactly m?
+
+    An order-m element exists exactly when m is the least common multiple of
+    conductors d_i whose cyclotomic degrees phi(d_i) fit in k columns, since
+    companion blocks realise any such multiset.
+    """
+    if m < 1 or k < 0:
+        raise ValueError("order and dimension must be nonnegative")
+    if m == 1:
+        return True
+    if k == 0:
+        return False
+    divs = divisors(m)
+    best: dict[int, int] = {1: 0}
+    changed = True
+    while changed:
+        changed = False
+        for lcm_now, cost in list(best.items()):
+            for d in divs:
+                new_lcm = math.lcm(lcm_now, d)
+                new_cost = cost + euler_phi(d)
+                if new_cost <= k and new_cost < best.get(new_lcm, k + 1):
+                    best[new_lcm] = new_cost
+                    changed = True
+    return m in best
+
+
 def old_embed_symmetric_product(group, parts):
     """Word expansion of every assignment, then the full multiplication table."""
     parts = tuple(parts)
@@ -677,7 +745,7 @@ def old_embed_symmetric_product(group, parts):
         orders_available.setdefault(target_order(x), []).append(x)
 
     gens = group.generators()
-    gen_orders = [matrix_order(g, cap=group.order + 1) for g in gens]
+    gen_orders = [matrix_order(g) for g in gens]
     candidate_lists = []
     for order in gen_orders:
         candidates = orders_available.get(order, [])
@@ -685,7 +753,7 @@ def old_embed_symmetric_product(group, parts):
             return None
         candidate_lists.append(candidates)
 
-    words = cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order)
+    words = old_cayley_closure(IntMat.identity(group.dim), gens, IntMat.__matmul__, group.order)
 
     elements = list(group.elements)
 
@@ -709,6 +777,65 @@ def old_embed_symmetric_product(group, parts):
         if verified is not None:
             return verified
     return None
+
+
+def old_rewalk_embed_symmetric_product(group, parts):
+    """Verified injective homomorphism into S_{p_1} x .. x S_{p_k}; each search node re-walks its subgroup.
+
+    By Lagrange's theorem there is none unless |G| divides prod p_j!.
+    Otherwise generator images t_s are chosen one at a time among
+    order-matched target elements, in product order, and each choice walks
+    the subgroup generated so far in breadth-first order of its right Cayley
+    graph: every edge g -> g s must satisfy image(g) t_s = image(g s), for a
+    homomorphism, and no image may repeat, for injectivity.  A broken edge
+    cuts every completion of the choices made.
+    """
+    parts = tuple(parts)
+    if math.prod(map(math.factorial, parts)) % group.order:
+        return None
+    # A target element as one permutation of all sum(parts) points, mapped to its parts.
+    offsets = [sum(parts[:j]) for j in range(len(parts))]
+    split = {
+        tuple(off + i for off, perm in zip(offsets, x) for i in perm): x
+        for x in itertools.product(*[itertools.permutations(range(p)) for p in parts])
+    }
+    identity = identity_perm(sum(parts))
+    by_order: dict[int, list] = {}
+    for t in split:
+        order, power = 1, t
+        while power != identity:
+            order, power = order + 1, compose(power, t)
+        by_order.setdefault(order, []).append(t)
+
+    gens = group.generators()
+    candidate_lists = [by_order.get(matrix_order(g), []) for g in gens]
+    if not all(candidate_lists):
+        return None
+
+    ident = IntMat.identity(group.dim)
+    walks = [list(old_cayley_closure(ident, gens[:m], IntMat.__matmul__, group.order)) for m in range(len(gens) + 1)]
+    position = {g: i for i, g in enumerate(walks[-1])}
+    # edges[m]: the Cayley edges of the subgroup generated by gens[:m], in its walk order.
+    edges = [[(position[g], [position[g @ s] for s in gens[:m]]) for g in walk] for m, walk in enumerate(walks)]
+
+    def search(assignment: tuple) -> list | None:
+        """Images of the first completion of the assignment that embeds G, or None."""
+        image: list = [identity] + [None] * (len(position) - 1)
+        used = {identity}
+        for i, row in edges[len(assignment)]:
+            for j, t in zip(row, assignment):
+                y = compose(image[i], t)
+                if image[j] is None and y not in used:
+                    image[j] = y
+                    used.add(y)
+                elif image[j] != y:  # a broken relation, or a repeated image
+                    return None
+        if len(assignment) == len(gens):
+            return image
+        return next(filter(None, (search(assignment + (t,)) for t in candidate_lists[len(assignment)])), None)
+
+    image = search(())
+    return None if image is None else tuple((g, split[image[position[g]]]) for g in group.elements)
 
 
 def old_smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -1440,6 +1567,26 @@ class TestEmbedding:
             assert embed_symmetric_product(group, parts) == old_embed_symmetric_product(group, parts), parts
 
 
+class TestClosure:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)).map(tuple), max_size=3))
+        )
+    )
+    def test_walk_equals_word_search_order(self, case):
+        degree, gens = case
+        identity = identity_perm(degree)
+        assert cayley_closure(identity, gens, compose, 200) == list(old_cayley_closure(identity, gens, compose, 200))
+
+
+class TestGlOrderFeasible:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 600), st.integers(0, 16))
+    def test_closed_form_equals_fixed_point_search(self, m, k):
+        assert gl_order_feasible(m, k) == old_gl_order_feasible(m, k)
+
+
 # ---------------------------------------------------------------------------
 # Forced critical points
 
@@ -1458,6 +1605,20 @@ FORCED_HEAVY_CASES = {
     "S4": MatrixGroup.from_generators(4, [signed_permutation((1, 0, 2, 3), (1,) * 4), signed_permutation((1, 2, 3, 0), (1,) * 4)]),
     "signs4": MatrixGroup.from_generators(4, [diagonal(*(-1 if i == j else 1 for i in range(4))) for j in range(4)]),
 }
+
+
+HEAVY_TARGETS = [(name, parts) for name, group in FORCED_HEAVY_CASES.items() for parts in _symmetric_part_choices(group.dim)]
+
+
+@pytest.mark.parametrize("name, parts", HEAVY_TARGETS, ids=[f"{name}-{parts}" for name, parts in HEAVY_TARGETS])
+def test_heavy_group_embedding_equals_old_searches(name, parts):
+    group = FORCED_HEAVY_CASES[name]
+    found = embed_symmetric_product(group, parts)
+    assert found == old_rewalk_embed_symmetric_product(group, parts)
+    # The multiplication-table search has no Lagrange cut, so it walks every assignment
+    # against a target that fails it, and all 19^4 of signs4 against S4 x S2: minutes each.
+    if math.prod(map(math.factorial, parts)) % group.order == 0 and (name, parts) != ("signs4", (4, 2)):
+        assert found == old_embed_symmetric_product(group, parts)
 
 
 @st.composite
