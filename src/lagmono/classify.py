@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .cyclotomic import euler_phi, prime_divisors
-from .errors import NonUnimodularError, NotFiniteError, ParseError
+from .errors import NonUnimodularError, NotFiniteError, ParseError, SearchTooLargeError
 from .groups import MatrixGroup, Perm, compose, identity_perm
 from .intlat import IntMat, kernel_lattice, matrix_order
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
@@ -205,7 +205,7 @@ def classify_n2() -> tuple[ClassVerdict2D, ...]:
 # Catalog ingestion
 
 
-def ingest_catalog(text: str, cap: int = 10_000) -> GroupCatalog:
+def ingest_catalog(text: str) -> GroupCatalog:
     """Parse a group catalog: blocks of 'group <name>' / 'dim <n>' / 'gen' rows.
 
     Generators are closed and verified finite and unimodular; duplicate
@@ -243,8 +243,8 @@ def ingest_catalog(text: str, cap: int = 10_000) -> GroupCatalog:
         elif dim != dim_overall:
             raise ParseError(f"line {dim_lineno}: group {name!r} has mismatched dimension")
         try:
-            group = MatrixGroup.from_generators(dim, gens, cap=cap)
-        except (NonUnimodularError, NotFiniteError) as exc:
+            group = MatrixGroup.from_generators(dim, gens)
+        except (NonUnimodularError, NotFiniteError, SearchTooLargeError) as exc:
             raise type(exc)(f"group {name!r}: {exc}") from exc
         entries.append((name, group))
     if dim_overall is None:

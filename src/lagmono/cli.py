@@ -127,7 +127,7 @@ def run_toric(args) -> int:
         }
     )
     hamiltonian = hamiltonian_monodromy(data)
-    symplectic = symplectic_monodromy(data, max_degree=args.cap or 12)
+    symplectic = symplectic_monodromy(data)
     for name, group in (("hamiltonian", hamiltonian), ("symplectic", symplectic)):
         gens = group.generators()
         mats = induced_matrices(data, gens)
@@ -166,7 +166,7 @@ def run_classify2d(args) -> int:
 
 
 def run_filter(args) -> int:
-    group = parse_group(_read(args.group), cap=args.cap or 10_000)
+    group = parse_group(_read(args.group))
     records = [{"record": "group", "dim": group.dim, "order": group.order}]
     forced = forced_critical_points(group).finite_points()
     records.append(
@@ -187,7 +187,7 @@ def run_filter(args) -> int:
 
 
 def run_conjecture(args) -> int:
-    catalog = classify_mod.ingest_catalog(_read(args.catalog), cap=args.cap or 10_000)
+    catalog = classify_mod.ingest_catalog(_read(args.catalog))
     records = []
     if catalog.q_class:
         records.append(
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     toric = sub.add_parser("toric", help="full pipeline on a polytope file")
     toric.add_argument("polytope")
     toric.add_argument("--mode", choices=["compact", "vertex"], help="override the file mode")
-    toric.add_argument("--cap", type=_positive_int, help="setwise search bound")
     toric.set_defaults(func=run_toric)
 
     classify2d = sub.add_parser("classify2d", help="verdicts for the 13 planar classes")
@@ -310,12 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     filt = sub.add_parser("filter", help="forced critical points and admissibility")
     filt.add_argument("group")
-    filt.add_argument("--cap", type=_positive_int, help="closure cap")
     filt.set_defaults(func=run_filter)
 
     conjecture = sub.add_parser("conjecture", help="structural filter over a catalog")
     conjecture.add_argument("catalog")
-    conjecture.add_argument("--cap", type=_positive_int, help="closure cap")
     conjecture.set_defaults(func=run_conjecture)
 
     potential = sub.add_parser("potential", help="potential-file analyses")

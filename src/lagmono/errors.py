@@ -23,7 +23,7 @@ class NonUnimodularError(ValidationError):
 
 
 class NotFiniteError(ValidationError):
-    """Group proved infinite, or its closure exceeded its cap (not verified finite)."""
+    """Group proved infinite: two elements congruent mod 3, or more than Minkowski's bound."""
 
 
 class NotMonotoneError(ValidationError):
@@ -31,7 +31,7 @@ class NotMonotoneError(ValidationError):
 
 
 class SearchTooLargeError(ValidationError):
-    """A combinatorial search would exceed its configured bound."""
+    """A search or element list would pass its resource limit; this proves nothing about the input."""
 
 
 class GridTooLargeError(ValidationError):

@@ -5,7 +5,8 @@ subgroup tests and isomorphism searches trivial.  Element lists are stored in
 a canonical sorted order so all reports are deterministic.  Closures and
 generating sets come from one breadth-first search over the right Cayley
 graph, ``cayley_closure``, which can extend the walk of a subgroup by one
-more generator; each group keeps one such chain of subgroups.
+more generator; each group keeps one such chain of subgroups.  No walk goes
+past MAX_ELEMENTS elements, a resource limit, not a proof of infiniteness.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import NonUnimodularError, NotFiniteError
-from .intlat import IntMat
+from .errors import NonUnimodularError, NotFiniteError, SearchTooLargeError
+from .intlat import IntMat, minkowski_bound, residue_mod_3
 
 Perm = tuple[int, ...]
 E = TypeVar("E", bound=Hashable)
+MAX_ELEMENTS = 50_000  # the most elements any explicit list may hold
 
 
 def identity_perm(n: int) -> Perm:
@@ -59,8 +61,8 @@ def cayley_closure(
     identity: E,
     gens: Sequence[E],
     mul: Callable[[E, E], E],
-    cap: int,
     residue: Callable[[E], Hashable] | None = None,
+    bound: int | None = None,
     prefix: Sequence[E] | None = None,
 ) -> list[E]:
     """Every element of the group generated by gens, in breadth-first order.
@@ -72,8 +74,10 @@ def cayley_closure(
     products by the last generator are taken.  ``residue``, when given, is a
     homomorphism to a finite group that is injective on every finite
     subgroup, so two distinct elements with one residue prove the group
-    infinite.  NotFiniteError is raised on such a pair, or, as a resource
-    limit, above cap elements.
+    infinite.  ``bound``, when given, divides the order of every finite
+    group of the kind (Minkowski's bound), so more elements prove it
+    infinite too.  NotFiniteError is raised on either proof, and
+    SearchTooLargeError past MAX_ELEMENTS elements (not verified finite).
     """
     walk = [identity] if prefix is None else list(prefix)
     closed = 0 if prefix is None else len(walk)
@@ -90,13 +94,11 @@ def cayley_closure(
                     seen.add(r)
                 members.add(h)
                 walk.append(h)
-                if len(walk) > cap:
-                    raise NotFiniteError(f"closure exceeded cap {cap}; group not verified finite")
+                if bound is not None and len(walk) > bound:
+                    raise NotFiniteError(f"group is infinite: order above Minkowski's bound {bound}")
+                if len(walk) > MAX_ELEMENTS:
+                    raise SearchTooLargeError(f"more than {MAX_ELEMENTS} elements; group not verified finite")
     return walk
-
-
-def _residue_mod_3(g: IntMat) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(x % 3 for x in row) for row in g.rows)
 
 
 class _ElementList:
@@ -126,7 +128,7 @@ class _ElementList:
                 break
             if x not in members:
                 gens.append(x)
-                walk = cayley_closure(identity, gens, mul, self.order, prefix=walk)
+                walk = cayley_closure(identity, gens, mul, prefix=walk)
                 members.update(walk[sizes[-1]:])
                 sizes.append(len(walk))
         return tuple(gens), tuple(walk), tuple(sizes)
@@ -148,8 +150,8 @@ class PermutationGroup(_ElementList):
         return cls(degree, tuple(sorted(set(elements))))
 
     @classmethod
-    def from_generators(cls, degree: int, gens: Iterable[Perm], cap: int = 10_000_000) -> "PermutationGroup":
-        return cls.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose, cap))
+    def from_generators(cls, degree: int, gens: Iterable[Perm]) -> "PermutationGroup":
+        return cls.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose))
 
     def _cayley(self):
         return identity_perm(self.degree), compose
@@ -175,17 +177,14 @@ class MatrixGroup(_ElementList):
         return cls(dim, tuple(uniq))
 
     @classmethod
-    def from_generators(cls, dim: int, gens: Iterable[IntMat], cap: int = 10_000) -> "MatrixGroup":
+    def from_generators(cls, dim: int, gens: Iterable[IntMat]) -> "MatrixGroup":
         gens = list(gens)
         for g in gens:
             if g.nrows != dim or g.ncols != dim:
                 raise ValueError("generator dimension mismatch")
             if abs(g.det()) != 1:
                 raise NonUnimodularError(f"generator {g} has determinant {g.det()}")
-        # Minkowski: the kernel of GL(n, Z) -> GL(n, Z/3) is torsion-free, so
-        # reduction mod 3 is injective on finite subgroups and a collision of
-        # residues proves the group infinite.
-        closure = cayley_closure(IntMat.identity(dim), gens, IntMat.__matmul__, cap, _residue_mod_3)
+        closure = cayley_closure(IntMat.identity(dim), gens, IntMat.__matmul__, residue_mod_3, minkowski_bound(dim))
         return cls.from_elements(dim, closure)
 
     def nonidentity(self) -> list[IntMat]:

@@ -5,7 +5,7 @@ eliminations: the Hermite normal form with its unimodular transform answers
 lattice questions (saturated kernel lattices, canonical sublattice
 comparison), and one fraction-free Bareiss elimination answers rational ones
 (determinants, integral solves, ranks and the reduced row echelon form scaled
-to integers).  Finite matrix order is exact by reduction mod 3.
+to integers).  Matrix orders are exact mod 3; Minkowski's M(n) bounds groups.
 """
 
 from __future__ import annotations
@@ -242,23 +242,33 @@ def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     return a == b
 
 
+def minkowski_bound(n: int) -> int:
+    """Minkowski's M(n), which the order of every finite subgroup of GL(n, Z) divides:
+    the product over primes p <= n + 1 of p^(sum over k >= 0 of floor(n / (p^k (p - 1))))."""
+    primes = [p for p in range(2, n + 2) if all(p % q for q in range(2, p))]
+    return math.prod(p ** sum(n // ((p - 1) * p**k) for k in range(n)) for p in primes)
+
+
+def residue_mod_3(g: IntMat) -> tuple[Vec, ...]:
+    """g mod 3, injective on finite subgroups: the kernel of GL(n, Z) -> GL(n, F_3) is torsion-free."""
+    return tuple(tuple(x % 3 for x in r) for r in g.rows)
+
+
 def matrix_order(g: IntMat) -> int | None:
     """Order of g, or None when g has infinite order.
 
-    Exact, by reduction mod 3: the kernel of GL(n, Z) -> GL(n, F_3) is
-    torsion-free (Minkowski), so an element of finite order has the same
-    order k as its residue mod 3, and g has finite order exactly when
-    g^k = I.  The residue loop ends because GL(n, F_3) is finite; the
-    residue order is at most 3^n - 1.
+    Exact, by reduction mod 3 (``residue_mod_3``): an element of finite
+    order has the same order k as its residue, and g has finite order
+    exactly when g^k = I.  The residue loop ends because GL(n, F_3) is
+    finite; the residue order is at most 3^n - 1.
     """
     if g.nrows != g.ncols:
         raise ValueError("order of non-square matrix")
     if abs(g.det()) != 1:
         raise NonUnimodularError(f"matrix has determinant {g.det()}, not +-1")
     ident = IntMat.identity(g.nrows)
-    residue = tuple(tuple(x % 3 for x in r) for r in g.rows)
-    cols = tuple(zip(*residue))
-    power, k = residue, 1
+    power, k = residue_mod_3(g), 1
+    cols = tuple(zip(*power))
     while power != ident.rows:
         power = tuple(tuple(dot(r, c) % 3 for c in cols) for r in power)
         k += 1

@@ -7,15 +7,16 @@ of symmetric groups on the blocks of the coefficient partition.  The
 relation lattice is saturated, so the setwise stabiliser is the set of
 permutations induced by a linear map of the normals' span; such a map is
 fixed by the images of one base of normals, and the search runs over those
-images only.
+images only.  Neither group may hold more than groups.MAX_ELEMENTS elements.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
+from . import groups
 from .errors import InconsistentPermutationError, SearchTooLargeError
 from .groups import MatrixGroup, Perm, PermutationGroup
 from .intlat import IntMat
@@ -27,17 +28,15 @@ def partition_bound_check(partition: NormalPartition, dim: int) -> bool:
     return sum(len(b) - 1 for b in partition.blocks) <= dim
 
 
-def _block_map_group(
-    partition: NormalPartition, block_maps: Sequence[Sequence[int]], max_order: int
-) -> PermutationGroup:
-    """Every permutation sending each block b onto block block_map[b], over the block maps."""
-    order = len(block_maps)
-    for block in partition.blocks:
-        order *= math.factorial(len(block))
-    if order > max_order:
-        raise SearchTooLargeError(f"group order {order} exceeds cap {max_order}")
+def _block_map_group(partition: NormalPartition, block_maps: Iterable[Sequence[int]]) -> PermutationGroup:
+    """Every permutation sending each block b onto block block_map[b], over the block maps;
+    SearchTooLargeError as soon as the maps read so far give more than MAX_ELEMENTS."""
+    per_map = math.prod(math.factorial(len(block)) for block in partition.blocks)
+    maps = list(itertools.islice(block_maps, groups.MAX_ELEMENTS // per_map + 1))
+    if len(maps) * per_map > groups.MAX_ELEMENTS:
+        raise SearchTooLargeError(f"group order at least {len(maps) * per_map} exceeds limit {groups.MAX_ELEMENTS}")
     elements = []
-    for block_map in block_maps:
+    for block_map in maps:
         arrangements = [itertools.permutations(partition.blocks[image]) for image in block_map]
         for combo in itertools.product(*arrangements):
             perm = list(range(partition.size))
@@ -48,15 +47,12 @@ def _block_map_group(
     return PermutationGroup.from_elements(partition.size, elements)
 
 
-def hamiltonian_monodromy(data: ToricFiberData, max_order: int = 50_000) -> PermutationGroup:
+def hamiltonian_monodromy(data: ToricFiberData) -> PermutationGroup:
     """Permutations of the normals fixing every relation pointwise."""
-    partition = data.partition
-    return _block_map_group(partition, [range(len(partition.blocks))], max_order)
+    return _block_map_group(data.partition, [range(len(data.partition.blocks))])
 
 
-def symplectic_monodromy(
-    data: ToricFiberData, max_degree: int = 12, max_order: int = 50_000
-) -> PermutationGroup:
+def symplectic_monodromy(data: ToricFiberData) -> PermutationGroup:
     """Permutations of the normals fixing the relation lattice setwise.
 
     The relation lattice K is saturated, so sigma fixes K exactly when it
@@ -66,12 +62,10 @@ def symplectic_monodromy(
     normal whose last nonzero base coordinate is k has a known image: it
     must be integral, a normal not yet hit, and at the same position of a
     block of the same size, consistent with the block map so far.  That
-    keeps one order-preserving representative per block map.
+    keeps one order-preserving representative per block map, and the
+    search stops once the maps found give too many elements.
     """
     partition = data.partition
-    n = partition.size
-    if n > max_degree:
-        raise SearchTooLargeError(f"{n} normals exceeds search bound {max_degree}")
     normals, dim = data.polytope.normals, data.polytope.dim
     base, coords, _, den = data.normal_base
     index = {nu: j for j, nu in enumerate(normals)}
@@ -83,10 +77,9 @@ def symplectic_monodromy(
         terms = [(i, x) for i, x in enumerate(a) if x]
         checks[terms[-1][0] + 1 if terms else 0].append((j, terms))
     # Base normal k is checked right after t_k, so t_k must share its slot.
-    candidates = [[t for t in range(n) if slot[t] == slot[b]] for b in base]
-    block_maps: list[tuple[int, ...]] = []
+    candidates = [[t for t in range(partition.size) if slot[t] == slot[b]] for b in base]
 
-    def extend(images: tuple[int, ...], sigma: dict[int, int], block_map: dict[int, int]) -> None:
+    def extend(images: tuple[int, ...], sigma: dict[int, int], block_map: dict[int, int]) -> Iterator[tuple]:
         for j, terms in checks[len(images)]:
             moved = [sum(x * normals[images[i]][c] for i, x in terms) for c in range(dim)]
             if any(v % den for v in moved):
@@ -98,13 +91,12 @@ def symplectic_monodromy(
                 return
             sigma[j] = image
         if len(images) == len(base):
-            block_maps.append(tuple(block_map[b] for b in range(len(partition.blocks))))
+            yield tuple(block_map[b] for b in range(len(partition.blocks)))
             return
         for t in candidates[len(images)]:
-            extend(images + (t,), dict(sigma), dict(block_map))
+            yield from extend(images + (t,), dict(sigma), dict(block_map))
 
-    extend((), {}, {})
-    return _block_map_group(partition, block_maps, max_order)
+    return _block_map_group(partition, extend((), {}, {}))
 
 
 def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat]:

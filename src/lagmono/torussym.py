@@ -233,11 +233,12 @@ def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, lis
     return dim, gens, i
 
 
-def parse_group(text: str, cap: int = 10_000) -> MatrixGroup:
+def parse_group(text: str) -> MatrixGroup:
     """Parse the group text format and close the generators.
 
     Line 1 is ``dim <n>``, followed by ``gen`` blocks (see read_group_block).
-    ``#`` starts a comment.
+    ``#`` starts a comment.  Closing raises NotFiniteError on an infinite
+    group and SearchTooLargeError past the element limit (cayley_closure).
     """
     lines = content_lines(text)
     if not lines:
@@ -246,4 +247,4 @@ def parse_group(text: str, cap: int = 10_000) -> MatrixGroup:
     if i < len(lines):
         lineno, tok = lines[i]
         raise ParseError(f"line {lineno}: expected 'gen', got {tok!r}")
-    return MatrixGroup.from_generators(dim, gens, cap=cap)
+    return MatrixGroup.from_generators(dim, gens)

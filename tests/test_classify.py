@@ -17,9 +17,10 @@ from lagmono.classify import (
     toric_realized_labels,
 )
 from lagmono.cli import run
-from lagmono.errors import NonUnimodularError, NotFiniteError, ParseError
+from lagmono import groups
+from lagmono.errors import NonUnimodularError, NotFiniteError, ParseError, SearchTooLargeError
 from lagmono.groups import MatrixGroup
-from lagmono.intlat import IntMat, matrix_order
+from lagmono.intlat import IntMat, bareiss_solve, matrix_order, minkowski_bound
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -100,6 +101,46 @@ class TestIdentify:
         assert count >= 100
 
 
+def signed_permutation_group(n):
+    """B_n from a sign change, a transposition and an n-cycle."""
+    def perm(p):
+        return [[int(p[i] == j) for j in range(n)] for i in range(n)]
+
+    sign = [[(-1 if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)]
+    return [sign, perm([1, 0, *range(2, n)]), perm([*range(1, n), 0])]
+
+
+def weyl_f4():
+    """W(F4) = Aut(D4): B4 and x -> H x / 2 (H a Hadamard matrix), in a basis of the D4 root lattice."""
+    basis = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)]
+    columns = [list(col) for col in zip(*basis)]
+    hadamard = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+
+    def in_basis(g, scale):
+        images = []
+        for b in basis:
+            den, y = bareiss_solve(columns, [sum(x * v for x, v in zip(row, b)) for row in g])
+            assert all(v % (den * scale) == 0 for v in y)
+            images.append([v // (den * scale) for v in y])
+        return IntMat.from_rows(images).transpose()
+
+    gens = [in_basis(g, 1) for g in signed_permutation_group(4)] + [in_basis(hadamard, 2)]
+    return MatrixGroup.from_generators(4, gens)
+
+
+class TestMinkowskiBound:
+    def test_every_shipped_group_order_divides_it(self):
+        shipped = [group for _, group in catalog_n2().entries]
+        for path in (ROOT / "fixtures" / "rank3_extensions.cat", ROOT / "tests" / "data" / "s4.cat"):
+            shipped += [group for _, group in ingest_catalog(path.read_text()).entries]
+        reflection = [
+            MatrixGroup.from_generators(n, [IntMat.from_rows(g) for g in signed_permutation_group(n)]) for n in (3, 4)
+        ] + [weyl_f4()]
+        assert [group.order for group in reflection] == [48, 384, 1152]
+        for group in shipped + reflection:
+            assert minkowski_bound(group.dim) % group.order == 0
+
+
 class TestClassify2D:
     def test_impossible_set(self):
         verdicts = {v.name: v for v in classify_n2()}
@@ -154,7 +195,12 @@ class TestIngest:
 
     def test_rejects_infinite(self):
         with pytest.raises(NotFiniteError):
-            ingest_catalog("group shear\ndim 2\ngen\n1 1\n0 1\n", cap=40)
+            ingest_catalog("group shear\ndim 2\ngen\n1 1\n0 1\n")
+
+    def test_group_past_the_element_limit_is_named(self, monkeypatch):
+        monkeypatch.setattr(groups, "MAX_ELEMENTS", 3)
+        with pytest.raises(SearchTooLargeError, match="^group 'rot4': more than 3 elements; group not verified finite$"):
+            ingest_catalog("group rot4\ndim 2\ngen\n0 -1\n1 0\n")
 
     def test_rejects_duplicate_names(self):
         text = "group a\ndim 2\ngen\n1 0\n0 1\n\ngroup a\ndim 2\ngen\n1 0\n0 1\n"

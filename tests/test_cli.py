@@ -87,10 +87,22 @@ class TestToric:
         assert code == 3
 
     def test_malformed_option_value_returns_two(self, capsys):
+        potential = str(FIXTURES / "triangle_potential.laurent")
         for value in ("0", "x"):
-            code, _, err = invoke(capsys, "toric", str(FIXTURES / "cp2.poly"), "--cap", value)
+            code, _, err = invoke(capsys, "potential", "crit", potential, "--bound", "6", "--cap", value)
             assert code == 2
             assert "argument --cap" in err
+
+    def test_retired_cap_option_returns_two(self, capsys):
+        # Closure and monodromy sizes come from Minkowski's bound and one element limit, not from --cap.
+        for argv in (
+            ("toric", str(FIXTURES / "cp2.poly")),
+            ("filter", str(FIXTURES / "axis_extension.group")),
+            ("conjecture", str(FIXTURES / "rank3_extensions.cat")),
+        ):
+            code, out, err = invoke(capsys, *argv, "--cap", "13")
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --cap 13" in err
 
     def test_mode_override(self, capsys, tmp_path):
         strip = tmp_path / "strip.poly"

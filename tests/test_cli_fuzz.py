@@ -88,6 +88,11 @@ MISSING = str(FIXTURES / "no-such-file")
 HOSTILE_ARGV = (
     [["toric", f"fixtures/{name}", "--cap", cap] for name in POLYTOPES for cap in ("0", "-1", "x", "13")]
     + [["potential", "crit", f"fixtures/{name}", "--bound", b] for name in POTENTIALS for b in ("0", "-1", "1/2")]
+    + [
+        ["potential", "crit", f"fixtures/{name}", "--bound", "6", "--cap", cap]
+        for name in POTENTIALS
+        for cap in ("0", "-1", "x", "13")
+    ]
     + [["clifford", f"fixtures/{name}", "--at", at] for name in POTENTIALS for at in ("1/2", "1/2,1/2,1/2", "1/0,1/2")]
     + [
         ["toric", MISSING],

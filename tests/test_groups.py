@@ -1,12 +1,13 @@
 """Group closure, greedy generators and the subgroup chain against a brute-force oracle."""
 
+import functools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagmono import groups
-from lagmono.errors import NotFiniteError
+from lagmono.errors import NotFiniteError, SearchTooLargeError
 from lagmono.groups import (
     MatrixGroup,
     PermutationGroup,
@@ -14,7 +15,7 @@ from lagmono.groups import (
     compose,
     identity_perm,
 )
-from lagmono.intlat import IntMat, matrix_order
+from lagmono.intlat import IntMat, matrix_order, residue_mod_3
 
 
 def left_closure(elems, frontier, gens, mul):
@@ -110,11 +111,11 @@ def check_resumed_walks(gens, identity, mul):
         return mul(a, b)
 
     for m in range(len(gens)):
-        prefix = cayley_closure(identity, gens[:m], mul, 10_000)
+        prefix = cayley_closure(identity, gens[:m], mul)
         products.clear()
-        resumed = cayley_closure(identity, gens[: m + 1], counted, 10_000, prefix=prefix)
+        resumed = cayley_closure(identity, gens[: m + 1], counted, prefix=prefix)
         assert resumed[: len(prefix)] == prefix
-        assert set(resumed) == set(cayley_closure(identity, gens[: m + 1], mul, 10_000))
+        assert set(resumed) == set(cayley_closure(identity, gens[: m + 1], mul))
         assert len(products) == len(prefix) + (len(resumed) - len(prefix)) * (m + 1)
         check_walk(resumed, gens[: m + 1], identity, mul)
 
@@ -142,23 +143,61 @@ def test_signed_permutation_groups_match_oracle(case):
 
 def test_walk_is_breadth_first():
     rot = IntMat.from_rows([[0, -1], [1, 0]])
-    assert cayley_closure(IntMat.identity(2), [rot], IntMat.__matmul__, 4) == [
+    assert cayley_closure(IntMat.identity(2), [rot], IntMat.__matmul__) == [
         IntMat.identity(2), rot, rot @ rot, rot @ rot @ rot
     ]
     # S3 from a transposition and a 3-cycle: the walk of <(1 2)> is resumed by the 3-cycle.
     swap, cycle = (1, 0, 2), (1, 2, 0)
-    walk = cayley_closure((0, 1, 2), [swap, cycle], compose, 6, prefix=[(0, 1, 2), swap])
+    walk = cayley_closure((0, 1, 2), [swap, cycle], compose, prefix=[(0, 1, 2), swap])
     assert walk[:2] == [(0, 1, 2), swap]
     assert walk[2:4] == [cycle, compose(swap, cycle)]
 
 
-def test_cap_is_exact():
+def test_cap_is_exact(monkeypatch):
+    # Past the element limit a closure is not verified finite; that is never a proof of infiniteness.
     rot = IntMat.from_rows([[0, -1], [1, 0]])
-    assert MatrixGroup.from_generators(2, [rot], cap=4).order == 4
-    with pytest.raises(NotFiniteError):
-        MatrixGroup.from_generators(2, [rot], cap=3)
-    with pytest.raises(NotFiniteError):
-        PermutationGroup.from_generators(3, [(1, 2, 0), (1, 0, 2)], cap=5)
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 4)
+    assert MatrixGroup.from_generators(2, [rot]).order == 4
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 3)
+    with pytest.raises(SearchTooLargeError, match="not verified finite"):
+        MatrixGroup.from_generators(2, [rot])
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 5)
+    with pytest.raises(SearchTooLargeError, match="not verified finite"):
+        PermutationGroup.from_generators(3, [(1, 2, 0), (1, 0, 2)])
+
+
+@pytest.mark.parametrize(
+    "gens, bound",
+    [
+        ([[[1, 0], [0, -1]], [[-1, 1], [-1, 0]]], 24),
+        ([[[0, 0, -1], [1, 0, -1], [0, -1, 1]], [[1, -1, 0], [0, 1, 0], [1, 0, -1]]], 48),
+    ],
+    ids=["rank-2", "rank-3"],
+)
+def test_infinite_group_refused_past_minkowski_bound(gens, bound, monkeypatch):
+    # No two of the first M(n) + 1 elements share a residue mod 3, so only the bound refuses the group.
+    walked = []
+
+    def counted(g):
+        walked.append(g)
+        return residue_mod_3(g)
+
+    monkeypatch.setattr(groups, "residue_mod_3", counted)
+    with pytest.raises(NotFiniteError, match=f"Minkowski's bound {bound}$"):
+        MatrixGroup.from_generators(len(gens[0]), [IntMat.from_rows(g) for g in gens])
+    assert len(walked) == bound + 1
+
+
+def test_rank_six_group_closes_below_the_element_limit():
+    # S7 on the A6 root lattice (simple reflections in the root basis), times -I: order 10,080.
+    # A transposition and minus a 7-cycle generate it, since (-c)^7 = -I.
+    cartan = [[2 if i == j else -int(abs(i - j) == 1) for j in range(6)] for i in range(6)]
+    reflections = [
+        IntMat.from_rows([[int(k == j) - cartan[i][j] * (k == i) for j in range(6)] for k in range(6)]) for i in range(6)
+    ]
+    coxeter = functools.reduce(IntMat.__matmul__, reflections)
+    group = MatrixGroup.from_generators(6, [reflections[0], -coxeter])
+    assert group.order == 10_080
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from lagmono.intlat import (
     kernel_lattice,
     lattice_equal,
     matrix_order,
+    minkowski_bound,
 )
 from test_kernels import old_rational_rank, old_rational_rref, old_smith_normal_form, old_solve_rational_system
 
@@ -210,6 +211,10 @@ class TestLatticeEqual:
         oracle = all(b.member(v) for v in a.basis) and all(a.member(v) for v in b.basis)
         slow = brute_lattice_equal(a.basis, b.basis, 4) if a.basis and b.basis else oracle
         assert lattice_equal(a, b) == oracle == slow
+
+
+def test_minkowski_bound():
+    assert tuple(minkowski_bound(n) for n in range(1, 7)) == (2, 24, 48, 5760, 11520, 2903040)
 
 
 class TestMatrixOrder:

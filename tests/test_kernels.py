@@ -40,6 +40,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -74,6 +75,7 @@ from lagmono.classify import (
     gl_order_feasible,
     ingest_catalog,
 )
+from lagmono import groups
 from lagmono.errors import NotFiniteError, NotMonotoneError, SearchTooLargeError
 from lagmono.groups import (
     MatrixGroup,
@@ -1487,8 +1489,9 @@ class TestSymplecticSearch:
         name, polytope = case
         data = toric_fiber_data(polytope)
         old = old_symplectic_monodromy(data)
-        # A cap equal to the order passes only if each block map is found once.
-        assert symplectic_monodromy(data, max_order=old.order).elements == old.elements, name
+        # An element limit equal to the order passes only if each block map is found once.
+        with mock.patch.object(groups, "MAX_ELEMENTS", old.order):
+            assert symplectic_monodromy(data).elements == old.elements, name
 
     @settings(max_examples=40, deadline=None)
     @given(normal_sets())
@@ -1519,19 +1522,33 @@ class TestSymplecticSearch:
         data = toric_fiber_data(polytope_product(blowup_cp2(3), cube(2)))
         assert symplectic_monodromy(data).order == 96
 
-    @pytest.mark.parametrize(
-        "polytope, kwargs, message",
-        [
-            (cube(7), {}, "14 normals exceeds search bound 12"),
-            (cube(3), {"max_order": 10}, "group order 48 exceeds cap 10"),
-        ],
-    )
-    def test_refusal_messages_unchanged(self, polytope, kwargs, message):
-        data = toric_fiber_data(polytope)
-        for search in (symplectic_monodromy, old_symplectic_monodromy):
-            with pytest.raises(SearchTooLargeError) as exc:
-                search(data, **kwargs)
-            assert str(exc.value) == message
+    def test_fourteen_normals_equal_block_map_search(self):
+        # Bl2 x Bl2 x Bl1 has 14 normals, past the old search's 12-normal bound.
+        data = toric_fiber_data(polytope_product(polytope_product(blowup_cp2(2), blowup_cp2(2)), blowup_cp2(1)))
+        assert symplectic_monodromy(data).elements == old_symplectic_monodromy(data, max_degree=100).elements
+
+    def test_fourteen_and_thirteen_normal_orders(self):
+        # Both groups equal old_symplectic_monodromy(data, max_degree=100), which takes about 60 s and 24 s.
+        for factor, order in ((blowup_cp2(3), 576), (blowup_cp2(2), 48)):
+            data = toric_fiber_data(polytope_product(polytope_product(blowup_cp2(3), factor), projective_space(1)))
+            assert symplectic_monodromy(data).order == order
+
+    @pytest.mark.parametrize("dim", [7, 8, 9, 10])
+    def test_large_cubes_refused_at_once(self, dim):
+        # B_7 already has 645,120 elements; the search stops at the first block map past the limit.
+        data = toric_fiber_data(cube(dim))
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLargeError, match="exceeds limit 50000$"):
+            symplectic_monodromy(data)
+        assert time.perf_counter() - start < 1.0
+
+    def test_refusal_message_with_patched_limit(self, monkeypatch):
+        # cube(3) has 6 block maps of 8 permutations each; the second one passes a limit of 10.
+        data = toric_fiber_data(cube(3))
+        monkeypatch.setattr(groups, "MAX_ELEMENTS", 10)
+        with pytest.raises(SearchTooLargeError) as exc:
+            symplectic_monodromy(data)
+        assert str(exc.value) == "group order at least 16 exceeds limit 10"
 
 
 # ---------------------------------------------------------------------------
@@ -1577,7 +1594,7 @@ class TestClosure:
     def test_walk_equals_word_search_order(self, case):
         degree, gens = case
         identity = identity_perm(degree)
-        assert cayley_closure(identity, gens, compose, 200) == list(old_cayley_closure(identity, gens, compose, 200))
+        assert cayley_closure(identity, gens, compose) == list(old_cayley_closure(identity, gens, compose, 200))
 
 
 class TestGlOrderFeasible:

@@ -151,8 +151,8 @@ class TestSearchCaps:
         from lagmono.errors import SearchTooLargeError
         from lagmono.polytopes import cube
 
-        data = toric_fiber_data(cube(7))  # 14 normals
-        with pytest.raises(SearchTooLargeError):
+        data = toric_fiber_data(cube(7))  # B_7 has 645,120 elements, past the element limit
+        with pytest.raises(SearchTooLargeError, match="exceeds limit 50000"):
             symplectic_monodromy(data)
 
     def test_order_cap_enforced(self):

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lagmono.errors import NotFiniteError, NonUnimodularError, ParseError
+from lagmono import groups
+from lagmono.errors import NotFiniteError, NonUnimodularError, ParseError, SearchTooLargeError
 from lagmono.groups import MatrixGroup
 from lagmono.intlat import IntMat
 from lagmono.torussym import (
@@ -249,6 +250,10 @@ class TestGroupParsing:
         with pytest.raises(ParseError):
             parse_group("dim 2\ngen\n1 0\n")
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
+        # The shear is proved infinite mod 3; a finite group past the element limit is only not verified finite.
+        monkeypatch.setattr(groups, "MAX_ELEMENTS", 3)
         with pytest.raises(NotFiniteError):
-            parse_group("dim 2\ngen\n1 1\n0 1\n", cap=50)
+            parse_group("dim 2\ngen\n1 1\n0 1\n")
+        with pytest.raises(SearchTooLargeError, match="not verified finite"):
+            parse_group(GROUP_TEXT)
