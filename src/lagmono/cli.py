@@ -70,6 +70,11 @@ def _render_text_value(value) -> str:
     return str(value)
 
 
+def _witness(witness) -> dict:
+    """Record fields naming the first element that moves a forced point, and that point."""
+    return {} if witness is None else {"witness_element": witness[0], "witness_point": witness[1]}
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,15 +154,8 @@ def run_toric(args) -> int:
 def run_classify2d(args) -> int:
     records = []
     for verdict in classify_mod.classify_n2():
-        record = {
-            "record": "class",
-            "name": verdict.name,
-            "admissible": verdict.admissible,
-            "tag": verdict.toric_tag,
-        }
-        if verdict.witness is not None:
-            record["witness_element"] = verdict.witness[0]
-            record["witness_point"] = verdict.witness[1]
+        record = {"record": "class", "name": verdict.name, "admissible": verdict.admissible, "tag": verdict.toric_tag}
+        record.update(_witness(verdict.witness))
         if verdict.realized_by:
             record["realized_by"] = list(verdict.realized_by)
         records.append(record)
@@ -169,19 +167,9 @@ def run_filter(args) -> int:
     group = parse_group(_read(args.group))
     records = [{"record": "group", "dim": group.dim, "order": group.order}]
     forced = forced_critical_points(group).finite_points()
-    records.append(
-        {
-            "record": "forced_critical_points",
-            "count": len(forced),
-            "points": list(forced),
-        }
-    )
+    records.append({"record": "forced_critical_points", "count": len(forced), "points": list(forced)})
     witness = first_moved_point(group, forced)
-    record = {"record": "admissible", "value": witness is None}
-    if witness is not None:
-        record["witness_element"] = witness[0]
-        record["witness_point"] = witness[1]
-    records.append(record)
+    records.append({"record": "admissible", "value": witness is None, **_witness(witness)})
     _emit(records, args.json)
     return EXIT_OK
 
@@ -190,18 +178,10 @@ def run_conjecture(args) -> int:
     catalog = classify_mod.ingest_catalog(_read(args.catalog))
     records = []
     if catalog.q_class:
-        records.append(
-            {
-                "record": "warning",
-                "message": "catalog declares rational classes; fixed-point counts "
-                "are only integral-class invariants",
-            }
-        )
+        message = "catalog declares rational classes; fixed-point counts are only integral-class invariants"
+        records.append({"record": "warning", "message": message})
     for verdict in classify_mod.conjecture_filter(catalog):
-        record = {"record": "verdict", "name": verdict.name, "status": verdict.status}
-        if verdict.witness is not None:
-            record["witness_element"] = verdict.witness[0]
-            record["witness_point"] = verdict.witness[1]
+        record = {"record": "verdict", "name": verdict.name, "status": verdict.status, **_witness(verdict.witness)}
         if verdict.parts is not None:
             record["parts"] = list(verdict.parts)
         records.append(record)

@@ -1,11 +1,13 @@
 """Exact integer linear algebra.
 
-Everything here runs on Python integers and fractions, never floats.  Two
-eliminations: the Hermite normal form with its unimodular transform answers
-lattice questions (saturated kernel lattices, canonical sublattice
-comparison), and one fraction-free Bareiss elimination answers rational ones
-(determinants, integral solves, ranks and the reduced row echelon form scaled
-to integers).  Matrix orders are exact mod 3; Minkowski's M(n) bounds groups.
+Everything here computes with Python integers, never floats, and a rational
+answer is integer numerators over one common denominator.  Two eliminations:
+the Hermite normal form, with its unimodular transform only when the caller
+asks for it, answers lattice questions (saturated kernel lattices, canonical
+sublattice comparison), and one fraction-free Bareiss elimination answers
+rational ones (determinants, integral solves, ranks and the reduced row
+echelon form scaled to integers).  Matrix orders are exact mod 3;
+Minkowski's M(n) bounds groups.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError
@@ -21,14 +24,11 @@ Vec = tuple[int, ...]
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_gcd(a: Sequence[int]) -> int:
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-    return g
+    return math.gcd(*a)
 
 
 def primitive_vector(a: Sequence[Fraction | int]) -> Vec:
@@ -37,16 +37,13 @@ def primitive_vector(a: Sequence[Fraction | int]) -> Vec:
     The sign is normalised so the first nonzero entry is positive.
     """
     fracs = [Fraction(x) for x in a]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
     denom = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
-    g = vec_gcd(ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    g = g if next(x for x in ints if x) > 0 else -g
+    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -56,11 +53,16 @@ class IntMat:
     rows: tuple[Vec, ...]
 
     def __post_init__(self):
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
+        if len({len(r) for r in self.rows}) > 1:
+            raise ValueError("ragged rows")
         object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
+
+    @classmethod
+    def _of(cls, rows: tuple[Vec, ...]) -> "IntMat":
+        """Wrap rows that are already equal-length tuples of int, without re-checking them."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMat":
@@ -68,7 +70,7 @@ class IntMat:
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMat":
@@ -85,11 +87,11 @@ class IntMat:
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return IntMat(tuple(tuple(dot(r, c) for c in cols) for r in self.rows))
+        cols = tuple(zip(*other.rows))
+        return IntMat._of(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows))
 
     def __neg__(self) -> "IntMat":
-        return IntMat(tuple(tuple(-x for x in r) for r in self.rows))
+        return IntMat._of(tuple(tuple(-x for x in r) for r in self.rows))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector; accepts exact scalars of any type."""
@@ -98,7 +100,7 @@ class IntMat:
         return tuple(dot(r, v) for r in self.rows)
 
     def transpose(self) -> "IntMat":
-        return IntMat(tuple(zip(*self.rows))) if self.rows else self
+        return IntMat._of(tuple(zip(*self.rows))) if self.rows else self
 
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.rows)
@@ -111,17 +113,14 @@ class IntMat:
             return 1
         m = [list(r) for r in self.rows]
         sign, pivots = _bareiss(m)
-        if len(pivots) < self.nrows:
-            return 0
-        return sign * m[-1][-1]
+        return sign * m[-1][-1] if len(pivots) == self.nrows else 0
 
     def is_identity(self) -> bool:
         return self == IntMat.identity(self.nrows) if self.nrows == self.ncols else False
 
     def canonical_key(self):
         """Total order putting entrywise-smaller and sign-positive matrices first."""
-        flat = [x for r in self.rows for x in r]
-        return tuple((abs(x), 0 if x >= 0 else 1) for x in flat)
+        return tuple(2 * abs(x) + (x < 0) for r in self.rows for x in r)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "]"
@@ -136,44 +135,36 @@ def hermite_normal_form(m: IntMat) -> tuple[IntMat, IntMat]:
 
     Returns (h, u) with h = u @ m, u unimodular, h in row echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
+    The transform is carried as identity columns appended to the rows of m.
     """
-    h = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(m.nrows)] for i in range(m.nrows)]
     nr, nc = m.nrows, m.ncols
-    r = 0
+    rows = _hermite([list(r) + [int(i == j) for j in range(nr)] for i, r in enumerate(m.rows)], nc)
+    return IntMat._of(tuple(tuple(r[:nc]) for r in rows)), IntMat._of(tuple(tuple(r[nc:]) for r in rows))
+
+
+def _hermite(h: list[list[int]], nc: int) -> list[list[int]]:
+    """Hermite row elimination of the first nc columns of h, in place; later columns ride along."""
+    nr, r = len(h), 0
     for c in range(nc):
-        # Euclidean row reduction in column c below row r.
-        while True:
-            nz = [i for i in range(r, nr) if h[i][c] != 0]
-            if not nz:
-                break
+        # Euclidean row reduction in column c below row r, the smallest entry first.
+        while nz := [i for i in range(r, nr) if h[i][c]]:
             piv = min(nz, key=lambda i: abs(h[i][c]))
-            if piv != r:
-                h[r], h[piv] = h[piv], h[r]
-                u[r], u[piv] = u[piv], u[r]
-            done = True
+            h[r], h[piv] = h[piv], h[r]
+            if len(nz) == 1:
+                break
             for i in range(r + 1, nr):
-                if h[i][c] != 0:
+                if h[i][c]:
                     q = h[i][c] // h[r][c]
                     h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nr and h[r][c] != 0:
+        if r < nr and h[r][c]:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
                     h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
             r += 1
-            if r == nr:
-                break
-    return IntMat.from_rows(h), IntMat.from_rows(u)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +184,10 @@ class LatticeBasis:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        vecs = [tuple(int(x) for x in v) for v in vectors]
+        vecs = [list(map(int, v)) for v in vectors]
         if any(len(v) != ambient for v in vecs):
             raise ValueError("vector length differs from ambient rank")
-        if not vecs:
-            return cls(ambient, ())
-        h, _ = hermite_normal_form(IntMat.from_rows(vecs))
-        rows = tuple(r for r in h.rows if any(x != 0 for x in r))
-        return cls(ambient, rows)
+        return cls(ambient, tuple(tuple(r) for r in _hermite(vecs, ambient) if any(r)))
 
     @property
     def rank(self) -> int:
@@ -232,8 +219,7 @@ def kernel_lattice(m: IntMat) -> LatticeBasis:
     the quotient embeds in the row space of m.
     """
     h, u = hermite_normal_form(m)
-    kernel_rows = [u.rows[i] for i in range(m.nrows) if all(x == 0 for x in h.rows[i])]
-    return LatticeBasis.from_vectors(m.nrows, kernel_rows)
+    return LatticeBasis.from_vectors(m.nrows, [k for e, k in zip(h.rows, u.rows) if not any(e)])
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:

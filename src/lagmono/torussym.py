@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError, ParseError
 from .groups import MatrixGroup
-from .intlat import IntMat, LatticeBasis, hermite_normal_form
+from .intlat import IntMat, LatticeBasis, Vec, hermite_normal_form
 
 
 @dataclass(frozen=True, order=True)
@@ -39,9 +40,28 @@ class TorsionPoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+def _numerators(points: Sequence[TorsionPoint]) -> tuple[int, list[Vec]]:
+    """(den, x): den is the lcm of the points' orders and x[i] = den * points[i], in integers."""
+    den = math.lcm(*(p.order() for p in points))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p.coords) for p in points]
+
+
+def _points(den: int, numerators: Iterable[Vec]) -> tuple[TorsionPoint, ...]:
+    """The points x / den in sorted order; over one denominator, integer order is Fraction order."""
+    return tuple(TorsionPoint(tuple(Fraction(a, den) for a in x)) for x in sorted(numerators))
+
+
+def _image(gt: IntMat, den: int, x: Vec) -> Vec:
+    """Numerators of g^T v mod 1 over den, for v = x / den and gt = g^T."""
+    if len(x) != gt.ncols:
+        raise ValueError("dimension mismatch")
+    return tuple(sum(map(mul, r, x)) % den for r in gt.rows)
+
+
 def act(g: IntMat, p: TorsionPoint) -> TorsionPoint:
     """Induced action of g on local-system coordinates: v -> g^T v mod 1."""
-    return TorsionPoint.make(g.transpose().apply(p.coords))
+    den, (x,) = _numerators([p])
+    return _points(den, [_image(g.transpose(), den, x)])[0]
 
 
 @dataclass(frozen=True)
@@ -73,32 +93,38 @@ def _delta_rows(g: IntMat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(a - (i == j) for j, a in enumerate(row)) for i, row in enumerate(g.transpose().rows))
 
 
+def _full_rank_locus(h: Sequence[Vec]) -> tuple[int, list[Vec]]:
+    """(det H, x) with x / det H the locus of a full-rank Hermite basis H, each x_i in [0, det H)."""
+    det = math.prod(h[i][i] for i in range(len(h)))
+    points = [(0,) * len(h)]
+    for i in range(len(h)):
+        col = [0] * len(h)  # det times column i of H^-1
+        col[i] = det // h[i][i]
+        for r in reversed(range(i)):
+            col[r] = -sum(h[r][j] * col[j] for j in range(r + 1, i + 1)) // h[r][r]
+        points = [tuple(a + w * c for a, c in zip(p, col)) for p in points for w in range(h[i][i])]
+    return det, [tuple(a % det for a in p) for p in points]
+
+
 def _fixed_locus(lattice: LatticeBasis) -> FixedPointSet:
     """All v in (Q/Z)^n with r . v in Z for every r in the lattice, read off Hermite forms.
 
     At full rank the basis H is upper triangular with a positive diagonal, so
-    the locus is {H^-1 w mod 1 : 0 <= w_i < H_ii}, built from the integer
-    columns of det(H) H^-1 by back substitution, where every division is
-    exact.  At rank k < n one Hermite form u H^T = [R; 0] gives the identity
-    component's directions, the last n - k rows of u; as H u^T = [R^T | 0],
-    the cosets are u^T (x', 0) for x' in the full-rank locus of the rows of
-    R^T.
+    the locus is {H^-1 w mod 1 : 0 <= w_i < H_ii}, built as integer
+    numerators over det H from the integer columns of det(H) H^-1 by back
+    substitution, where every division is exact.  At rank k < n one Hermite
+    form u H^T = [R; 0] gives the identity component's directions, the last
+    n - k rows of u; as H u^T = [R^T | 0], the cosets are u^T (x', 0) for x'
+    in the full-rank locus of the rows of R^T, over that locus's denominator.
     """
     n, h, k = lattice.ambient, lattice.basis, lattice.rank
     if k == n:
-        det = math.prod(h[i][i] for i in range(n))
-        points = [(0,) * n]
-        for i in range(n):
-            col = [0] * n  # det times column i of H^-1
-            col[i] = det // h[i][i]
-            for r in reversed(range(i)):
-                col[r] = -sum(h[r][j] * col[j] for j in range(r + 1, i + 1)) // h[r][r]
-            points = [tuple(a + w * c for a, c in zip(p, col)) for p in points for w in range(h[i][i])]
-        return FixedPointSet(n, tuple(sorted(TorsionPoint.make(Fraction(x, det) for x in p) for p in points)))
+        return FixedPointSet(n, _points(*_full_rank_locus(h)))
     echelon, u = hermite_normal_form(IntMat(tuple(zip(*h)) or ((),) * n))  # H^T keeps n rows at rank 0
-    inner = _fixed_locus(LatticeBasis.from_vectors(k, zip(*echelon.rows[:k])))
-    reps = sorted(TorsionPoint.make(u.transpose().apply(p.coords + (0,) * (n - k))) for p in inner.points)
-    return FixedPointSet(n, None, u.rows[k:], tuple(reps))
+    det, inner = _full_rank_locus(LatticeBasis.from_vectors(k, zip(*echelon.rows[:k])).basis)
+    ut = u.transpose()
+    reps = _points(det, (_image(ut, det, x + (0,) * (n - k)) for x in inner))
+    return FixedPointSet(n, None, u.rows[k:], reps)
 
 
 def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
@@ -132,6 +158,8 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     of rank n, read off their Hermite bases.  It is exact: a subset S of rank
     n holds a subset, in index order, whose rank rises at each element; the
     search marks the state of that subset seen, and its locus contains Fix(S).
+    The loci stay integer numerators over their det H until they are united
+    over the lcm of those dets; then one TorsionPoint is built per point.
     """
     n, gens = group.dim, group.generators()
     steps = dict.fromkeys(LatticeBasis.from_vectors(n, _delta_rows(g)) for g in group.nonidentity())
@@ -152,18 +180,22 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
                 orbit += fresh
             if joined.rank < n:
                 queue.append(joined)
-    found = {p for state in seen if state.rank == n for p in _fixed_locus(state).finite_points()}
-    return FixedPointSet(n, tuple(sorted(found)))
+    loci = [_full_rank_locus(state.basis) for state in seen if state.rank == n]
+    den = math.lcm(*(det for det, _ in loci))
+    return FixedPointSet(n, _points(den, {tuple(a * (den // det) for a in x) for det, xs in loci for x in xs}))
 
 
 def first_moved_point(group: MatrixGroup, points: Sequence[TorsionPoint]) -> tuple[IntMat, TorsionPoint] | None:
     """First element moving one of the points, with that point, or None.
 
-    Elements and points are scanned in canonical order.
+    Elements and points are scanned in canonical order, each point as integer
+    numerators x over den, the lcm of the points' orders: g moves x when g^T x != x (mod den).
     """
+    den, xs = _numerators(points)
     for g in group.nonidentity():
-        for p in points:
-            if act(g, p) != p:
+        gt = g.transpose()
+        for p, x in zip(points, xs):
+            if _image(gt, den, x) != x:
                 return g, p
     return None
 

@@ -28,8 +28,12 @@ forms of its callers: ``old_monotone_normalize``, ``old_extreme_ray`` (for
 ``toric._recession_ray``), ``old_reflection_eigenvectors`` and
 ``old_b1_support_rank``, and the Smith normal form of ``intlat`` with the
 fixed locus read off it (``old_smith_normal_form``, ``old_fixed_locus``, for
-``torussym._fixed_locus``).  ``floer._two_column_kernel`` is checked against
-the old elimination loop.  They are kept here only as oracles.
+``torussym._fixed_locus``), the Fraction action and moved-point scan of
+``torussym`` (``old_act``, ``old_first_moved_point``), and the Hermite loop
+that carried its transform through every call, ``LatticeBasis.from_vectors``
+included (``old_hermite_normal_form``, ``old_from_vectors``).
+``floer._two_column_kernel`` is checked against the old elimination loop.
+They are kept here only as oracles.
 """
 
 import functools
@@ -90,6 +94,7 @@ from lagmono.intlat import (
     LatticeBasis,
     bareiss_solve,
     dot,
+    hermite_normal_form,
     kernel_lattice,
     lattice_equal,
     matrix_order,
@@ -98,7 +103,15 @@ from lagmono.intlat import (
 )
 from lagmono.laurent import LaurentPolynomial, b1_support_rank
 from lagmono.monodromy import symplectic_monodromy
-from lagmono.torussym import FixedPointSet, TorsionPoint, _delta_rows, _fixed_locus, forced_critical_points
+from lagmono.torussym import (
+    FixedPointSet,
+    TorsionPoint,
+    _delta_rows,
+    _fixed_locus,
+    act,
+    first_moved_point,
+    forced_critical_points,
+)
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product, projective_space
 from lagmono.toric import (
     DelzantPolytope,
@@ -924,6 +937,73 @@ def old_fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> FixedPointSet:
     reps = sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*torsion_axes))
     free = tuple(v.column(i) for i, di in enumerate(divisors) if di == 0)
     return FixedPointSet(n, None, free, tuple(reps)) if free else FixedPointSet(n, tuple(reps))
+
+
+def old_act(g: IntMat, p: TorsionPoint) -> TorsionPoint:
+    """The Fraction action v -> g^T v mod 1."""
+    if len(p.coords) != g.nrows:
+        raise ValueError("dimension mismatch")
+    return TorsionPoint.make(sum(row[j] * c for row, c in zip(g.rows, p.coords)) for j in range(g.ncols))
+
+
+def old_first_moved_point(group, points):
+    """The scan of ``torussym.first_moved_point`` through the Fraction action."""
+    for g in group.nonidentity():
+        for p in points:
+            if old_act(g, p) != p:
+                return g, p
+    return None
+
+
+def old_hermite_normal_form(m: IntMat) -> tuple[IntMat, IntMat]:
+    """Row-style Hermite normal form (h, u), h = u @ m, carrying u through every row operation."""
+    h = [list(r) for r in m.rows]
+    u = [[1 if i == j else 0 for j in range(m.nrows)] for i in range(m.nrows)]
+    nr, nc = m.nrows, m.ncols
+    r = 0
+    for c in range(nc):
+        while True:
+            nz = [i for i in range(r, nr) if h[i][c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(h[i][c]))
+            if piv != r:
+                h[r], h[piv] = h[piv], h[r]
+                u[r], u[piv] = u[piv], u[r]
+            done = True
+            for i in range(r + 1, nr):
+                if h[i][c] != 0:
+                    q = h[i][c] // h[r][c]
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < nr and h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+                u[r] = [-x for x in u[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+            r += 1
+            if r == nr:
+                break
+    return IntMat.from_rows(h), IntMat.from_rows(u)
+
+
+def old_from_vectors(ambient, vectors):
+    """``LatticeBasis.from_vectors`` through the transform-carrying Hermite form, the transform dropped."""
+    vecs = [tuple(int(x) for x in v) for v in vectors]
+    if any(len(v) != ambient for v in vecs):
+        raise ValueError("vector length differs from ambient rank")
+    if not vecs:
+        return LatticeBasis(ambient, ())
+    h, _ = old_hermite_normal_form(IntMat.from_rows(vecs))
+    return LatticeBasis(ambient, tuple(r for r in h.rows if any(x != 0 for x in r)))
 
 
 def old_forced_critical_points(group):
@@ -1767,6 +1847,105 @@ class TestFixedLocus:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_fixes_the_whole_torus(self, n):
         assert_locus_equals_old(n, _delta_rows(IntMat.identity(n)))
+
+
+# ---------------------------------------------------------------------------
+# The moved-point scan, the Hermite path and IntMat's unchecked constructor
+
+
+def torsion_points(n, max_size=6):
+    """Lists of points of (Q/Z)^n whose coordinates have denominators 1-12, so orders mix."""
+    coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    return st.lists(st.lists(coord, min_size=n, max_size=n).map(TorsionPoint.make), max_size=max_size)
+
+
+MOVED_CASES = {**EMBEDDING_CASES, **FORCED_HEAVY_CASES}
+
+
+class TestMovedPoint:
+    @pytest.mark.parametrize("name", MOVED_CASES)
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_integer_scan_equals_fraction_scan_on_conjugates(self, name, data):
+        group = MOVED_CASES[name]
+        conjugate = group.conjugate(*data.draw(unimodular_pairs(group.dim)))
+        forced = forced_critical_points(conjugate).finite_points()
+        extra = data.draw(torsion_points(group.dim))
+        for points in (forced, extra, forced + tuple(extra), tuple(extra) + forced):
+            assert first_moved_point(conjugate, points) == old_first_moved_point(conjugate, points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(MOVED_CASES.values())).flatmap(lambda g: st.tuples(st.just(g), torsion_points(g.dim, 10))))
+    def test_mixed_orders_equal_fraction_scan(self, case):
+        group, points = case
+        assert first_moved_point(group, points) == old_first_moved_point(group, points)
+        for g in group.elements[:4]:
+            for p in points:
+                assert act(g, p) == old_act(g, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_point_list_and_trivial_group(self, n):
+        trivial = MatrixGroup.from_generators(n, [])
+        points = (TorsionPoint.make([Fraction(1, 2)] * n), TorsionPoint.make([Fraction(k, 7) for k in range(n)]))
+        for group in (trivial, MatrixGroup.from_generators(n, [-IntMat.identity(n)])):
+            assert first_moved_point(group, ()) is None is old_first_moved_point(group, ())
+        assert first_moved_point(trivial, points) is None is old_first_moved_point(trivial, points)
+
+    def test_dimension_mismatch_raises_like_the_fraction_scan(self):
+        group = FORCED_HEAVY_CASES["B3"]
+        point = TorsionPoint.make((Fraction(1, 2), 0))
+        for scan in (first_moved_point, old_first_moved_point):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                scan(group, [point])
+        for action in (act, old_act):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                action(group.elements[0], point)
+
+
+int_matrices = st.integers(0, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r).map(
+            lambda rows: (c, rows)
+        )
+    )
+)
+
+
+def assert_unchecked_equals_checked(m: IntMat):
+    """m equals and hashes like IntMat.from_rows of its entries, and its rows are tuples of int."""
+    checked = IntMat.from_rows(m.rows)
+    assert m == checked and hash(m) == hash(checked)
+    assert type(m.rows) is tuple
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.rows)
+
+
+class TestHermitePath:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices)
+    def test_hermite_form_equals_transform_carrying_loop(self, case):
+        _, rows = case
+        m = IntMat.from_rows(rows)
+        assert hermite_normal_form(m) == old_hermite_normal_form(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices)
+    def test_echelon_rows_equal_nonzero_hermite_rows(self, case):
+        n, rows = case
+        basis = LatticeBasis.from_vectors(n, rows)
+        assert basis == old_from_vectors(n, rows)
+        if rows:
+            assert basis.basis == tuple(r for r in hermite_normal_form(IntMat.from_rows(rows))[0].rows if any(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices, st.data())
+    def test_unchecked_constructor_equals_from_rows(self, case, data):
+        c, rows = case
+        a = IntMat.from_rows(rows)
+        inner = st.lists(st.integers(-9, 9), min_size=3, max_size=3)
+        b = IntMat.from_rows(data.draw(st.lists(inner, min_size=a.ncols, max_size=a.ncols)))
+        h, u = hermite_normal_form(a)
+        for m in (a @ b, -a, -b, a.transpose(), b.transpose(), IntMat.identity(c), h, u):
+            assert_unchecked_equals_checked(m)
 
 
 # ---------------------------------------------------------------------------
