@@ -3,7 +3,9 @@
 Every subcommand builds a list of records (dicts); the text renderer prints
 them one field per line and the --json flag emits the same records as JSON
 lines, field for field.  Exit codes: 0 success, 2 validation failure,
-3 parse error.
+3 parse error.  Each call builds from COMMANDS only its own command's parser,
+and nothing is cached; help and argv naming no complete command fall back to
+the full parser, so every usage line and argparse message is the full one's.
 """
 
 from __future__ import annotations
@@ -271,63 +273,80 @@ def run_qform(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a positive integer")
+
+
+# name -> (help, handler name or nested table, {argument name or flag: add_argument keywords}).
+# A handler is looked up in the module when its parser is built, as a rebound run_* must be.
+COMMANDS = {
+    "toric": ("full pipeline on a polytope file", "run_toric", {
+        "polytope": {}, "--mode": {"choices": ["compact", "vertex"], "help": "override the file mode"}}),
+    "classify2d": ("verdicts for the 13 planar classes", "run_classify2d", {}),
+    "filter": ("forced critical points and admissibility", "run_filter", {"group": {}}),
+    "conjecture": ("structural filter over a catalog", "run_conjecture", {"catalog": {}}),
+    "potential": ("potential-file analyses", {
+        "crit": ("torsion critical points up to a bound", "run_potential_crit", {
+            "potential": {},
+            "--bound": {"type": _positive_int, "required": True},
+            "--cap": {"type": _positive_int, "help": "grid size cap"},
+        }),
+        "rk1": ("rank-one shape classification", "run_potential_rk1", {"potential": {}}),
+    }, {}),
+    "clifford": ("Clifford constants at a torsion point", "run_clifford", {
+        "potential": {}, "--at": {"required": True, "help": "comma-separated rational coordinates"}}),
+    "qform": ("reduce a binary quadratic form", "run_qform", dict.fromkeys(("lam", "mu2", "nu"), {"type": int})),
+}
+
+
+def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The full parser, or with a command path such as ("potential", "crit") only that path's subparsers."""
     parser = argparse.ArgumentParser(
         prog="lagmono",
         description="Exact monodromy computations for monotone Lagrangian torus fibres",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    toric = sub.add_parser("toric", help="full pipeline on a polytope file")
-    toric.add_argument("polytope")
-    toric.add_argument("--mode", choices=["compact", "vertex"], help="override the file mode")
-    toric.set_defaults(func=run_toric)
-
-    classify2d = sub.add_parser("classify2d", help="verdicts for the 13 planar classes")
-    classify2d.set_defaults(func=run_classify2d)
-
-    filt = sub.add_parser("filter", help="forced critical points and admissibility")
-    filt.add_argument("group")
-    filt.set_defaults(func=run_filter)
-
-    conjecture = sub.add_parser("conjecture", help="structural filter over a catalog")
-    conjecture.add_argument("catalog")
-    conjecture.set_defaults(func=run_conjecture)
-
-    potential = sub.add_parser("potential", help="potential-file analyses")
-    potential_sub = potential.add_subparsers(dest="subcommand", required=True)
-    crit = potential_sub.add_parser("crit", help="torsion critical points up to a bound")
-    crit.add_argument("potential")
-    crit.add_argument("--bound", type=_positive_int, required=True)
-    crit.add_argument("--cap", type=_positive_int, help="grid size cap")
-    crit.set_defaults(func=run_potential_crit)
-    rk1 = potential_sub.add_parser("rk1", help="rank-one shape classification")
-    rk1.add_argument("potential")
-    rk1.set_defaults(func=run_potential_rk1)
-
-    clifford = sub.add_parser("clifford", help="Clifford constants at a torsion point")
-    clifford.add_argument("potential")
-    clifford.add_argument("--at", required=True, help="comma-separated rational coordinates")
-    clifford.set_defaults(func=run_clifford)
-
-    qform = sub.add_parser("qform", help="reduce a binary quadratic form")
-    qform.add_argument("lam", type=int)
-    qform.add_argument("mu2", type=int)
-    qform.add_argument("nu", type=int)
-    qform.set_defaults(func=run_qform)
+    _add_commands(parser, COMMANDS, path, "command")
     return parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _add_commands(parser, table: dict, path: tuple[str, ...], dest: str) -> None:
+    # A selected level keeps the full choice list in its usage line through the metavar.
+    metavar = "{" + ",".join(table) + "}" if path else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in path[:1] or table:
+        help_text, target, arguments = table[name]
+        child = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments.items():
+            child.add_argument(flag, **keywords)
+        if isinstance(target, dict):
+            _add_commands(child, target, path[1:], "subcommand")
+        else:
+            child.set_defaults(func=globals()[target])
+
+
+def _command_path(argv: list[str]) -> tuple[str, ...]:
+    """The command names argv starts with after any --json, or () when it names no complete command."""
+    table, path = COMMANDS, ()
+    for token in argv:
+        if token == "--json" and not path:
+            continue
+        if token not in table:
+            return ()
+        path += (token,)
+        table = table[token][1]
+        if not isinstance(table, dict):
+            return path
+    return ()
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(_command_path(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed its message; keep its exit code

@@ -1,8 +1,12 @@
 """CLI subcommands: outputs, exit codes, determinism, JSON mode."""
 
+import argparse
 import json
 import pathlib
 
+import pytest
+
+from lagmono import cli
 from lagmono.cli import run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -180,6 +184,13 @@ class TestPotential:
         assert "case=SYMMETRIC_PM" in out
         assert "a=7" in out
 
+    def test_non_integer_bound_message_names_no_function(self, capsys):
+        potential = str(FIXTURES / "triangle_potential.laurent")
+        for value in ("abc", "1/2", "0", "-1"):
+            code, out, err = invoke(capsys, "potential", "crit", potential, "--bound", value)
+            assert code == 2 and out == ""
+            assert err.endswith("error: argument --bound: must be a positive integer\n")
+
 
 class TestClifford:
     def test_constants_at_origin(self, capsys):
@@ -232,3 +243,132 @@ class TestCorpus:
             assert code == 0, path.name
             assert "validation: status=PASS" in out, path.name
         assert time.monotonic() - start < 10.0
+
+
+POLY = "fixtures/cp2.poly"
+POT = "fixtures/triangle_potential.laurent"
+CRIT = ["potential", "crit", POT]
+ORACLE_ARGV = [
+    # every subcommand with valid arguments, with and without --json
+    ["toric", POLY],
+    ["--json", "toric", POLY, "--mode", "compact"],
+    ["--json", "--json", "toric", POLY],
+    ["classify2d"],
+    ["filter", "fixtures/swap_extension.group"],
+    ["--json", "conjecture", "fixtures/rank3_extensions.cat"],
+    [*CRIT, "--bound", "6", "--cap", "100"],
+    ["--json", "potential", "rk1", "fixtures/symmetric_potential.laurent"],
+    ["clifford", POT, "--at", "1/3,1/3"],
+    ["qform", "1", "1", "0"],
+    # help at each level, and an abbreviated option
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["--json", "-h"],
+    ["toric", "-h"],
+    ["qform", "--help"],
+    ["potential", "-h"],
+    ["potential", "crit", "-h"],
+    ["potential", "rk1", "--help"],
+    # no command, an abbreviated --json, unknown commands
+    [],
+    ["--json"],
+    ["--js", "toric", POLY],
+    ["bogus"],
+    ["tor", POLY],
+    ["potential"],
+    ["potential", "bogus"],
+    ["potential", "--json", "crit", POT, "--bound", "6"],
+    # arguments the selected parser rejects; the top-level usage line is printed
+    ["toric", POLY, "--json"],
+    ["toric", POLY, "extra"],
+    ["toric", POLY, "--cap", "13"],
+    ["toric", POLY, "--mode", "bad"],
+    ["toric"],
+    ["classify2d", "extra"],
+    [*CRIT, "--bound", "6", "--json"],
+    # bad int and positive-int values
+    ["qform", "1", "x", "0"],
+    ["qform", "1"],
+    [*CRIT, "--bound", "abc"],
+    [*CRIT, "--bound", "0"],
+    [*CRIT, "--bound", "6", "--cap", "-1"],
+    [*CRIT],
+    # a -- separator
+    ["qform", "--", "1", "-1", "0"],
+    ["toric", "--", POLY],
+    ["--", "toric", POLY],
+]
+
+
+@pytest.mark.parametrize("argv", ORACLE_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_selected_parser_matches_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(FIXTURES.parent)
+    selected = invoke(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda path=(): full())
+    assert invoke(capsys, *argv) == selected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "lagmono: error: the following arguments are required: command\n"),
+        (["bogus"], "lagmono: error: argument command: invalid choice: 'bogus' (choose from 'toric', 'classify2d', "
+         "'filter', 'conjecture', 'potential', 'clifford', 'qform')\n"),
+        (["potential"], "lagmono potential: error: the following arguments are required: subcommand\n"),
+        (["potential", "bogus"], "lagmono potential: error: argument subcommand: invalid choice: 'bogus' "
+         "(choose from 'crit', 'rk1')\n"),
+    ],
+    ids=["no command", "unknown command", "no potential command", "unknown potential command"],
+)
+def test_missing_or_unknown_command_names_the_destination(argv, message, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(message)
+
+
+def test_handler_is_looked_up_when_the_parser_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_qform", lambda args: 7)
+    assert invoke(capsys, "qform", "1", "1", "0") == (7, "", "")
+
+
+def subparser_choices(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+PATHS = [(name,) for name in cli.COMMANDS if name != "potential"] + [("potential", "crit"), ("potential", "rk1")]
+
+
+@pytest.mark.parametrize("path", PATHS, ids=" ".join)
+def test_selected_parser_registers_one_subparser_per_level(path):
+    parser = cli.build_parser(path)
+    for name in path:
+        choices = subparser_choices(parser)
+        assert list(choices) == [name]
+        parser = choices[name]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["toric", POLY], ("toric",)),
+        (["--json", "--json", "potential", "crit", POT], ("potential", "crit")),
+        (["classify2d", "-h"], ("classify2d",)),
+        (["-h"], ()),
+        (["--js", "toric", POLY], ()),
+        (["potential"], ()),
+        (["potential", "bogus"], ()),
+        (["potential", "--json", "rk1", POT], ()),
+        (["--", "toric", POLY], ()),
+        ([], ()),
+    ],
+)
+def test_run_builds_the_parser_of_the_named_command(argv, path, capsys, monkeypatch):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda path=(): built.append(path) or full(path))
+    invoke(capsys, *argv)
+    assert built == [path]

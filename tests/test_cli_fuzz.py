@@ -6,6 +6,8 @@ The catalog is cut to its first two groups so the whole test stays fast;
 every polytope, the hexagon ``bl3cp2`` included, runs its full symplectic
 search.  The argument cases run the shipped files with hostile option
 values and a missing path; argparse rejects a malformed value with exit 2.
+``toric`` gets hostile ``--mode`` values, and one ``--cap`` case checks the
+unrecognized-argument path, since ``toric`` takes no ``--cap``.
 """
 
 import contextlib
@@ -86,7 +88,8 @@ POLYTOPES = sorted(p.name for p in FIXTURES.glob("*.poly"))
 POTENTIALS = sorted(p.name for p in FIXTURES.glob("*.laurent"))
 MISSING = str(FIXTURES / "no-such-file")
 HOSTILE_ARGV = (
-    [["toric", f"fixtures/{name}", "--cap", cap] for name in POLYTOPES for cap in ("0", "-1", "x", "13")]
+    [["toric", f"fixtures/{name}", "--mode", mode] for name in POLYTOPES for mode in ("bad", "", "COMPACT")]
+    + [["toric", "fixtures/cp2.poly", "--cap", "13"]]
     + [["potential", "crit", f"fixtures/{name}", "--bound", b] for name in POTENTIALS for b in ("0", "-1", "1/2")]
     + [
         ["potential", "crit", f"fixtures/{name}", "--bound", "6", "--cap", cap]
