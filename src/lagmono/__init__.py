@@ -51,7 +51,6 @@ from .laurent import (
     gradient_hessian,
     invariance_check,
     is_critical,
-    log_gradient_hessian,
     parse_laurent,
     torsion_critical_points,
 )

@@ -1,16 +1,21 @@
 """Finite monodromy classification: the 13 planar classes and the general filter.
 
-In rank 2 the finite subgroups of GL(2, Z) fall into 13 conjugacy classes;
-built-in representatives are classified by the admissibility filter and
-tagged with toric realizability computed from the standard fixtures.  In
-higher rank, catalogs of class representatives are ingested from files and
-screened: groups moving a forced critical point are ruled out, and the
-survivors are matched against products of symmetric groups or against
-element-order feasibility one dimension down.
+In rank 2 every finite subgroup of GL(2, Z) is conjugate to exactly one of
+13 built-in representatives.  Four conjugation invariants (the order, the
+number of det -1 elements, and the fixed residues mod 2 and mod 3) separate
+the 13, so a group is named by one lookup, certified by the brute-force
+conjugator search of TestIdentify in tests/test_classify.py.  The
+representatives are classified by the admissibility filter and tagged with
+toric realizability computed from the standard fixtures.  In higher rank,
+catalogs of class representatives are ingested from files and screened:
+groups moving a forced critical point are ruled out, and the survivors are
+matched against products of symmetric groups or against element-order
+feasibility one dimension down.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from typing import Literal, Sequence
 from .cyclotomic import euler_phi, prime_divisors
 from .errors import NonUnimodularError, NotFiniteError, ParseError, SearchTooLargeError
 from .groups import MatrixGroup, Perm, compose, identity_perm
-from .intlat import IntMat, kernel_lattice, matrix_order
+from .intlat import IntMat, matrix_order
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
 from .torussym import TorsionPoint, admissible_group, content_lines, read_group_block
@@ -78,80 +83,44 @@ def catalog_n2() -> GroupCatalog:
     return GroupCatalog(2, entries)
 
 
-def _reflection_eigenvectors(s: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Primitive +1 and -1 eigenvectors of an orientation-reversing involution."""
-    def eigenvector(e: int) -> tuple[int, ...]:
-        rows = [[x - e * (i == j) for j, x in enumerate(r)] for i, r in enumerate(s.rows)]
-        # The kernel of s - e I has rank one; its Hermite basis vector is
-        # primitive and led by a positive entry.
-        return kernel_lattice(IntMat.from_rows(rows).transpose()).basis[0]
+def _invariant(group: MatrixGroup) -> tuple[int, int, int, int]:
+    """(|G|, det -1 elements, |Fix_G((Z/2)^2)|, |Fix_G((Z/3)^2)|).
 
-    return eigenvector(1), eigenvector(-1)
-
-
-def _reflection_eigenbasis_index(s: IntMat) -> int:
-    """1 when the eigenvectors form a lattice basis, 2 for the index-2 case."""
-    v_plus, v_minus = _reflection_eigenvectors(s)
-    det = IntMat.from_rows([v_plus, v_minus]).det()
-    assert abs(det) in (1, 2)
-    return abs(det)
-
-
-def _rotation_orbit_index(s: IntMat, r: IntMat) -> int:
-    """Index of the sublattice spanned by the fixed vector and its rotation.
-
-    For an order-3 rotation r this is 1 or 3 and separates the two dihedral
-    classes of order 6; the eigenbasis index cannot, because every
-    reflection normalising an order-3 rotation has eigenbasis index 2.
+    Each is unchanged by conjugation in GL(2, Z): X G X^-1 fixes exactly the
+    residues X v for v fixed by G, and X is invertible mod every m.
     """
-    v_plus, _ = _reflection_eigenvectors(s)
-    det = IntMat.from_rows([v_plus, r.apply(v_plus)]).det()
-    assert abs(det) in (1, 3)
-    return abs(det)
+    def fixed(m: int) -> int:
+        return sum(
+            all((x - y) % m == 0 for g in group for x, y in zip(g.apply(v), v))
+            for v in itertools.product(range(m), repeat=2)
+        )
+
+    return group.order, sum(g.det() == -1 for g in group), fixed(2), fixed(3)
+
+
+@functools.cache
+def _class_by_invariant() -> dict[tuple[int, int, int, int], str]:
+    return {_invariant(group): name for name, group in catalog_n2().entries}
 
 
 def identify_class_n2(group: MatrixGroup) -> str:
     """Conjugacy-class label of a finite subgroup of GL(2, Z).
 
-    The rotation order plus presence of reflections narrows to at most two
-    classes; reflections are then separated by the eigenbasis index for
-    rotation orders 1 and 2 and by the rotation-orbit index for order 3,
-    with the order 4 and 6 dihedral classes each being unique.
+    The 13 catalog classes are all the finite subgroups up to conjugacy, and
+    ``_invariant`` separates their representatives, so the group is named by
+    one lookup.  test_names_certified_by_conjugator_search, in
+    tests/test_classify.py, checks the names by brute force.
     """
     if group.dim != 2:
         raise ValueError("classification needs dimension 2")
     for g in group:
         if matrix_order(g) is None:
             raise NotFiniteError(f"element {g} has infinite order")
-    rotations = [g for g in group if g.det() == 1]
-    reflections = [g for g in group if g.det() == -1]
-    m = len(rotations)
-    if m not in (1, 2, 3, 4, 6):
-        raise ValueError(f"unrecognised rotation subgroup of order {m}")
-    if not reflections:
-        return str(m)
-    if len(reflections) != m:
-        raise ValueError("reflections do not form a single coset")
-    for s in reflections:
-        prod = s @ s
-        if not prod.is_identity():
-            raise ValueError(f"orientation-reversing element {s} is not an involution")
-    if m in (1, 2):
-        indices = {_reflection_eigenbasis_index(s) for s in reflections}
-        if len(indices) != 1:
-            raise ValueError("inconsistent reflection types")
-        return f"{m}f" if indices == {1} else f"{m}t"
-    if m == 3:
-        rot = next(g for g in rotations if not g.is_identity())
-        indices = {_rotation_orbit_index(s, rot) for s in reflections}
-        if len(indices) != 1:
-            raise ValueError("inconsistent reflection types")
-        return "3f" if indices == {1} else "3t"
-    if m == 4:
-        assert {_reflection_eigenbasis_index(s) for s in reflections} == {1, 2}
-        return "4ft"
-    assert {_reflection_eigenbasis_index(s) for s in reflections} == {2}
-    return "6ft"
+    key = _invariant(group)
+    name = _class_by_invariant().get(key)
+    if name is None:
+        raise ValueError(f"no planar class has invariant {key}")
+    return name
 
 
 TORIC_REALIZATIONS = {

@@ -99,10 +99,6 @@ class LaurentPolynomial:
             out[key] = out.get(key, 0) + c * e[i]
         return LaurentPolynomial.from_dict(self.dim, out)
 
-    def log_partial(self, i: int) -> "LaurentPolynomial":
-        """Logarithmic derivative x_i d/dx_i, which keeps the exponent."""
-        return LaurentPolynomial(self.dim, tuple((e, c * e[i]) for e, c in self.terms))
-
     def relabel(self, g: IntMat) -> "LaurentPolynomial":
         """Push exponents through alpha -> g alpha."""
         if g.nrows != self.dim or g.ncols != self.dim:
@@ -168,24 +164,10 @@ def gradient_hessian(
     return grad, hess
 
 
-def log_gradient_hessian(
-    w: LaurentPolynomial, p: TorsionPoint
-) -> tuple[tuple[CyclotomicNumber, ...], tuple[tuple[CyclotomicNumber, ...], ...]]:
-    """Logarithmic analogue of gradient_hessian, exposed for diagnostics."""
-    n = w.dim
-    partials = [w.log_partial(i) for i in range(n)]
-    grad = tuple(evaluate(partials[i], p) for i in range(n))
-    hess = tuple(
-        tuple(evaluate(partials[i].log_partial(j), p) for j in range(n)) for i in range(n)
-    )
-    return grad, hess
-
-
 @functools.lru_cache(maxsize=64)
-def _first_partials(w: LaurentPolynomial) -> tuple[tuple[LaurentPolynomial, ...], tuple[LaurentPolynomial, ...]]:
-    """Affine and logarithmic first partials of w, kept across grid points."""
-    n = w.dim
-    return tuple(w.partial(i) for i in range(n)), tuple(w.log_partial(i) for i in range(n))
+def _first_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
+    """Affine first partials of w, kept across grid points."""
+    return tuple(w.partial(i) for i in range(w.dim))
 
 
 def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
@@ -198,19 +180,16 @@ def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
 
 
 def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:
-    """True when every first partial of w vanishes at p.
+    """True when every affine first partial of w vanishes at p.
 
-    Affine and logarithmic partials vanish together at unitary points; each
-    is tested from its own partial polynomial, and the two must agree.
+    Only the affine partials are tested.  The logarithmic partial z_i d/dz_i w
+    is z_i times the affine one, term by term, so at a unitary point its
+    image is the affine image shifted mod d: the two vanish together.
     """
     _check_dim(w, p)
     d = p.order()
     scaled = [c.numerator * (d // c.denominator) for c in p.coords]
-    affine, logarithmic = _first_partials(w)
-    is_affine = all(_vanishes(f, scaled, d) for f in affine)
-    is_logarithmic = all(_vanishes(f, scaled, d) for f in logarithmic)
-    assert is_affine == is_logarithmic, "affine and logarithmic criticality disagree"
-    return is_affine
+    return all(_vanishes(f, scaled, d) for f in _first_partials(w))
 
 
 def _grid_point(combo: Sequence[int], bound: int) -> TorsionPoint:

@@ -1,5 +1,6 @@
 """The 13 planar classes, catalog ingestion, and the structural filter."""
 
+import itertools
 import pathlib
 import random
 
@@ -99,6 +100,52 @@ class TestIdentify:
                 assert identify_class_n2(conj) == name
                 count += 1
         assert count >= 100
+
+    def test_rejections(self):
+        rank3 = MatrixGroup.from_generators(3, [-IntMat.identity(3)])
+        with pytest.raises(ValueError, match="dimension 2"):
+            identify_class_n2(rank3)
+        shear = IntMat.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(NotFiniteError):
+            identify_class_n2(MatrixGroup.from_elements(2, [IntMat.identity(2), shear]))
+        # {1, r} for r of order 4 is no group, and no class has its invariant.
+        not_closed = MatrixGroup.from_elements(2, [IntMat.identity(2), IntMat.from_rows([[0, -1], [1, 0]])])
+        with pytest.raises(ValueError, match="no planar class"):
+            identify_class_n2(not_closed)
+
+    def test_names_certified_by_conjugator_search(self):
+        """Every group closed from two small finite-order matrices is conjugate to the named representative.
+
+        The 24 finite-order matrices of GL(2, Z) with entries in {-1, 0, 1}
+        give, pair by pair, 32 distinct finite groups meeting all 13 classes.
+        For each, a unimodular X with entries in [-2, 2] is found by brute
+        force with X G X^-1 equal to the representative as a set.
+        """
+        small = [
+            g for rows in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=2)
+            if abs((g := IntMat.from_rows(rows)).det()) == 1 and matrix_order(g) is not None
+        ]
+        assert len(small) == 24
+        found = set()
+        for pair in itertools.combinations_with_replacement(small, 2):
+            try:
+                found.add(MatrixGroup.from_generators(2, pair))
+            except NotFiniteError:
+                continue
+        assert len(found) == 32
+        conjugators = []
+        for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
+            det = a * d - b * c
+            if abs(det) == 1:
+                x_inv = IntMat.from_rows([[d * det, -b * det], [-c * det, a * det]])
+                conjugators.append((IntMat.from_rows([[a, b], [c, d]]), x_inv))
+        names = []
+        for group in found:
+            name = identify_class_n2(group)
+            target = set(catalog_n2().group(name).elements)
+            assert any(set(group.conjugate(x, x_inv).elements) == target for x, x_inv in conjugators), name
+            names.append(name)
+        assert sorted(set(names)) == sorted(CLASS_NAMES_2D)
 
 
 def signed_permutation_group(n):

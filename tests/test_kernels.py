@@ -25,9 +25,9 @@ Gauss-Jordan family of ``intlat`` (``old_rational_rref``,
 ``old_rational_rank``, ``old_solve_rational_system``,
 ``old_rational_kernel_basis``, ``old_kernel_from_rref``) with the Fraction
 forms of its callers: ``old_monotone_normalize``, ``old_extreme_ray`` (for
-``toric._recession_ray``), ``old_reflection_eigenvectors`` and
-``old_b1_support_rank``, and the Smith normal form of ``intlat`` with the
-fixed locus read off it (``old_smith_normal_form``, ``old_fixed_locus``, for
+``toric._recession_ray``) and ``old_b1_support_rank``, and the Smith
+normal form of ``intlat`` with the fixed locus read off it
+(``old_smith_normal_form``, ``old_fixed_locus``, for
 ``torussym._fixed_locus``), the Fraction action and moved-point scan of
 ``torussym`` (``old_act``, ``old_first_moved_point``), and the Hermite loop
 that carried its transform through every call, ``LatticeBasis.from_vectors``
@@ -72,7 +72,6 @@ from lagmono.floer import (
     _two_column_kernel,
 )
 from lagmono.classify import (
-    _reflection_eigenvectors,
     _symmetric_part_choices,
     catalog_n2,
     embed_symmetric_product,
@@ -255,15 +254,6 @@ def old_extreme_ray(p):
             if all(dot(candidate, nu) >= 0 for nu in p.normals):
                 return candidate
     return None
-
-
-def old_reflection_eigenvectors(s):
-    """classify._reflection_eigenvectors by a Fraction kernel of s - e I."""
-    def eigenvector(e):
-        rows = [[x - e * (i == j) for j, x in enumerate(r)] for i, r in enumerate(s.rows)]
-        return primitive_vector(old_rational_kernel_basis(rows, 2)[0])
-
-    return eigenvector(1), eigenvector(-1)
 
 
 def old_b1_support_rank(w):
@@ -2129,14 +2119,6 @@ class TestMonotoneNormalize:
 
 
 @st.composite
-def planar_reflections(draw):
-    """u r u^-1 for r = diag(1, -1) or the coordinate swap, the two GL(2, Z) classes of reflections."""
-    r = IntMat.from_rows(draw(st.sampled_from(([[1, 0], [0, -1]], [[0, 1], [1, 0]]))))
-    u, u_inv = draw(unimodular_pairs(2))
-    return u @ r @ u_inv
-
-
-@st.composite
 def laurent_supports(draw):
     """Unit-coefficient Laurent polynomials on up to six exponents in [-2, 2]^n, the constant term allowed."""
     n = draw(st.integers(1, 4))
@@ -2149,11 +2131,6 @@ class TestIntegerKernels:
     @given(st.one_of(random_polytopes(), unbounded_products(), offset_systems()))
     def test_recession_ray_equals_fraction_kernel(self, p):
         assert _recession_ray(p) == old_extreme_ray(p)
-
-    @settings(max_examples=60, deadline=None)
-    @given(planar_reflections())
-    def test_reflection_eigenvectors_equal_fraction_kernel(self, s):
-        assert _reflection_eigenvectors(s) == old_reflection_eigenvectors(s)
 
     @settings(max_examples=100, deadline=None)
     @given(laurent_supports())

@@ -20,7 +20,6 @@ from lagmono.laurent import (
     gradient_hessian,
     invariance_check,
     is_critical,
-    log_gradient_hessian,
     parse_laurent,
     torsion_critical_points,
 )
@@ -112,11 +111,6 @@ class TestDerivatives:
             bumped_dn[i] -= h
             fd = (value_at(bumped_up) - value_at(bumped_dn)) / (2 * h)
             assert abs(fd - to_complex(grad[i])) < 1e-6
-
-    def test_log_hessian_keeps_exponents(self):
-        w = LaurentPolynomial.from_dict(2, {(1, 0): 1, (-1, -1): 1})
-        _, logh = log_gradient_hessian(w, pt(0, 0))
-        assert logh == ((rat(2), rat(1)), (rat(1), rat(1)))
 
 
 class TestCriticality:
@@ -252,6 +246,23 @@ class TestFastGrid:
         # x^5 + x^-5 is critical exactly where x^10 = 1; orders 1, 2, 5 and 10.
         w = LaurentPolynomial.from_dict(1, {(5,): 1, (-5,): 1})
         assert torsion_critical_points(w, 20) == tuple(pt(F(k, 10)) for k in range(10))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        raw=raw_terms,
+        order=st.integers(1, 12),
+        numerators=st.lists(st.integers(0, 11), min_size=3, max_size=3),
+    )
+    def test_affine_and_logarithmic_partials_vanish_together(self, dim, raw, order, numerators):
+        w = LaurentPolynomial(dim, tuple((tuple(e[:dim]), c) for e, c in raw))
+        p = TorsionPoint.make(F(a, order) for a in numerators[:dim])
+        log_zero = [
+            evaluate(LaurentPolynomial(dim, tuple((e, c * e[i]) for e, c in w.terms)), p).is_zero()
+            for i in range(dim)
+        ]
+        assert log_zero == [evaluate(w.partial(i), p).is_zero() for i in range(dim)]
+        assert is_critical(w, p) == all(log_zero)
 
 
 class TestDimensionErrors:
