@@ -60,6 +60,7 @@ class GroupCatalog:
         raise KeyError(name)
 
 
+@functools.cache
 def catalog_n2() -> GroupCatalog:
     """Built-in representatives of the 13 finite classes in GL(2, Z)."""
     gens = {
@@ -123,15 +124,8 @@ def identify_class_n2(group: MatrixGroup) -> str:
     return name
 
 
-TORIC_REALIZATIONS = {
-    "bl2cp2": "1",
-    "bl3cp2": "1",
-    "cxcp1": "1f",
-    "bl1cp2": "1t",
-    "c2": "1t",
-    "cp1xcp1": "2f",
-    "cp2": "3f",
-}
+# The standard fixtures whose monodromy names a planar class, in sorted order.
+TORIC_REALIZATIONS = ("bl1cp2", "bl2cp2", "bl3cp2", "c2", "cp1xcp1", "cp2", "cxcp1")
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ class ClassVerdict2D:
 def toric_realized_labels() -> dict[str, tuple[str, ...]]:
     """Labels realized by the standard fixtures, computed from scratch."""
     realized: dict[str, list[str]] = {}
-    for name in sorted(TORIC_REALIZATIONS):
+    for name in TORIC_REALIZATIONS:
         data = toric_fiber_data(STANDARD_FIXTURES[name])
         mats = induced_matrix_group(data, hamiltonian_monodromy(data))
         label = identify_class_n2(mats)

@@ -1,10 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_d).
 
 Values are stored on the power basis 1, zeta, ..., zeta^(phi(d)-1) modulo the
-d-th cyclotomic polynomial, with rational coefficients.  Every value is kept
-in a canonical form: coefficients reduced, and the conductor lowered to the
-least d whose field contains the value, so equality is structural.  Roots of
-unity never appear as floats anywhere.
+d-th cyclotomic polynomial, as integer numerators over one denominator.  Every
+value is kept in a canonical form: numerators reduced, the fraction in lowest
+terms, and the conductor lowered to the least d whose field contains the
+value, so equality is structural.  Roots of unity never appear as floats
+anywhere.
 
 The conductors whose fields contain a value are closed under gcd, because
 Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the least one is
@@ -16,8 +17,10 @@ p dividing d, with m = d / p:
   p-th coefficient is then its coefficient over Q(zeta_m);
 - otherwise the trace down to Q(zeta_m) sends zeta_d^i to
   zeta_m^(i p^-1 mod m), times p - 1 when p divides i and -1 when not: the
-  value lies in Q(zeta_m) exactly when its trace over p - 1, reduced modulo
-  Phi_m, raises back to it.
+  value lies in Q(zeta_m) exactly when its trace, reduced modulo Phi_m,
+  raises back to p - 1 times the value.  The trace of integer numerators
+  then has integer coordinates divisible by p - 1, because Z[zeta_d] meets
+  Q(zeta_m) in Z[zeta_m].
 
 A prime that cannot be dropped at d cannot be dropped at any divisor of d
 either, so one pass over the primes of d reaches the least conductor.
@@ -86,24 +89,18 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return tuple(poly) if d > 1 else (-1, 1)
 
 
-def _polydivmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder of num by den, coefficient lists constant term first.
+def _polydivmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den, coefficient lists constant term first.
 
-    Generic over int and Fraction coefficients; den[-1] must be nonzero.
-    When den is monic, as every Phi_d is, no division is made, so integer
-    inputs give integer results.  The remainder keeps all deg(den)
-    coefficients (fewer when num is shorter), trailing zeros included.
+    No division is made, so integer inputs give integer results.  The
+    remainder has exactly deg(den) coefficients, trailing zeros included.
     """
     deg = len(den) - 1
-    lead = den[-1]
-    monic = lead == 1
-    rem = list(num)
+    rem = list(num) + [0] * (deg - len(num))
     quot = [0] * max(len(rem) - deg, 1)
     for top in range(len(rem) - 1, deg - 1, -1):
         q = rem[top]
         if q:
-            if not monic:
-                q = Fraction(q) / lead
             base = top - deg
             quot[base] = q
             for j in range(deg):
@@ -111,84 +108,96 @@ def _polydivmod(num: Sequence, den: Sequence) -> tuple[list, list]:
     return quot, rem[:deg]
 
 
-def _polymod(coeffs: Sequence, d: int) -> list[Fraction]:
-    """Reduce a polynomial in zeta_d modulo the d-th cyclotomic polynomial."""
-    phi = cyclotomic_polynomial(d)
-    rem = _polydivmod(coeffs, phi)[1]
-    return [Fraction(x) for x in rem] + [Fraction(0)] * (len(phi) - 1 - len(rem))
-
-
-def _promote(coeffs: Sequence, c: int, d: int) -> list[Fraction]:
-    """Coefficients of a value of Q(zeta_c) on the power basis of Q(zeta_d), for c | d.
+def _promote(nums: Sequence[int], c: int, d: int) -> Sequence[int]:
+    """Numerators of a value of Q(zeta_c) on the power basis of Q(zeta_d), for c | d.
 
     zeta_c is zeta_d^(d/c), so coefficient i moves to exponent i d / c.
     """
+    if c == d:
+        return nums
     step = d // c
-    spread = [0] * (step * (len(coeffs) - 1) + 1)
-    spread[::step] = coeffs
-    return _polymod(spread, d)
+    spread = [0] * (step * (len(nums) - 1) + 1)
+    spread[::step] = nums
+    return _polydivmod(spread, cyclotomic_polynomial(d))[1]
 
 
-def _descend(d: int, p: int, coeffs: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients over Q(zeta_(d/p)) of a value of Q(zeta_d), or None when it is not there."""
+def _descend(d: int, p: int, nums: list[int]) -> list[int] | None:
+    """Numerators over Q(zeta_(d/p)) of a value of Q(zeta_d), or None when it is not there."""
     m = d // p
     if m % p == 0:
-        if any(c for i, c in enumerate(coeffs) if i % p):
+        if any(c for i, c in enumerate(nums) if i % p):
             return None
-        return coeffs[::p]
+        return nums[::p]
     inv = pow(p, -1, m)
     trace = [0] * m
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(nums):
         if c:
-            trace[i * inv % m] += c if i % p == 0 else c / (1 - p)
-    lowered = _polymod(trace, m)
-    return lowered if _promote(lowered, m, d) == coeffs else None
+            trace[i * inv % m] += c * (p - 1) if i % p == 0 else -c
+    lowered = _polydivmod(trace, cyclotomic_polynomial(m))[1]
+    if _promote(lowered, m, d) != [c * (p - 1) for c in nums]:
+        return None
+    return [c // (p - 1) for c in lowered]
 
 
-def _canonicalize(d: int, coeffs: list[Fraction]) -> tuple[int, list[Fraction]]:
+def _canonicalize(d: int, nums: list[int]) -> tuple[int, list[int]]:
     """Lower the conductor to the least one whose field holds the value."""
     for p in prime_divisors(d):
         while d % p == 0:
-            lowered = _descend(d, p, coeffs)
+            lowered = _descend(d, p, nums)
             if lowered is None:
                 break
-            d, coeffs = d // p, lowered
-    return d, coeffs
+            d, nums = d // p, lowered
+    return d, nums
 
 
 @dataclass(frozen=True)
 class CyclotomicNumber:
-    """Element of Q(zeta_d) in canonical least-conductor form."""
+    """Element nums / den of Q(zeta_d) in canonical least-conductor form.
+
+    Fraction entries of nums are folded into den, so rational coefficients work too.
+    """
 
     conductor: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        d, coeffs = self.conductor, self.coeffs
-        if d == 1 and len(coeffs) == 1 and isinstance(coeffs[0], Fraction):
-            return
-        d, coeffs = _canonicalize(d, _polymod(coeffs, d))
+        d, nums, den = self.conductor, self.nums, self.den
+        if d != 1 or len(nums) != 1 or type(nums[0]) is not int:  # an integer needs no reduction
+            if not all(isinstance(c, int) for c in nums):
+                coeffs = [Fraction(c) for c in nums]
+                scale = math.lcm(*(c.denominator for c in coeffs))
+                nums = [c.numerator * (scale // c.denominator) for c in coeffs]
+                den *= scale
+            d, nums = _canonicalize(d, _polydivmod(nums, cyclotomic_polynomial(d))[1])
+        self._set(d, nums, den)
+
+    def _set(self, d: int, nums: Sequence[int], den: int) -> None:
+        """Store nums / den at conductor d in lowest terms, with den > 0."""
+        if den == 0:
+            raise ZeroDivisionError("cyclotomic number with denominator 0")
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         object.__setattr__(self, "conductor", d)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "nums", tuple(nums) if g == 1 else tuple(n // g for n in nums))
+        object.__setattr__(self, "den", den // g)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q: Fraction | int) -> "CyclotomicNumber":
-        return cls(1, (Fraction(q),))
+        return cls(1, (q.numerator,), q.denominator)
 
     @classmethod
     def root_of_unity(cls, d: int, power: int = 1) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * (power % d + 1)
-        coeffs[power % d] = Fraction(1)
-        return cls(d, tuple(coeffs))
+        nums = [0] * (power % d + 1)
+        nums[power % d] = 1
+        return cls(d, tuple(nums))
 
     @classmethod
-    def _canonical(cls, d: int, coeffs: tuple[Fraction, ...]) -> "CyclotomicNumber":
-        """The value with these coefficients, which must already be canonical at conductor d."""
+    def _canonical(cls, d: int, nums: Sequence[int], den: int = 1) -> "CyclotomicNumber":
+        """The value nums / den, whose numerators must already be canonical at conductor d."""
         value = object.__new__(cls)
-        object.__setattr__(value, "conductor", d)
-        object.__setattr__(value, "coeffs", coeffs)
+        value._set(d, nums, den)
         return value
 
     @classmethod
@@ -201,13 +210,16 @@ class CyclotomicNumber:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients on the power basis of Q(zeta_conductor)."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def promoted_coeffs(self, d: int) -> tuple[Fraction, ...]:
         """Coefficients of this value on the power basis of Q(zeta_d)."""
         if d % self.conductor != 0:
             raise ValueError(f"conductor {self.conductor} does not divide {d}")
-        if d == self.conductor:
-            return self.coeffs
-        return tuple(_promote(self.coeffs, self.conductor, d))
+        return tuple(Fraction(n, self.den) for n in _promote(self.nums, self.conductor, d))
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -215,16 +227,16 @@ class CyclotomicNumber:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and self.nums[0] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -234,12 +246,11 @@ class CyclotomicNumber:
             return self
         if self.is_zero():
             return other._scaled(op(0, 1))  # y or -y
-        if self.conductor == 1 and other.conductor == 1:
-            return CyclotomicNumber(1, (op(self.coeffs[0], other.coeffs[0]),))
         d = math.lcm(self.conductor, other.conductor)
-        a = self.promoted_coeffs(d)
-        b = other.promoted_coeffs(d)
-        return CyclotomicNumber(d, tuple(op(x, y) for x, y in zip(a, b)))
+        a = _promote(self.nums, self.conductor, d)
+        b = _promote(other.nums, other.conductor, d)
+        nums = (op(x * other.den, y * self.den) for x, y in zip(a, b))
+        return CyclotomicNumber(d, tuple(nums), self.den * other.den)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -255,52 +266,51 @@ class CyclotomicNumber:
     def __neg__(self):
         return self._scaled(-1)
 
-    def _scaled(self, q: Fraction | int) -> "CyclotomicNumber":
-        """q times this value, with no reduction: a nonzero multiple keeps the canonical form."""
-        if q == 0:
+    def _scaled(self, num: int, den: int = 1) -> "CyclotomicNumber":
+        """num / den times this value: a nonzero multiple keeps the conductor."""
+        if num == 0:
             return CyclotomicNumber.zero()
-        if q == 1:
+        if num == den:
             return self
-        return CyclotomicNumber._canonical(self.conductor, tuple(q * c for c in self.coeffs))
+        return CyclotomicNumber._canonical(self.conductor, [num * n for n in self.nums], den * self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         other = _coerce(other)
         if other.conductor == 1:
-            return self._scaled(other.coeffs[0])
+            return self._scaled(other.nums[0], other.den)
         if self.conductor == 1:
-            return other._scaled(self.coeffs[0])
+            return other._scaled(self.nums[0], self.den)
         d = math.lcm(self.conductor, other.conductor)
-        a = self.promoted_coeffs(d)
-        b = other.promoted_coeffs(d)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        a = _promote(self.nums, self.conductor, d)
+        b = _promote(other.nums, other.conductor, d)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-        return CyclotomicNumber(d, tuple(prod))
+        return CyclotomicNumber(d, tuple(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Field inverse: the x with sum of x_i (s a zeta^i) = 1, times s.
+        """Field inverse: den times the x with sum of x_i (nums zeta^i) = 1.
 
-        The columns s a zeta^i are those of ``_scaled_columns``, the integral
-        matrix whose determinant is the norm; it is invertible for a nonzero
-        value, and the fraction-free solve gives D x in integers.  The
-        inverse generates the same field, so it keeps the conductor.
+        The columns nums zeta^i are those of ``_columns``, the integral
+        matrix whose determinant is den^phi times the norm; it is invertible
+        for a nonzero value, and the fraction-free solve gives D x in
+        integers.  The inverse generates the same field, so it keeps the
+        conductor.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0])
-        scale, cols = self._scaled_columns()
+        cols = self._columns()
         one = [1] + [0] * (len(cols) - 1)
         det, y = bareiss_solve(list(zip(*cols)), one)
-        return CyclotomicNumber._canonical(self.conductor, tuple(Fraction(scale * c, det) for c in y))
+        return CyclotomicNumber._canonical(self.conductor, [self.den * c for c in y], det)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -313,43 +323,40 @@ class CyclotomicNumber:
         d = self.conductor
         if math.gcd(a, d) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        out = [Fraction(0)] * d
-        for i, c in enumerate(self.coeffs):
+        out = [0] * d
+        for i, c in enumerate(self.nums):
             out[(i * a) % d] += c
-        return CyclotomicNumber(d, tuple(out))
+        return CyclotomicNumber(d, tuple(out), self.den)
 
-    def _scaled_columns(self) -> tuple[int, list[list[int]]]:
-        """(s, the columns s a zeta^i mod Phi_d for i < phi(d)), s the lcm of the denominators.
+    def _columns(self) -> list[list[int]]:
+        """The columns nums zeta^i mod Phi_d for i < phi(d).
 
-        They are the integral matrix of multiplication by s a on the power
-        basis, built by repeated multiplication by zeta.
+        They are the integral matrix of multiplication by den times the value
+        on the power basis, built by repeated multiplication by zeta.
         """
         phi = cyclotomic_polynomial(self.conductor)
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
-        col = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        col = list(self.nums)
         cols = []
         for _ in range(len(phi) - 1):
             cols.append(col)
             col = _polydivmod([0] + col, phi)[1]
-        return scale, cols
+        return cols
 
     def norm(self) -> Fraction:
         """Field norm down to Q: determinant of multiplication by the value.
 
-        Bareiss gives the determinant s^phi N(a) of the integral columns
-        s a zeta^i.
+        Bareiss gives the determinant den^phi N(a) of the integral columns
+        nums zeta^i.
         """
-        if self.conductor == 1:
-            return self.coeffs[0]
-        scale, cols = self._scaled_columns()
-        return Fraction(IntMat.from_rows(cols).det(), scale ** len(cols))
+        cols = self._columns()
+        return Fraction(IntMat.from_rows(cols).det(), self.den ** len(cols))
 
     def is_integral_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         sym = f"z{self.conductor}"
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi_table
+from .cyclotomic import CyclotomicNumber, _polydivmod, _promote, cyclotomic_polynomial, euler_phi_table
 from .errors import (
     BadDiscriminantError,
     DimensionError,
@@ -27,7 +27,7 @@ from .errors import (
     NotUnivariateError,
     UnsupportedActionError,
 )
-from .intlat import IntMat, primitive_vector, vec_gcd
+from .intlat import IntMat, hermite_normal_form, primitive_vector, vec_gcd
 from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
@@ -298,9 +298,9 @@ def continuation_solvable(
             )
 
     mu_nu_zero = d.mu.is_zero() and d.nu.is_zero()
-    lam_int = d.lam.is_rational() and d.lam.coeffs[0].denominator == 1
+    lam_int = d.lam.is_rational() and d.lam.is_integral()
     if mu_nu_zero and lam_int:
-        lam = int(d.lam.coeffs[0])
+        lam = d.lam.nums[0]
         if parity == "even" and eps1 == 1 and eps2 == 1:
             return _shear_closed_form(d, action, lam, m)
         if parity == "odd" and eps1 == -1 and eps2 == 1:
@@ -419,8 +419,7 @@ def cyclo_multiple_member(m: int, k: int, d: int) -> bool:
     """
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
-    coords = Cyc.from_rational(m).promoted_coeffs(d)
-    return all(c.denominator == 1 and c.numerator % k == 0 for c in coords)
+    return all(c % k == 0 for c in _promote((m,), 1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +498,9 @@ def _reduce_isotropic(q: BinaryForm) -> tuple[BinaryForm, IntMat]:
         g = math.gcd(num, den)
         iso = (num // g, den // g) if g else (num, den)
     p, r = iso
-    g, x, y = _extended_gcd(p, r)
-    assert g == 1, "isotropic vector must be primitive"
+    h, v = hermite_normal_form(IntMat.from_rows([[p], [r]]))
+    assert h.rows[0] == (1,), "isotropic vector must be primitive"
+    x, y = v.rows[0]
     u1 = IntMat.from_rows([[p, -y], [r, x]])
     assert u1.det() == 1
     step = q.transform(u1)
@@ -526,20 +526,6 @@ def _reduce_isotropic(q: BinaryForm) -> tuple[BinaryForm, IntMat]:
     assert q.transform(u) == canonical
     assert abs(u.det()) == 1
     return canonical, u
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,25 @@ class TestArithmetic:
         assert not (zeta(3) / 2).is_integral()
 
 
+class TestIntegerForm:
+    def test_numerators_in_lowest_terms_over_positive_denominator(self):
+        v = CyclotomicNumber(3, (2, 4), -6)
+        assert (v.conductor, v.nums, v.den) == (3, (-1, -2), 3)
+        assert v == CyclotomicNumber(3, (F(-1, 3), F(-2, 3)))
+        assert v.coeffs == (F(-1, 3), F(-2, 3))
+
+    def test_fraction_entries_fold_into_the_denominator(self):
+        v = CyclotomicNumber(4, (F(1, 2), F(1, 3)), 5)
+        assert (v.nums, v.den) == ((3, 2), 30)
+        assert rat(F(-3, 4)) == CyclotomicNumber(1, (-3,), 4)
+
+    def test_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicNumber(3, (1, 2), 0)
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicNumber(1, (0,), 0)
+
+
 class TestNorm:
     def test_rational_norm(self):
         assert rat(F(3, 2)).norm() == F(3, 2)
