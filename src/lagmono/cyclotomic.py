@@ -7,23 +7,15 @@ terms, and the conductor lowered to the least d whose field contains the
 value, so equality is structural.  Roots of unity never appear as floats
 anywhere.
 
-The conductors whose fields contain a value are closed under gcd, because
-Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the least one is
-reached by dropping one prime at a time, with no linear algebra.  For a prime
-p dividing d, with m = d / p:
-
-- when p divides m, Phi_d(x) = Phi_m(x^p): the value lies in Q(zeta_m)
-  exactly when its coefficients vanish off the multiples of p, and every
-  p-th coefficient is then its coefficient over Q(zeta_m);
-- otherwise the trace down to Q(zeta_m) sends zeta_d^i to
-  zeta_m^(i p^-1 mod m), times p - 1 when p divides i and -1 when not: the
-  value lies in Q(zeta_m) exactly when its trace, reduced modulo Phi_m,
-  raises back to p - 1 times the value.  The trace of integer numerators
-  then has integer coordinates divisible by p - 1, because Z[zeta_d] meets
-  Q(zeta_m) in Z[zeta_m].
-
-A prime that cannot be dropped at d cannot be dropped at any divisor of d
-either, so one pass over the primes of d reaches the least conductor.
+Zero test and least conductor are one fold onto the tensor basis: Z[zeta_d]
+is the tensor product of the Z[zeta_q] over the prime powers q = p^k exactly
+dividing d (Lyubashevsky-Peikert-Regev, EUROCRYPT 2013, section 4), and the
+exponent e of x^e carries one residue e mod q per factor by the CRT.  As
+Phi_q(x) is the sum of x^(t q/p) for t < p, ``_fold`` writes each x^e whose
+q-residue is at least (p - 1) q/p as minus its p - 1 neighbours below, in
+the q-residue only.  What is left are coordinates on a Z-basis of Z[zeta_d],
+and the value lies in Q(zeta_(d/g)) exactly when g divides every exponent
+left: Q(zeta_(p^j)) is spanned by the exponents divisible by p^(k-j).
 """
 
 from __future__ import annotations
@@ -121,33 +113,36 @@ def _promote(nums: Sequence[int], c: int, d: int) -> Sequence[int]:
     return _polydivmod(spread, cyclotomic_polynomial(d))[1]
 
 
-def _descend(d: int, p: int, nums: list[int]) -> list[int] | None:
-    """Numerators over Q(zeta_(d/p)) of a value of Q(zeta_d), or None when it is not there."""
-    m = d // p
-    if m % p == 0:
-        if any(c for i, c in enumerate(nums) if i % p):
-            return None
-        return nums[::p]
-    inv = pow(p, -1, m)
-    trace = [0] * m
-    for i, c in enumerate(nums):
-        if c:
-            trace[i * inv % m] += c * (p - 1) if i % p == 0 else -c
-    lowered = _polydivmod(trace, cyclotomic_polynomial(m))[1]
-    if _promote(lowered, m, d) != [c * (p - 1) for c in nums]:
-        return None
-    return [c // (p - 1) for c in lowered]
+def _fold(image: list[int], d: int) -> list[int]:
+    """Rewrite the image of a value in Z[x]/(x^d - 1) in place onto the tensor basis.
 
-
-def _canonicalize(d: int, nums: list[int]) -> tuple[int, list[int]]:
-    """Lower the conductor to the least one whose field holds the value."""
+    For each q = p^k exactly dividing d, with s = q/p, x^e for e mod q at
+    least (p - 1) s becomes minus the x^(e - t step), t = 1 .. p - 1, where
+    step is s on the q-residue and 0 on every other.
+    """
     for p in prime_divisors(d):
-        while d % p == 0:
-            lowered = _descend(d, p, nums)
-            if lowered is None:
-                break
-            d, nums = d // p, lowered
-    return d, nums
+        q = math.gcd(d, p ** d.bit_length())
+        rest = d // q
+        step = q // p * rest * pow(rest, -1, q) % d
+        shifts = [t * step for t in range(1, p)]
+        for r in range(q - q // p, q):
+            for e in range(r, d, q):
+                c = image[e]
+                if c:
+                    image[e] = 0
+                    for shift in shifts:
+                        image[(e - shift) % d] -= c
+    return image
+
+
+def _canonicalize(d: int, nums: Sequence[int]) -> tuple[int, list[int]]:
+    """Least conductor d / g of the value, g = gcd(d, folded support), and its numerators there."""
+    image = [0] * d
+    for i, c in enumerate(nums):
+        image[i % d] += c
+    folded = _fold(image, d)
+    g = math.gcd(d, *(e for e, c in enumerate(folded) if c))
+    return d // g, _polydivmod(folded[::g], cyclotomic_polynomial(d // g))[1]
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ class CyclotomicNumber:
                 scale = math.lcm(*(c.denominator for c in coeffs))
                 nums = [c.numerator * (scale // c.denominator) for c in coeffs]
                 den *= scale
-            d, nums = _canonicalize(d, _polydivmod(nums, cyclotomic_polynomial(d))[1])
+            d, nums = _canonicalize(d, nums)
         self._set(d, nums, den)
 
     def _set(self, d: int, nums: Sequence[int], den: int) -> None:
@@ -202,7 +197,7 @@ class CyclotomicNumber:
 
     @classmethod
     def zero(cls) -> "CyclotomicNumber":
-        return cls.from_rational(0)
+        return _ZERO
 
     @classmethod
     def one(cls) -> "CyclotomicNumber":
@@ -269,7 +264,7 @@ class CyclotomicNumber:
     def _scaled(self, num: int, den: int = 1) -> "CyclotomicNumber":
         """num / den times this value: a nonzero multiple keeps the conductor."""
         if num == 0:
-            return CyclotomicNumber.zero()
+            return _ZERO
         if num == den:
             return self
         return CyclotomicNumber._canonical(self.conductor, [num * n for n in self.nums], den * self.den)
@@ -370,6 +365,9 @@ class CyclotomicNumber:
                 sign = "-" if c < 0 else ("+" if parts else "")
                 parts.append(f"{sign}{mag}{power}" if parts or c < 0 else f"{mag}{power}")
         return "".join(parts) if parts else "0"
+
+
+_ZERO = CyclotomicNumber(1, (0,))  # values are frozen, so every zero can be this one
 
 
 def _coerce(x) -> CyclotomicNumber:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .cyclotomic import CyclotomicNumber, _polydivmod, _promote, cyclotomic_polynomial, euler_phi_table
+from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi_table
 from .errors import (
     BadDiscriminantError,
     DimensionError,
@@ -32,7 +32,6 @@ from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
 Cyc = CyclotomicNumber
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -413,13 +412,13 @@ def _line_points(solutions: list[tuple[Cyc, Cyc]], height: int):
 def cyclo_multiple_member(m: int, k: int, d: int) -> bool:
     """Is the rational integer m a member of k Z[zeta_d]?
 
-    Decided on the power basis: Z[zeta_d] is a free Z-module on
-    1, zeta, .., zeta^(phi(d)-1), so membership is coordinatewise
-    divisibility of m's representation by k.
+    Z[zeta_d] is a free Z-module on 1, zeta, .., zeta^(phi(d)-1), and m is
+    m times the first of these, so m lies in k Z[zeta_d] exactly when k
+    divides m.
     """
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
-    return all(c % k == 0 for c in _promote((m,), 1, d))
+    return m % k == 0
 
 
 # ---------------------------------------------------------------------------

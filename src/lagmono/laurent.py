@@ -7,8 +7,8 @@ Evaluation at a torsion local system lands in a cyclotomic ring and is exact.
 Criticality needs only a zero test, which stays in integers.  At a point p of
 order d, each term c z^e of a partial contributes c at x^((e . p d) mod d),
 giving the partial's image in Z[x]/(x^d - 1), with x standing for
-exp(2 pi i / d).  The partial vanishes at p exactly when that image reduces
-to zero modulo the monic integer cyclotomic polynomial Phi_d.  ``evaluate``
+exp(2 pi i / d).  The partial vanishes at p exactly when that image folds to
+zero on the tensor basis of Z[zeta_d] (``cyclotomic._fold``).  ``evaluate``
 and ``gradient_hessian`` build full ``CyclotomicNumber`` values from the same
 image for callers that need them.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial
+from .cyclotomic import CyclotomicNumber, _fold
 from .errors import DimensionError, GridTooLargeError, ParseError
 from .intlat import IntMat, integer_rref
 from .torussym import TorsionPoint, content_lines, read_dim
@@ -173,10 +173,11 @@ def _first_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
 def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
     """True when w is zero at the point of order d with angles scaled / d.
 
-    The image of w in Z[x]/(x^d - 1) is reduced modulo the monic Phi_d, all
-    in integers; w vanishes exactly when the remainder is zero.
+    The image of w in Z[x]/(x^d - 1) is folded onto the tensor basis of
+    Z[zeta_d], all in integers; w vanishes exactly when every folded
+    coordinate is zero.
     """
-    return not any(_polydivmod(_image(w, scaled, d), cyclotomic_polynomial(d))[1])
+    return not any(_fold(_image(w, scaled, d), d))
 
 
 def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:

@@ -55,6 +55,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lagmono.cyclotomic import (
     CyclotomicNumber,
+    _fold,
     _polydivmod,
     cyclotomic_polynomial,
     euler_phi,
@@ -107,7 +108,7 @@ from lagmono.intlat import (
     primitive_vector,
     vec_gcd,
 )
-from lagmono.laurent import LaurentPolynomial, b1_support_rank
+from lagmono.laurent import LaurentPolynomial, b1_support_rank, torsion_critical_points
 from lagmono.monodromy import symplectic_monodromy
 from lagmono.torussym import (
     FixedPointSet,
@@ -1501,14 +1502,14 @@ def two_column_rows(draw):
 
 
 @st.composite
-def subfield_elements(draw, max_conductor=72):
+def subfield_elements(draw, max_conductor=72, conductors=None):
     """(d, coefficients of zeta_d^0 .. zeta_d^(d-1)) of a random value of a subfield Q(zeta_c).
 
     The value is a random element of Q(zeta_c), c | d, with denominators up
     to 3, written through zeta_c = zeta_d^(d/c) and then moved by a random
     Galois automorphism zeta_d -> zeta_d^k.
     """
-    d = draw(st.integers(1, max_conductor))
+    d = draw(st.sampled_from(conductors) if conductors else st.integers(1, max_conductor))
     c = draw(st.sampled_from(divisors(d)))
     numerators = draw(st.lists(st.integers(-3, 3), min_size=euler_phi(c), max_size=euler_phi(c)))
     den = draw(st.integers(1, 3))
@@ -1581,6 +1582,44 @@ def normal_sets(draw):
 
 def int_polys(min_size=1, max_size=12):
     return st.lists(st.integers(-4, 4), min_size=min_size, max_size=max_size)
+
+
+FOLD_ORDERS = (60, 72, 105, 120, 128, 210, 243, 360, 420, 1155)
+
+
+@st.composite
+def fold_images(draw):
+    """(d, image in Z[x]/(x^d - 1)) at an order with three or more primes or a prime power of 8 or more.
+
+    The image is a few random terms, a wrapped multiple of Phi_d (zero in
+    Z[zeta_d]), or such a multiple plus one more unit term (never zero).
+    """
+    d = draw(st.sampled_from(FOLD_ORDERS))
+    terms = draw(st.dictionaries(st.integers(0, d - 1), st.integers(-3, 3), max_size=6))
+    shape = draw(st.sampled_from(("terms", "multiple", "multiple plus one")))
+    image = [0] * d
+    for e, c in terms.items():
+        for j, a in enumerate((1,) if shape == "terms" else cyclotomic_polynomial(d)):
+            image[(e + j) % d] += c * a
+    if shape == "multiple plus one":
+        image[draw(st.integers(0, d - 1))] += draw(st.sampled_from((1, -1)))
+    return d, image
+
+
+def old_grid_scan(w, bound):
+    """Every grid point, each affine partial's image reduced modulo Phi_d by the old loop."""
+    partials = [w.partial(i) for i in range(w.dim)]
+    out = []
+    for combo in itertools.product(range(bound), repeat=w.dim):
+        d = bound // math.gcd(bound, *combo)
+        scaled = [k * d // bound for k in combo]
+        images = [[0] * d for _ in partials]
+        for image, f in zip(images, partials):
+            for e, c in f.terms:
+                image[dot(e, scaled) % d] += c
+        if not any(any(old_phi_residue(image, d)) for image in images):
+            out.append(TorsionPoint.make(Fraction(k, bound) for k in combo))
+    return tuple(out)
 
 
 def cyclotomic_product(ds):
@@ -1681,6 +1720,25 @@ class TestDivision:
             assert cyclotomic_polynomial(d) == old_cyclotomic_polynomial(d), d
 
 
+class TestFold:
+    @settings(max_examples=80, deadline=None)
+    @given(fold_images())
+    def test_zero_test_equals_phi_residue(self, case):
+        d, image = case
+        residue = old_phi_residue(image, d)
+        folded = _fold(list(image), d)
+        assert (not any(folded)) == (not any(residue))
+        assert _polydivmod(folded, cyclotomic_polynomial(d))[1] == residue  # same value
+        for p in prime_divisors(d):
+            q = math.gcd(d, p**d.bit_length())
+            assert all(e % q < q - q // p for e, c in enumerate(folded) if c)
+
+    @pytest.mark.parametrize("bound", [30, 48, 60])
+    def test_triangle_grid_equals_phi_residue_scan(self, bound):
+        w = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+        assert torsion_critical_points(w, bound) == old_grid_scan(w, bound)
+
+
 # ---------------------------------------------------------------------------
 # Bezout pair of the isotropic reduction
 
@@ -1743,7 +1801,7 @@ class TestFactorProfile:
 
 class TestCanonicalForm:
     @settings(max_examples=80, deadline=None)
-    @given(subfield_elements())
+    @given(st.one_of(subfield_elements(), subfield_elements(conductors=(105, 120, 210))))
     def test_construction_equals_divisor_scan(self, case):
         d, spread = case
         value = Cyc(d, tuple(spread))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagmono.cyclotomic import CyclotomicNumber
+from lagmono.cyclotomic import CyclotomicNumber, euler_phi
 from lagmono.errors import DimensionError, GridTooLargeError, ParseError, ValidationError
 from lagmono.intlat import IntMat
 from lagmono.laurent import (
@@ -263,6 +263,31 @@ class TestFastGrid:
         ]
         assert log_zero == [evaluate(w.partial(i), p).is_zero() for i in range(dim)]
         assert is_critical(w, p) == all(log_zero)
+
+
+class TestLargeOrder:
+    """Order 146,969 = 47 * 53 * 59, where a division by Phi_d took minutes."""
+
+    POINT = pt(F(1, 47), F(1, 53), F(1, 59))
+
+    def test_sum_of_zeta_47_powers_is_zero(self):
+        w = LaurentPolynomial.from_dict(3, {(k, 0, 0): 1 for k in range(47)})
+        assert evaluate(w, self.POINT).is_zero()
+
+    def test_primitive_root_keeps_full_conductor(self):
+        value = evaluate(LaurentPolynomial.monomial(1, (1,)), pt(F(1, 146_969)))
+        assert value.conductor == 146_969
+        assert value.coeffs == (0, 1) + (0,) * (euler_phi(146_969) - 2)
+
+    def test_is_critical_returns(self):
+        rng = random.Random(146_969)
+        terms = {tuple(rng.randint(-3, 3) for _ in range(3)): rng.choice((-2, -1, 1, 2)) for _ in range(8)}
+        assert is_critical(LaurentPolynomial.from_dict(3, terms), self.POINT) in (True, False)
+        # z2 times the 47-term sum: the z2 and z3 partials vanish, the z1 partial lies in Q(zeta_2491).
+        w = LaurentPolynomial.from_dict(3, {(k, 1, 0): 1 for k in range(47)})
+        assert not is_critical(w, self.POINT)
+        assert evaluate(w.partial(1), self.POINT).is_zero()
+        assert evaluate(w.partial(0), self.POINT).conductor == 47 * 53
 
 
 class TestDimensionErrors:
