@@ -27,7 +27,7 @@ from .groups import MatrixGroup, Perm, compose, identity_perm
 from .intlat import IntMat, matrix_order
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
-from .torussym import TorsionPoint, admissible_group, content_lines, read_group_block
+from .torussym import TorsionPoint, admissible_group, content_lines, read_fields, read_group_block
 from .toric import toric_fiber_data
 
 ROT = {
@@ -178,41 +178,32 @@ def ingest_catalog(text: str) -> GroupCatalog:
     lines = content_lines(text)
     q_class = False
     i = 0
-    if i < len(lines) and lines[i][1].startswith("classes"):
-        parts = lines[i][1].split()
-        if len(parts) != 2 or parts[1] not in ("z", "q"):
-            raise ParseError(f"line {lines[i][0]}: expected 'classes z|q'")
-        q_class = parts[1] == "q"
+    if lines and lines[0][1][0] == "classes":
+        (classes,) = read_fields(lines[0], "classes", 1, "'classes z|q'")
+        if classes not in ("z", "q"):
+            raise ParseError(f"line {lines[0][0]}: expected 'classes z|q'")
+        q_class = classes == "q"
         i += 1
-    entries: list[tuple[str, MatrixGroup]] = []
-    seen = set()
-    dim_overall: int | None = None
+    groups: dict[str, MatrixGroup] = {}
+    dim = 0  # the dim of an empty catalog
     while i < len(lines):
-        lineno, header = lines[i]
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != "group":
-            raise ParseError(f"line {lineno}: expected 'group <name>'")
-        name = parts[1]
-        if name in seen:
+        lineno = lines[i][0]
+        (name,) = read_fields(lines[i], "group", 1, "'group <name>'")
+        if name in groups:
             raise ParseError(f"line {lineno}: duplicate group name {name!r}")
-        seen.add(name)
         i += 1
         if i >= len(lines):
             raise ParseError(f"line {lineno}: group {name!r} missing dim")
         dim_lineno = lines[i][0]
-        dim, gens, i = read_group_block(lines, i)
-        if dim_overall is None:
-            dim_overall = dim
-        elif dim != dim_overall:
+        block_dim, gens, i = read_group_block(lines, i)
+        if groups and block_dim != dim:
             raise ParseError(f"line {dim_lineno}: group {name!r} has mismatched dimension")
+        dim = block_dim
         try:
-            group = MatrixGroup.from_generators(dim, gens)
+            groups[name] = MatrixGroup.from_generators(dim, gens)
         except (NonUnimodularError, NotFiniteError, SearchTooLargeError) as exc:
             raise type(exc)(f"group {name!r}: {exc}") from exc
-        entries.append((name, group))
-    if dim_overall is None:
-        return GroupCatalog(0, (), q_class)
-    return GroupCatalog(dim_overall, tuple(entries), q_class)
+    return GroupCatalog(dim, tuple(groups.items()), q_class)
 
 
 # ---------------------------------------------------------------------------

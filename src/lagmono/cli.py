@@ -26,7 +26,7 @@ from .floer import (
 )
 from .groups import cycle_notation
 from .intlat import IntMat
-from .laurent import parse_laurent, torsion_critical_points
+from .laurent import GRID_CAP, parse_laurent, torsion_critical_points
 from .monodromy import (
     hamiltonian_monodromy,
     induced_matrices,
@@ -193,7 +193,7 @@ def run_conjecture(args) -> int:
 
 def run_potential_crit(args) -> int:
     w = parse_laurent(_read(args.potential))
-    points = torsion_critical_points(w, args.bound, grid_cap=args.cap or 200_000)
+    points = torsion_critical_points(w, args.bound, grid_cap=args.cap)
     records = [
         {"record": "potential", "dim": w.dim, "terms": len(w.terms)},
         {"record": "critical_points", "bound": args.bound, "count": len(points), "points": list(points)},
@@ -294,7 +294,7 @@ COMMANDS = {
         "crit": ("torsion critical points up to a bound", "run_potential_crit", {
             "potential": {},
             "--bound": {"type": _positive_int, "required": True},
-            "--cap": {"type": _positive_int, "help": "grid size cap"},
+            "--cap": {"type": _positive_int, "default": GRID_CAP, "help": "grid size cap"},
         }),
         "rk1": ("rank-one shape classification", "run_potential_rk1", {"potential": {}}),
     }, {}),

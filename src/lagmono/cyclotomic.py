@@ -7,6 +7,11 @@ terms, and the conductor lowered to the least d whose field contains the
 value, so equality is structural.  Roots of unity never appear as floats
 anywhere.
 
+Every value enters the constructor as an exponent image in Z[x]/(x^d - 1):
+a root of unity, a Galois image, a sum or a product writes coefficient i of
+a value of conductor c to exponent i d / c, and the constructor's fold below
+is the only reduction.
+
 Zero test and least conductor are one fold onto the tensor basis: Z[zeta_d]
 is the tensor product of the Z[zeta_q] over the prime powers q = p^k exactly
 dividing d (Lyubashevsky-Peikert-Regev, EUROCRYPT 2013, section 4), and the
@@ -98,19 +103,6 @@ def _polydivmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list
             for j in range(deg):
                 rem[base + j] -= q * den[j]
     return quot, rem[:deg]
-
-
-def _promote(nums: Sequence[int], c: int, d: int) -> Sequence[int]:
-    """Numerators of a value of Q(zeta_c) on the power basis of Q(zeta_d), for c | d.
-
-    zeta_c is zeta_d^(d/c), so coefficient i moves to exponent i d / c.
-    """
-    if c == d:
-        return nums
-    step = d // c
-    spread = [0] * (step * (len(nums) - 1) + 1)
-    spread[::step] = nums
-    return _polydivmod(spread, cyclotomic_polynomial(d))[1]
 
 
 def _fold(image: list[int], d: int) -> list[int]:
@@ -214,7 +206,10 @@ class CyclotomicNumber:
         """Coefficients of this value on the power basis of Q(zeta_d)."""
         if d % self.conductor != 0:
             raise ValueError(f"conductor {self.conductor} does not divide {d}")
-        return tuple(Fraction(n, self.den) for n in _promote(self.nums, self.conductor, d))
+        step = d // self.conductor
+        spread = [0] * (step * (len(self.nums) - 1) + 1)
+        spread[::step] = self.nums
+        return tuple(Fraction(n, self.den) for n in _polydivmod(spread, cyclotomic_polynomial(d))[1])
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -242,10 +237,12 @@ class CyclotomicNumber:
         if self.is_zero():
             return other._scaled(op(0, 1))  # y or -y
         d = math.lcm(self.conductor, other.conductor)
-        a = _promote(self.nums, self.conductor, d)
-        b = _promote(other.nums, other.conductor, d)
-        nums = (op(x * other.den, y * self.den) for x, y in zip(a, b))
-        return CyclotomicNumber(d, tuple(nums), self.den * other.den)
+        image = [0] * d
+        for value, scale in ((self, other.den), (other, op(0, self.den))):  # op(0, den) is den or -den
+            step = d // value.conductor
+            for i, x in enumerate(value.nums):
+                image[i * step] += scale * x
+        return CyclotomicNumber(d, image, self.den * other.den)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -278,16 +275,13 @@ class CyclotomicNumber:
         if self.conductor == 1:
             return other._scaled(self.nums[0], self.den)
         d = math.lcm(self.conductor, other.conductor)
-        a = _promote(self.nums, self.conductor, d)
-        b = _promote(other.nums, other.conductor, d)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        return CyclotomicNumber(d, tuple(prod), self.den * other.den)
+        a, b = d // self.conductor, d // other.conductor
+        image = [0] * d
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(other.nums):
+                    image[(i * a + j * b) % d] += x * y
+        return CyclotomicNumber(d, image, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -32,6 +32,7 @@ from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
 Cyc = CyclotomicNumber
+SEARCH_HEIGHT = 50  # the largest coefficient height continuation_solvable's bounded search tries
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,11 @@ class CliffordData:
     lam: Cyc
     mu: Cyc
     nu: Cyc
-    half_integral: bool = False
+
+    @property
+    def half_integral(self) -> bool:
+        """Some constant leaves the cyclotomic integers, as odd mixed second partials allow."""
+        return not all(c.is_integral() for c in self.constants())
 
     @classmethod
     def from_integers(cls, lam: int, mu: int, nu: int) -> "CliffordData":
@@ -134,8 +139,7 @@ def clifford_constants(w: LaurentPolynomial, p: TorsionPoint) -> CliffordData:
     lam = evaluate(first.partial(0), p) * Fraction(-1, 2)
     mu = -evaluate(first.partial(1), p)
     nu = evaluate(w.partial(1).partial(1), p) * Fraction(-1, 2)
-    half = not (lam.is_integral() and mu.is_integral() and nu.is_integral())
-    return CliffordData(lam, mu, nu, half_integral=half)
+    return CliffordData(lam, mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,6 @@ def continuation_solvable(
     action: IntMat,
     parity: Literal["even", "odd"],
     conductor: int,
-    search_height: int = 50,
 ) -> ContinuationResult:
     """Decide existence of an integral continuation element for the action.
 
@@ -316,7 +319,7 @@ def continuation_solvable(
     form = _norm_form(d, parity)
     if all(_form_value(form, x1, x2).is_zero() for x1, x2 in probes):
         return ContinuationResult("unsolvable")
-    found = _bounded_search(d, action, parity, search_height, solutions)
+    found = _bounded_search(d, action, parity, SEARCH_HEIGHT, solutions)
     if found is not None:
         return ContinuationResult("solvable", found)
     return ContinuationResult("unknown")

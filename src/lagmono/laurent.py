@@ -25,9 +25,10 @@ from typing import Mapping, Sequence
 from .cyclotomic import CyclotomicNumber, _fold
 from .errors import DimensionError, GridTooLargeError, ParseError
 from .intlat import IntMat, integer_rref
-from .torussym import TorsionPoint, content_lines, read_dim
+from .torussym import TorsionPoint, content_lines, read_dim, read_fields, read_ints
 
 Exponent = tuple[int, ...]
+GRID_CAP = 200_000  # the most grid points torsion_critical_points walks unless told otherwise
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def _grid_point(combo: Sequence[int], bound: int) -> TorsionPoint:
 
 
 def torsion_critical_points(
-    w: LaurentPolynomial, order_bound: int, grid_cap: int = 200_000
+    w: LaurentPolynomial, order_bound: int, grid_cap: int = GRID_CAP
 ) -> tuple[TorsionPoint, ...]:
     """All critical torsion points with coordinate denominators dividing the bound.
 
@@ -276,18 +277,10 @@ def parse_laurent(text: str) -> LaurentPolynomial:
         raise ParseError("empty potential file")
     dim = read_dim(lines[0])
     terms: dict[Exponent, int] = {}
-    for lineno, line in lines[1:]:
-        fields = line.split()
-        if fields[0] != "term":
-            raise ParseError(f"line {lineno}: expected 'term', got {fields[0]!r}")
-        if len(fields) != dim + 2:
-            raise ParseError(f"line {lineno}: expected coefficient and {dim} exponents")
-        try:
-            coeff = int(fields[1])
-            expo = tuple(int(x) for x in fields[2:])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad integer field") from exc
-        terms[expo] = terms.get(expo, 0) + coeff
+    for line in lines[1:]:
+        fields = read_fields(line, "term", dim + 1, f"coefficient and {dim} exponents")
+        coeff, *expo = read_ints(line[0], fields, "integer field")
+        terms[tuple(expo)] = terms.get(tuple(expo), 0) + coeff
     return LaurentPolynomial.from_dict(dim, terms)
 
 

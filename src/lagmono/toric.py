@@ -36,7 +36,7 @@ from .intlat import (
     vec_gcd,
 )
 from .laurent import LaurentPolynomial
-from .torussym import content_lines, read_dim
+from .torussym import content_lines, read_dim, read_fields, read_ints
 
 
 class Mode(Enum):
@@ -167,64 +167,47 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
     warnings = ()
     if p.mode is Mode.VERTEX_REQUIRED:
         warnings = ("UNCHECKED_TOPOLOGY: vertex mode only checks for a vertex",)
+    vertices: tuple[Vertex, ...] = ()
+    failure = _normal_failure(p)
+    if failure is None:
+        vertices = tuple(_enumerate_vertices(p))
+        failure = _vertex_failure(p, vertices)
+    code, witness = failure or (None, None)
+    return ValidationReport(failure is None, code, witness, vertices=vertices, warnings=warnings)
 
+
+def _normal_failure(p: DelzantPolytope) -> tuple[str, str] | None:
+    """The first failure (code, witness) of the checks on the normals alone, or None."""
     for j, nu in enumerate(p.normals):
         if all(x == 0 for x in nu) or vec_gcd(nu) != 1:
-            return ValidationReport(
-                False, "NON_PRIMITIVE_NORMAL", f"facet {j + 1} normal {nu}", warnings=warnings
-            )
+            return "NON_PRIMITIVE_NORMAL", f"facet {j + 1} normal {nu}"
     if len(set(p.normals)) != p.nfacets:
-        return ValidationReport(False, "DUPLICATE_NORMAL", "repeated facet normal", warnings=warnings)
+        return "DUPLICATE_NORMAL", "repeated facet normal"
     if p.nfacets < p.dim:
-        return ValidationReport(
-            False, "TOO_FEW_FACETS", f"{p.nfacets} facets in dimension {p.dim}", warnings=warnings
-        )
+        return "TOO_FEW_FACETS", f"{p.nfacets} facets in dimension {p.dim}"
+    return None
 
-    vertices = tuple(_enumerate_vertices(p))
+
+def _vertex_failure(p: DelzantPolytope, vertices: tuple[Vertex, ...]) -> tuple[str, str] | None:
+    """The first failure (code, witness) of the checks on the vertices, or None."""
     if not vertices:
-        code = "NOT_COMPACT" if p.mode is Mode.COMPACT else "NO_VERTEX"
-        return ValidationReport(False, code, "no vertex found", warnings=warnings)
-
+        return "NOT_COMPACT" if p.mode is Mode.COMPACT else "NO_VERTEX", "no vertex found"
     for v in vertices:
         if len(v.active) != p.dim:
-            return ValidationReport(
-                False,
-                "VERTEX_SIMPLICITY",
-                f"vertex {_fmt_point(v.point)} lies on facets {[j + 1 for j in v.active]}",
-                vertices=vertices,
-                warnings=warnings,
-            )
+            return "VERTEX_SIMPLICITY", f"vertex {_fmt_point(v.point)} lies on facets {[j + 1 for j in v.active]}"
     for v in vertices:
         det = IntMat.from_rows([p.normals[j] for j in v.active]).det()
         if abs(det) != 1:
-            return ValidationReport(
-                False,
-                "VERTEX_SMOOTHNESS",
-                f"vertex {_fmt_point(v.point)} has normal determinant {det}",
-                vertices=vertices,
-                warnings=warnings,
-            )
+            return "VERTEX_SMOOTHNESS", f"vertex {_fmt_point(v.point)} has normal determinant {det}"
     touched = set(itertools.chain.from_iterable(v.active for v in vertices))
     for j in range(p.nfacets):
         if j not in touched:
-            return ValidationReport(
-                False,
-                "REDUNDANT_FACET",
-                f"facet {j + 1} supports no vertex",
-                vertices=vertices,
-                warnings=warnings,
-            )
+            return "REDUNDANT_FACET", f"facet {j + 1} supports no vertex"
     if p.mode is Mode.COMPACT:
         edges = Counter(v.active[:k] + v.active[k + 1 :] for v in vertices for k in range(p.dim))
         if any(count != 2 for count in edges.values()):
-            return ValidationReport(
-                False,
-                "NOT_COMPACT",
-                f"unbounded along direction {_recession_ray(p)}",
-                vertices=vertices,
-                warnings=warnings,
-            )
-    return ValidationReport(True, vertices=vertices, warnings=warnings)
+            return "NOT_COMPACT", f"unbounded along direction {_recession_ray(p)}"
+    return None
 
 
 def monotone_normalize(p: DelzantPolytope) -> DelzantPolytope:
@@ -361,31 +344,22 @@ def parse_polytope(text: str, mode_override: Mode | None = None) -> DelzantPolyt
     if len(lines) < 2:
         raise ParseError("polytope file needs dim and mode lines")
     dim = read_dim(lines[0])
-    lineno, modeline = lines[1]
-    parts = modeline.split()
-    if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("compact", "vertex"):
-        raise ParseError(f"line {lineno}: expected 'mode compact|vertex'")
-    mode = mode_override or Mode(parts[1])
+    (mode,) = read_fields(lines[1], "mode", 1, "'mode compact|vertex'")
+    if mode not in ("compact", "vertex"):
+        raise ParseError(f"line {lines[1][0]}: expected 'mode compact|vertex'")
     normals = []
     offsets = []
-    for lineno, line in lines[2:]:
-        fields = line.split()
-        if fields[0] != "facet":
-            raise ParseError(f"line {lineno}: expected 'facet', got {fields[0]!r}")
-        if len(fields) != dim + 2:
-            raise ParseError(f"line {lineno}: expected {dim} normal entries and an offset")
+    for line in lines[2:]:
+        *normal, offset = read_fields(line, "facet", dim + 1, f"{dim} normal entries and an offset")
+        normals.append(read_ints(line[0], normal, "normal entry"))
         try:
-            normals.append(tuple(int(x) for x in fields[1 : 1 + dim]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad normal entry") from exc
-        try:
-            offsets.append(Fraction(fields[-1]))
+            offsets.append(Fraction(offset))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {lineno}: bad offset {fields[-1]!r}") from exc
+            raise ParseError(f"line {line[0]}: bad offset {offset!r}") from exc
     if not normals:
         raise ParseError("polytope file lists no facets")
     try:
-        return DelzantPolytope(dim, tuple(normals), tuple(offsets), mode)
+        return DelzantPolytope(dim, tuple(normals), tuple(offsets), mode_override or Mode(mode))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -211,35 +211,49 @@ def admissible_group(group: MatrixGroup) -> tuple[bool, tuple[IntMat, TorsionPoi
 
 
 # ---------------------------------------------------------------------------
-# Group text format
+# Text formats: the record reader all four share, and the group format
 
 
-def content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, text) of every line left nonempty once ``#`` comments are cut."""
+Line = tuple[int, list[str]]
+
+
+def content_lines(text: str) -> list[Line]:
+    """(line number, fields) of every line left with fields once ``#`` comments are cut."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            lines.append((lineno, fields))
     return lines
 
 
-def read_dim(line: tuple[int, str]) -> int:
-    """The n of a ``dim <n>`` content line; n must be at least 1."""
-    lineno, text = line
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ParseError(f"line {lineno}: expected 'dim <n>'")
+def read_fields(line: Line, keyword: str, count: int, shape: str) -> list[str]:
+    """The count fields after a content line's keyword ('' for a line without one); shape names the line."""
+    lineno, fields = line
+    if keyword and fields[0] != keyword:
+        raise ParseError(f"line {lineno}: expected {keyword!r}, got {fields[0]!r}")
+    if len(fields) != count + bool(keyword):
+        raise ParseError(f"line {lineno}: expected {shape}")
+    return fields[bool(keyword) :]
+
+
+def read_ints(lineno: int, fields: Sequence[str], what: str) -> tuple[int, ...]:
+    """The fields as integers; one that is not raises ``line N: bad <what>``."""
     try:
-        dim = int(parts[1])
+        return tuple(map(int, fields))
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from exc
+        raise ParseError(f"line {lineno}: bad {what}") from exc
+
+
+def read_dim(line: Line) -> int:
+    """The n of a ``dim <n>`` content line; n must be at least 1."""
+    (dim,) = read_ints(line[0], read_fields(line, "dim", 1, "'dim <n>'"), f"dimension {line[1][-1]!r}")
     if dim < 1:
-        raise ParseError(f"line {lineno}: dimension must be positive")
+        raise ParseError(f"line {line[0]}: dimension must be positive")
     return dim
 
 
-def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, list[IntMat], int]:
+def read_group_block(lines: Sequence[Line], i: int) -> tuple[int, list[IntMat], int]:
     """Read ``dim <n>`` at lines[i] and the ``gen`` blocks after it.
 
     Each ``gen`` line is followed by n rows of n integers.  Returns the
@@ -248,19 +262,12 @@ def read_group_block(lines: Sequence[tuple[int, str]], i: int) -> tuple[int, lis
     dim = read_dim(lines[i])
     gens = []
     i += 1
-    while i < len(lines) and lines[i][1] == "gen":
-        if len(lines) - (i + 1) < dim:
+    while i < len(lines) and lines[i][1] == ["gen"]:
+        rows = lines[i + 1 : i + 1 + dim]
+        if len(rows) < dim:
             raise ParseError(f"line {lines[i][0]}: generator needs {dim} rows")
-        rows = []
-        for rlineno, rline in lines[i + 1 : i + 1 + dim]:
-            entries = rline.split()
-            if len(entries) != dim:
-                raise ParseError(f"line {rlineno}: expected {dim} integers")
-            try:
-                rows.append(tuple(int(x) for x in entries))
-            except ValueError as exc:
-                raise ParseError(f"line {rlineno}: bad integer entry") from exc
-        gens.append(IntMat.from_rows(rows))
+        shape = f"{dim} integers"
+        gens.append(IntMat.from_rows([read_ints(r[0], read_fields(r, "", dim, shape), "integer entry") for r in rows]))
         i += 1 + dim
     return dim, gens, i
 
@@ -276,7 +283,6 @@ def parse_group(text: str) -> MatrixGroup:
     if not lines:
         raise ParseError("empty group file")
     dim, gens, i = read_group_block(lines, 0)
-    if i < len(lines):
-        lineno, tok = lines[i]
-        raise ParseError(f"line {lineno}: expected 'gen', got {tok!r}")
+    if i < len(lines):  # a line no gen block took, so this raises
+        read_fields(lines[i], "gen", 0, "'gen' alone")
     return MatrixGroup.from_generators(dim, gens)

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import math
 import pathlib
 
 import pytest
 
 from lagmono import cli
 from lagmono.cli import run
+from lagmono.laurent import GRID_CAP
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -190,6 +192,13 @@ class TestPotential:
             code, out, err = invoke(capsys, "potential", "crit", potential, "--bound", value)
             assert code == 2 and out == ""
             assert err.endswith("error: argument --bound: must be a positive integer\n")
+
+    def test_default_grid_cap_is_the_library_default(self, capsys):
+        potential = str(FIXTURES / "triangle_potential.laurent")
+        bound = math.isqrt(GRID_CAP) + 1  # the smallest bound whose 2-dimensional grid exceeds the cap
+        code, out, err = invoke(capsys, "potential", "crit", potential, "--bound", str(bound))
+        assert code == 2 and out == ""
+        assert err == f"validation error: grid of size {bound}^2 exceeds cap {GRID_CAP}\n"
 
 
 class TestClifford:

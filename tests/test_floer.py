@@ -88,6 +88,16 @@ class TestCliffordConstants:
         odd_data = clifford_constants(odd_w, pt(F(1, 2), F(1, 3)))
         assert isinstance(odd_data.half_integral, bool)
 
+    def test_half_integral_follows_the_constants(self):
+        half = rat(F(1, 2))
+        assert CliffordData(half, rat(0), rat(1)).half_integral
+        assert CliffordData(rat(1), zeta(3) * half, rat(0)).half_integral
+        assert not CliffordData(rat(-1), zeta(5), zeta(3) + 1).half_integral
+        assert not CliffordData.from_integers(1, 2, 3).half_integral
+        for coords in ((F(1, 3), F(1, 3)), (0, 0)):
+            data = clifford_constants(W_CP2, pt(*coords))
+            assert CliffordData(*data.constants()).half_integral == data.half_integral
+
 
     def test_rejects_point_of_wrong_dimension(self):
         with pytest.raises(DimensionError):

@@ -26,11 +26,11 @@ SIGN = "dim 1\ngen\n-1\n"
 
 CASES = [
     # polytope: dim line, mode line, facet lines
-    ("poly", "dimm 2\nmode compact\nfacet 1 0 1\n", "line 1: expected 'dim <n>'"),
+    ("poly", "dimm 2\nmode compact\nfacet 1 0 1\n", "line 1: expected 'dim', got 'dimm'"),
     ("poly", "dim 2 3\nmode compact\nfacet 1 0 1\n", "line 1: expected 'dim <n>'"),
     ("poly", "dim x\nmode compact\nfacet 1 0 1\n", "line 1: bad dimension 'x'"),
     ("poly", "dim 0\nmode compact\nfacet 1 0 1\n", "line 1: dimension must be positive"),
-    ("poly", "dim 2\nmodes compact\nfacet 1 0 1\n", "line 2: expected 'mode compact|vertex'"),
+    ("poly", "dim 2\nmodes compact\nfacet 1 0 1\n", "line 2: expected 'mode', got 'modes'"),
     ("poly", "dim 2\nmode compact vertex\nfacet 1 0 1\n", "line 2: expected 'mode compact|vertex'"),
     ("poly", "dim 2\nmode round\nfacet 1 0 1\n", "line 2: expected 'mode compact|vertex'"),
     ("poly", "dim 2\nmode compact\nfacett 1 0 1\n", "line 3: expected 'facet', got 'facett'"),
@@ -41,7 +41,7 @@ CASES = [
     ("poly", "dim 2\n", "polytope file needs dim and mode lines"),
     ("poly", "dim 2\nmode compact\n", "polytope file lists no facets"),
     # potential: dim line, term lines
-    ("laurent", "dimm 2\nterm 1 1 0\n", "line 1: expected 'dim <n>'"),
+    ("laurent", "dimm 2\nterm 1 1 0\n", "line 1: expected 'dim', got 'dimm'"),
     ("laurent", "dim -1\nterm 1 1\n", "line 1: dimension must be positive"),
     ("laurent", "dim 2\nterms 1 1 0\n", "line 2: expected 'term', got 'terms'"),
     ("laurent", "dim 2\nterm 1 1\n", "line 2: expected coefficient and 2 exponents"),
@@ -49,26 +49,26 @@ CASES = [
     ("laurent", "dim 2\nterm c 1 0  # comment\n", "line 2: bad integer field"),
     ("laurent", "# nothing\n", "empty potential file"),
     # group: dim line, gen blocks, trailing lines
-    ("group", SWAP + SWAP, "line 1: expected 'dim <n>'"),
+    ("group", SWAP + SWAP, "line 1: expected 'dim', got 'gen'"),
     ("group", "dim 2\ngen\n0 1\n", "line 2: generator needs 2 rows"),
     ("group", "dim 2\ngen\n0 1 0\n1 0\n", "line 3: expected 2 integers"),
     ("group", "dim 2\ngen\n0 a\n1 0\n", "line 3: bad integer entry"),
-    ("group", "dim 2\ngen 1\n0 1\n1 0\n", "line 2: expected 'gen', got 'gen 1'"),
+    ("group", "dim 2\ngen 1\n0 1\n1 0\n", "line 2: expected 'gen' alone"),
     ("group", "dim 2\n" + SWAP + "foo\n", "line 5: expected 'gen', got 'foo'"),
-    ("group", "dim 2\n" + SWAP + "foo bar\n", "line 5: expected 'gen', got 'foo bar'"),
+    ("group", "dim 2\n" + SWAP + "foo bar\n", "line 5: expected 'gen', got 'foo'"),
     ("group", "", "empty group file"),
     # catalog: classes line, group headers, group blocks
     ("cat", "classes r\ngroup a\n" + SIGN, "line 1: expected 'classes z|q'"),
     ("cat", "classes\ngroup a\n" + SIGN, "line 1: expected 'classes z|q'"),
-    ("cat", "classesx z\ngroup a\n" + SIGN + "group a\n" + SIGN, "line 6: duplicate group name 'a'"),
-    ("cat", "grp a\n" + SIGN, "line 1: expected 'group <name>'"),
+    ("cat", "classesx z\ngroup a\n" + SIGN + "group a\n" + SIGN, "line 1: expected 'group', got 'classesx'"),
+    ("cat", "grp a\n" + SIGN, "line 1: expected 'group', got 'grp'"),
     ("cat", "group a b\n" + SIGN, "line 1: expected 'group <name>'"),
     ("cat", "group a\n", "line 1: group 'a' missing dim"),
-    ("cat", "group a\n" + SWAP, "line 2: expected 'dim <n>'"),
+    ("cat", "group a\n" + SWAP, "line 2: expected 'dim', got 'gen'"),
     ("cat", "group a\ndim 0\n", "line 2: dimension must be positive"),
     ("cat", "group a\n" + SIGN + "group a\n" + SIGN, "line 5: duplicate group name 'a'"),
     ("cat", "group a\n" + SIGN + "group b\ndim 2\n" + SWAP, "line 6: group 'b' has mismatched dimension"),
-    ("cat", "group a\ndim 1\ngen 1\n-1\n", "line 3: expected 'group <name>'"),
+    ("cat", "group a\ndim 1\ngen 1\n-1\n", "line 3: expected 'group', got 'gen'"),
     ("cat", "group a\ndim 1\ngen\nx\n", "line 4: bad integer entry"),
 ]
 
