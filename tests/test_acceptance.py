@@ -38,7 +38,7 @@ from lagmono.floer import (
     reduce_binary_form,
 )
 from lagmono.groups import MatrixGroup, permute_vector
-from lagmono.intlat import IntMat, LatticeBasis, lattice_equal
+from lagmono.intlat import IntMat, LatticeBasis
 from lagmono.laurent import LaurentPolynomial, is_critical
 from lagmono.monodromy import hamiltonian_monodromy, symplectic_monodromy
 from lagmono.polytopes import STANDARD_FIXTURES
@@ -263,9 +263,7 @@ def test_criterion_11_oracle_suites():
             moved = [permute_vector(perm, row) for row in data.relations.basis]
             if all(m == row for m, row in zip(moved, data.relations.basis)):
                 pointwise.append(perm)
-            if lattice_equal(
-                LatticeBasis.from_vectors(n, moved), data.relations
-            ):
+            if LatticeBasis.from_vectors(n, moved) == data.relations:
                 setwise.append(perm)
         assert list(hamiltonian_monodromy(data).elements) == sorted(pointwise), name
         assert list(symplectic_monodromy(data).elements) == sorted(setwise), name

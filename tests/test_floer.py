@@ -17,7 +17,10 @@ from lagmono.errors import (
     UnsupportedActionError,
 )
 from lagmono.floer import (
+    AXIS_REFLECTION,
     HYPERBOLIC,
+    MINUS_IDENTITY,
+    ORDER3_GENERATOR,
     BinaryForm,
     CliffordData,
     CliffordElement,
@@ -373,6 +376,22 @@ class TestRk1Classifier:
         with pytest.raises(NotUnivariateError):
             rk1_classify(LaurentPolynomial.from_dict(1, {(0,): 3}))
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (LaurentPolynomial.from_dict(0, {(): 2}), "rank-one analysis needs one or two variables"),
+            (LaurentPolynomial.from_dict(3, {(1, 0, 0): 1}), "rank-one analysis needs one or two variables"),
+            (W_CP2, "potential mixes both variables"),
+            (LaurentPolynomial.from_dict(2, {(1, 1): 1}), "potential mixes both variables"),
+            (LaurentPolynomial.zero(2), "constant potential has no rank-one data"),
+            (LaurentPolynomial.from_dict(2, {(0, 0): 4}), "constant potential has no rank-one data"),
+        ],
+    )
+    def test_refusal_messages(self, w, message):
+        with pytest.raises(NotUnivariateError) as info:
+            rk1_classify(w)
+        assert str(info.value) == message
+
 
 class TestHessianTheorem:
     def test_triangle_reference_passes(self):
@@ -421,3 +440,22 @@ class TestHessianTheorem:
         w = LaurentPolynomial.from_dict(1, {(1,): 1, (-1,): 1})
         with pytest.raises(DimensionError):
             hessian_theorem_check(w, "ORDER2")
+
+    def test_unknown_kind_message(self):
+        with pytest.raises(ValueError) as info:
+            hessian_theorem_check(W_SQUARE, "ORDER5")
+        assert str(info.value) == "unknown group kind 'ORDER5'"
+
+    @pytest.mark.parametrize(
+        "terms, kind, generator",
+        [
+            ({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}, "ORDER3", ORDER3_GENERATOR),
+            ({(1, 0): 1, (0, 1): 1, (-1, -1): 1}, "ORDER2", MINUS_IDENTITY),
+            ({(1, 0): 1, (0, 1): 1, (-1, -1): 1}, "ORDER2_F", MINUS_IDENTITY),
+            ({(1, 1): 1, (-1, -1): 1}, "ORDER2_F", AXIS_REFLECTION),
+        ],
+    )
+    def test_first_missing_invariance_is_named(self, terms, kind, generator):
+        with pytest.raises(NotInvariantError) as info:
+            hessian_theorem_check(LaurentPolynomial.from_dict(2, terms), kind)
+        assert str(info.value) == f"potential is not invariant under {generator}"

@@ -13,7 +13,6 @@ from lagmono.intlat import (
     hermite_normal_form,
     integer_rref,
     kernel_lattice,
-    lattice_equal,
     matrix_order,
     minkowski_bound,
 )
@@ -153,12 +152,12 @@ class TestKernelLattice:
         normals = IntMat.from_rows([[0, 1], [-1, -1], [1, 0], [1, 1]])
         k = kernel_lattice(normals)
         expected = LatticeBasis.from_vectors(4, [(1, 1, 1, 0), (0, 1, 0, 1)])
-        assert lattice_equal(k, expected)
+        assert k == expected
 
     def test_projective_plane_relation(self):
         normals = IntMat.from_rows([[1, 0], [0, 1], [-1, -1]])
         k = kernel_lattice(normals)
-        assert lattice_equal(k, LatticeBasis.from_vectors(3, [(1, 1, 1)]))
+        assert k == LatticeBasis.from_vectors(3, [(1, 1, 1)])
 
     def test_invertible_matrix_has_trivial_kernel(self):
         assert kernel_lattice(IntMat.from_rows([[2, 1], [1, 1]])).rank == 0
@@ -181,16 +180,16 @@ class TestLatticeEqual:
     def test_row_equivalent_bases(self):
         a = LatticeBasis.from_vectors(4, [(1, 1, 1, 0), (0, 1, 0, 1)])
         b = LatticeBasis.from_vectors(4, [(1, 0, 1, -1), (0, 1, 0, 1)])
-        assert lattice_equal(a, b)
+        assert a == b
 
     def test_index_two_sublattice_differs(self):
         a = LatticeBasis.from_vectors(2, [(1, 0)])
         b = LatticeBasis.from_vectors(2, [(2, 0)])
-        assert not lattice_equal(a, b)
+        assert a != b
 
     def test_reflexive(self):
         a = LatticeBasis.from_vectors(3, [(1, 2, 3)])
-        assert lattice_equal(a, a)
+        assert a == a
 
     @settings(max_examples=60, derandomize=True)
     @given(
@@ -210,7 +209,7 @@ class TestLatticeEqual:
         b = LatticeBasis.from_vectors(4, rows_b)
         oracle = all(b.member(v) for v in a.basis) and all(a.member(v) for v in b.basis)
         slow = brute_lattice_equal(a.basis, b.basis, 4) if a.basis and b.basis else oracle
-        assert lattice_equal(a, b) == oracle == slow
+        assert (a == b) == oracle == slow
 
 
 def test_minkowski_bound():

@@ -34,7 +34,10 @@ included (``old_hermite_normal_form``, ``old_from_vectors``), the
 Fraction-coefficient ``CyclotomicNumber`` with its Fraction polynomial
 division, reduction, promotion and descent (``OldCyclotomicNumber``,
 ``old_polydivmod``, ``old_polymod``), and the extended Euclidean algorithm of
-``floer._reduce_isotropic`` (``old_extended_gcd``).
+``floer._reduce_isotropic`` (``old_extended_gcd``), the two closed forms of
+``floer.continuation_solvable`` (``old_shear_closed_form``,
+``old_reflection_closed_form``) and the support-permutation predicate that
+``laurent.invariance_check`` answers alike (``old_candidate_filter``).
 ``floer._two_column_kernel`` is checked against the old elimination loop.
 They are kept here only as oracles.
 """
@@ -66,6 +69,7 @@ from lagmono.floer import (
     BinaryForm,
     CliffordData,
     CliffordElement,
+    ContinuationResult,
     _bounded_search,
     _conjugation_residuals,
     _cyclotomic_factor_profile,
@@ -77,6 +81,8 @@ from lagmono.floer import (
     _residual_columns,
     _solution_space,
     _two_column_kernel,
+    _verify_witness,
+    continuation_solvable,
     reduce_binary_form,
 )
 from lagmono.classify import (
@@ -103,12 +109,11 @@ from lagmono.intlat import (
     dot,
     hermite_normal_form,
     kernel_lattice,
-    lattice_equal,
     matrix_order,
     primitive_vector,
     vec_gcd,
 )
-from lagmono.laurent import LaurentPolynomial, b1_support_rank, torsion_critical_points
+from lagmono.laurent import LaurentPolynomial, b1_support_rank, invariance_check, torsion_critical_points
 from lagmono.monodromy import symplectic_monodromy
 from lagmono.torussym import (
     FixedPointSet,
@@ -901,6 +906,46 @@ def old_line_screen(solutions, height):
     ]
 
 
+def old_shear_closed_form(d, action, lam, m):
+    # Even c = p + q uv with p a unit and m p = -2 q lam; integrality over
+    # any cyclotomic ring pins m to a multiple of 2 lam by coordinatewise
+    # divisibility on the power basis.
+    if lam == 0:
+        if m == 0:
+            c = CliffordElement.even(1, 0)
+            assert _verify_witness(c, d, action, "even")
+            return ContinuationResult("solvable", c)
+        return ContinuationResult("unsolvable")
+    if m % (2 * lam) == 0:
+        c = CliffordElement.even(1, -(m // (2 * lam)))
+        assert _verify_witness(c, d, action, "even")
+        return ContinuationResult("solvable", c)
+    return ContinuationResult("unsolvable")
+
+
+def old_reflection_closed_form(d, action, lam, m):
+    # Odd c = s u + t v with c^2 = lam s^2 a unit, forcing lam = +-1, and
+    # m s = -2 t, forcing m even.
+    if lam in (1, -1) and m % 2 == 0:
+        c = CliffordElement.odd(1, -(m // 2))
+        assert _verify_witness(c, d, action, "odd")
+        return ContinuationResult("solvable", c)
+    return ContinuationResult("unsolvable")
+
+
+def old_candidate_filter(w, g):
+    """True when g permutes the boundary support preserving each coefficient."""
+    zero = (0,) * w.dim
+    b1 = {e: c for e, c in w.terms if e != zero}
+    image = set()
+    for e, c in b1.items():
+        target = g.apply(e)
+        if b1.get(target) != c:
+            return False
+        image.add(target)
+    return len(image) == len(b1)
+
+
 def old_block_map_group(partition, block_maps):
     elements = []
     for block_map in block_maps:
@@ -920,7 +965,7 @@ def old_block_map_preserves_lattice(k, partition, block_map):
         for src, dst in zip(partition.blocks[b], partition.blocks[image]):
             perm[src] = dst
     moved = [permute_vector(tuple(perm), row) for row in k.basis]
-    return lattice_equal(LatticeBasis.from_vectors(k.ambient, moved), k)
+    return LatticeBasis.from_vectors(k.ambient, moved) == k
 
 
 def old_symplectic_monodromy(data, max_degree=12, max_order=50_000):
@@ -1975,6 +2020,105 @@ class TestBoundedSearch:
         if v1.is_zero() and v2.is_zero():
             v2 = Cyc.one()
         assert list(_line_points([(v1, v2)], height)) == old_line_screen([(v1, v2)], height)
+
+
+def closed_form_shapes(m):
+    """(action, parity, old closed form): the even shear [[1, m], [0, 1]] and the odd reflection [[-1, m], [0, 1]]."""
+    return (
+        (IntMat.from_rows([[1, m], [0, 1]]), "even", old_shear_closed_form),
+        (IntMat.from_rows([[-1, m], [0, 1]]), "odd", old_reflection_closed_form),
+    )
+
+
+def decide(d, action, parity, conductor):
+    """continuation_solvable's result and whether it reached the general path (the solution space)."""
+    with mock.patch.object(floer, "_solution_space", wraps=floer._solution_space) as general:
+        result = continuation_solvable(d, action, parity, conductor)
+    return result, general.called
+
+
+class TestContinuationClosedForms:
+    @pytest.mark.parametrize("conductor", (1, 3, 4, 5))
+    def test_integer_lambda_equals_old_closed_forms(self, conductor):
+        for lam in range(-3, 4):
+            d = CliffordData.from_integers(lam, 0, 0)
+            for m in range(-8, 9):
+                for action, parity, old in closed_form_shapes(m):
+                    result, general = decide(d, action, parity, conductor)
+                    assert result == old(d, action, lam, m), (lam, m, parity)
+                    assert not general
+
+    @pytest.mark.parametrize("conductor", (1, 3, 4, 5))
+    def test_other_constants_reach_the_general_path(self, conductor):
+        off_integer = [Cyc.from_rational(Fraction(1, 2)), Cyc.from_rational(Fraction(-3, 2))]
+        if conductor > 1:
+            off_integer.append(Cyc.root_of_unity(conductor))
+        cases = [CliffordData(lam, Cyc.zero(), Cyc.zero()) for lam in off_integer]
+        cases += [CliffordData.from_integers(lam, mu, 0) for lam in (-1, 0, 1, 2) for mu in (1, -2)]
+        for d in cases:
+            for m in range(-3, 4):
+                for action, parity, _ in closed_form_shapes(m):
+                    result, general = decide(d, action, parity, conductor)
+                    assert general, (d, m, parity)
+                    if result.status == "solvable":
+                        assert _verify_witness(result.witness, d, action, parity)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry of a potential
+
+
+@st.composite
+def potentials_and_maps(draw, singular):
+    """(w, g): w on up to five exponents in [-1, 1]^n, g unimodular or singular.
+
+    Half the unimodular draws of finite order have w replaced by its sum over
+    the powers of g, so invariant pairs are drawn too.
+    """
+    n = draw(st.integers(2, 3))
+    if singular:
+        rows = st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+        g = draw(rows.map(IntMat.from_rows).filter(lambda g: g.det() == 0))
+    else:
+        g = draw(unimodular_pairs(n))[0]
+    exponents = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), max_size=5, unique=True))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(exponents), max_size=len(exponents)))
+    w = LaurentPolynomial.from_dict(n, dict(zip(exponents, coeffs)))
+    order = None if singular else matrix_order(g)
+    if order and draw(st.booleans()):
+        power, total = IntMat.identity(n), LaurentPolynomial.zero(n)
+        for _ in range(order):
+            total, power = total + w.relabel(power), power @ g
+        w = total
+    return w, g
+
+
+class TestInvarianceCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(potentials_and_maps(singular=False))
+    def test_unimodular_maps_equal_old_candidate_filter(self, case):
+        w, g = case
+        assert invariance_check(w, g) == old_candidate_filter(w, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(potentials_and_maps(singular=True))
+    def test_singular_maps_equal_old_candidate_filter(self, case):
+        w, g = case
+        assert invariance_check(w, g) == old_candidate_filter(w, g)
+
+    @pytest.mark.parametrize(
+        "rows, terms, expected",
+        [
+            ([[0, 0], [0, 0]], {(0, 0): 3}, True),
+            ([[1, 0], [0, 0]], {(1, 0): 1, (-1, 0): 2, (0, 0): 5}, True),
+            ([[1, 0], [0, 0]], {(1, 0): 1, (0, 1): 1}, False),
+            ([[0, 1], [0, 1]], {(1, 1): 1, (0, 1): 1}, False),
+            ([[1, 1], [0, 1]], {(1, 0): 1, (0, 1): 1, (-1, -1): 1}, False),
+        ],
+    )
+    def test_pinned_maps(self, rows, terms, expected):
+        w, g = LaurentPolynomial.from_dict(2, terms), IntMat.from_rows(rows)
+        assert invariance_check(w, g) == old_candidate_filter(w, g) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from lagmono import toric
 from lagmono.cli import run
 from lagmono.groups import PermutationGroup, permute_vector
-from lagmono.intlat import IntMat, LatticeBasis, lattice_equal, matrix_order
+from lagmono.intlat import IntMat, LatticeBasis, matrix_order
 from lagmono.monodromy import (
     hamiltonian_monodromy,
     induced_matrix_group,
@@ -33,7 +33,7 @@ def brute_stabilizers(k: LatticeBasis):
         moved = [permute_vector(perm, row) for row in k.basis]
         if all(m == row for m, row in zip(moved, k.basis)):
             pointwise.append(perm)
-        if lattice_equal(LatticeBasis.from_vectors(n, moved), k):
+        if LatticeBasis.from_vectors(n, moved) == k:
             setwise.append(perm)
     return sorted(pointwise), sorted(setwise)
 
@@ -98,7 +98,7 @@ class TestSymplecticMonodromy:
     def test_contains_hamiltonian(self):
         for name in ("cp2", "cp3", "bl1cp2", "bl2cp2", "cube2", "cube3", "cp2xcp1", "orthant3"):
             data = fiber(name)
-            assert hamiltonian_monodromy(data).is_subgroup_of(symplectic_monodromy(data)), name
+            assert set(hamiltonian_monodromy(data)) <= set(symplectic_monodromy(data)), name
 
 
 class TestInducedMatrices:

@@ -1,11 +1,12 @@
 """Polytope validation, monotone normalization, and fibre data."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from lagmono.errors import NotMonotoneError, ParseError
-from lagmono.intlat import LatticeBasis, lattice_equal
+from lagmono.intlat import LatticeBasis
 from lagmono.laurent import LaurentPolynomial
 from lagmono.polytopes import (
     STANDARD_FIXTURES,
@@ -26,6 +27,7 @@ from lagmono.toric import (
 )
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestValidation:
@@ -134,14 +136,12 @@ class TestFiberData:
         assert data.potential == LaurentPolynomial.from_dict(
             2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1}
         )
-        assert lattice_equal(
-            data.relations, LatticeBasis.from_vectors(3, [(1, 1, 1)])
-        )
+        assert data.relations == LatticeBasis.from_vectors(3, [(1, 1, 1)])
 
     def test_blowup_relations(self):
         data = toric_fiber_data(blowup_cp2(1))
         expected = LatticeBasis.from_vectors(4, [(1, 1, 1, 0), (0, 1, 0, 1)])
-        assert lattice_equal(data.relations, expected)
+        assert data.relations == expected
 
     def test_cube_potential_and_relations(self):
         for n in (2, 3):
@@ -158,9 +158,7 @@ class TestFiberData:
                 v[2 * j] = 1
                 v[2 * j + 1] = 1
                 pair_relations.append(v)
-            assert lattice_equal(
-                data.relations, LatticeBasis.from_vectors(2 * n, pair_relations)
-            )
+            assert data.relations == LatticeBasis.from_vectors(2 * n, pair_relations)
 
     def test_relation_rank_and_span(self):
         from lagmono.laurent import b1_support_rank
@@ -191,8 +189,9 @@ class TestTextFormat:
         assert p.offsets == (F(4, 3), F(4, 3))
 
     def test_mode_override(self):
-        text = format_polytope(cube(2))
+        text = (FIXTURES / "cube2.poly").read_text()
         p = parse_polytope(text, mode_override=Mode.VERTEX_REQUIRED)
+        assert p.normals == cube(2).normals
         assert p.mode is Mode.VERTEX_REQUIRED
 
     def test_parse_error_names_line(self):
