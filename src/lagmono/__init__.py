@@ -40,13 +40,11 @@ from .intlat import (
     LatticeBasis,
     hermite_normal_form,
     kernel_lattice,
-    lattice_equal,
     matrix_order,
 )
 from .laurent import (
     LaurentPolynomial,
     b1_support_rank,
-    candidate_filter,
     evaluate,
     gradient_hessian,
     invariance_check,

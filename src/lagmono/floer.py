@@ -267,7 +267,7 @@ def _solution_space(d: CliffordData, action: IntMat, parity: str) -> list[tuple[
     return _two_column_kernel(list(zip(*_residual_columns(d, action, parity))))
 
 
-def _element_from_pair(pair: tuple[Cyc, Cyc], parity: str) -> CliffordElement:
+def _element_from_pair(pair: tuple[Cyc | int, Cyc | int], parity: str) -> CliffordElement:
     if parity == "odd":
         return CliffordElement.odd(pair[0], pair[1])
     return CliffordElement.even(pair[0], pair[1])
@@ -285,10 +285,11 @@ def continuation_solvable(
     cyclotomic integers of the given conductor, invertible with integral
     inverse, and satisfy c a = (-1)^parity action(a) c for a = u, v.  The
     relations and the norm come in closed form from the Clifford product,
-    which checks every witness before it is returned.  Divisibility
-    closed forms decide the upper-triangular integer cases; otherwise a
-    bounded search over rational-integer coefficient pairs either produces a
-    verified witness or the result is reported unknown.
+    which checks every witness before it is returned.  With mu = nu = 0 and
+    lam a rational integer, a divisibility closed form decides the even
+    shear [[1, m], [0, 1]] and the odd reflection [[-1, m], [0, 1]];
+    otherwise a bounded search over rational-integer coefficient pairs
+    either produces a verified witness or the result is reported unknown.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -299,14 +300,21 @@ def continuation_solvable(
                 f"constants live in conductor {value.conductor}, not {conductor}"
             )
 
-    mu_nu_zero = d.mu.is_zero() and d.nu.is_zero()
-    lam_int = d.lam.is_rational() and d.lam.is_integral()
-    if mu_nu_zero and lam_int:
+    shape = (parity, eps1, eps2) in (("even", 1, 1), ("odd", -1, 1))
+    if shape and d.mu.is_zero() and d.nu.is_zero() and d.lam.is_rational() and d.lam.is_integral():
         lam = d.lam.nums[0]
-        if parity == "even" and eps1 == 1 and eps2 == 1:
-            return _shear_closed_form(d, action, lam, m)
-        if parity == "odd" and eps1 == -1 and eps2 == 1:
-            return _reflection_closed_form(d, action, lam, m)
+        # Even c = p + q uv with p a unit and m p = -2 q lam; integrality over
+        # any cyclotomic ring pins m to a multiple of 2 lam by coordinatewise
+        # divisibility on the power basis.
+        # Odd c = s u + t v with c^2 = lam s^2 a unit, forcing lam = +-1, and
+        # m s = -2 t, forcing m even.
+        step = 2 * lam if parity == "even" else 2
+        q, r = divmod(m, step) if step else (0, m)
+        if r == 0 and (parity == "even" or lam in (1, -1)):
+            c = _element_from_pair((1, -q), parity)
+            assert _verify_witness(c, d, action, parity)
+            return ContinuationResult("solvable", c)
+        return ContinuationResult("unsolvable")
 
     solutions = _solution_space(d, action, parity)
     if not solutions:
@@ -334,33 +342,6 @@ def _verify_witness(
     if not all(r.is_zero() for r in residuals):
         return False
     return _parity_norm(c, d, parity).is_integral_unit()
-
-
-def _shear_closed_form(d: CliffordData, action: IntMat, lam: int, m: int) -> ContinuationResult:
-    # Even c = p + q uv with p a unit and m p = -2 q lam; integrality over
-    # any cyclotomic ring pins m to a multiple of 2 lam by coordinatewise
-    # divisibility on the power basis.
-    if lam == 0:
-        if m == 0:
-            c = CliffordElement.even(1, 0)
-            assert _verify_witness(c, d, action, "even")
-            return ContinuationResult("solvable", c)
-        return ContinuationResult("unsolvable")
-    if m % (2 * lam) == 0:
-        c = CliffordElement.even(1, -(m // (2 * lam)))
-        assert _verify_witness(c, d, action, "even")
-        return ContinuationResult("solvable", c)
-    return ContinuationResult("unsolvable")
-
-
-def _reflection_closed_form(d: CliffordData, action: IntMat, lam: int, m: int) -> ContinuationResult:
-    # Odd c = s u + t v with c^2 = lam s^2 a unit, forcing lam = +-1, and
-    # m s = -2 t, forcing m even.
-    if lam in (1, -1) and m % 2 == 0:
-        c = CliffordElement.odd(1, -(m // 2))
-        assert _verify_witness(c, d, action, "odd")
-        return ContinuationResult("solvable", c)
-    return ContinuationResult("unsolvable")
 
 
 def _bounded_search(
@@ -565,20 +546,12 @@ class Rk1Report:
 
 def _extract_univariate(w: LaurentPolynomial) -> dict[int, int]:
     """Exponent-to-coefficient map of a genuinely one-variable potential."""
-    if w.dim == 1:
-        return {e[0]: c for e, c in w.terms}
-    if w.dim == 2:
-        axes = {0: True, 1: True}
-        for e, _ in w.terms:
-            if e[1] != 0:
-                axes[0] = False
-            if e[0] != 0:
-                axes[1] = False
-        for axis in (0, 1):
-            if axes[axis]:
-                return {e[axis]: c for e, c in w.terms}
-        raise NotUnivariateError("potential mixes both variables")
-    raise NotUnivariateError("rank-one analysis needs one or two variables")
+    if w.dim not in (1, 2):
+        raise NotUnivariateError("rank-one analysis needs one or two variables")
+    for axis in range(w.dim):
+        if not any(x for e, _ in w.terms for j, x in enumerate(e) if j != axis):
+            return {e[axis]: c for e, c in w.terms}
+    raise NotUnivariateError("potential mixes both variables")
 
 
 def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | None:
@@ -678,6 +651,11 @@ def rk1_classify(w: LaurentPolynomial) -> Rk1Report:
 ORDER3_GENERATOR = IntMat.from_rows([[0, -1], [1, -1]])
 MINUS_IDENTITY = IntMat.from_rows([[-1, 0], [0, -1]])
 AXIS_REFLECTION = IntMat.from_rows([[1, 0], [0, -1]])
+_INVARIANT_UNDER = {  # the generators each group kind's potential must be invariant under
+    "ORDER3": (ORDER3_GENERATOR,),
+    "ORDER2": (MINUS_IDENTITY,),
+    "ORDER2_F": (MINUS_IDENTITY, AXIS_REFLECTION),
+}
 
 _REF_ORDER3 = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
 _REF_HYPERBOLIC = LaurentPolynomial.from_dict(2, {(1, 1): 1, (-1, -1): 1})
@@ -720,15 +698,9 @@ def hessian_theorem_check(
     """
     if w.dim != 2:
         raise DimensionError("Hessian check needs a two-variable potential")
-    if group_kind == "ORDER3":
-        required = [ORDER3_GENERATOR]
-    elif group_kind == "ORDER2":
-        required = [MINUS_IDENTITY]
-    elif group_kind == "ORDER2_F":
-        required = [MINUS_IDENTITY, AXIS_REFLECTION]
-    else:
+    if group_kind not in _INVARIANT_UNDER:
         raise ValueError(f"unknown group kind {group_kind!r}")
-    for g in required:
+    for g in _INVARIANT_UNDER[group_kind]:
         if not invariance_check(w, g):
             raise NotInvariantError(f"potential is not invariant under {g}")
 

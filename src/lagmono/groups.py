@@ -1,11 +1,11 @@
 """Finite permutation groups and integer matrix groups as explicit element lists.
 
-Desk-scale orders make explicit lists practical and keep closure checks,
-subgroup tests and isomorphism searches trivial.  Element lists are stored in
-a canonical sorted order so all reports are deterministic.  Closures and
-generating sets come from one breadth-first search over the right Cayley
-graph, ``cayley_closure``, which can extend the walk of a subgroup by one
-more generator; each group keeps one such chain of subgroups.  No walk goes
+Desk-scale orders make explicit lists practical and keep closure checks and
+isomorphism searches trivial.  Element lists are stored in a canonical sorted
+order so all reports are deterministic.  Closures, generating sets and orbits
+come from one breadth-first search over the right Cayley graph,
+``cayley_closure``, which can extend the walk of a subgroup by one more
+generator; each group keeps one such chain of subgroups.  No walk goes
 past MAX_ELEMENTS elements, a resource limit, not a proof of infiniteness.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NonUnimodularError, NotFiniteError, SearchTooLargeError
 from .intlat import IntMat, minkowski_bound, residue_mod_3
@@ -59,8 +59,8 @@ def cycle_notation(p: Perm) -> str:
 
 def cayley_closure(
     identity: E,
-    gens: Sequence[E],
-    mul: Callable[[E, E], E],
+    gens: Sequence[Any],
+    mul: Callable[[E, Any], E],
     residue: Callable[[E], Hashable] | None = None,
     bound: int | None = None,
     prefix: Sequence[E] | None = None,
@@ -69,15 +69,17 @@ def cayley_closure(
 
     Breadth-first search over the right Cayley graph, one product per element
     and generator; positive products reach every inverse in a finite group
-    and infinitely many elements otherwise.  ``prefix``, the walk for
-    gens[:-1], is closed under gens[:-1]: it starts the result and only its
-    products by the last generator are taken.  ``residue``, when given, is a
-    homomorphism to a finite group that is injective on every finite
-    subgroup, so two distinct elements with one residue prove the group
-    infinite.  ``bound``, when given, divides the order of every finite
-    group of the kind (Minkowski's bound), so more elements prove it
-    infinite too.  NotFiniteError is raised on either proof, and
-    SearchTooLargeError past MAX_ELEMENTS elements (not verified finite).
+    and infinitely many elements otherwise.  With mul(x, g) an action of the
+    group on points and identity a point, the same walk lists the orbit of
+    that point.  ``prefix``, the walk for gens[:-1], is closed under
+    gens[:-1]: it starts the result and only its products by the last
+    generator are taken.  ``residue``, when given, is a homomorphism to a
+    finite group that is injective on every finite subgroup, so two distinct
+    elements with one residue prove the group infinite.  ``bound``, when
+    given, divides the order of every finite group of the kind (Minkowski's
+    bound), so more elements prove it infinite too.  NotFiniteError is raised
+    on either proof, and SearchTooLargeError past MAX_ELEMENTS elements (not
+    verified finite).
     """
     walk = [identity] if prefix is None else list(prefix)
     closed = 0 if prefix is None else len(walk)
@@ -159,9 +161,6 @@ class PermutationGroup(_ElementList):
     def generators(self) -> tuple[Perm, ...]:
         """Small generating set found greedily over the sorted element list."""
         return self.chain[0]
-
-    def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return all(p in other for p in self.elements)
 
 
 @dataclass(frozen=True)

@@ -222,12 +222,6 @@ def kernel_lattice(m: IntMat) -> LatticeBasis:
     return LatticeBasis.from_vectors(m.nrows, [k for e, k in zip(h.rows, u.rows) if not any(e)])
 
 
-def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    if a.ambient != b.ambient:
-        raise ValueError("different ambient ranks")
-    return a == b
-
-
 def minkowski_bound(n: int) -> int:
     """Minkowski's M(n), which the order of every finite subgroup of GL(n, Z) divides:
     the product over primes p <= n + 1 of p^(sum over k >= 0 of floor(n / (p^k (p - 1))))."""

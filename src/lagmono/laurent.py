@@ -249,19 +249,6 @@ def invariance_check(w: LaurentPolynomial, g: IntMat) -> bool:
     return w.relabel(g) == w
 
 
-def candidate_filter(w: LaurentPolynomial, g: IntMat) -> bool:
-    """True when g permutes the boundary support preserving each coefficient."""
-    zero = (0,) * w.dim
-    b1 = {e: c for e, c in w.terms if e != zero}
-    image = set()
-    for e, c in b1.items():
-        target = g.apply(e)
-        if b1.get(target) != c:
-            return False
-        image.add(target)
-    return len(image) == len(b1)
-
-
 # ---------------------------------------------------------------------------
 # Text format
 
@@ -282,10 +269,3 @@ def parse_laurent(text: str) -> LaurentPolynomial:
         coeff, *expo = read_ints(line[0], fields, "integer field")
         terms[tuple(expo)] = terms.get(tuple(expo), 0) + coeff
     return LaurentPolynomial.from_dict(dim, terms)
-
-
-def format_laurent(w: LaurentPolynomial) -> str:
-    lines = [f"dim {w.dim}"]
-    for e, c in w.terms:
-        lines.append("term " + str(c) + " " + " ".join(str(x) for x in e))
-    return "\n".join(lines) + "\n"

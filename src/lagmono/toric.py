@@ -364,12 +364,5 @@ def parse_polytope(text: str, mode_override: Mode | None = None) -> DelzantPolyt
         raise ParseError(str(exc)) from exc
 
 
-def format_polytope(p: DelzantPolytope) -> str:
-    lines = [f"dim {p.dim}", f"mode {p.mode.value}"]
-    for nu, off in zip(p.normals, p.offsets):
-        lines.append("facet " + " ".join(str(x) for x in nu) + f" {off}")
-    return "\n".join(lines) + "\n"
-
-
 def _fmt_point(point: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(x) for x in point) + ")"

@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError, ParseError
-from .groups import MatrixGroup
+from .groups import MatrixGroup, cayley_closure
 from .intlat import IntMat, LatticeBasis, Vec, hermite_normal_form
 
 
@@ -153,13 +153,14 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     breadth-first search over canonical LatticeBasis states adds one
     distinct L(g) per step, skipping a step whose rows are members of the
     state or that does not raise its rank.  Conjugation by h maps L(S) to
-    L(S) h^T, so the orbit of each new state is marked seen and only the
-    state itself is extended.  The answer unites the loci of the seen states
-    of rank n, read off their Hermite bases.  It is exact: a subset S of rank
-    n holds a subset, in index order, whose rank rises at each element; the
-    search marks the state of that subset seen, and its locus contains Fix(S).
-    The loci stay integer numerators over their det H until they are united
-    over the lcm of those dets; then one TorsionPoint is built per point.
+    L(S) h^T, so the orbit of each new state, walked by ``cayley_closure``,
+    is marked seen and only the state itself is extended.  The answer unites
+    the loci of the seen states of rank n, read off their Hermite bases.  It
+    is exact: a subset S of rank n holds a subset, in index order, whose rank
+    rises at each element; the search marks the state of that subset seen,
+    and its locus contains Fix(S).  The loci stay integer numerators over
+    their det H until they are united over the lcm of those dets; then one
+    TorsionPoint is built per point.
     """
     n, gens = group.dim, group.generators()
     steps = dict.fromkeys(LatticeBasis.from_vectors(n, _delta_rows(g)) for g in group.nonidentity())
@@ -172,12 +173,8 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
             joined = LatticeBasis.from_vectors(n, state.basis + step.basis)
             if joined.rank == state.rank or joined in seen:
                 continue
-            seen.add(joined)
-            orbit = [joined]
-            for lattice in orbit:
-                fresh = {LatticeBasis.from_vectors(n, map(h.apply, lattice.basis)) for h in gens} - seen
-                seen |= fresh
-                orbit += fresh
+            orbit = cayley_closure(joined, gens, lambda s, h: LatticeBasis.from_vectors(n, map(h.apply, s.basis)))
+            seen.update(orbit)
             if joined.rank < n:
                 queue.append(joined)
     loci = [_full_rank_locus(state.basis) for state in seen if state.rank == n]

@@ -2114,6 +2114,7 @@ class TestInvarianceCheck:
             ([[1, 0], [0, 0]], {(1, 0): 1, (0, 1): 1}, False),
             ([[0, 1], [0, 1]], {(1, 1): 1, (0, 1): 1}, False),
             ([[1, 1], [0, 1]], {(1, 0): 1, (0, 1): 1, (-1, -1): 1}, False),
+            ([[1, 0], [0, 1]], {(1, 0): 1, (0, 1): 1, (-1, -1): 1}, True),
         ],
     )
     def test_pinned_maps(self, rows, terms, expected):

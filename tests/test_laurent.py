@@ -14,9 +14,7 @@ from lagmono.intlat import IntMat
 from lagmono.laurent import (
     LaurentPolynomial,
     b1_support_rank,
-    candidate_filter,
     evaluate,
-    format_laurent,
     gradient_hessian,
     invariance_check,
     is_critical,
@@ -347,32 +345,8 @@ class TestSymmetryFilters:
                 if invariance_check(W_CP2, g) and invariance_check(W_CP2, h):
                     assert invariance_check(W_CP2, g @ h)
 
-    def test_candidate_filter_on_shear(self):
-        shear = IntMat.from_rows([[1, 1], [0, 1]])
-        assert not candidate_filter(W_CP2, shear)
-
-    def test_candidate_filter_identity(self):
-        assert candidate_filter(W_CP2, IntMat.identity(2))
-
-    def test_candidate_implied_by_invariance(self):
-        rng = random.Random(17)
-        mats = [ROT3, SWAP, ROT3 @ ROT3, SWAP @ ROT3, IntMat.identity(2)]
-        for _ in range(40):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = (rng.randint(-2, 2), rng.randint(-2, 2))
-                terms[e] = rng.randint(-3, 3)
-            w = LaurentPolynomial.from_dict(2, terms)
-            for g in mats:
-                if invariance_check(w, g):
-                    assert candidate_filter(w, g)
-
 
 class TestTextFormat:
-    def test_roundtrip(self):
-        text = format_laurent(W_CP2)
-        assert parse_laurent(text) == W_CP2
-
     def test_parse_error_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_laurent("dim 2\nterm 1 0\n")

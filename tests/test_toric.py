@@ -19,7 +19,6 @@ from lagmono.polytopes import (
 from lagmono.toric import (
     DelzantPolytope,
     Mode,
-    format_polytope,
     monotone_normalize,
     parse_polytope,
     toric_fiber_data,
@@ -179,10 +178,6 @@ class TestFiberData:
 
 
 class TestTextFormat:
-    def test_roundtrip(self):
-        p = blowup_cp2(1)
-        assert parse_polytope(format_polytope(p)) == p
-
     def test_fractional_offsets(self):
         text = "dim 1\nmode compact\nfacet 1 4/3\nfacet -1 4/3\n"
         p = parse_polytope(text)
