@@ -15,7 +15,9 @@ breadth-first search behind ``groups.cayley_closure``
 of ``classify.embed_symmetric_product`` and its search that re-walks each
 prefix subgroup (``old_rewalk_embed_symmetric_product``), the fixed-point
 search of ``classify.gl_order_feasible``, the subset enumeration of
-``torussym.forced_critical_points``, the division builder of
+``torussym.forced_critical_points`` and its lattice-state search that walks
+the conjugation orbit of every new state under every generator
+(``old_lattice_forced_critical_points``), the division builder of
 ``cyclotomic.cyclotomic_polynomial``, the Fraction vertex enumeration and
 recession-ray compactness test of ``toric.validate_delzant``, the Fraction
 row reduction of ``ToricFiberData.normal_base``, the square-only Bareiss
@@ -120,6 +122,8 @@ from lagmono.torussym import (
     TorsionPoint,
     _delta_rows,
     _fixed_locus,
+    _full_rank_locus,
+    _points,
     act,
     first_moved_point,
     forced_critical_points,
@@ -1373,6 +1377,45 @@ def old_forced_critical_points(group):
     return tuple(sorted(found))
 
 
+def old_lattice_forced_critical_points(group: MatrixGroup) -> FixedPointSet:
+    """Points every admissible monodromy element must fix.
+
+    A point is forced when some subset S of the group fixes it while S has
+    no common fixed vector.  Fix(S) depends only on L(S), the row lattice of
+    the stacked g^T - I for g in S, which has rank n exactly when S has no
+    common fixed vector; L(S + g) = L(S) + L(g) and L(g^-1) = L(g).  A
+    breadth-first search over canonical LatticeBasis states adds one
+    distinct L(g) per step, skipping a step whose rows are members of the
+    state or that does not raise its rank.  Conjugation by h maps L(S) to
+    L(S) h^T, so the orbit of each new state, walked by ``cayley_closure``,
+    is marked seen and only the state itself is extended.  The answer unites
+    the loci of the seen states of rank n, read off their Hermite bases.  It
+    is exact: a subset S of rank n holds a subset, in index order, whose rank
+    rises at each element; the search marks the state of that subset seen,
+    and its locus contains Fix(S).  The loci stay integer numerators over
+    their det H until they are united over the lcm of those dets; then one
+    TorsionPoint is built per point.
+    """
+    n, gens = group.dim, group.generators()
+    steps = dict.fromkeys(LatticeBasis.from_vectors(n, _delta_rows(g)) for g in group.nonidentity())
+    seen: set[LatticeBasis] = set()
+    queue = [LatticeBasis(n, ())]
+    for state in queue:  # appended to while read, so breadth first
+        for step in steps:
+            if all(map(state.member, step.basis)):
+                continue
+            joined = LatticeBasis.from_vectors(n, state.basis + step.basis)
+            if joined.rank == state.rank or joined in seen:
+                continue
+            orbit = cayley_closure(joined, gens, lambda s, h: LatticeBasis.from_vectors(n, map(h.apply, s.basis)))
+            seen.update(orbit)
+            if joined.rank < n:
+                queue.append(joined)
+    loci = [_full_rank_locus(state.basis) for state in seen if state.rank == n]
+    den = math.lcm(*(det for det, _ in loci))
+    return FixedPointSet(n, _points(den, {tuple(a * (den // det) for a in x) for det, xs in loci for x in xs}))
+
+
 @functools.lru_cache(maxsize=None)
 def old_cyclotomic_polynomial(d):
     """x^d - 1 divided by the cyclotomic polynomials of all proper divisors of d."""
@@ -2370,6 +2413,31 @@ class TestForcedCriticalPoints:
     @given(small_groups())
     def test_forced_points_equal_stabiliser_brute_force(self, group):
         assert forced_critical_points(group).finite_points() == stabiliser_forced_points(group)
+
+
+B4 = MatrixGroup.from_generators(4, [diagonal(-1, 1, 1, 1), *(signed_permutation(p, (1,) * 4) for p in ((1, 0, 2, 3), (1, 2, 3, 0)))])
+
+
+def assert_forced_equals_lattice_search(group):
+    assert forced_critical_points(group).finite_points() == old_lattice_forced_critical_points(group).finite_points()
+
+
+class TestLatticeSearchOracle:
+    @pytest.mark.parametrize("name", {**EMBEDDING_CASES, **FORCED_HEAVY_CASES})
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_search_equals_lattice_search_on_conjugates(self, name, data):
+        group = {**EMBEDDING_CASES, **FORCED_HEAVY_CASES}[name]
+        assert_forced_equals_lattice_search(group.conjugate(*data.draw(unimodular_pairs(group.dim))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups())
+    def test_search_equals_lattice_search_on_small_groups(self, group):
+        assert_forced_equals_lattice_search(group)
+
+    def test_search_equals_lattice_search_on_b4(self):
+        assert B4.order == 384
+        assert_forced_equals_lattice_search(B4)
 
 
 @st.composite
