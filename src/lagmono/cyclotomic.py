@@ -127,11 +127,8 @@ def _fold(image: list[int], d: int) -> list[int]:
     return image
 
 
-def _canonicalize(d: int, nums: Sequence[int]) -> tuple[int, list[int]]:
-    """Least conductor d / g of the value, g = gcd(d, folded support), and its numerators there."""
-    image = [0] * d
-    for i, c in enumerate(nums):
-        image[i % d] += c
+def _canonicalize(d: int, image: list[int]) -> tuple[int, list[int]]:
+    """Least conductor d / g, g = gcd(d, folded support), and numerators there of a length-d image, folded in place."""
     folded = _fold(image, d)
     g = math.gcd(d, *(e for e, c in enumerate(folded) if c))
     return d // g, _polydivmod(folded[::g], cyclotomic_polynomial(d // g))[1]
@@ -156,7 +153,10 @@ class CyclotomicNumber:
                 scale = math.lcm(*(c.denominator for c in coeffs))
                 nums = [c.numerator * (scale // c.denominator) for c in coeffs]
                 den *= scale
-            d, nums = _canonicalize(d, nums)
+            image = [0] * d  # a copy: the caller's nums stay as they are
+            for i, c in enumerate(nums):
+                image[i % d] += c
+            d, nums = _canonicalize(d, image)
         self._set(d, nums, den)
 
     def _set(self, d: int, nums: Sequence[int], den: int) -> None:
@@ -186,6 +186,11 @@ class CyclotomicNumber:
         value = object.__new__(cls)
         value._set(d, nums, den)
         return value
+
+    @classmethod
+    def _from_image(cls, d: int, image: list[int], den: int = 1) -> "CyclotomicNumber":
+        """The value image / den, for a fresh integer list of exactly length d, which is folded in place."""
+        return cls._canonical(*(_canonicalize(d, image) if d > 1 else (1, image)), den)  # a rational needs none
 
     @classmethod
     def zero(cls) -> "CyclotomicNumber":
@@ -242,7 +247,7 @@ class CyclotomicNumber:
             step = d // value.conductor
             for i, x in enumerate(value.nums):
                 image[i * step] += scale * x
-        return CyclotomicNumber(d, image, self.den * other.den)
+        return CyclotomicNumber._from_image(d, image, self.den * other.den)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -281,7 +286,7 @@ class CyclotomicNumber:
             if x:
                 for j, y in enumerate(other.nums):
                     image[(i * a + j * b) % d] += x * y
-        return CyclotomicNumber(d, image, self.den * other.den)
+        return CyclotomicNumber._from_image(d, image, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -315,7 +320,7 @@ class CyclotomicNumber:
         out = [0] * d
         for i, c in enumerate(self.nums):
             out[(i * a) % d] += c
-        return CyclotomicNumber(d, tuple(out), self.den)
+        return CyclotomicNumber._from_image(d, out, self.den)
 
     def _columns(self) -> list[list[int]]:
         """The columns nums zeta^i mod Phi_d for i < phi(d).

@@ -87,8 +87,8 @@ class IntMat:
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.rows))
-        return IntMat._of(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows))
+        cols = list(zip(*other.rows))
+        return IntMat._of(tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows]))
 
     def __neg__(self) -> "IntMat":
         return IntMat._of(tuple(tuple(-x for x in r) for r in self.rows))
@@ -187,7 +187,15 @@ class LatticeBasis:
         vecs = [list(map(int, v)) for v in vectors]
         if any(len(v) != ambient for v in vecs):
             raise ValueError("vector length differs from ambient rank")
-        return cls(ambient, tuple(tuple(r) for r in _hermite(vecs, ambient) if any(r)))
+        return cls._of(ambient, vecs)
+
+    @classmethod
+    def _of(cls, ambient: int, rows: list[Sequence[int]]) -> "LatticeBasis":
+        """``from_vectors`` without its checks, for a fresh list of int rows of length ambient.
+
+        The list is eliminated in place; the rows are only read, so they may be another basis's tuples.
+        """
+        return cls(ambient, tuple(tuple(r) for r in _hermite(rows, ambient) if any(r)))
 
     @property
     def rank(self) -> int:

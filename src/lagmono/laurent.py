@@ -149,7 +149,7 @@ def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     _check_dim(w, p)
     d = p.order()
     scaled = [c.numerator * (d // c.denominator) for c in p.coords]
-    return CyclotomicNumber(d, tuple(_image(w, scaled, d)))
+    return CyclotomicNumber._from_image(d, _image(w, scaled, d))
 
 
 def gradient_hessian(

@@ -152,34 +152,48 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     common fixed vector; L(S + g) = L(S) + L(g) and L(g^-1) = L(g).  A
     breadth-first search over canonical LatticeBasis states adds one
     distinct L(g) per step, skipping a step whose rows are members of the
-    state or that does not raise its rank.  Conjugation by h maps L(S) to
-    L(S) h^T, so the orbit of each new state, walked by ``cayley_closure``,
-    is marked seen and only the state itself is extended.  The answer unites
-    the loci of the seen states of rank n, read off their Hermite bases.  It
-    is exact: a subset S of rank n holds a subset, in index order, whose rank
-    rises at each element; the search marks the state of that subset seen,
-    and its locus contains Fix(S).  The loci stay integer numerators over
-    their det H until they are united over the lcm of those dets; then one
-    TorsionPoint is built per point.
+    state or that does not raise its rank; joined to the zero state, a step
+    is already in Hermite form.  Conjugation by h maps L(S) to L(S) h^T and
+    is trivial for a central h, so the orbit of each new state of rank below
+    n is walked by ``cayley_closure`` under the generators that are not
+    central (none, in an abelian group) and marked seen, and only the state
+    itself is extended.  It is exact: a subset S of rank n holds a subset,
+    in index order, whose rank rises at each element, and the state of that
+    subset, whose locus contains Fix(S), is conjugate to a full-rank state
+    reached from an orbit representative.  Full-rank states are not walked: the answer unites
+    their loci, read off their Hermite bases, and closes the points under
+    x -> g^T x, since Fix(L h^T) = h^-T Fix(L) and the forced set is
+    G-invariant.  The points stay integer numerators over the lcm of the
+    loci's det H until one TorsionPoint is built per point.
     """
     n, gens = group.dim, group.generators()
-    steps = dict.fromkeys(LatticeBasis.from_vectors(n, _delta_rows(g)) for g in group.nonidentity())
+    moving = [h for h in gens if any(h @ g != g @ h for g in gens if g is not h)]  # the generators not central
+    steps = dict.fromkeys(LatticeBasis._of(n, [*_delta_rows(g)]) for g in group.nonidentity())
     seen: set[LatticeBasis] = set()
     queue = [LatticeBasis(n, ())]
     for state in queue:  # appended to while read, so breadth first
         for step in steps:
-            if all(map(state.member, step.basis)):
+            if state.rank and all(map(state.member, step.basis)):
                 continue
-            joined = LatticeBasis.from_vectors(n, state.basis + step.basis)
+            joined = LatticeBasis._of(n, [*state.basis, *step.basis]) if state.rank else step
             if joined.rank == state.rank or joined in seen:
                 continue
-            orbit = cayley_closure(joined, gens, lambda s, h: LatticeBasis.from_vectors(n, map(h.apply, s.basis)))
-            seen.update(orbit)
+            seen.add(joined)
             if joined.rank < n:
                 queue.append(joined)
+                if moving:
+                    orbit = cayley_closure(joined, moving, lambda s, h: LatticeBasis._of(n, [*map(h.apply, s.basis)]))
+                    seen.update(orbit)
     loci = [_full_rank_locus(state.basis) for state in seen if state.rank == n]
     den = math.lcm(*(det for det, _ in loci))
-    return FixedPointSet(n, _points(den, {tuple(a * (den // det) for a in x) for det, xs in loci for x in xs}))
+    points = list({tuple(a * (den // det) for a in x) for det, xs in loci for x in xs})
+    closed, transposes = set(points), [h.transpose() for h in moving]
+    for x in points:  # appended to while read: the closure under every g^T
+        for gt in transposes:
+            if (y := _image(gt, den, x)) not in closed:
+                closed.add(y)
+                points.append(y)
+    return FixedPointSet(n, _points(den, closed))
 
 
 def first_moved_point(group: MatrixGroup, points: Sequence[TorsionPoint]) -> tuple[IntMat, TorsionPoint] | None:

@@ -87,6 +87,14 @@ class TestCanonicalForm:
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("length", [3, 12, 20])
+    def test_constructor_leaves_the_callers_list_unchanged(self, length):
+        nums = [(-1) ** i * (i % 5) for i in range(length)]
+        before = list(nums)
+        value = CyclotomicNumber(12, nums)
+        assert nums == before
+        assert value == sum((zeta(12, i) * c for i, c in enumerate(before)), rat(0))
+
     def test_mixed_conductor_product(self):
         z12 = zeta(3) * zeta(4)
         assert z12.conductor == 12

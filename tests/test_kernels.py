@@ -94,7 +94,7 @@ from lagmono.classify import (
     gl_order_feasible,
     ingest_catalog,
 )
-from lagmono import groups
+from lagmono import groups, torussym
 from lagmono.errors import NotFiniteError, NotMonotoneError, SearchTooLargeError
 from lagmono.groups import (
     MatrixGroup,
@@ -1821,6 +1821,14 @@ class TestFold:
             q = math.gcd(d, p**d.bit_length())
             assert all(e % q < q - q // p for e, c in enumerate(folded) if c)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(fold_images(), st.integers(-9, 9).map(lambda c: (1, [c]))), st.sampled_from((1, 2, -3)))
+    def test_image_path_equals_constructor_that_leaves_its_input(self, case, den):
+        d, image = case
+        given = list(image)
+        assert Cyc._from_image(d, list(image), den) == Cyc(d, given, den)
+        assert given == image
+
     @pytest.mark.parametrize("bound", [30, 48, 60])
     def test_triangle_grid_equals_phi_residue_scan(self, bound):
         w = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
@@ -2311,6 +2319,9 @@ FORCED_HEAVY_CASES = {
 }
 
 
+MOVED_CASES = {**EMBEDDING_CASES, **FORCED_HEAVY_CASES}
+
+
 HEAVY_TARGETS = [(name, parts) for name, group in FORCED_HEAVY_CASES.items() for parts in _symmetric_part_choices(group.dim)]
 
 
@@ -2418,16 +2429,26 @@ class TestForcedCriticalPoints:
 B4 = MatrixGroup.from_generators(4, [diagonal(-1, 1, 1, 1), *(signed_permutation(p, (1,) * 4) for p in ((1, 0, 2, 3), (1, 2, 3, 0)))])
 
 
+# A unimodular conjugate of an order-48 subgroup of W(F4).  The full-rank
+# states that the search reaches hold 24 of its 28 forced points; the other
+# four lie only in the loci of conjugates of those states.
+UNWALKED_LOCI = MatrixGroup.from_generators(4, [IntMat.from_rows(g) for g in (
+    [[0, 1, 1, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 1, 1, 0]],
+    [[0, 1, 1, 1], [0, -1, 0, 0], [1, -1, 0, -1], [0, 2, 0, 1]],
+    [[0, 1, 1, 1], [0, -1, 0, -1], [0, 0, -1, -1], [1, 1, 1, 1]],
+)])
+
+
 def assert_forced_equals_lattice_search(group):
     assert forced_critical_points(group).finite_points() == old_lattice_forced_critical_points(group).finite_points()
 
 
 class TestLatticeSearchOracle:
-    @pytest.mark.parametrize("name", {**EMBEDDING_CASES, **FORCED_HEAVY_CASES})
+    @pytest.mark.parametrize("name", MOVED_CASES)
     @settings(max_examples=4, deadline=None)
     @given(data=st.data())
     def test_search_equals_lattice_search_on_conjugates(self, name, data):
-        group = {**EMBEDDING_CASES, **FORCED_HEAVY_CASES}[name]
+        group = MOVED_CASES[name]
         assert_forced_equals_lattice_search(group.conjugate(*data.draw(unimodular_pairs(group.dim))))
 
     @settings(max_examples=60, deadline=None)
@@ -2438,6 +2459,45 @@ class TestLatticeSearchOracle:
     def test_search_equals_lattice_search_on_b4(self):
         assert B4.order == 384
         assert_forced_equals_lattice_search(B4)
+
+    def test_points_are_closed_under_the_group(self):
+        assert UNWALKED_LOCI.order == 48
+        assert len(forced_critical_points(UNWALKED_LOCI).finite_points()) == 28
+        assert_forced_equals_lattice_search(UNWALKED_LOCI)
+
+
+def orbit_walks(group):
+    """(state, generators) of every orbit walk that forced_critical_points hands to cayley_closure."""
+    with mock.patch.object(torussym, "cayley_closure", wraps=cayley_closure) as spy:
+        forced_critical_points(group)
+    return [(c.args[0], list(c.args[1])) for c in spy.call_args_list]
+
+
+def non_central(group, gens):
+    return [h for h in gens if any(h @ g != g @ h for g in group)]
+
+
+class TestOrbitWalks:
+    @pytest.mark.parametrize("name", ["signs4", "C12", "4"])
+    def test_abelian_group_walks_no_orbit(self, name):
+        assert orbit_walks(MOVED_CASES[name]) == []
+
+    def test_b3_walks_only_states_below_full_rank_under_non_central_generators(self):
+        group = FORCED_HEAVY_CASES["B3"]
+        walks = orbit_walks(group)
+        assert walks
+        assert all(state.rank < group.dim and gens == non_central(group, group.generators()) for state, gens in walks)
+
+    def test_central_generator_is_left_out_of_every_walk(self):
+        minus = -IntMat.identity(3)
+        planar = [block_sum(g, IntMat.identity(1)) for g in catalog_n2().group("4ft").generators()]
+        group = MatrixGroup.from_generators(3, [*planar, minus])
+        handed = (*group.generators(), minus)  # no greedy pick takes -I, so hand it in
+        with mock.patch.object(MatrixGroup, "generators", return_value=handed):
+            walks = orbit_walks(group)
+            assert_forced_equals_lattice_search(group)
+        assert minus not in non_central(group, handed)
+        assert walks and all(gens == non_central(group, handed) for _, gens in walks)
 
 
 @st.composite
@@ -2491,9 +2551,6 @@ def torsion_points(n, max_size=6):
     return st.lists(st.lists(coord, min_size=n, max_size=n).map(TorsionPoint.make), max_size=max_size)
 
 
-MOVED_CASES = {**EMBEDDING_CASES, **FORCED_HEAVY_CASES}
-
-
 class TestMovedPoint:
     @pytest.mark.parametrize("name", MOVED_CASES)
     @settings(max_examples=4, deadline=None)
@@ -2543,6 +2600,11 @@ int_matrices = st.integers(0, 5).flatmap(
 )
 
 
+def int_rows(r, c):
+    """r rows of c entries in [-9, 9]."""
+    return st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r)
+
+
 def assert_unchecked_equals_checked(m: IntMat):
     """m equals and hashes like IntMat.from_rows of its entries, and its rows are tuples of int."""
     checked = IntMat.from_rows(m.rows)
@@ -2567,6 +2629,35 @@ class TestHermitePath:
         assert basis == old_from_vectors(n, rows)
         if rows:
             assert basis.basis == tuple(r for r in hermite_normal_form(IntMat.from_rows(rows))[0].rows if any(r))
+
+    @settings(max_examples=300, deadline=None)
+    @given(locus_rows())
+    def test_unchecked_lattice_constructor_equals_from_vectors(self, case):
+        n, rows = case
+        lists = [list(map(int, r)) for r in rows]
+        for fresh in ([*lists], [tuple(r) for r in lists]):
+            assert LatticeBasis._of(n, fresh) == LatticeBasis.from_vectors(n, rows)
+        assert lists == [list(map(int, r)) for r in rows]  # rows are read, never written
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(lambda s: st.tuples(*(int_rows(r, c) for r, c in (s[:2], s[1:])))))
+    def test_product_equals_triple_loop(self, pair):
+        a, b = pair
+        out = [[0] * len(b[0]) for _ in a]
+        for i in range(len(a)):
+            for j in range(len(b[0])):
+                for k in range(len(b)):
+                    out[i][j] += a[i][k] * b[k][j]
+        product = IntMat.from_rows(a) @ IntMat.from_rows(b)
+        assert product == IntMat.from_rows(out)
+        assert_unchecked_equals_checked(product)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[st.integers(1, 4)] * 4).filter(lambda s: s[1] != s[2]).flatmap(lambda s: st.tuples(int_rows(*s[:2]), int_rows(*s[2:]))))
+    def test_product_of_mismatched_shapes_raises(self, pair):
+        a, b = pair
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IntMat.from_rows(a) @ IntMat.from_rows(b)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices, st.data())
