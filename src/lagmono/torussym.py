@@ -160,11 +160,11 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     itself is extended.  It is exact: a subset S of rank n holds a subset,
     in index order, whose rank rises at each element, and the state of that
     subset, whose locus contains Fix(S), is conjugate to a full-rank state
-    reached from an orbit representative.  Full-rank states are not walked: the answer unites
-    their loci, read off their Hermite bases, and closes the points under
-    x -> g^T x, since Fix(L h^T) = h^-T Fix(L) and the forced set is
-    G-invariant.  The points stay integer numerators over the lcm of the
-    loci's det H until one TorsionPoint is built per point.
+    reached from an orbit representative.  Full-rank states are not walked:
+    the answer unites their loci, read off their Hermite bases, and closes
+    the points under x -> g^T x, since Fix(L h^T) = h^-T Fix(L) and the
+    forced set is G-invariant.  The points stay integer numerators over the
+    lcm of the loci's det H until one TorsionPoint is built per point.
     """
     n, gens = group.dim, group.generators()
     moving = [h for h in gens if any(h @ g != g @ h for g in gens if g is not h)]  # the generators not central
