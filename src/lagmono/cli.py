@@ -3,9 +3,11 @@
 Every subcommand builds a list of records (dicts); the text renderer prints
 them one field per line and the --json flag emits the same records as JSON
 lines, field for field.  Exit codes: 0 success, 2 validation failure,
-3 parse error.  Each call builds from COMMANDS only its own command's parser,
-and nothing is cached; help and argv naming no complete command fall back to
-the full parser, so every usage line and argparse message is the full one's.
+3 parse error.  A plain, valid argv is read straight from COMMANDS and builds
+no parser.  Any other argv builds from COMMANDS only its own command's parser
+(the full one when argv names no complete command), so argparse writes every
+help, usage and error message, word for word the full parser's.  Nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from . import classify as classify_mod
-from .cyclotomic import CyclotomicNumber
 from .errors import ParseError, ValidationError
 from .floer import (
     BinaryForm,
@@ -25,7 +26,6 @@ from .floer import (
     rk1_classify,
 )
 from .groups import cycle_notation
-from .intlat import IntMat
 from .laurent import GRID_CAP, parse_laurent, torsion_critical_points
 from .monodromy import (
     hamiltonian_monodromy,
@@ -41,23 +41,11 @@ EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 
 
-_RENDERED_TYPES = (Fraction, TorsionPoint, IntMat, CyclotomicNumber)
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, _RENDERED_TYPES):
-        return str(value)
-    return value
-
-
 def _emit(records: list[dict], as_json: bool) -> None:
     if as_json:
+        # Fraction, TorsionPoint, IntMat and CyclotomicNumber are no JSON types, so each is written as its str.
         for record in records:
-            print(json.dumps(_json_safe(record), sort_keys=True))
+            print(json.dumps(record, default=str, sort_keys=True))
         return
     for record in records:
         kind = record.get("record", "")
@@ -345,12 +333,53 @@ def _command_path(argv: list[str]) -> tuple[str, ...]:
     return ()
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for a plain, valid argv, read from COMMANDS; None for any other argv.
+
+    Plain: at most one --json, first; the full command path; then each declared positional and long
+    option at most once, in any order, as --flag value, with no other token starting with "-".
+    """
+    as_json = argv[:1] == ["--json"]
+    rest = argv[as_json:]
+    path = _command_path(rest)
+    if not path or rest[0] == "--json":
+        return None
+    table, arguments = COMMANDS, {}
+    for name in path:
+        if arguments:  # argparse would also fill the arguments of a level above the command
+            return None
+        _, table, arguments = table[name]
+    if any(keywords.keys() - {"type", "choices", "required", "default", "help"} for keywords in arguments.values()):
+        return None
+    given, tokens, positionals = {}, iter(rest[len(path):]), (name for name in arguments if name[0] != "-")
+    for token in tokens:
+        name, value = (token, next(tokens, "-")) if token.startswith("-") else (next(positionals, None), token)
+        if name not in arguments or name in given or value.startswith("-"):
+            return None
+        given[name] = value
+    fields = dict(zip(["command"] + ["subcommand"] * (len(path) - 1), path), json=as_json)
+    for name, keywords in arguments.items():
+        if name not in given and (keywords.get("required") or name[0] != "-"):
+            return None
+        value = given.get(name, keywords.get("default"))
+        if isinstance(value, str):  # argparse converts a given value and a str default alike
+            try:
+                value = keywords.get("type", str)(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if name in given and value not in keywords.get("choices", [value]):
+            return None
+        fields[name.lstrip("-").replace("-", "_")] = value
+    return argparse.Namespace(func=globals()[table], **fields)
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser(_command_path(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its message; keep its exit code
-        return exc.code
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser(_command_path(argv)).parse_args(argv)
+        except SystemExit as exc:  # argparse has printed its message; keep its exit code
+            return exc.code
     try:
         return args.func(args)
     except ParseError as exc:

@@ -205,7 +205,7 @@ class LatticeBasis:
         """Exact membership test against the canonical echelon basis."""
         if len(v) != self.ambient:
             raise ValueError("dimension mismatch")
-        w = list(int(x) for x in v)
+        w = list(v)
         for row in self.basis:
             p = next(j for j, x in enumerate(row) if x != 0)
             if w[p] % row[p] != 0:

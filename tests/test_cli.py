@@ -6,6 +6,8 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 from lagmono import cli
 from lagmono.cli import run
@@ -360,12 +362,40 @@ def test_selected_parser_registers_one_subparser_per_level(path):
         parser = choices[name]
 
 
+def spy_on_build_parser(monkeypatch):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda path=(): built.append(path) or full(path))
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toric", POLY],
+        ["--json", "toric", "--mode", "compact", POLY],
+        ["potential", "crit", "--bound", "6", POT],
+        [*CRIT, "--cap", "100", "--bound", "6"],
+        ["clifford", "--at", "1/3,1/3", POT],
+        ["qform", "1", "1", "0"],
+        ["classify2d"],
+    ],
+    ids=" ".join,
+)
+def test_run_builds_no_parser_for_a_plain_valid_argv(argv, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    built = spy_on_build_parser(monkeypatch)
+    code, _, err = invoke(capsys, *argv)
+    assert (code, err, built) == (0, "", [])
+
+
 @pytest.mark.parametrize(
     "argv, path",
     [
-        (["toric", POLY], ("toric",)),
         (["--json", "--json", "potential", "crit", POT], ("potential", "crit")),
         (["classify2d", "-h"], ("classify2d",)),
+        (["toric", POLY, "--mode", "bad"], ("toric",)),
+        (["qform", "1", "-1", "0"], ("qform",)),
         (["-h"], ()),
         (["--js", "toric", POLY], ()),
         (["potential"], ()),
@@ -376,8 +406,55 @@ def test_selected_parser_registers_one_subparser_per_level(path):
     ],
 )
 def test_run_builds_the_parser_of_the_named_command(argv, path, capsys, monkeypatch):
-    built = []
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda path=(): built.append(path) or full(path))
+    built = spy_on_build_parser(monkeypatch)
     invoke(capsys, *argv)
     assert built == [path]
+
+
+def test_every_golden_argv_is_plain():
+    for argv in GOLDEN_COMMANDS.values():
+        assert cli._plain_args(argv) is not None, argv
+        assert cli._plain_args(["--json", *argv]).json, argv
+
+
+def command_tables(table=cli.COMMANDS, path=()):
+    for name, (_, target, arguments) in table.items():
+        yield path + (name,), arguments
+        if isinstance(target, dict):
+            yield from command_tables(target, path + (name,))
+
+
+ARGUMENTS = dict(command_tables())
+
+
+def test_plain_reader_knows_every_argument_keyword():
+    """A keyword such as nargs or action must be taught to _plain_args before COMMANDS uses it."""
+    for arguments in ARGUMENTS.values():
+        for keywords in arguments.values():
+            assert keywords.keys() <= {"type", "choices", "required", "default", "help"}, keywords
+
+
+FLAGS = sorted({flag for arguments in ARGUMENTS.values() for flag in arguments if flag.startswith("-")})
+NAMES = sorted({name for path in ARGUMENTS for name in path})
+VALUES = [POLY, POT, "compact", "vertex", "6", "100", "1", "0", "-1", "", "abc", "1/3,1/3", "bad"]
+HOSTILE = ["-h", "--", "--js", "--at=1/2", "--json"]
+
+
+@st.composite
+def argvs(draw):
+    """A command path with its own arguments in any order, each maybe left out, among stray tokens."""
+    path = draw(st.one_of(st.sampled_from(PATHS), st.lists(st.sampled_from(NAMES), max_size=2).map(tuple)))
+    own = [name for name in ARGUMENTS.get(path, ()) if draw(st.integers(0, 4))]
+    values = st.one_of(st.sampled_from(["1", "6", "compact"]), st.sampled_from(VALUES + HOSTILE))
+    pieces = [[name, draw(values)] if name.startswith("-") else [draw(values)] for name in own]
+    pieces += draw(st.lists(st.sampled_from(FLAGS + NAMES + VALUES + HOSTILE).map(lambda token: [token]), max_size=2))
+    tail = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    return [*draw(st.lists(st.just("--json"), max_size=2)), *path, *tail]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+def test_plain_reader_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser(cli._command_path(argv)).parse_args(argv))

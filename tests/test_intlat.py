@@ -212,6 +212,22 @@ class TestLatticeEqual:
         assert (a == b) == oracle == slow
 
 
+def test_member_refuses_non_integral_vectors():
+    lattice = LatticeBasis.from_vectors(2, [(2, 0), (0, 2)])
+    assert not lattice.member((Fraction(5, 2), 0))
+    assert not LatticeBasis.from_vectors(2, []).member((0, Fraction(1, 3)))
+    assert lattice.member((Fraction(4), -2))
+
+
+@given(
+    st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3), max_size=3),
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3), min_size=3, max_size=3),
+)
+def test_member_matches_rational_solve(rows, v):
+    lattice = LatticeBasis.from_vectors(3, rows)
+    assert lattice.member(v) == brute_member(v, lattice.basis)
+
+
 def test_minkowski_bound():
     assert tuple(minkowski_bound(n) for n in range(1, 7)) == (2, 24, 48, 5760, 11520, 2903040)
 
