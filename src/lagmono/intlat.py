@@ -202,7 +202,7 @@ class LatticeBasis:
         return len(self.basis)
 
     def member(self, v: Sequence[int]) -> bool:
-        """Exact membership test against the canonical echelon basis."""
+        """Exact membership test against the canonical echelon basis; a non-integral vector is no member."""
         if len(v) != self.ambient:
             raise ValueError("dimension mismatch")
         w = list(v)
