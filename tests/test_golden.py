@@ -2,8 +2,9 @@
 
 The text goldens live in perfbench/expected/golden/ and are only read here;
 the --json goldens live in tests/golden/, as do the answers of
-``continuation_solvable`` on the committed continuation cases and both forms
-of the NOT_COMPACT refusal of ``toric --mode compact`` on three fixtures.
+``continuation_solvable`` on the committed continuation cases, both forms
+of the NOT_COMPACT refusal of ``toric --mode compact`` on three fixtures and
+both forms of the commands on the test-only inputs of tests/data/.
 """
 
 import json
@@ -83,6 +84,22 @@ def test_json_output_matches_golden(name, capsys, monkeypatch):
 def test_refusal_matches_golden(name, json_flag, suffix, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert run([*json_flag, *REFUSALS[name]]) == 2
+    assert capsys.readouterr().out == (JSON_GOLDEN / (name + suffix)).read_text()
+
+
+# Commands on the test-only inputs of tests/data/, with both goldens in tests/golden/.
+# The quartic's 16 critical points at bound 12 have orders 1, 2 and 4, so the
+# sorted output interleaves points of different orders.
+DATA_COMMANDS = {
+    "crit-quartic-12": ["potential", "crit", "tests/data/quartic_potential.laurent", "--bound", "12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATA_COMMANDS))
+@pytest.mark.parametrize("json_flag, suffix", [([], ".out"), (["--json"], ".jsonl")])
+def test_data_command_matches_golden(name, json_flag, suffix, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run([*json_flag, *DATA_COMMANDS[name]]) == 0
     assert capsys.readouterr().out == (JSON_GOLDEN / (name + suffix)).read_text()
 
 

@@ -39,7 +39,10 @@ division, reduction, promotion and descent (``OldCyclotomicNumber``,
 ``floer._reduce_isotropic`` (``old_extended_gcd``), the two closed forms of
 ``floer.continuation_solvable`` (``old_shear_closed_form``,
 ``old_reflection_closed_form``) and the support-permutation predicate that
-``laurent.invariance_check`` answers alike (``old_candidate_filter``).
+``laurent.invariance_check`` answers alike (``old_candidate_filter``), and
+the grid walk of ``laurent.torsion_critical_points`` that built a Fraction
+``TorsionPoint`` for every tested orbit and kept point
+(``old_fraction_grid_points``).
 ``floer._two_column_kernel`` is checked against the old elimination loop.
 They are kept here only as oracles.
 """
@@ -115,7 +118,13 @@ from lagmono.intlat import (
     primitive_vector,
     vec_gcd,
 )
-from lagmono.laurent import LaurentPolynomial, b1_support_rank, invariance_check, torsion_critical_points
+from lagmono.laurent import (
+    LaurentPolynomial,
+    b1_support_rank,
+    invariance_check,
+    is_critical,
+    torsion_critical_points,
+)
 from lagmono.monodromy import symplectic_monodromy
 from lagmono.torussym import (
     FixedPointSet,
@@ -2898,3 +2907,58 @@ class TestSquareBareiss:
         a, b = system
         assert IntMat.from_rows(a).det() == old_det(a)
         assert bareiss_solve(a, b) == old_bareiss_solve(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Torsion grid walk
+
+
+def old_fraction_grid_points(w, bound):
+    """The Galois-orbit grid walk with one Fraction ``TorsionPoint`` per tested orbit and kept point."""
+
+    def grid_point(combo):
+        return TorsionPoint.make(Fraction(k, bound) for k in combo)
+
+    visited = bytearray(bound ** w.dim)
+    out = []
+    for index, combo in enumerate(itertools.product(range(bound), repeat=w.dim)):
+        if visited[index]:
+            continue
+        d = bound // math.gcd(bound, *combo)
+        orbit = [tuple(k * x % bound for x in combo) for k in range(d) if math.gcd(k, d) == 1]
+        for image in orbit:
+            mixed = 0
+            for x in image:
+                mixed = mixed * bound + x
+            visited[mixed] = 1
+        if is_critical(w, grid_point(combo)):
+            out.extend(grid_point(image) for image in orbit)
+    return tuple(sorted(set(out)))
+
+
+def symmetrised(dim, raw_terms):
+    """w(z) + w(1/z): invariant under -1, so every half-period point is critical."""
+    terms = {}
+    for e, c in raw_terms:
+        e = tuple(e[:dim])
+        for key in (e, tuple(-x for x in e)):
+            terms[key] = terms.get(key, 0) + c
+    return LaurentPolynomial.from_dict(dim, terms)
+
+
+TRIANGLE = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+
+
+class TestIntegerGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        bound=st.one_of(st.integers(1, 30), st.sampled_from((12, 24, 30))),
+        raw=st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * 3), st.integers(-3, 3)), min_size=1, max_size=4),
+    )
+    def test_grid_equals_fraction_walk(self, dim, bound, raw):
+        w = symmetrised(dim, raw)
+        assert torsion_critical_points(w, bound) == old_fraction_grid_points(w, bound)
+
+    def test_triangle_at_bound_60_equals_fraction_walk(self):
+        assert torsion_critical_points(TRIANGLE, 60) == old_fraction_grid_points(TRIANGLE, 60)
