@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedActionError,
 )
 from .intlat import IntMat, hermite_normal_form, primitive_vector, vec_gcd
-from .laurent import LaurentPolynomial, evaluate, invariance_check, is_critical
+from .laurent import LaurentPolynomial, _first_partials, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 
 Cyc = CyclotomicNumber
@@ -135,10 +135,10 @@ def clifford_constants(w: LaurentPolynomial, p: TorsionPoint) -> CliffordData:
         raise DimensionError("Clifford constants need a two-variable potential")
     if not is_critical(w, p):
         raise NotCriticalError(f"{p} is not a critical point")
-    first = w.partial(0)
+    first, second = _first_partials(w)
     lam = evaluate(first.partial(0), p) * Fraction(-1, 2)
     mu = -evaluate(first.partial(1), p)
-    nu = evaluate(w.partial(1).partial(1), p) * Fraction(-1, 2)
+    nu = evaluate(second.partial(1), p) * Fraction(-1, 2)
     return CliffordData(lam, mu, nu)
 
 

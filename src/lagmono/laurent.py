@@ -8,9 +8,10 @@ Criticality needs only a zero test, which stays in integers.  At a point p of
 order d, each term c z^e of a partial contributes c at x^((e . p d) mod d),
 giving the partial's image in Z[x]/(x^d - 1), with x standing for
 exp(2 pi i / d).  The partial vanishes at p exactly when that image folds to
-zero on the tensor basis of Z[zeta_d] (``cyclotomic._fold``).  ``evaluate``
-and ``gradient_hessian`` build full ``CyclotomicNumber`` values from the same
-image for callers that need them.
+zero on the tensor basis of Z[zeta_d] (``cyclotomic._fold``).  The torsion
+grid stays in integer numerators over the bound until one ``TorsionPoint`` is
+built per returned point.  ``evaluate`` and ``gradient_hessian`` build full
+``CyclotomicNumber`` values from the same image for callers that need them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, _fold
 from .errors import DimensionError, GridTooLargeError, ParseError
 from .intlat import IntMat, integer_rref
-from .torussym import TorsionPoint, content_lines, read_dim, read_fields, read_ints
+from .torussym import TorsionPoint, _points, content_lines, read_dim, read_fields, read_ints
 
 Exponent = tuple[int, ...]
 GRID_CAP = 200_000  # the most grid points torsion_critical_points walks unless told otherwise
@@ -152,23 +152,20 @@ def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     return CyclotomicNumber._from_image(d, _image(w, scaled, d))
 
 
-def gradient_hessian(
-    w: LaurentPolynomial, p: TorsionPoint
-) -> tuple[tuple[CyclotomicNumber, ...], tuple[tuple[CyclotomicNumber, ...], ...]]:
-    """Affine first and second partials of w, evaluated exactly at p."""
-    n = w.dim
-    partials = [w.partial(i) for i in range(n)]
-    grad = tuple(evaluate(partials[i], p) for i in range(n))
-    hess = tuple(
-        tuple(evaluate(partials[i].partial(j), p) for j in range(n)) for i in range(n)
-    )
-    return grad, hess
-
-
 @functools.lru_cache(maxsize=64)
 def _first_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
     """Affine first partials of w, kept across grid points."""
     return tuple(w.partial(i) for i in range(w.dim))
+
+
+def gradient_hessian(
+    w: LaurentPolynomial, p: TorsionPoint
+) -> tuple[tuple[CyclotomicNumber, ...], tuple[tuple[CyclotomicNumber, ...], ...]]:
+    """Affine first and second partials of w, evaluated exactly at p."""
+    partials = _first_partials(w)
+    grad = tuple(evaluate(f, p) for f in partials)
+    hess = tuple(tuple(evaluate(f.partial(j), p) for j in range(w.dim)) for f in partials)
+    return grad, hess
 
 
 def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
@@ -181,6 +178,11 @@ def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
     return not any(_fold(_image(w, scaled, d), d))
 
 
+def _critical(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
+    """True when every affine first partial of w vanishes at the point of order d with angles scaled / d."""
+    return all(_vanishes(f, scaled, d) for f in _first_partials(w))
+
+
 def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:
     """True when every affine first partial of w vanishes at p.
 
@@ -190,12 +192,7 @@ def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:
     """
     _check_dim(w, p)
     d = p.order()
-    scaled = [c.numerator * (d // c.denominator) for c in p.coords]
-    return all(_vanishes(f, scaled, d) for f in _first_partials(w))
-
-
-def _grid_point(combo: Sequence[int], bound: int) -> TorsionPoint:
-    return TorsionPoint.make(Fraction(k, bound) for k in combo)
+    return _critical(w, [c.numerator * (d // c.denominator) for c in p.coords], d)
 
 
 def torsion_critical_points(
@@ -207,8 +204,11 @@ def torsion_critical_points(
     so the automorphism zeta_d -> zeta_d^k of Q(zeta_d) maps every partial at
     p to the same partial at k p, for each k prime to d = ord(p); a point is
     critical exactly when its whole orbit {k p : gcd(k, d) = 1} is.  Each
-    orbit is tested once, at its first grid point, and added whole when
-    critical.  Visited points are marked by their mixed-radix grid index.
+    orbit is tested once, on the numerators over d of its first grid point,
+    and kept whole, as integer numerators over the bound, when critical.
+    Visited points are marked by their mixed-radix grid index.  The orbits
+    are disjoint, so the kept numerators need one sort and no ``set``; one
+    ``TorsionPoint`` is then built per returned point.
     """
     if order_bound < 1:
         raise ValueError("order bound must be positive")
@@ -228,9 +228,9 @@ def torsion_critical_points(
             for x in image:
                 mixed = mixed * order_bound + x
             visited[mixed] = 1
-        if is_critical(w, _grid_point(combo, order_bound)):
-            out.extend(_grid_point(image, order_bound) for image in orbit)
-    return tuple(sorted(set(out)))
+        if _critical(w, [x // (order_bound // d) for x in combo], d):
+            out.extend(orbit)
+    return _points(order_bound, out)
 
 
 def b1_support_rank(w: LaurentPolynomial) -> tuple[tuple[Exponent, ...], int]:

@@ -97,7 +97,7 @@ from lagmono.classify import (
     gl_order_feasible,
     ingest_catalog,
 )
-from lagmono import groups, torussym
+from lagmono import groups, laurent, torussym
 from lagmono.errors import NotFiniteError, NotMonotoneError, SearchTooLargeError
 from lagmono.groups import (
     MatrixGroup,
@@ -2947,6 +2947,8 @@ def symmetrised(dim, raw_terms):
 
 
 TRIANGLE = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+QUARTIC = LaurentPolynomial.from_dict(2, {(2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
+LINEAR = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1})
 
 
 class TestIntegerGrid:
@@ -2962,3 +2964,20 @@ class TestIntegerGrid:
 
     def test_triangle_at_bound_60_equals_fraction_walk(self):
         assert torsion_critical_points(TRIANGLE, 60) == old_fraction_grid_points(TRIANGLE, 60)
+
+    @pytest.mark.parametrize("w, bound, count", [(TRIANGLE, 60, 3), (QUARTIC, 12, 16), (LINEAR, 8, 0)])
+    def test_grid_builds_one_point_per_returned_point(self, w, bound, count):
+        init = TorsionPoint.__init__
+        with (
+            mock.patch.object(TorsionPoint, "make", side_effect=AssertionError("TorsionPoint.make called")),
+            mock.patch.object(laurent, "is_critical", side_effect=AssertionError("is_critical called")),
+            mock.patch.object(laurent, "_points", wraps=_points) as points,
+            mock.patch.object(TorsionPoint, "__init__", autospec=True, side_effect=init) as built,
+        ):
+            result = torsion_critical_points(w, bound)
+        assert len(result) == count
+        points.assert_called_once()
+        den, numerators = points.call_args.args
+        assert den == bound
+        assert all(type(x) is tuple and all(type(a) is int for a in x) for x in numerators)
+        assert built.call_count == count
