@@ -152,12 +152,6 @@ def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     return CyclotomicNumber._from_image(d, _image(w, scaled, d))
 
 
-@functools.lru_cache(maxsize=64)
-def _first_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
-    """Affine first partials of w, kept across grid points."""
-    return tuple(w.partial(i) for i in range(w.dim))
-
-
 def gradient_hessian(
     w: LaurentPolynomial, p: TorsionPoint
 ) -> tuple[tuple[CyclotomicNumber, ...], tuple[tuple[CyclotomicNumber, ...], ...]]:
@@ -166,6 +160,12 @@ def gradient_hessian(
     grad = tuple(evaluate(f, p) for f in partials)
     hess = tuple(tuple(evaluate(f.partial(j), p) for j in range(w.dim)) for f in partials)
     return grad, hess
+
+
+@functools.lru_cache(maxsize=64)
+def _first_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
+    """Affine first partials of w, kept across grid points and Hessian evaluations."""
+    return tuple(w.partial(i) for i in range(w.dim))
 
 
 def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:
