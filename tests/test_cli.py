@@ -152,6 +152,18 @@ class TestFilter:
         assert "admissible: value=True" in out
         assert "count=4" in out
 
+    @pytest.mark.parametrize("rank", [4, 6])
+    @pytest.mark.parametrize("blocks", [[[[1, 1], [0, 1]]], [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]]], ids=["shear", "infinite-dihedral"])
+    def test_infinite_group_plus_identity_refused(self, capsys, tmp_path, blocks, rank):
+        text = f"dim {rank}\n"
+        for block in blocks:
+            rows = [list(r) + [0] * (rank - 2) for r in block] + [[0, 0] + [int(i == j) for j in range(rank - 2)] for i in range(rank - 2)]
+            text += "gen\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        group = tmp_path / "infinite.group"
+        group.write_text(text)
+        code, out, err = invoke(capsys, "filter", str(group))
+        assert (code, out, err) == (2, "", "validation error: group is infinite: two distinct elements share a residue\n")
+
 
 class TestConjecture:
     def test_rank3_catalog(self, capsys):

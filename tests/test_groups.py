@@ -215,6 +215,26 @@ def test_infinite_group_refused_at_once(gens):
     assert time.perf_counter() - start < 0.01
 
 
+def plus_identity(rows, n):
+    """The block-diagonal matrix diag(rows, I_(n - len(rows)))."""
+    k = len(rows)
+    return IntMat.from_rows([list(r) + [0] * (n - k) for r in rows] + [[0] * k + [int(i == j) for j in range(n - k)] for i in range(n - k)])
+
+
+INFINITE_GENERATORS = {"shear": [[[1, 1], [0, 1]]], "infinite-dihedral": [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]]}
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+@pytest.mark.parametrize("name", INFINITE_GENERATORS)
+def test_infinite_group_plus_identity_refused_at_once(name, rank):
+    # A finite group has at most n M(n) basis-orbit points; these infinite ones are refused long before.
+    gens = [plus_identity(g, rank) for g in INFINITE_GENERATORS[name]]
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteError, match="^group is infinite: two distinct elements share a residue$"):
+        MatrixGroup.from_generators(rank, gens)
+    assert time.perf_counter() - start < 0.01
+
+
 @pytest.mark.parametrize(
     "make",
     [

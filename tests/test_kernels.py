@@ -42,7 +42,9 @@ division, reduction, promotion and descent (``OldCyclotomicNumber``,
 ``laurent.invariance_check`` answers alike (``old_candidate_filter``), and
 the grid walk of ``laurent.torsion_critical_points`` that built a Fraction
 ``TorsionPoint`` for every tested orbit and kept point
-(``old_fraction_grid_points``).
+(``old_fraction_grid_points``), and the closure and subgroup chain of
+``MatrixGroup`` walked by ``IntMat`` products (``old_matrix_from_generators``,
+``old_matrix_chain``).
 ``floer._two_column_kernel`` is checked against the old elimination loop.
 They are kept here only as oracles.
 """
@@ -115,7 +117,9 @@ from lagmono.intlat import (
     hermite_normal_form,
     kernel_lattice,
     matrix_order,
+    minkowski_bound,
     primitive_vector,
+    residue_mod_3,
     vec_gcd,
 )
 from lagmono.laurent import (
@@ -2507,6 +2511,76 @@ class TestOrbitWalks:
             assert_forced_equals_lattice_search(group)
         assert minus not in non_central(group, handed)
         assert walks and all(gens == non_central(group, handed) for _, gens in walks)
+
+
+def old_matrix_from_generators(dim, gens):
+    """The sorted elements of the group generated by gens, closed by IntMat products."""
+    closure = cayley_closure(IntMat.identity(dim), list(gens), IntMat.__matmul__, residue_mod_3, minkowski_bound(dim))
+    return tuple(sorted(set(closure), key=IntMat.canonical_key))
+
+
+def old_matrix_chain(elements):
+    """(gens, walk, sizes) of the greedy subgroup chain over the sorted elements, walked by IntMat products."""
+    identity = IntMat.identity(elements[0].nrows)
+    gens, walk, sizes, members = [], [identity], [1], {identity}
+    for x in elements:
+        if len(walk) == len(elements):
+            break
+        if x not in members:
+            gens.append(x)
+            walk = cayley_closure(identity, gens, IntMat.__matmul__, prefix=walk)
+            members.update(walk[sizes[-1]:])
+            sizes.append(len(walk))
+    return tuple(gens), tuple(walk), tuple(sizes)
+
+
+def assert_matrix_walks_equal_old(group, gens=None):
+    """Elements, chain and generators() equal the IntMat-product walks, for the group and
+    for the closure of gens (by default the old chain's generators)."""
+    chain = old_matrix_chain(group.elements)
+    gens = chain[0] if gens is None else gens
+    assert group.elements == old_matrix_from_generators(group.dim, gens)
+    for g in (group, MatrixGroup.from_generators(group.dim, gens)):
+        assert g.elements == group.elements
+        assert g.chain == chain
+        assert g.generators() == chain[0]
+
+
+@st.composite
+def conjugated_generators(draw):
+    """(dim, gens): up to three elements of an ambient group, repeats and the identity allowed, under a unimodular conjugation."""
+    ambient = draw(st.sampled_from(SMALL_GROUP_AMBIENTS))
+    u, u_inv = draw(unimodular_pairs(ambient.dim))
+    return ambient.dim, [u @ g @ u_inv for g in draw(st.lists(st.sampled_from(ambient.elements), max_size=3))]
+
+
+def hyperoctahedral(n):
+    """B_n, the signed permutation matrices, from a sign change, a transposition and an n-cycle."""
+    cycle = tuple(range(1, n)) + (0,)
+    return [diagonal(-1, *(1,) * (n - 1)), signed_permutation((1, 0, *range(2, n)), (1,) * n), signed_permutation(cycle, (1,) * n)]
+
+
+class TestMatrixWalkOracle:
+    @pytest.mark.parametrize("name", MOVED_CASES)
+    def test_named_groups_equal_matrix_walks(self, name):
+        assert_matrix_walks_equal_old(MOVED_CASES[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups())
+    def test_small_conjugated_groups_equal_matrix_walks(self, group):
+        assert_matrix_walks_equal_old(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(conjugated_generators())
+    def test_closure_of_drawn_generators_equals_matrix_walks(self, case):
+        dim, gens = case
+        assert_matrix_walks_equal_old(MatrixGroup.from_generators(dim, gens), gens)
+
+    @pytest.mark.parametrize("n, order", [(4, 384), (5, 3840)])
+    def test_hyperoctahedral_groups_equal_matrix_walks(self, n, order):
+        group = MatrixGroup.from_generators(n, hyperoctahedral(n))
+        assert group.order == order
+        assert_matrix_walks_equal_old(group, hyperoctahedral(n))
 
 
 @st.composite
