@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 from .cyclotomic import euler_phi, prime_divisors
 from .errors import NonUnimodularError, NotFiniteError, ParseError, SearchTooLargeError
-from .groups import MatrixGroup, Perm, compose, identity_perm
+from .groups import MatrixGroup, Perm, compose, identity_perm, perm_order
 from .intlat import IntMat, matrix_order
 from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
@@ -260,18 +260,15 @@ def embed_symmetric_product(
     identity = identity_perm(sum(parts))
     by_order: dict[int, list[Perm]] = {}
     for t in split:
-        order, power = 1, t
-        while power != identity:
-            order, power = order + 1, compose(power, t)
-        by_order.setdefault(order, []).append(t)
+        by_order.setdefault(perm_order(t), []).append(t)
 
-    gens, walk, sizes = group.chain
-    candidate_lists = [by_order.get(matrix_order(g), []) for g in gens]
+    gens, walk, sizes = group.perm_chain  # G as permutations of its basis orbit
+    candidate_lists = [by_order.get(perm_order(g), []) for g in gens]
     if not all(candidate_lists):
         return None
 
     position = {g: i for i, g in enumerate(walk)}
-    right = [[position[g @ s] for s in gens] for g in walk]
+    right = [[position[compose(g, s)] for s in gens] for g in walk]
 
     def extend(image: list[Perm], used: set[Perm], targets: tuple[Perm, ...]):
         """Images of <gens[:m + 1]> from those of <gens[:m]>, m = len(targets) - 1, or None."""
@@ -302,7 +299,7 @@ def embed_symmetric_product(
         return None
 
     image = search([identity], {identity}, ())
-    return None if image is None else tuple((g, split[image[position[g]]]) for g in group.elements)
+    return None if image is None else tuple((g, split[image[position[p]]]) for g, p in zip(group, group.perms))
 
 
 def gl_order_feasible(m: int, k: int) -> bool:
@@ -335,7 +332,7 @@ def conjecture_filter(catalog: GroupCatalog) -> tuple[ConjectureVerdict, ...]:
         n = catalog.dim
         found = ((parts, embed_symmetric_product(group, parts)) for parts in _symmetric_part_choices(n))
         case2_parts, case2 = next(((parts, e) for parts, e in found if e is not None), (None, None))
-        orders = sorted({matrix_order(g) for g in group})
+        orders = sorted(set(map(perm_order, group.perms)))
         case1 = all(gl_order_feasible(order, n - 1) for order in orders)
         status = {(True, True): "BOTH", (False, True): "CASE2", (True, False): "CASE1_NECESSARY"}.get(
             (case1, case2 is not None), "UNKNOWN"

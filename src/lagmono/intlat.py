@@ -115,9 +115,6 @@ class IntMat:
         sign, pivots = _bareiss(m)
         return sign * m[-1][-1] if len(pivots) == self.nrows else 0
 
-    def is_identity(self) -> bool:
-        return self == IntMat.identity(self.nrows) if self.nrows == self.ncols else False
-
     def canonical_key(self):
         """Total order putting entrywise-smaller and sign-positive matrices first."""
         return tuple(2 * abs(x) + (x < 0) for r in self.rows for x in r)

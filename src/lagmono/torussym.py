@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError, ParseError
-from .groups import MatrixGroup, cayley_closure
+from .groups import MatrixGroup, cayley_closure, compose
 from .intlat import IntMat, LatticeBasis, Vec, hermite_normal_form
 
 
@@ -146,29 +146,30 @@ def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
 def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     """Points every admissible monodromy element must fix.
 
-    A point is forced when some subset S of the group fixes it while S has
-    no common fixed vector.  Fix(S) depends only on L(S), the row lattice of
-    the stacked g^T - I for g in S, which has rank n exactly when S has no
-    common fixed vector; L(S + g) = L(S) + L(g) and L(g^-1) = L(g).  A
-    breadth-first search over canonical LatticeBasis states adds one
-    distinct L(g) per step, skipping a step whose rows are members of the
-    state or that does not raise its rank; joined to the zero state, a step
-    is already in Hermite form.  Conjugation by h maps L(S) to L(S) h^T and
-    is trivial for a central h, so the orbit of each new state of rank below
-    n is walked by ``cayley_closure`` under the generators that are not
+    A point is forced when some subset S of the group fixes it while S has no
+    common fixed vector.  Fix(S) depends only on L(S), the row lattice of the
+    stacked g^T - I for g in S, which has rank n exactly when S has no common
+    fixed vector; L(S + g) = L(S) + L(g), and L(g^k) = L(g) for k prime to
+    ord(g).  A breadth-first search over canonical LatticeBasis states adds one
+    distinct L(g) per step, one g per cyclic subgroup, skipping a step whose
+    rows are members of the state or that does not raise its rank; joined to the
+    zero state, a step is in Hermite form.  Conjugation by h maps L(S) to L(S)
+    h^T and is trivial for a central h, so the orbit of each new state of rank
+    below n is walked by ``cayley_closure`` under the generators that are not
     central (none, in an abelian group) and marked seen, and only the state
-    itself is extended.  It is exact: a subset S of rank n holds a subset,
-    in index order, whose rank rises at each element, and the state of that
-    subset, whose locus contains Fix(S), is conjugate to a full-rank state
-    reached from an orbit representative.  Full-rank states are not walked:
-    the answer unites their loci, read off their Hermite bases, and closes
-    the points under x -> g^T x, since Fix(L h^T) = h^-T Fix(L) and the
-    forced set is G-invariant.  The points stay integer numerators over the
-    lcm of the loci's det H until one TorsionPoint is built per point.
+    itself is extended.  It is exact: a subset S of rank n holds a subset, in
+    index order, whose rank rises at each element, and the state of that subset,
+    whose locus contains Fix(S), is conjugate to a full-rank state reached from
+    an orbit representative.  Full-rank states are not walked: the answer unites
+    their loci, read off their Hermite bases, and closes the points under x ->
+    g^T x, since Fix(L h^T) = h^-T Fix(L) and the forced set is G-invariant.
+    The points stay integer numerators over the lcm of the loci's det H until
+    one TorsionPoint is built per point.
     """
     n, gens = group.dim, group.generators()
-    moving = [h for h in gens if any(h @ g != g @ h for g in gens if g is not h)]  # the generators not central
-    steps = dict.fromkeys(LatticeBasis._of(n, [*_delta_rows(g)]) for g in group.nonidentity())
+    perm = dict(zip(group, group.perms))  # the generators not central, found by permutation products
+    moving = [h for h in gens if any(compose(perm[h], perm[g]) != compose(perm[g], perm[h]) for g in gens)]
+    steps = dict.fromkeys(LatticeBasis._of(n, [*_delta_rows(g)]) for g in group.cyclic_generators())
     seen: set[LatticeBasis] = set()
     queue = [LatticeBasis(n, ())]
     for state in queue:  # appended to while read, so breadth first

@@ -37,13 +37,14 @@ from lagmono.floer import (
     hessian_theorem_check,
     reduce_binary_form,
 )
-from lagmono.groups import MatrixGroup, permute_vector
+from lagmono.groups import MatrixGroup
 from lagmono.intlat import IntMat, LatticeBasis
 from lagmono.laurent import LaurentPolynomial, is_critical
 from lagmono.monodromy import hamiltonian_monodromy, symplectic_monodromy
 from lagmono.polytopes import STANDARD_FIXTURES
 from lagmono.torussym import TorsionPoint, act, monomial_fixed_points
 from lagmono.toric import toric_fiber_data
+from test_monodromy import permute_vector
 
 F = Fraction
 rat = CyclotomicNumber.from_rational

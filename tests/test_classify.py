@@ -95,7 +95,7 @@ class TestIdentify:
         for name, group in catalog_n2().entries:
             for _ in range(8):
                 u, u_inv = random_unimodular(rng)
-                assert (u @ u_inv).is_identity()
+                assert u @ u_inv == IntMat.identity(u.nrows)
                 conj = group.conjugate(u, u_inv)
                 assert identify_class_n2(conj) == name
                 count += 1

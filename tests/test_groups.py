@@ -136,7 +136,7 @@ def test_signed_permutation_groups_match_oracle(case):
     check_group_layer(group, gens, IntMat.identity(dim), IntMat.__matmul__)
     for g in group:
         power, k = g, 1
-        while not power.is_identity():
+        while power != IntMat.identity(dim):
             power, k = power @ g, k + 1
         assert matrix_order(g) == k
 

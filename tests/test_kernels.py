@@ -94,7 +94,9 @@ from lagmono.floer import (
 )
 from lagmono.classify import (
     _symmetric_part_choices,
+    GroupCatalog,
     catalog_n2,
+    conjecture_filter,
     embed_symmetric_product,
     gl_order_feasible,
     ingest_catalog,
@@ -107,7 +109,7 @@ from lagmono.groups import (
     cayley_closure,
     compose,
     identity_perm,
-    permute_vector,
+    perm_order,
 )
 from lagmono.intlat import (
     IntMat,
@@ -154,6 +156,7 @@ from lagmono.toric import (
     toric_fiber_data,
     validate_delzant,
 )
+from test_monodromy import permute_vector
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Cyc = CyclotomicNumber
@@ -2544,6 +2547,7 @@ def assert_matrix_walks_equal_old(group, gens=None):
         assert g.elements == group.elements
         assert g.chain == chain
         assert g.generators() == chain[0]
+        assert list(map(perm_order, g.perms)) == list(map(matrix_order, g.elements))
 
 
 @st.composite
@@ -2581,6 +2585,55 @@ class TestMatrixWalkOracle:
         group = MatrixGroup.from_generators(n, hyperoctahedral(n))
         assert group.order == order
         assert_matrix_walks_equal_old(group, hyperoctahedral(n))
+
+
+def old_steps(group):
+    """The forced-point search's steps, one elimination per nonidentity element."""
+    return list(dict.fromkeys(LatticeBasis._of(group.dim, [*_delta_rows(g)]) for g in group.nonidentity()))
+
+
+class TestOneStepPerCyclicSubgroup:
+    @pytest.mark.parametrize("name", MOVED_CASES)
+    def test_steps_equal_one_per_element(self, name):
+        group = MOVED_CASES[name]
+        firsts = group.cyclic_generators()
+        assert list(dict.fromkeys(LatticeBasis._of(group.dim, [*_delta_rows(g)]) for g in firsts)) == old_steps(group)
+        # Each first generates its own cyclic subgroup, and every nonidentity element generates one of them.
+        cyclic = [frozenset(cayley_closure(IntMat.identity(group.dim), [g], IntMat.__matmul__)) for g in firsts]
+        assert len(set(cyclic)) == len(firsts)
+        assert {frozenset(cayley_closure(IntMat.identity(group.dim), [g], IntMat.__matmul__)) for g in group.nonidentity()} == set(cyclic)
+        assert firsts == sorted(firsts, key=IntMat.canonical_key)
+
+    @pytest.mark.parametrize("name, before, after", [("B3", 47, 33), ("S4", 23, 16), ("C12", 11, 5), ("signs4", 15, 15)])
+    def test_eliminations_counted(self, name, before, after):
+        group = MOVED_CASES[name]
+        assert len(group.nonidentity()) == before
+        with mock.patch.object(torussym, "_delta_rows", wraps=_delta_rows) as spy:
+            forced_critical_points(group)
+        assert spy.call_count == after
+
+
+FAST_PATH_CASES = {
+    "B4": (4, hyperoctahedral(4), "RULED_OUT"),
+    "3f": (2, [IntMat.from_rows([[0, -1], [1, -1]]), IntMat.from_rows([[0, 1], [1, 0]])], "CASE2"),
+    "S4": (4, [signed_permutation(p, (1,) * 4) for p in ((1, 0, 2, 3), (1, 2, 3, 0))], "BOTH"),
+}
+
+
+class TestPermutationFastPath:
+    @pytest.mark.parametrize("name", FAST_PATH_CASES)
+    def test_no_matrix_products_or_matrix_orders(self, name):
+        dim, gens, status = FAST_PATH_CASES[name]
+        # A silent fall-back to IntMat products would give the same answers, only slower.
+        with mock.patch.object(IntMat, "__matmul__", autospec=True, side_effect=IntMat.__matmul__) as products, \
+                mock.patch("lagmono.intlat.matrix_order", wraps=matrix_order) as orders, \
+                mock.patch("lagmono.classify.matrix_order", wraps=matrix_order) as classify_orders:
+            group = MatrixGroup.from_generators(dim, gens)
+            group.generators()
+            forced_critical_points(group)
+            (verdict,) = conjecture_filter(GroupCatalog(dim, (("G", group),)))
+        assert verdict.status == status  # an admissible group also runs the embedding search and the orders
+        assert products.call_count == orders.call_count == classify_orders.call_count == 0
 
 
 @st.composite

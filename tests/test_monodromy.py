@@ -7,7 +7,7 @@ import pytest
 
 from lagmono import toric
 from lagmono.cli import run
-from lagmono.groups import PermutationGroup, permute_vector
+from lagmono.groups import PermutationGroup
 from lagmono.intlat import IntMat, LatticeBasis, matrix_order
 from lagmono.monodromy import (
     hamiltonian_monodromy,
@@ -23,6 +23,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def fiber(name):
     return toric_fiber_data(STANDARD_FIXTURES[name])
+
+
+def permute_vector(p, v):
+    """Move the entry at position i to position p(i)."""
+    out = [None] * len(v)
+    for i, x in enumerate(v):
+        out[p[i]] = x
+    return tuple(out)
 
 
 def brute_stabilizers(k: LatticeBasis):
@@ -142,7 +150,7 @@ class TestInducedMatrices:
             mats = induced_matrix_group(data, hamiltonian_monodromy(data))
             assert mats.order != 3, name
             if mats.order == 2:
-                gen = next(g for g in mats if not g.is_identity())
+                gen = next(g for g in mats if g != IntMat.identity(g.nrows))
                 assert gen.det() == -1, name
 
 

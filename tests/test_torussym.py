@@ -220,7 +220,7 @@ class TestAdmissibleGroup:
                         [[s.rows[1][1], -s.rows[0][1]], [-s.rows[1][0], s.rows[0][0]]]
                     )
                     u_inv = s_inv @ u_inv
-                assert (u @ u_inv).is_identity()
+                assert u @ u_inv == IntMat.identity(u.nrows)
                 conj, _ = admissible_group(group.conjugate(u, u_inv))
                 assert conj == base
 
