@@ -2594,7 +2594,7 @@ def old_steps(group):
 
 class TestOneStepPerCyclicSubgroup:
     @pytest.mark.parametrize("name", MOVED_CASES)
-    def test_steps_equal_one_per_element(self, name):
+    def test_steps_equal_the_steps_of_every_element(self, name):
         group = MOVED_CASES[name]
         firsts = group.cyclic_generators()
         assert list(dict.fromkeys(LatticeBasis._of(group.dim, [*_delta_rows(g)]) for g in firsts)) == old_steps(group)
