@@ -44,12 +44,17 @@ the grid walk of ``laurent.torsion_critical_points`` that built a Fraction
 ``TorsionPoint`` for every tested orbit and kept point
 (``old_fraction_grid_points``), and the closure and subgroup chain of
 ``MatrixGroup`` walked by ``IntMat`` products (``old_matrix_from_generators``,
-``old_matrix_chain``).
+``old_matrix_chain``), and the group and matrix block of ``cli.run_toric``,
+which walked each monodromy group and induced its generators' matrices on its
+own (``old_toric_records``, run with the Fraction validation and normalisation
+as ``old_toric_run``).
 ``floer._two_column_kernel`` is checked against the old elimination loop.
 They are kept here only as oracles.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import math
 import pathlib
@@ -61,7 +66,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lagmono.cyclotomic import (
     CyclotomicNumber,
@@ -108,6 +113,7 @@ from lagmono.groups import (
     PermutationGroup,
     cayley_closure,
     compose,
+    cycle_notation,
     identity_perm,
     perm_order,
 )
@@ -131,7 +137,8 @@ from lagmono.laurent import (
     is_critical,
     torsion_critical_points,
 )
-from lagmono.monodromy import symplectic_monodromy
+from lagmono.cli import _emit, run
+from lagmono.monodromy import hamiltonian_monodromy, induced_matrices, partition_bound_check, symplectic_monodromy
 from lagmono.torussym import (
     FixedPointSet,
     TorsionPoint,
@@ -153,6 +160,7 @@ from lagmono.toric import (
     _recession_ray,
     coefficient_partition,
     monotone_normalize,
+    parse_polytope,
     toric_fiber_data,
     validate_delzant,
 )
@@ -1518,6 +1526,60 @@ def old_validate_delzant(p):
                 False, "NOT_COMPACT", f"unbounded along direction {ray}", vertices=vertices, warnings=warnings
             )
     return ValidationReport(True, vertices=vertices, warnings=warnings)
+
+
+def old_toric_records(data):
+    """The group and matrix block of ``cli.run_toric``: each group walked, and its generators induced, on its own."""
+    hamiltonian = hamiltonian_monodromy(data)
+    symplectic = symplectic_monodromy(data)
+    records = []
+    for name, group in (("hamiltonian", hamiltonian), ("symplectic", symplectic)):
+        gens = group.generators()
+        mats = induced_matrices(data, gens)
+        records.append(
+            {
+                "record": name,
+                "order": group.order,
+                "generators": [cycle_notation(p) for p in gens] or ["id"],
+                "induced": [f"{cycle_notation(p)} -> {m}" for p, m in zip(gens, mats)],
+                "matrix_group_order": group.order,
+            }
+        )
+    records.append({"record": "equal_groups", "value": hamiltonian == symplectic})
+    return records
+
+
+def old_toric_run(p):
+    """(exit code, records) of ``toric`` on p, over the Fraction validation and normalisation and the old group block."""
+    records = [{"record": "polytope", "dim": p.dim, "facets": p.nfacets, "mode": p.mode.value}]
+    report = old_validate_delzant(p)
+    records.append(
+        {
+            "record": "validation",
+            "status": "PASS" if report.ok else "FAIL",
+            "failure": report.failure or "",
+            "witness": report.witness or "",
+            "warnings": list(report.warnings),
+        }
+    )
+    if not report.ok:
+        return 2, records
+    try:
+        normalized = old_monotone_normalize(p)
+    except NotMonotoneError as exc:
+        return 2, records + [{"record": "monotone", "status": "FAIL", "reason": str(exc)}]
+    data = toric_fiber_data(normalized)
+    records += [
+        {"record": "monotone", "status": "OK", "offset": normalized.offsets[0]},
+        {"record": "relations", "rank": data.relations.rank, "basis": [list(v) for v in data.relations.basis]},
+        {"record": "potential", "value": str(data.potential)},
+        {
+            "record": "partition",
+            "blocks": [[i + 1 for i in block] for block in data.partition.blocks],
+            "bound_ok": partition_bound_check(data.partition, p.dim),
+        },
+    ]
+    return 0, records + old_toric_records(data)
 
 
 def old_normal_base(data):
@@ -2946,6 +3008,15 @@ class TestDelzantValidation:
         assert report == old_validate_delzant(p)
         assert report.failure == failure
 
+    @pytest.mark.parametrize(
+        "normals, det",
+        [(((1, 0), (0, 1), (-1, -2)), -2), (((-1, -2), (0, 1), (1, 0)), 2)],
+    )
+    def test_weighted_plane_witness_keeps_signed_determinant(self, normals, det):
+        # P(1,1,2): the vertex (-1, 1) lies on (1, 0) and (-1, -2), taken in facet order.
+        report = validate_delzant(DelzantPolytope(2, normals, (1, 1, 1)))
+        assert (report.failure, report.witness) == ("VERTEX_SMOOTHNESS", f"vertex (-1, 1) has normal determinant {det}")
+
 
 @st.composite
 def offset_systems(draw):
@@ -2985,6 +3056,50 @@ class TestMonotoneNormalize:
     @given(st.one_of(offset_systems(), random_polytopes().filter(lambda p: p.dim >= 2), moved_fixtures()))
     def test_translation_equals_fraction_solve(self, p):
         assert normalized_or_refusal(monotone_normalize, p) == normalized_or_refusal(old_monotone_normalize, p)
+
+
+# The 14 shipped polytopes and the seven generated bases of the toric-sweep benchmark workload.
+TORIC_BASES = {
+    **{path.stem: parse_polytope(path.read_text()) for path in sorted(FIXTURES.glob("*.poly"))},
+    "cube4": cube(4),
+    "cp4": projective_space(4),
+    "cp2xcp2": projective_product((2, 2)),
+    "cp1xcp3": projective_product((1, 3)),
+    "cp1xcp1xcp2": projective_product((1, 1, 2)),
+    "bl1cp2xcp1": polytope_product(blowup_cp2(1), projective_product((1,))),
+    "bl2cp2xcp1": polytope_product(blowup_cp2(2), projective_product((1,))),
+}
+
+
+@st.composite
+def moved_toric_bases(draw):
+    p = TORIC_BASES[draw(st.sampled_from(sorted(TORIC_BASES)))]
+    return draw(moved_polytopes(p, p.mode))
+
+
+def polytope_text(p):
+    facets = [f"facet {' '.join(map(str, nu))} {offset}" for nu, offset in zip(p.normals, p.offsets)]
+    return "\n".join([f"dim {p.dim}", f"mode {p.mode.value}", *facets]) + "\n"
+
+
+def captured(call, *args):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = call(*args)
+    return code, out.getvalue()
+
+
+class TestToricPipeline:
+    def test_toric_equals_old_pipeline(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("toric") / "p.poly"
+
+        @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(st.one_of(moved_toric_bases(), weighted_simplices(), redundant_polytopes(), random_polytopes()))
+        def check(p):
+            path.write_text(polytope_text(p))
+            code, records = old_toric_run(p)
+            assert captured(run, ["--json", "toric", str(path)]) == (code, captured(_emit, records, True)[1]), p
+
+        check()
 
 
 @st.composite
