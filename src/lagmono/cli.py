@@ -13,6 +13,7 @@ cached.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -123,20 +124,25 @@ def run_toric(args) -> int:
     )
     hamiltonian = hamiltonian_monodromy(data)
     symplectic = symplectic_monodromy(data)
-    for name, group in (("hamiltonian", hamiltonian), ("symplectic", symplectic)):
-        gens = group.generators()
-        mats = induced_matrices(data, gens)
+    # H <= S and both hold sorted element tuples, so equal orders mean equal groups: one object, one chain walk.
+    if symplectic.order == hamiltonian.order:
+        symplectic = hamiltonian
+    named = (("hamiltonian", hamiltonian), ("symplectic", symplectic))
+    gens = {name: group.generators() for name, group in named}
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(gens.values())))
+    mats = dict(zip(distinct, induced_matrices(data, distinct)))
+    for name, group in named:
         records.append(
             {
                 "record": name,
                 "order": group.order,
-                "generators": [cycle_notation(p) for p in gens] or ["id"],
-                "induced": [f"{cycle_notation(p)} -> {m}" for p, m in zip(gens, mats)],
+                "generators": [cycle_notation(p) for p in gens[name]] or ["id"],
+                "induced": [f"{cycle_notation(p)} -> {mats[p]}" for p in gens[name]],
                 # Exact: validation rejects repeated normals, so a matrix determines its permutation.
                 "matrix_group_order": group.order,
             }
         )
-    records.append({"record": "equal_groups", "value": hamiltonian == symplectic})
+    records.append({"record": "equal_groups", "value": hamiltonian.order == symplectic.order})
     _emit(records, args.json)
     return EXIT_OK
 

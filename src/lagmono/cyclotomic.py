@@ -175,12 +175,6 @@ class CyclotomicNumber:
         return cls(1, (q.numerator,), q.denominator)
 
     @classmethod
-    def root_of_unity(cls, d: int, power: int = 1) -> "CyclotomicNumber":
-        nums = [0] * (power % d + 1)
-        nums[power % d] = 1
-        return cls(d, tuple(nums))
-
-    @classmethod
     def _canonical(cls, d: int, nums: Sequence[int], den: int = 1) -> "CyclotomicNumber":
         """The value nums / den, whose numerators must already be canonical at conductor d."""
         value = object.__new__(cls)
@@ -206,15 +200,6 @@ class CyclotomicNumber:
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational coefficients on the power basis of Q(zeta_conductor)."""
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def promoted_coeffs(self, d: int) -> tuple[Fraction, ...]:
-        """Coefficients of this value on the power basis of Q(zeta_d)."""
-        if d % self.conductor != 0:
-            raise ValueError(f"conductor {self.conductor} does not divide {d}")
-        step = d // self.conductor
-        spread = [0] * (step * (len(self.nums) - 1) + 1)
-        spread[::step] = self.nums
-        return tuple(Fraction(n, self.den) for n in _polydivmod(spread, cyclotomic_polynomial(d))[1])
 
     def is_rational(self) -> bool:
         return self.conductor == 1

@@ -48,10 +48,6 @@ class CliffordData:
         """Some constant leaves the cyclotomic integers, as odd mixed second partials allow."""
         return not all(c.is_integral() for c in self.constants())
 
-    @classmethod
-    def from_integers(cls, lam: int, mu: int, nu: int) -> "CliffordData":
-        return cls(Cyc.from_rational(lam), Cyc.from_rational(mu), Cyc.from_rational(nu))
-
     def constants(self) -> tuple[Cyc, Cyc, Cyc]:
         return (self.lam, self.mu, self.nu)
 
@@ -64,10 +60,6 @@ class CliffordElement:
     au: Cyc
     av: Cyc
     auv: Cyc
-
-    @classmethod
-    def scalar(cls, value: Cyc | int) -> "CliffordElement":
-        return cls(_cyc(value), Cyc.zero(), Cyc.zero(), Cyc.zero())
 
     @classmethod
     def even(cls, p: Cyc | int, q: Cyc | int) -> "CliffordElement":

@@ -105,7 +105,10 @@ def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat
     The matrix M of a permutation sends normal j to normal perm[j].  With B
     the matrix whose columns are n independent normals and P the matrix of
     their images, M = P B^-1; B is inverted once, and every M is checked to
-    be integral, unimodular and right on every normal.
+    be integral, unimodular and right on every normal.  Callers pass each
+    permutation once: ``run_toric`` passes the distinct generators of both
+    monodromy groups, one group object when H = S (H <= S, so equal orders
+    mean equal groups).
     """
     normals = data.polytope.normals
     n = data.polytope.dim
@@ -114,10 +117,10 @@ def induced_matrices(data: ToricFiberData, perms: Sequence[Perm]) -> list[IntMat
         raise InconsistentPermutationError("facet normals do not span")
     mats = []
     for perm in perms:
-        image = IntMat.from_rows([normals[perm[i]] for i in base_idx]).transpose()
+        image = IntMat._of(tuple(zip(*(normals[perm[i]] for i in base_idx))))
         scaled = image @ inverse
         integral = not any(x % den for r in scaled.rows for x in r)
-        mat = IntMat.from_rows([[x // den for x in r] for r in scaled.rows])
+        mat = IntMat._of(tuple(tuple(x // den for x in r) for r in scaled.rows))
         if not integral or abs(mat.det()) != 1:
             raise InconsistentPermutationError(
                 f"permutation {perm} is not induced by a unimodular map"

@@ -4,13 +4,14 @@ A polytope is the set of x with <x, nu_j> >= -lambda_j for primitive integer
 normals nu_j and rational offsets lambda_j.  Validation enumerates vertices
 in integers: each n-subset of facets is solved by one fraction-free
 elimination, and feasibility and activity are integer sign tests.  It then
-checks simplicity, smoothness, non-redundancy and the mode-specific
-condition: compactness, decided by counting the vertices on each edge, or
-existence of a vertex.  The monotone fibre sits over the point where all
-offsets agree; its data are the relation lattice of the normals, the
-potential summing one monomial per facet, and, computed once per fibre, the
-coefficient partition of the normals and a base among them, found by one
-fraction-free elimination.
+checks simplicity, smoothness, read off the determinants those solves
+return, non-redundancy and the mode-specific condition: compactness,
+decided by counting the vertices on each edge, or existence of a vertex.
+The monotone fibre sits over the point where all offsets agree, found by one
+more elimination in integer numerators; its data are the relation lattice
+of the normals, the potential summing one monomial per facet, and, computed
+once per fibre, the coefficient partition of the normals and a base among
+them, found by one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -102,20 +103,22 @@ def _integer_levels(p: DelzantPolytope) -> tuple[int, list[int]]:
     return scale, [o.numerator * (scale // o.denominator) for o in p.offsets]
 
 
-def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
-    """All vertices as exact rational points with their active facet sets, sorted by point.
+def _enumerate_vertices(p: DelzantPolytope) -> tuple[list[Vertex], set[tuple[int, ...]]]:
+    """All vertices as exact rational points with their active facet sets, sorted by point, and the
+    active sets whose first solving subset has |det| != 1.
 
     With the offsets scaled by their common denominator L to integers l_j,
     the vertex of an independent n-subset of facets solves A x = -l / L.
-    ``bareiss_solve`` gives (D, y) with A y = -D l, so x = y / (D L); with
-    D made positive, x is feasible exactly when <y, nu_j> + l_j D >= 0 for
-    every facet j, and facet j is active exactly when equality holds.  Only
-    a kept vertex becomes a Fraction point.
+    ``bareiss_solve`` gives (D, y) with A y = -D l and D = +-det A, so
+    x = y / (D L); with D made positive, x is feasible exactly when
+    <y, nu_j> + l_j D >= 0 for every facet j, and facet j is active exactly
+    when equality holds.  Only a kept vertex becomes a Fraction point.
     """
     n, N = p.dim, p.nfacets
     scale, levels = _integer_levels(p)
     facets = list(zip(p.normals, levels))
     found: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    singular = set()
     for subset in itertools.combinations(range(N), n):
         solved = bareiss_solve([p.normals[j] for j in subset], [-levels[j] for j in subset])
         if solved is None:
@@ -129,7 +132,10 @@ def _enumerate_vertices(p: DelzantPolytope) -> list[Vertex]:
         active = tuple(j for j, s in enumerate(slack) if s == 0)
         if active not in found:
             found[active] = tuple(Fraction(x, d * scale) for x in y)
-    return [Vertex(point, active) for active, point in sorted(found.items(), key=lambda item: item[1])]
+            if d != 1:
+                singular.add(active)
+    vertices = [Vertex(point, active) for active, point in sorted(found.items(), key=lambda item: item[1])]
+    return vertices, singular
 
 
 def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
@@ -163,6 +169,10 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
     n - 1 facets of v.active other than j, so each such set must be shared
     by exactly two vertices; an unbounded edge has only one end.  Only then
     does ``_recession_ray`` look for the direction that the refusal names.
+    Smoothness is read off the vertex solves: once every vertex is simple,
+    the subset that found it is its active set, so it is smooth exactly when
+    that solve's |D| is 1.  Only a failing vertex's determinant is computed
+    again, for the signed value its witness names.
     """
     warnings = ()
     if p.mode is Mode.VERTEX_REQUIRED:
@@ -170,8 +180,9 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
     vertices: tuple[Vertex, ...] = ()
     failure = _normal_failure(p)
     if failure is None:
-        vertices = tuple(_enumerate_vertices(p))
-        failure = _vertex_failure(p, vertices)
+        found, singular = _enumerate_vertices(p)
+        vertices = tuple(found)
+        failure = _vertex_failure(p, vertices, singular)
     code, witness = failure or (None, None)
     return ValidationReport(failure is None, code, witness, vertices=vertices, warnings=warnings)
 
@@ -188,16 +199,19 @@ def _normal_failure(p: DelzantPolytope) -> tuple[str, str] | None:
     return None
 
 
-def _vertex_failure(p: DelzantPolytope, vertices: tuple[Vertex, ...]) -> tuple[str, str] | None:
-    """The first failure (code, witness) of the checks on the vertices, or None."""
+def _vertex_failure(
+    p: DelzantPolytope, vertices: tuple[Vertex, ...], singular: set[tuple[int, ...]]
+) -> tuple[str, str] | None:
+    """The first failure (code, witness) of the checks on the vertices, or None; singular holds the
+    active sets whose normals have |det| != 1, as ``_enumerate_vertices`` returns them."""
     if not vertices:
         return "NOT_COMPACT" if p.mode is Mode.COMPACT else "NO_VERTEX", "no vertex found"
     for v in vertices:
         if len(v.active) != p.dim:
             return "VERTEX_SIMPLICITY", f"vertex {_fmt_point(v.point)} lies on facets {[j + 1 for j in v.active]}"
     for v in vertices:
-        det = IntMat.from_rows([p.normals[j] for j in v.active]).det()
-        if abs(det) != 1:
+        if v.active in singular:
+            det = IntMat.from_rows([p.normals[j] for j in v.active]).det()
             return "VERTEX_SMOOTHNESS", f"vertex {_fmt_point(v.point)} has normal determinant {det}"
     touched = set(itertools.chain.from_iterable(v.active for v in vertices))
     for j in range(p.nfacets):
@@ -217,41 +231,44 @@ def monotone_normalize(p: DelzantPolytope) -> DelzantPolytope:
     elimination: with the offsets scaled by their common denominator L to
     integers l_j, ``integer_rref`` of the rows [nu_j - nu_1 | l_1 - l_j]
     gives D times their reduced form R.  The system is inconsistent exactly
-    when the last column is a pivot; otherwise q is R[i][n] / (D L) at each
-    pivot and 0 at each free column.  When the level c of q is not
-    positive, q moves to level 1 along the first kernel direction (kept D
-    times the reduced one, which moves q alike) with nonzero slope on nu_1.
-    The translated polytope has every offset equal to c > 0.  Raises
-    NotMonotoneError when no interior such point exists.
+    when the last column is a pivot; otherwise q is kept as integer
+    numerators over k L, k = D: R[i][n] at each pivot and 0 at each free
+    column.  Facet j then sits at the level (k l_j + <q, nu_j>) / (k L), and
+    these numerators must all agree.  When the level c is not positive, q
+    moves to level 1 along the first kernel direction (kept D times the
+    reduced one, which moves q alike) with nonzero slope s on nu_1, which
+    multiplies k by s.  Only c becomes a Fraction: every offset of the
+    translated polytope equals c > 0.  Raises NotMonotoneError when no
+    interior such point exists.
     """
     n, N = p.dim, p.nfacets
     nu1 = p.normals[0]
     scale, levels = _integer_levels(p)
-    den, pivots, reduced = integer_rref(
+    k, pivots, reduced = integer_rref(
         [[a - b for a, b in zip(p.normals[j], nu1)] + [levels[0] - levels[j]] for j in range(1, N)]
     )
     if n in pivots:
         raise NotMonotoneError("facet offsets cannot be equalised by translation")
-    q = [Fraction(0)] * n
+    q = [0] * n
     for row, col in zip(reduced, pivots):
-        q[col] = Fraction(row[n], den * scale)
-    c = p.offsets[0] + dot(q, nu1)
-    if c <= 0:
+        q[col] = row[n]
+    top = k * levels[0] + dot(q, nu1)
+    if top <= 0:
         for free in (j for j in range(n) if j not in pivots):
-            direction = [den * (j == free) for j in range(n)]
+            direction = [k * (j == free) for j in range(n)]
             for row, col in zip(reduced, pivots):
                 direction[col] = -row[free]
             slope = dot(direction, nu1)
             if slope != 0:
-                t = (1 - c) / slope
-                q = [a + t * b for a, b in zip(q, direction)]
-                c = Fraction(1)
+                # q / (k L) + t direction with t = (1 - c) / slope, over the denominator k L slope.
+                q = [a * slope + (k * scale - top) * b for a, b in zip(q, direction)]
+                k *= slope
+                top = k * scale
                 break
         else:
             raise NotMonotoneError("offset-equalising locus misses the interior")
-    new_offsets = tuple(p.offsets[j] + dot(q, p.normals[j]) for j in range(N))
-    assert all(o == c for o in new_offsets)
-    return DelzantPolytope(p.dim, p.normals, new_offsets, p.mode)
+    assert all(k * level + dot(q, nu) == top for nu, level in zip(p.normals, levels))
+    return DelzantPolytope(p.dim, p.normals, (Fraction(top, k * scale),) * N, p.mode)
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,6 @@ class FixedPointSet:
     free_directions: tuple[tuple[int, ...], ...] = ()
     torsion_reps: tuple[TorsionPoint, ...] = ()
 
-    @property
-    def is_finite(self) -> bool:
-        return self.points is not None
-
     def finite_points(self) -> tuple[TorsionPoint, ...]:
         if self.points is None:
             raise ValueError("fixed locus is infinite")

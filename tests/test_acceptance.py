@@ -44,6 +44,7 @@ from lagmono.monodromy import hamiltonian_monodromy, symplectic_monodromy
 from lagmono.polytopes import STANDARD_FIXTURES
 from lagmono.torussym import TorsionPoint, act, monomial_fixed_points
 from lagmono.toric import toric_fiber_data
+from test_floer import clifford_data
 from test_monodromy import permute_vector
 
 F = Fraction
@@ -158,7 +159,7 @@ def test_criterion_06_fixed_point_counts():
             det = abs(delta.det())
             fixed = monomial_fixed_points([g])
             if det == 0:
-                assert not fixed.is_finite
+                assert fixed.points is None
                 continue
             points = fixed.finite_points()
             assert len(points) == det
@@ -196,12 +197,12 @@ def test_criterion_08_continuation_and_cyclotomic_divisibility():
     reflection = IntMat.from_rows([[-1, 0], [0, 1]])
     for conductor in (1, 3, 4, 5):
         for lam in (1, -1):
-            data = CliffordData.from_integers(lam, 0, 0)
+            data = clifford_data(lam, 0, 0)
             for m in range(-6, 7):
                 result = continuation_solvable(data, shear(m), "even", conductor)
                 assert result.status == ("solvable" if m % 2 == 0 else "unsolvable")
         for lam in range(-3, 4):
-            data = CliffordData.from_integers(lam, 0, 0)
+            data = clifford_data(lam, 0, 0)
             result = continuation_solvable(data, reflection, "odd", conductor)
             assert result.status == ("solvable" if lam in (1, -1) else "unsolvable")
     for d in range(1, 13):

@@ -13,8 +13,14 @@ from lagmono.cyclotomic import (
 )
 
 F = Fraction
-zeta = CyclotomicNumber.root_of_unity
 rat = CyclotomicNumber.from_rational
+
+
+def zeta(d, power=1):
+    """zeta_d ** power."""
+    nums = [0] * (power % d + 1)
+    nums[power % d] = 1
+    return CyclotomicNumber(d, tuple(nums))
 
 
 class TestCyclotomicPolynomials:

@@ -40,10 +40,20 @@ from lagmono.floer import (
 from lagmono.intlat import IntMat
 from lagmono.laurent import LaurentPolynomial, gradient_hessian, torsion_critical_points
 from lagmono.torussym import TorsionPoint
+from test_cyclotomic import zeta
 
 F = Fraction
 rat = CyclotomicNumber.from_rational
-zeta = CyclotomicNumber.root_of_unity
+
+
+def clifford_data(lam, mu, nu):
+    """The structure constants lam, mu, nu, each an integer."""
+    return CliffordData(rat(lam), rat(mu), rat(nu))
+
+
+def scalar(value):
+    return CliffordElement.even(value, 0)
+
 
 W_CP2 = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
 W_SQUARE = LaurentPolynomial.from_dict(
@@ -96,7 +106,7 @@ class TestCliffordConstants:
         assert CliffordData(half, rat(0), rat(1)).half_integral
         assert CliffordData(rat(1), zeta(3) * half, rat(0)).half_integral
         assert not CliffordData(rat(-1), zeta(5), zeta(3) + 1).half_integral
-        assert not CliffordData.from_integers(1, 2, 3).half_integral
+        assert not clifford_data(1, 2, 3).half_integral
         for coords in ((F(1, 3), F(1, 3)), (0, 0)):
             data = clifford_constants(W_CP2, pt(*coords))
             assert CliffordData(*data.constants()).half_integral == data.half_integral
@@ -126,18 +136,18 @@ class TestCliffordConstants:
 
 class TestCliffordProduct:
     def test_defining_relations(self):
-        d = CliffordData.from_integers(5, 7, -3)
+        d = clifford_data(5, 7, -3)
         u = CliffordElement.odd(1, 0)
         v = CliffordElement.odd(0, 1)
-        assert clifford_mul(u, u, d) == CliffordElement.scalar(5)
-        assert clifford_mul(v, v, d) == CliffordElement.scalar(-3)
+        assert clifford_mul(u, u, d) == scalar(5)
+        assert clifford_mul(v, v, d) == scalar(-3)
         uv_plus_vu = clifford_mul(u, v, d) + clifford_mul(v, u, d)
-        assert uv_plus_vu == CliffordElement.scalar(7)
+        assert uv_plus_vu == scalar(7)
 
     def test_odd_square_is_quadratic_form(self):
         rng = random.Random(1)
         for _ in range(25):
-            d = CliffordData.from_integers(
+            d = clifford_data(
                 rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)
             )
             a, b = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -145,21 +155,21 @@ class TestCliffordProduct:
             square = clifford_mul(c, c, d)
             lam, mu, nu = (int(x.coeffs[0]) for x in d.constants())
             expected = lam * a * a + mu * a * b + nu * b * b
-            assert square == CliffordElement.scalar(expected)
+            assert square == scalar(expected)
 
     def test_even_norm_expansion(self):
-        d = CliffordData.from_integers(2, 3, -1)
+        d = clifford_data(2, 3, -1)
         p, q = 4, -3
         c = CliffordElement.even(p, q)
         conj = CliffordElement.even(p + 3 * q, -q)
         prod = clifford_mul(c, conj, d)
-        assert prod == CliffordElement.scalar(p * p + 3 * p * q + 2 * (-1) * q * q)
+        assert prod == scalar(p * p + 3 * p * q + 2 * (-1) * q * q)
 
     def test_associative_and_unital(self):
         rng = random.Random(2)
-        one = CliffordElement.scalar(1)
+        one = scalar(1)
         for _ in range(20):
-            d = CliffordData.from_integers(
+            d = clifford_data(
                 rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
             )
             elems = [
@@ -181,35 +191,35 @@ class TestCliffordProduct:
 
 class TestContinuation:
     def test_odd_shear_blocked_for_unit_lambda(self):
-        d = CliffordData.from_integers(1, 0, 0)
+        d = clifford_data(1, 0, 0)
         result = continuation_solvable(d, shear(1), "even", 1)
         assert result.status == "unsolvable"
 
     def test_even_shear_solvable(self):
-        d = CliffordData.from_integers(1, 0, 0)
+        d = clifford_data(1, 0, 0)
         result = continuation_solvable(d, shear(2), "even", 1)
         assert result.status == "solvable"
         assert _verify_witness(result.witness, d, shear(2), "even")
 
     def test_reflection_needs_unit_lambda(self):
-        d = CliffordData.from_integers(2, 0, 0)
+        d = clifford_data(2, 0, 0)
         result = continuation_solvable(d, reflection(), "odd", 5)
         assert result.status == "unsolvable"
 
     def test_reflection_with_unit_lambda(self):
-        d = CliffordData.from_integers(-1, 0, 0)
+        d = clifford_data(-1, 0, 0)
         result = continuation_solvable(d, reflection(2), "odd", 3)
         assert result.status == "solvable"
 
     def test_unsupported_shape(self):
-        d = CliffordData.from_integers(1, 0, 0)
+        d = clifford_data(1, 0, 0)
         with pytest.raises(UnsupportedActionError):
             continuation_solvable(d, IntMat.from_rows([[0, -1], [1, -1]]), "even", 3)
 
     @pytest.mark.parametrize("conductor", [1, 3, 4, 5])
     def test_shear_parity_rule_all_conductors(self, conductor):
         for lam in (1, -1):
-            d = CliffordData.from_integers(lam, 0, 0)
+            d = clifford_data(lam, 0, 0)
             for m in range(-6, 7):
                 result = continuation_solvable(d, shear(m), "even", conductor)
                 assert result.status == ("solvable" if m % 2 == 0 else "unsolvable")
@@ -217,14 +227,14 @@ class TestContinuation:
     @pytest.mark.parametrize("conductor", [1, 3, 4, 5])
     def test_reflection_lambda_rule_all_conductors(self, conductor):
         for lam in range(-3, 4):
-            d = CliffordData.from_integers(lam, 0, 0)
+            d = clifford_data(lam, 0, 0)
             result = continuation_solvable(d, reflection(0), "odd", conductor)
             assert result.status == ("solvable" if lam in (1, -1) else "unsolvable")
 
     def test_closed_forms_agree_with_bounded_search(self):
         for conductor in (1, 3, 4, 5):
             for lam in range(-3, 4):
-                d = CliffordData.from_integers(lam, 0, 0)
+                d = clifford_data(lam, 0, 0)
                 for m in range(-8, 9):
                     for action, parity in ((shear(m), "even"), (reflection(m), "odd")):
                         result = continuation_solvable(d, action, parity, conductor)
@@ -238,9 +248,9 @@ class TestContinuation:
         # Action fixing u and negating v: odd continuation element needs
         # mu = 0 and unit nu.
         act = IntMat.from_rows([[1, 0], [0, -1]])
-        good = CliffordData.from_integers(5, 0, -1)
+        good = clifford_data(5, 0, -1)
         assert continuation_solvable(good, act, "odd", 1).status == "solvable"
-        bad = CliffordData.from_integers(5, 0, 2)
+        bad = clifford_data(5, 0, 2)
         assert continuation_solvable(bad, act, "odd", 1).status in ("unsolvable", "unknown")
 
 

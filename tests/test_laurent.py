@@ -22,9 +22,9 @@ from lagmono.laurent import (
     torsion_critical_points,
 )
 from lagmono.torussym import TorsionPoint
+from test_cyclotomic import zeta
 
 F = Fraction
-zeta = CyclotomicNumber.root_of_unity
 rat = CyclotomicNumber.from_rational
 
 W_CP2 = LaurentPolynomial.from_dict(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})

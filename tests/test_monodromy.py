@@ -1,11 +1,14 @@
 """Monodromy groups of toric fibres against the exhaustive stabiliser oracle."""
 
+import contextlib
+import functools
+import io
 import itertools
 import pathlib
 
 import pytest
 
-from lagmono import toric
+from lagmono import cli, groups, toric
 from lagmono.cli import run
 from lagmono.groups import PermutationGroup
 from lagmono.intlat import IntMat, LatticeBasis, matrix_order
@@ -16,7 +19,14 @@ from lagmono.monodromy import (
     symplectic_monodromy,
 )
 from lagmono.polytopes import STANDARD_FIXTURES
-from lagmono.toric import NormalPartition, coefficient_partition, toric_fiber_data
+from lagmono.toric import (
+    NormalPartition,
+    coefficient_partition,
+    monotone_normalize,
+    parse_polytope,
+    toric_fiber_data,
+    validate_delzant,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -218,3 +228,45 @@ class TestSharedFrame:
         assert run(["toric", str(ROOT / "fixtures" / "bl2cp2.poly")]) == 0
         # One elimination solves the offset system in monotone_normalize, one builds the base.
         assert calls == {"integer_rref": 2, "coefficient_partition": 1}
+
+
+ONE_PASS = ["cube3", "cp2", "bl2cp2"]
+
+
+def shipped(name):
+    return parse_polytope((ROOT / "fixtures" / f"{name}.poly").read_text())
+
+
+def quiet_toric(name):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["toric", str(ROOT / "fixtures" / f"{name}.poly")]) == 0
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("name", ONE_PASS)
+    def test_passing_validation_computes_no_determinant(self, name, monkeypatch):
+        calls = []
+        det = IntMat.det
+        monkeypatch.setattr(IntMat, "det", lambda m: calls.append(m) or det(m))
+        assert validate_delzant(shipped(name)).ok
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ONE_PASS)
+    def test_each_distinct_generator_is_induced_once(self, name, monkeypatch):
+        seen = []
+        induced = cli.induced_matrices
+        monkeypatch.setattr(cli, "induced_matrices", lambda data, perms: seen.append(list(perms)) or induced(data, perms))
+        quiet_toric(name)
+        data = toric_fiber_data(monotone_normalize(shipped(name)))
+        gens = hamiltonian_monodromy(data).generators() + symplectic_monodromy(data).generators()
+        assert len(seen) == 1 and sorted(seen[0]) == sorted(set(gens))
+
+    @pytest.mark.parametrize("name, walks", [("cube3", 2), ("cp2", 1), ("bl2cp2", 2)])
+    def test_equal_groups_walk_one_chain(self, name, walks, monkeypatch):
+        walked = []
+        chain = groups._ElementList.chain.func
+        spy = functools.cached_property(lambda group: walked.append(group) or chain(group))
+        spy.__set_name__(PermutationGroup, "chain")
+        monkeypatch.setattr(PermutationGroup, "chain", spy)
+        quiet_toric(name)
+        assert len(walked) == walks

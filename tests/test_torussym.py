@@ -63,18 +63,18 @@ class TestMonomialFixedPoints:
 
     def test_identity_fixes_whole_torus(self):
         fixed = monomial_fixed_points([IntMat.identity(2)])
-        assert not fixed.is_finite
+        assert fixed.points is None
         assert len(fixed.free_directions) == 2
 
     def test_reflection_fixed_locus_is_one_dimensional(self):
         fixed = monomial_fixed_points([SWAP])
-        assert not fixed.is_finite
+        assert fixed.points is None
         assert len(fixed.free_directions) == 1
 
     def test_infinite_locus_coset_structure(self):
         # v -> (v1, -v2) fixes the circles v2 = 0 and v2 = 1/2.
         fixed = monomial_fixed_points([DIAG_F])
-        assert not fixed.is_finite
+        assert fixed.points is None
         assert len(fixed.free_directions) == 1
         assert len(fixed.torsion_reps) == 2
         direction = fixed.free_directions[0]
