@@ -13,7 +13,6 @@ cached.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -124,20 +123,21 @@ def run_toric(args) -> int:
     )
     hamiltonian = hamiltonian_monodromy(data)
     symplectic = symplectic_monodromy(data)
-    # H <= S and both hold sorted element tuples, so equal orders mean equal groups: one object, one chain walk.
+    # H <= S and both hold sorted element tuples, so equal orders mean equal groups:
+    # then one group object serves both records and its chain is walked once.
     if symplectic.order == hamiltonian.order:
         symplectic = hamiltonian
     named = (("hamiltonian", hamiltonian), ("symplectic", symplectic))
-    gens = {name: group.generators() for name, group in named}
-    distinct = list(dict.fromkeys(itertools.chain.from_iterable(gens.values())))
+    distinct = list(dict.fromkeys(p for _, group in named for p in group.generators()))
     mats = dict(zip(distinct, induced_matrices(data, distinct)))
     for name, group in named:
+        gens = group.generators()
         records.append(
             {
                 "record": name,
                 "order": group.order,
-                "generators": [cycle_notation(p) for p in gens[name]] or ["id"],
-                "induced": [f"{cycle_notation(p)} -> {mats[p]}" for p in gens[name]],
+                "generators": [cycle_notation(p) for p in gens] or ["id"],
+                "induced": [f"{cycle_notation(p)} -> {mats[p]}" for p in gens],
                 # Exact: validation rejects repeated normals, so a matrix determines its permutation.
                 "matrix_group_order": group.order,
             }

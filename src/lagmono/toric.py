@@ -103,7 +103,7 @@ def _integer_levels(p: DelzantPolytope) -> tuple[int, list[int]]:
     return scale, [o.numerator * (scale // o.denominator) for o in p.offsets]
 
 
-def _enumerate_vertices(p: DelzantPolytope) -> tuple[list[Vertex], set[tuple[int, ...]]]:
+def _enumerate_vertices(p: DelzantPolytope) -> tuple[tuple[Vertex, ...], set[tuple[int, ...]]]:
     """All vertices as exact rational points with their active facet sets, sorted by point, and the
     active sets whose first solving subset has |det| != 1.
 
@@ -134,8 +134,8 @@ def _enumerate_vertices(p: DelzantPolytope) -> tuple[list[Vertex], set[tuple[int
             found[active] = tuple(Fraction(x, d * scale) for x in y)
             if d != 1:
                 singular.add(active)
-    vertices = [Vertex(point, active) for active, point in sorted(found.items(), key=lambda item: item[1])]
-    return vertices, singular
+    ordered = sorted(found.items(), key=lambda item: item[1])
+    return tuple(Vertex(point, active) for active, point in ordered), singular
 
 
 def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
@@ -180,8 +180,7 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
     vertices: tuple[Vertex, ...] = ()
     failure = _normal_failure(p)
     if failure is None:
-        found, singular = _enumerate_vertices(p)
-        vertices = tuple(found)
+        vertices, singular = _enumerate_vertices(p)
         failure = _vertex_failure(p, vertices, singular)
     code, witness = failure or (None, None)
     return ValidationReport(failure is None, code, witness, vertices=vertices, warnings=warnings)
