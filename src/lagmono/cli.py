@@ -127,11 +127,11 @@ def run_toric(args) -> int:
     # then one group object serves both records and its chain is walked once.
     if symplectic.order == hamiltonian.order:
         symplectic = hamiltonian
-    named = (("hamiltonian", hamiltonian), ("symplectic", symplectic))
-    distinct = list(dict.fromkeys(p for _, group in named for p in group.generators()))
+    both = (("hamiltonian", hamiltonian), ("symplectic", symplectic))
+    named = [(name, group, group.generators()) for name, group in both]
+    distinct = list(dict.fromkeys(p for _, _, gens in named for p in gens))
     mats = dict(zip(distinct, induced_matrices(data, distinct)))
-    for name, group in named:
-        gens = group.generators()
+    for name, group, gens in named:
         records.append(
             {
                 "record": name,
