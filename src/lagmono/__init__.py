@@ -29,7 +29,6 @@ from .floer import (
     clifford_constants,
     clifford_mul,
     continuation_solvable,
-    cyclo_multiple_member,
     hessian_theorem_check,
     reduce_binary_form,
     rk1_classify,
@@ -44,7 +43,6 @@ from .intlat import (
 )
 from .laurent import (
     LaurentPolynomial,
-    b1_support_rank,
     evaluate,
     gradient_hessian,
     invariance_check,
@@ -73,7 +71,6 @@ from .toric import (
 from .torussym import (
     FixedPointSet,
     TorsionPoint,
-    act,
     admissible_group,
     forced_critical_points,
     monomial_fixed_points,

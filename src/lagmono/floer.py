@@ -382,22 +382,6 @@ def _line_points(solutions: list[tuple[Cyc, Cyc]], height: int):
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic divisibility
-
-
-def cyclo_multiple_member(m: int, k: int, d: int) -> bool:
-    """Is the rational integer m a member of k Z[zeta_d]?
-
-    Z[zeta_d] is a free Z-module on 1, zeta, .., zeta^(phi(d)-1), and m is
-    m times the first of these, so m lies in k Z[zeta_d] exactly when k
-    divides m.
-    """
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive")
-    return m % k == 0
-
-
-# ---------------------------------------------------------------------------
 # Binary quadratic forms
 
 
@@ -561,6 +545,8 @@ def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | 
         coeffs[e - low] = c
     content = vec_gcd(coeffs) * (1 if coeffs[-1] > 0 else -1)
     coeffs = [c // content for c in coeffs]
+    if coeffs[-1] != 1 or abs(coeffs[0]) != 1:
+        return None  # a product of Phi_d is monic with constant term +-1
     degree = len(coeffs) - 1
     found: list[int] = []
     # phi(d) grows at least like sqrt(d/2), so this window covers every

@@ -72,10 +72,6 @@ class IntMat:
     def identity(cls, n: int) -> "IntMat":
         return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMat":
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -211,9 +207,6 @@ class LatticeBasis:
             if q:
                 w = [a - q * b for a, b in zip(w, row)]
         return all(x == 0 for x in w)
-
-    def matrix(self) -> IntMat:
-        return IntMat.from_rows(self.basis) if self.basis else IntMat.zero(0, self.ambient)
 
 
 def kernel_lattice(m: IntMat) -> LatticeBasis:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, _fold
 from .errors import DimensionError, GridTooLargeError, ParseError
-from .intlat import IntMat, integer_rref
+from .intlat import IntMat
 from .torussym import TorsionPoint, _points, content_lines, read_dim, read_fields, read_ints
 
 Exponent = tuple[int, ...]
@@ -231,17 +231,6 @@ def torsion_critical_points(
         if _critical(w, [x // (order_bound // d) for x in combo], d):
             out.extend(orbit)
     return _points(order_bound, out)
-
-
-def b1_support_rank(w: LaurentPolynomial) -> tuple[tuple[Exponent, ...], int]:
-    """Boundary support of the potential and its rational rank.
-
-    The zero exponent (the constant term) bounds nothing and is excluded.
-    """
-    zero = (0,) * w.dim
-    b1 = tuple(e for e, _ in w.terms if e != zero)
-    rank = len(integer_rref(b1)[1])
-    return b1, rank
 
 
 def invariance_check(w: LaurentPolynomial, g: IntMat) -> bool:

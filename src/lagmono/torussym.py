@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError, ParseError
 from .groups import MatrixGroup, cayley_closure, compose
-from .intlat import IntMat, LatticeBasis, Vec, hermite_normal_form
+from .intlat import IntMat, LatticeBasis, Vec
 
 
 @dataclass(frozen=True, order=True)
@@ -58,25 +58,12 @@ def _image(gt: IntMat, den: int, x: Vec) -> Vec:
     return tuple(sum(map(mul, r, x)) % den for r in gt.rows)
 
 
-def act(g: IntMat, p: TorsionPoint) -> TorsionPoint:
-    """Induced action of g on local-system coordinates: v -> g^T v mod 1."""
-    den, (x,) = _numerators([p])
-    return _points(den, [_image(g.transpose(), den, x)])[0]
-
-
 @dataclass(frozen=True)
 class FixedPointSet:
-    """Common fixed locus of a family of monomial automorphisms.
-
-    Finite loci carry the sorted point list.  Positive-dimensional loci carry
-    integer directions spanning the identity component together with torsion
-    representatives of its finitely many cosets.
-    """
+    """Common fixed locus of a family of monomial automorphisms: its sorted points when finite, else None."""
 
     dim: int
     points: tuple[TorsionPoint, ...] | None
-    free_directions: tuple[tuple[int, ...], ...] = ()
-    torsion_reps: tuple[TorsionPoint, ...] = ()
 
     def finite_points(self) -> tuple[TorsionPoint, ...]:
         if self.points is None:
@@ -90,11 +77,11 @@ def _delta_rows(g: IntMat) -> tuple[tuple[int, ...], ...]:
 
 
 def _full_rank_locus(h: Sequence[Vec]) -> tuple[int, list[Vec]]:
-    """(det H, x) with x / det H the locus of a full-rank Hermite basis H, each x_i in [0, det H)."""
+    """(det H, x) with x / det H = {H^-1 w mod 1 : 0 <= w_i < H_ii}, the locus of a full-rank Hermite basis H, each x_i in [0, det H)."""
     det = math.prod(h[i][i] for i in range(len(h)))
     points = [(0,) * len(h)]
     for i in range(len(h)):
-        col = [0] * len(h)  # det times column i of H^-1
+        col = [0] * len(h)  # det times column i of H^-1, by back substitution: every division is exact
         col[i] = det // h[i][i]
         for r in reversed(range(i)):
             col[r] = -sum(h[r][j] * col[j] for j in range(r + 1, i + 1)) // h[r][r]
@@ -102,31 +89,11 @@ def _full_rank_locus(h: Sequence[Vec]) -> tuple[int, list[Vec]]:
     return det, [tuple(a % det for a in p) for p in points]
 
 
-def _fixed_locus(lattice: LatticeBasis) -> FixedPointSet:
-    """All v in (Q/Z)^n with r . v in Z for every r in the lattice, read off Hermite forms.
-
-    At full rank the basis H is upper triangular with a positive diagonal, so
-    the locus is {H^-1 w mod 1 : 0 <= w_i < H_ii}, built as integer
-    numerators over det H from the integer columns of det(H) H^-1 by back
-    substitution, where every division is exact.  At rank k < n one Hermite
-    form u H^T = [R; 0] gives the identity component's directions, the last
-    n - k rows of u; as H u^T = [R^T | 0], the cosets are u^T (x', 0) for x'
-    in the full-rank locus of the rows of R^T, over that locus's denominator.
-    """
-    n, h, k = lattice.ambient, lattice.basis, lattice.rank
-    if k == n:
-        return FixedPointSet(n, _points(*_full_rank_locus(h)))
-    echelon, u = hermite_normal_form(IntMat(tuple(zip(*h)) or ((),) * n))  # H^T keeps n rows at rank 0
-    det, inner = _full_rank_locus(LatticeBasis.from_vectors(k, zip(*echelon.rows[:k])).basis)
-    ut = u.transpose()
-    reps = _points(det, (_image(ut, det, x + (0,) * (n - k)) for x in inner))
-    return FixedPointSet(n, None, u.rows[k:], reps)
-
-
 def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
     """All v in (Q/Z)^n with g^T v = v mod 1 for every g in gs.
 
-    Read off the Hermite basis of the row lattice of the stacked g^T - I.
+    The locus is finite exactly when the stacked g^T - I have rank n, and is then
+    read off the Hermite basis of their row lattice; below rank n its points are None.
     """
     if not gs:
         raise ValueError("need at least one matrix")
@@ -136,7 +103,8 @@ def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
             raise ValueError("dimension mismatch")
         if abs(g.det()) != 1:
             raise NonUnimodularError(f"matrix {g} is not unimodular")
-    return _fixed_locus(LatticeBasis.from_vectors(n, [row for g in gs for row in _delta_rows(g)]))
+    lattice = LatticeBasis.from_vectors(n, [row for g in gs for row in _delta_rows(g)])
+    return FixedPointSet(n, _points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None)
 
 
 def forced_critical_points(group: MatrixGroup) -> FixedPointSet:

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +200,16 @@ class TestPotential:
         assert code == 0
         assert "case=SYMMETRIC_PM" in out
         assert "a=7" in out
+
+    def test_rk1_non_monic_derivative_skips_the_sieve(self, capsys, tmp_path):
+        # The derivative 100000 x^99999 - x^-2 is not monic, so it is no product of Phi_d.
+        potential = tmp_path / "high.laurent"
+        potential.write_text("dim 1\nterm 1 100000\nterm 1 -1\n")
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "potential", "rk1", str(potential))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "rk1: case=RESIDUAL  group_bound=[[1, 2Z], [0, 1]]  shears=zero  a=0\n"
 
     def test_non_integer_bound_message_names_no_function(self, capsys):
         potential = str(FIXTURES / "triangle_potential.laurent")

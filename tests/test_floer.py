@@ -29,7 +29,6 @@ from lagmono.floer import (
     clifford_constants,
     clifford_mul,
     continuation_solvable,
-    cyclo_multiple_member,
     hessian_theorem_check,
     reduce_binary_form,
     rk1_classify,
@@ -252,23 +251,6 @@ class TestContinuation:
         assert continuation_solvable(good, act, "odd", 1).status == "solvable"
         bad = clifford_data(5, 0, 2)
         assert continuation_solvable(bad, act, "odd", 1).status in ("unsolvable", "unknown")
-
-
-class TestCycloMultipleMember:
-    def test_odd_not_in_double_ring(self):
-        assert not cyclo_multiple_member(3, 2, 5)
-
-    def test_divisible(self):
-        assert cyclo_multiple_member(4, 2, 5)
-
-    def test_zero(self):
-        assert cyclo_multiple_member(0, 7, 9)
-
-    def test_exhaustive_matches_integer_divisibility(self):
-        for d in range(1, 13):
-            for k in range(1, 11):
-                for m in range(-50, 51):
-                    assert cyclo_multiple_member(m, k, d) == (m % k == 0), (m, k, d)
 
 
 class TestBinaryForms:

@@ -71,7 +71,7 @@ class TestHermite:
         assert u @ IntMat.from_rows([[2, 4], [1, 1]]) == h
 
     def test_zero_matrix(self):
-        z = IntMat.zero(2, 2)
+        z = IntMat.from_rows([[0, 0], [0, 0]])
         h, _ = hermite_normal_form(z)
         assert h == z
 
@@ -103,7 +103,7 @@ class TestSmith:
         assert d == IntMat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_zero(self):
-        z = IntMat.zero(2, 3)
+        z = IntMat.from_rows([[0, 0, 0], [0, 0, 0]])
         _, d, _ = old_smith_normal_form(z)
         assert d == z
 
@@ -172,7 +172,7 @@ class TestKernelLattice:
             product = IntMat.from_rows([v]) @ m
             assert all(x == 0 for x in product.rows[0])
         if k.rank:
-            _, d, _ = old_smith_normal_form(k.matrix())
+            _, d, _ = old_smith_normal_form(IntMat.from_rows(k.basis))
             assert all(d.rows[i][i] == 1 for i in range(k.rank))
 
 

@@ -26,11 +26,10 @@ Gauss-Jordan family of ``intlat`` (``old_rational_rref``,
 ``old_rational_rank``, ``old_solve_rational_system``,
 ``old_rational_kernel_basis``, ``old_kernel_from_rref``) with the Fraction
 forms of its callers: ``old_monotone_normalize``, ``old_extreme_ray`` (for
-``toric._recession_ray``) and ``old_b1_support_rank``, and the Smith normal
-form of ``intlat`` with the fixed locus read off it
-(``old_smith_normal_form``, ``old_fixed_locus``, for
-``torussym._fixed_locus``), the Fraction action and moved-point scan of
-``torussym`` (``old_act``, ``old_first_moved_point``), and the Hermite loop
+``toric._recession_ray``), and the Smith normal form of ``intlat`` with the
+fixed locus read off it (``old_smith_normal_form``, ``old_fixed_locus``, for
+``torussym.monomial_fixed_points``), the Fraction action and moved-point scan
+of ``torussym`` (``old_act``, ``old_first_moved_point``), and the Hermite loop
 that carried its transform through every call, ``LatticeBasis.from_vectors``
 included (``old_hermite_normal_form``, ``old_from_vectors``), the
 Fraction-coefficient ``CyclotomicNumber`` with its Fraction polynomial
@@ -59,7 +58,6 @@ import itertools
 import math
 import pathlib
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -123,7 +121,6 @@ from lagmono.intlat import (
     bareiss_solve,
     dot,
     hermite_normal_form,
-    kernel_lattice,
     matrix_order,
     minkowski_bound,
     primitive_vector,
@@ -132,7 +129,6 @@ from lagmono.intlat import (
 )
 from lagmono.laurent import (
     LaurentPolynomial,
-    b1_support_rank,
     invariance_check,
     is_critical,
     torsion_critical_points,
@@ -143,12 +139,11 @@ from lagmono.torussym import (
     FixedPointSet,
     TorsionPoint,
     _delta_rows,
-    _fixed_locus,
     _full_rank_locus,
     _points,
-    act,
     first_moved_point,
     forced_critical_points,
+    monomial_fixed_points,
 )
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product, projective_space
 from lagmono.toric import (
@@ -167,6 +162,7 @@ from lagmono.toric import (
 from test_cyclotomic import zeta
 from test_floer import clifford_data
 from test_monodromy import permute_vector
+from test_torussym import act
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Cyc = CyclotomicNumber
@@ -297,14 +293,6 @@ def old_extreme_ray(p):
             if all(dot(candidate, nu) >= 0 for nu in p.normals):
                 return candidate
     return None
-
-
-def old_b1_support_rank(w):
-    """laurent.b1_support_rank by the Fraction rank of the exponents."""
-    zero = (0,) * w.dim
-    b1 = tuple(e for e, _ in w.terms if e != zero)
-    rank = old_rational_rank([list(e) for e in b1]) if b1 else 0
-    return b1, rank
 
 
 def old_kernel_pairs(rows):
@@ -1308,13 +1296,13 @@ def old_smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
 
 
 def old_fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> FixedPointSet:
-    """All v in (Q/Z)^n with r . v in Z for every row r, from one Smith form."""
+    """All v in (Q/Z)^n with r . v in Z for every row r, from one Smith form; None in place of infinitely many."""
     _, d, v = old_smith_normal_form(IntMat.from_rows(rows))
     divisors = [d.rows[i][i] if i < d.nrows else 0 for i in range(n)]
-    torsion_axes = [[Fraction(k, di) for k in range(di)] if di else [Fraction(0)] for di in divisors]
-    reps = sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*torsion_axes))
-    free = tuple(v.column(i) for i, di in enumerate(divisors) if di == 0)
-    return FixedPointSet(n, None, free, tuple(reps)) if free else FixedPointSet(n, tuple(reps))
+    if 0 in divisors:
+        return FixedPointSet(n, None)
+    axes = [[Fraction(k, di) for k in range(di)] for di in divisors]
+    return FixedPointSet(n, tuple(sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*axes))))
 
 
 def old_act(g: IntMat, p: TorsionPoint) -> TorsionPoint:
@@ -1972,6 +1960,20 @@ class TestFactorProfile:
         expected = old_factor_profile(poly)
         assert expected == (content, sorted(ds))
         assert _cyclotomic_factor_profile(poly) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), max_size=3),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(lambda noise: noise[0] and noise[-1]),
+        st.sampled_from((1, -1, 2, -3)),
+        st.integers(-2, 2),
+    )
+    def test_noisy_products_equal_old_profile(self, ds, noise, content, shift):
+        # Phi_d, repeats allowed, times a noise factor: a leading coefficient or
+        # constant term other than +-1 is refused before the sieve, and only then.
+        coeffs = [int(c) for c in old_polymul(cyclotomic_product(ds), noise)]
+        poly = {i + shift: content * c for i, c in enumerate(coeffs) if c}
+        assert _cyclotomic_factor_profile(poly) == old_factor_profile(poly)
 
     def test_repeated_factor_is_refused(self):
         coeffs = cyclotomic_product([3, 3, 4])
@@ -2724,18 +2726,20 @@ def locus_rows(draw):
 
 
 def assert_locus_equals_old(n, rows):
-    """Equal finite loci tuple for tuple; infinite ones with the same directions and cosets."""
-    new, old = _fixed_locus(LatticeBasis.from_vectors(n, rows)), old_fixed_locus(n, rows)
-    if old.points is not None:
-        assert new == old
-        return
-    assert new.points is None
-    assert LatticeBasis.from_vectors(n, new.free_directions) == LatticeBasis.from_vectors(n, old.free_directions)
-    assert len(new.torsion_reps) == len(old.torsion_reps)
-    # The pairings with the integer vectors orthogonal to every direction name a coset.
-    dual = kernel_lattice(IntMat.from_rows(old.free_directions).transpose()).basis
-    pairings = [Counter(tuple(dot(a, rep.coords) % 1 for a in dual) for rep in locus.torsion_reps) for locus in (new, old)]
-    assert pairings[0] == pairings[1]
+    """The Hermite locus of the rows equals the Smith one: tuple for tuple when finite, None for both when not."""
+    lattice = LatticeBasis.from_vectors(n, rows)
+    new = _points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None
+    assert new == old_fixed_locus(n, rows).points
+
+
+@st.composite
+def unimodular_families(draw):
+    """1-3 matrices of GL(n, Z), n = 2-4, each a drawn unimodular change of basis or an element of a MOVED_CASES group."""
+    n = draw(st.integers(2, 4))
+    matrix = unimodular_pairs(n).map(lambda pair: pair[0])
+    if elements := [g for group in MOVED_CASES.values() if group.dim == n for g in group.elements]:
+        matrix = st.one_of(matrix, st.sampled_from(elements))
+    return draw(st.lists(matrix, min_size=1, max_size=3))
 
 
 class TestFixedLocus:
@@ -2744,9 +2748,15 @@ class TestFixedLocus:
     def test_hermite_locus_equals_smith_locus(self, case):
         assert_locus_equals_old(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(unimodular_families())
+    def test_monomial_fixed_points_equal_smith_locus(self, gs):
+        n = gs[0].nrows
+        assert monomial_fixed_points(gs).points == old_fixed_locus(n, [r for g in gs for r in _delta_rows(g)]).points
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_fixes_the_whole_torus(self, n):
-        assert_locus_equals_old(n, _delta_rows(IntMat.identity(n)))
+        assert monomial_fixed_points([IntMat.identity(n)]).points is None is old_fixed_locus(n, _delta_rows(IntMat.identity(n))).points
 
 
 # ---------------------------------------------------------------------------
@@ -3112,24 +3122,11 @@ class TestToricPipeline:
         check()
 
 
-@st.composite
-def laurent_supports(draw):
-    """Unit-coefficient Laurent polynomials on up to six exponents in [-2, 2]^n, the constant term allowed."""
-    n = draw(st.integers(1, 4))
-    exponents = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=6, unique=True))
-    return LaurentPolynomial.from_dict(n, {e: 1 for e in exponents})
-
-
 class TestIntegerKernels:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(random_polytopes(), unbounded_products(), offset_systems()))
     def test_recession_ray_equals_fraction_kernel(self, p):
         assert _recession_ray(p) == old_extreme_ray(p)
-
-    @settings(max_examples=100, deadline=None)
-    @given(laurent_supports())
-    def test_b1_support_rank_equals_fraction_rank(self, w):
-        assert b1_support_rank(w) == old_b1_support_rank(w)
 
 
 class TestNormalBase:

@@ -13,7 +13,6 @@ from lagmono.errors import DimensionError, GridTooLargeError, ParseError, Valida
 from lagmono.intlat import IntMat
 from lagmono.laurent import (
     LaurentPolynomial,
-    b1_support_rank,
     evaluate,
     gradient_hessian,
     invariance_check,
@@ -309,22 +308,6 @@ class TestDimensionErrors:
     def test_relabel(self):
         with pytest.raises(DimensionError):
             W_CP2.relabel(IntMat.identity(3))
-
-
-class TestSupportRank:
-    def test_toric_triangle_support(self):
-        b1, rank = b1_support_rank(W_CP2)
-        assert set(b1) == {(1, 0), (0, 1), (-1, -1)}
-        assert rank == 2
-
-    def test_constant_has_empty_support(self):
-        w = LaurentPolynomial.from_dict(2, {(0, 0): 4})
-        assert b1_support_rank(w) == ((), 0)
-
-    def test_single_axis_rank_one(self):
-        w = LaurentPolynomial.from_dict(2, {(0, 0): 3, (3, 0): 2})
-        _, rank = b1_support_rank(w)
-        assert rank == 1
 
 
 class TestSymmetryFilters:
