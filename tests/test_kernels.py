@@ -2725,13 +2725,6 @@ def locus_rows(draw):
     return n, rows
 
 
-def assert_locus_equals_old(n, rows):
-    """The Hermite locus of the rows equals the Smith one: tuple for tuple when finite, None for both when not."""
-    lattice = LatticeBasis.from_vectors(n, rows)
-    new = _points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None
-    assert new == old_fixed_locus(n, rows).points
-
-
 @st.composite
 def unimodular_families(draw):
     """1-3 matrices of GL(n, Z), n = 2-4, each a drawn unimodular change of basis or an element of a MOVED_CASES group."""
@@ -2746,7 +2739,10 @@ class TestFixedLocus:
     @settings(max_examples=300, deadline=None)
     @given(locus_rows())
     def test_hermite_locus_equals_smith_locus(self, case):
-        assert_locus_equals_old(*case)
+        # Tuple for tuple when finite, None for both when not.
+        n, rows = case
+        lattice = LatticeBasis.from_vectors(n, rows)
+        assert (_points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None) == old_fixed_locus(n, rows).points
 
     @settings(max_examples=200, deadline=None)
     @given(unimodular_families())
