@@ -121,6 +121,7 @@ from lagmono.intlat import (
     bareiss_solve,
     dot,
     hermite_normal_form,
+    integer_rref,
     matrix_order,
     minkowski_bound,
     primitive_vector,
@@ -3118,11 +3119,28 @@ class TestToricPipeline:
         check()
 
 
+@st.composite
+def laurent_supports(draw):
+    """Unit-coefficient Laurent polynomials on up to six exponents in [-2, 2]^n, the constant term allowed."""
+    n = draw(st.integers(1, 4))
+    exponents = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=6, unique=True))
+    return LaurentPolynomial.from_dict(n, {e: 1 for e in exponents})
+
+
 class TestIntegerKernels:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(random_polytopes(), unbounded_products(), offset_systems()))
     def test_recession_ray_equals_fraction_kernel(self, p):
         assert _recession_ray(p) == old_extreme_ray(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_supports())
+    def test_b1_support_rank_equals_fraction_rank(self, w):
+        # The nonzero exponents of w, ranked by the integer elimination and by
+        # the Hermite basis, against the Fraction rank.
+        b1 = [e for e, _ in w.terms if any(e)]
+        rank = old_rational_rank([list(e) for e in b1]) if b1 else 0
+        assert len(integer_rref(b1)[1]) == rank == LatticeBasis.from_vectors(w.dim, b1).rank
 
 
 class TestNormalBase:

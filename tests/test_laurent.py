@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagmono.cyclotomic import CyclotomicNumber, euler_phi
 from lagmono.errors import DimensionError, GridTooLargeError, ParseError, ValidationError
-from lagmono.intlat import IntMat
+from lagmono.intlat import IntMat, LatticeBasis
 from lagmono.laurent import (
     LaurentPolynomial,
     evaluate,
@@ -308,6 +308,25 @@ class TestDimensionErrors:
     def test_relabel(self):
         with pytest.raises(DimensionError):
             W_CP2.relabel(IntMat.identity(3))
+
+
+def support_rank(w):
+    """The nonzero exponents of w and the rank of the lattice they span."""
+    b1 = {e for e, _ in w.terms if any(e)}
+    return b1, LatticeBasis.from_vectors(w.dim, b1).rank
+
+
+class TestSupportRank:
+    def test_toric_triangle_support(self):
+        assert support_rank(W_CP2) == ({(1, 0), (0, 1), (-1, -1)}, 2)
+
+    def test_constant_has_empty_support(self):
+        w = LaurentPolynomial.from_dict(2, {(0, 0): 4})
+        assert support_rank(w) == (set(), 0)
+
+    def test_single_axis_rank_one(self):
+        w = LaurentPolynomial.from_dict(2, {(0, 0): 3, (3, 0): 2})
+        assert support_rank(w) == ({(3, 0)}, 1)
 
 
 class TestSymmetryFilters:

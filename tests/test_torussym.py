@@ -82,6 +82,13 @@ class TestMonomialFixedPoints:
         fixed = monomial_fixed_points([DIAG_F])
         assert fixed.points is None
 
+    def test_infinite_locus_coset_structure(self):
+        # Brute force on the points of order dividing 12: DIAG_F fixes exactly
+        # the two circles v2 = 0 and v2 = 1/2, cosets of one free direction.
+        for a, b in itertools.product(range(12), repeat=2):
+            point = pt(F(a, 12), F(b, 12))
+            assert (act(DIAG_F, point) == point) == (b in (0, 6)), point
+
     def test_finite_points_raises_on_infinite(self):
         fixed = monomial_fixed_points([IntMat.identity(2)])
         with pytest.raises(ValueError):
