@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .cyclotomic import euler_phi, prime_divisors
@@ -29,6 +28,7 @@ from .monodromy import hamiltonian_monodromy, induced_matrix_group
 from .polytopes import STANDARD_FIXTURES
 from .torussym import TorsionPoint, admissible_group, content_lines, read_fields, read_group_block
 from .toric import toric_fiber_data
+from .value import Value
 
 ROT = {
     1: IntMat.identity(2),
@@ -44,11 +44,11 @@ EDGE_REFLECTION = IntMat.from_rows([[-1, 1], [0, 1]])
 CLASS_NAMES_2D = ("1", "1f", "1t", "2", "2f", "2t", "3", "3f", "3t", "4", "4ft", "6", "6ft")
 
 
-@dataclass(frozen=True)
-class GroupCatalog:
-    dim: int
-    entries: tuple[tuple[str, MatrixGroup], ...]
-    q_class: bool = False
+class GroupCatalog(Value):
+    __slots__ = ("dim", "entries", "q_class")
+
+    def __init__(self, dim: int, entries: tuple[tuple[str, MatrixGroup], ...], q_class: bool = False):
+        self._init(dim, entries, q_class)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
@@ -128,13 +128,18 @@ def identify_class_n2(group: MatrixGroup) -> str:
 TORIC_REALIZATIONS = ("bl1cp2", "bl2cp2", "bl3cp2", "c2", "cp1xcp1", "cp2", "cxcp1")
 
 
-@dataclass(frozen=True)
-class ClassVerdict2D:
-    name: str
-    admissible: bool
-    witness: tuple[IntMat, TorsionPoint] | None
-    toric_tag: Literal["IMPOSSIBLE", "TORIC_REALIZED", "TORIC_IMPOSSIBLE"]
-    realized_by: tuple[str, ...] = ()
+class ClassVerdict2D(Value):
+    __slots__ = ("name", "admissible", "witness", "toric_tag", "realized_by")
+
+    def __init__(
+        self,
+        name: str,
+        admissible: bool,
+        witness: tuple[IntMat, TorsionPoint] | None,
+        toric_tag: Literal["IMPOSSIBLE", "TORIC_REALIZED", "TORIC_IMPOSSIBLE"],
+        realized_by: tuple[str, ...] = (),
+    ):
+        self._init(name, admissible, witness, toric_tag, realized_by)
 
 
 def toric_realized_labels() -> dict[str, tuple[str, ...]]:
@@ -210,13 +215,18 @@ def ingest_catalog(text: str) -> GroupCatalog:
 # Conjecture filter
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
-    name: str
-    status: Literal["RULED_OUT", "CASE1_NECESSARY", "CASE2", "BOTH", "UNKNOWN"]
-    witness: tuple[IntMat, TorsionPoint] | None = None
-    parts: tuple[int, ...] | None = None
-    embedding: tuple[tuple[IntMat, tuple[Perm, ...]], ...] | None = None
+class ConjectureVerdict(Value):
+    __slots__ = ("name", "status", "witness", "parts", "embedding")
+
+    def __init__(
+        self,
+        name: str,
+        status: Literal["RULED_OUT", "CASE1_NECESSARY", "CASE2", "BOTH", "UNKNOWN"],
+        witness: tuple[IntMat, TorsionPoint] | None = None,
+        parts: tuple[int, ...] | None = None,
+        embedding: tuple[tuple[IntMat, tuple[Perm, ...]], ...] | None = None,
+    ):
+        self._init(name, status, witness, parts, embedding)
 
 
 def _symmetric_part_choices(n: int) -> list[tuple[int, ...]]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -30,18 +29,19 @@ from .errors import (
 from .intlat import IntMat, hermite_normal_form, primitive_vector, vec_gcd
 from .laurent import LaurentPolynomial, _first_partials, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
+from .value import Value
 
 Cyc = CyclotomicNumber
 SEARCH_HEIGHT = 50  # the largest coefficient height continuation_solvable's bounded search tries
 
 
-@dataclass(frozen=True)
-class CliffordData:
+class CliffordData(Value):
     """Structure constants u^2 = lam, uv + vu = mu, v^2 = nu."""
 
-    lam: Cyc
-    mu: Cyc
-    nu: Cyc
+    __slots__ = ("lam", "mu", "nu")
+
+    def __init__(self, lam: Cyc, mu: Cyc, nu: Cyc):
+        self._init(lam, mu, nu)
 
     @property
     def half_integral(self) -> bool:
@@ -52,14 +52,13 @@ class CliffordData:
         return (self.lam, self.mu, self.nu)
 
 
-@dataclass(frozen=True)
-class CliffordElement:
+class CliffordElement(Value):
     """a0 + au u + av v + auv uv in a fixed CliffordData."""
 
-    a0: Cyc
-    au: Cyc
-    av: Cyc
-    auv: Cyc
+    __slots__ = ("a0", "au", "av", "auv")
+
+    def __init__(self, a0: Cyc, au: Cyc, av: Cyc, auv: Cyc):
+        self._init(a0, au, av, auv)
 
     @classmethod
     def even(cls, p: Cyc | int, q: Cyc | int) -> "CliffordElement":
@@ -138,10 +137,11 @@ def clifford_constants(w: LaurentPolynomial, p: TorsionPoint) -> CliffordData:
 # Continuation elements
 
 
-@dataclass(frozen=True)
-class ContinuationResult:
-    status: Literal["solvable", "unsolvable", "unknown"]
-    witness: CliffordElement | None = None
+class ContinuationResult(Value):
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: Literal["solvable", "unsolvable", "unknown"], witness: CliffordElement | None = None):
+        self._init(status, witness)
 
 
 def _action_images(action: IntMat) -> tuple[int, int, int]:
@@ -385,13 +385,13 @@ def _line_points(solutions: list[tuple[Cyc, Cyc]], height: int):
 # Binary quadratic forms
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Value):
     """Symmetric matrix [[lam, mu2], [mu2, nu]] with integer entries."""
 
-    lam: int
-    mu2: int
-    nu: int
+    __slots__ = ("lam", "mu2", "nu")
+
+    def __init__(self, lam: int, mu2: int, nu: int):
+        self._init(lam, mu2, nu)
 
     def matrix(self) -> IntMat:
         return IntMat.from_rows([[self.lam, self.mu2], [self.mu2, self.nu]])
@@ -491,16 +491,17 @@ def _reduce_isotropic(q: BinaryForm) -> tuple[BinaryForm, IntMat]:
 # Rank-one classifier
 
 
-@dataclass(frozen=True)
-class ShearConstraints:
+class ShearConstraints(Value):
     """Admissible off-diagonal entries m in an upper-triangular monodromy.
 
     kind 'any' places no constraint, 'multiples' requires every listed
     divisor to divide m, and 'zero' allows only m = 0.
     """
 
-    kind: Literal["any", "multiples", "zero"]
-    divisors: tuple[int, ...] = ()
+    __slots__ = ("kind", "divisors")
+
+    def __init__(self, kind: Literal["any", "multiples", "zero"], divisors: tuple[int, ...] = ()):
+        self._init(kind, divisors)
 
     def modulus(self) -> int | None:
         if self.kind != "multiples":
@@ -508,16 +509,21 @@ class ShearConstraints:
         return math.lcm(*self.divisors) if self.divisors else 1
 
 
-@dataclass(frozen=True)
-class Rk1Report:
-    case: Literal["MONOMIAL", "SYMMETRIC_PM", "RESIDUAL"]
-    group_bound: str
-    shears: ShearConstraints
-    a: int | None = None
-    b: int | None = None
-    k: int | None = None
-    sign: int | None = None
-    flipped: bool = False
+class Rk1Report(Value):
+    __slots__ = ("case", "group_bound", "shears", "a", "b", "k", "sign", "flipped")
+
+    def __init__(
+        self,
+        case: Literal["MONOMIAL", "SYMMETRIC_PM", "RESIDUAL"],
+        group_bound: str,
+        shears: ShearConstraints,
+        a: int | None = None,
+        b: int | None = None,
+        k: int | None = None,
+        sign: int | None = None,
+        flipped: bool = False,
+    ):
+        self._init(case, group_bound, shears, a, b, k, sign, flipped)
 
 
 def _extract_univariate(w: LaurentPolynomial) -> dict[int, int]:
@@ -645,21 +651,28 @@ def _ref_split(eps1: int, eps2: int) -> LaurentPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class HessianPointData:
-    point: TorsionPoint
-    constants: tuple[Cyc, Cyc, Cyc]
-    normalized: tuple[Cyc, Cyc, Cyc] | None = None
+class HessianPointData(Value):
+    __slots__ = ("point", "constants", "normalized")
+
+    def __init__(
+        self, point: TorsionPoint, constants: tuple[Cyc, Cyc, Cyc], normalized: tuple[Cyc, Cyc, Cyc] | None = None
+    ):
+        self._init(point, constants, normalized)
 
 
-@dataclass(frozen=True)
-class HessianCheckReport:
-    kind: str
-    status: Literal["PASS", "VIOLATION"]
-    form: Literal["PROPORTIONAL", "SPLIT", "HYPERBOLIC", "NONE"]
-    epsilon: int | None = None
-    eps_pair: tuple[int, int] | None = None
-    points: tuple[HessianPointData, ...] = ()
+class HessianCheckReport(Value):
+    __slots__ = ("kind", "status", "form", "epsilon", "eps_pair", "points")
+
+    def __init__(
+        self,
+        kind: str,
+        status: Literal["PASS", "VIOLATION"],
+        form: Literal["PROPORTIONAL", "SPLIT", "HYPERBOLIC", "NONE"],
+        epsilon: int | None = None,
+        eps_pair: tuple[int, int] | None = None,
+        points: tuple[HessianPointData, ...] = (),
+    ):
+        self._init(kind, status, form, epsilon, eps_pair, points)
 
 
 def hessian_theorem_check(

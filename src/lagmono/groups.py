@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NonUnimodularError, NotFiniteError, SearchTooLargeError
 from .intlat import IntMat, Vec, dot, minkowski_bound, residue_mod_3
+from .value import Value
 
 Perm = tuple[int, ...]
 E = TypeVar("E", bound=Hashable)
@@ -164,10 +164,9 @@ class _ElementList:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class PermutationGroup(_ElementList):
-    degree: int
-    elements: tuple[Perm, ...]
+class PermutationGroup(_ElementList, Value):
+    def __init__(self, degree: int, elements: tuple[Perm, ...]):
+        self._init(degree, elements)
 
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[Perm]) -> "PermutationGroup":
@@ -186,13 +185,12 @@ class PermutationGroup(_ElementList):
         return self.chain[0]
 
 
-@dataclass(frozen=True)
-class MatrixGroup(_ElementList):
+class MatrixGroup(_ElementList, Value):
     """Finite subgroup of GL(n, Z) stored as an explicit sorted element list; ``perms`` is its action on
     O, the orbit of e_1, .., e_n, which spans Z^n: perms[k][i] is the index in O of elements[k] O[i]."""
 
-    dim: int
-    elements: tuple[IntMat, ...]
+    def __init__(self, dim: int, elements: tuple[IntMat, ...]):
+        self._init(dim, elements)
 
     @classmethod
     def from_elements(cls, dim: int, elements: Iterable[IntMat]) -> "MatrixGroup":

@@ -13,12 +13,12 @@ Minkowski's M(n) bounds groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonUnimodularError
+from .value import Value
 
 Vec = tuple[int, ...]
 
@@ -46,16 +46,21 @@ def primitive_vector(a: Sequence[Fraction | int]) -> Vec:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
-class IntMat:
+class IntMat(Value):
     """Immutable integer matrix, row major, arbitrary precision entries."""
 
-    rows: tuple[Vec, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if len({len(r) for r in self.rows}) > 1:
+    def __init__(self, rows: tuple[Vec, ...]):
+        if len({len(r) for r in rows}) > 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in rows))
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def _of(cls, rows: tuple[Vec, ...]) -> "IntMat":
@@ -164,16 +169,26 @@ def _hermite(h: list[list[int]], nc: int) -> list[list[int]]:
 # Lattices
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Value):
     """Sublattice of Z^ambient in canonical Hermite normal form.
 
     Two values span the same sublattice exactly when they compare equal, so
     lattice comparison is structural equality on the stored basis.
     """
 
-    ambient: int
-    basis: tuple[Vec, ...]
+    __slots__ = ("ambient", "basis")
+
+    def __init__(self, ambient: int, basis: tuple[Vec, ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ambient == other.ambient and self.basis == other.basis
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.basis))
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":

@@ -19,40 +19,46 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, _fold
 from .errors import DimensionError, GridTooLargeError, ParseError
 from .intlat import IntMat
 from .torussym import TorsionPoint, _points, content_lines, read_dim, read_fields, read_ints
+from .value import Value
 
 Exponent = tuple[int, ...]
 GRID_CAP = 200_000  # the most grid points torsion_critical_points walks unless told otherwise
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(Value):
     """Finite integer combination of monomials z^alpha, alpha in Z^dim.
 
     Terms are stored sorted lexicographically by exponent with no zero
     coefficients, so equality and iteration order are canonical.
     """
 
-    dim: int
-    terms: tuple[tuple[Exponent, int], ...]
+    __slots__ = ("dim", "terms")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, terms: tuple[tuple[Exponent, int], ...]):
         cleaned: dict[Exponent, int] = {}
-        for expo, coeff in self.terms:
+        for expo, coeff in terms:
             expo = tuple(int(e) for e in expo)
-            if len(expo) != self.dim:
+            if len(expo) != dim:
                 raise ValueError("exponent length differs from dim")
             coeff = int(coeff)
             if coeff:
                 cleaned[expo] = cleaned.get(expo, 0) + coeff
-        items = tuple(sorted((e, c) for e, c in cleaned.items() if c != 0))
-        object.__setattr__(self, "terms", items)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", tuple(sorted((e, c) for e, c in cleaned.items() if c != 0)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dim == other.dim and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.terms))
 
     @classmethod
     def from_dict(cls, dim: int, terms: Mapping[Sequence[int], int]) -> "LaurentPolynomial":

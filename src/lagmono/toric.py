@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +37,7 @@ from .intlat import (
 )
 from .laurent import LaurentPolynomial
 from .torussym import content_lines, read_dim, read_fields, read_ints
+from .value import Value
 
 
 class Mode(Enum):
@@ -45,24 +45,21 @@ class Mode(Enum):
     VERTEX_REQUIRED = "vertex"
 
 
-@dataclass(frozen=True)
-class DelzantPolytope:
-    dim: int
-    normals: tuple[tuple[int, ...], ...]
-    offsets: tuple[Fraction, ...]
-    mode: Mode = Mode.COMPACT
+class DelzantPolytope(Value):
+    __slots__ = ("dim", "normals", "offsets", "mode")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(
+        self, dim: int, normals: tuple[tuple[int, ...], ...], offsets: tuple[Fraction, ...], mode: Mode = Mode.COMPACT
+    ):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        normals = tuple(tuple(int(x) for x in nu) for nu in self.normals)
-        offsets = tuple(Fraction(o) for o in self.offsets)
-        if any(len(nu) != self.dim for nu in normals):
+        normals = tuple(tuple(int(x) for x in nu) for nu in normals)
+        offsets = tuple(Fraction(o) for o in offsets)
+        if any(len(nu) != dim for nu in normals):
             raise ValueError("normal length differs from dimension")
         if len(normals) != len(offsets):
             raise ValueError("need one offset per facet normal")
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
+        self._init(dim, normals, offsets, mode)
 
     @property
     def nfacets(self) -> int:
@@ -73,19 +70,27 @@ class DelzantPolytope:
         return IntMat.from_rows(self.normals)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    point: tuple[Fraction, ...]
-    active: tuple[int, ...]  # facet indices achieving equality
+class Vertex(Value):
+    """A vertex and the indices of the facets achieving equality at it."""
+
+    __slots__ = ("point", "active")
+
+    def __init__(self, point: tuple[Fraction, ...], active: tuple[int, ...]):
+        self._init(point, active)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failure: str | None = None
-    witness: str | None = None
-    vertices: tuple[Vertex, ...] = ()
-    warnings: tuple[str, ...] = ()
+class ValidationReport(Value):
+    __slots__ = ("ok", "failure", "witness", "vertices", "warnings")
+
+    def __init__(
+        self,
+        ok: bool,
+        failure: str | None = None,
+        witness: str | None = None,
+        vertices: tuple[Vertex, ...] = (),
+        warnings: tuple[str, ...] = (),
+    ):
+        self._init(ok, failure, witness, vertices, warnings)
 
     def __str__(self) -> str:
         if self.ok:
@@ -270,12 +275,13 @@ def monotone_normalize(p: DelzantPolytope) -> DelzantPolytope:
     return DelzantPolytope(p.dim, p.normals, (Fraction(top, k * scale),) * N, p.mode)
 
 
-@dataclass(frozen=True)
-class NormalPartition:
+class NormalPartition(Value):
     """Partition of facet indices by equal coefficients in every relation."""
 
-    size: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("size", "blocks")
+
+    def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
+        self._init(size, blocks)
 
     def __str__(self) -> str:
         return " ".join(
@@ -299,8 +305,7 @@ def coefficient_partition(k: LatticeBasis) -> NormalPartition:
     return NormalPartition(n, blocks)
 
 
-@dataclass(frozen=True)
-class ToricFiberData:
+class ToricFiberData(Value):
     """Combinatorial data of the monotone fibre.
 
     relations is the saturated lattice of integer relations among the facet
@@ -309,9 +314,8 @@ class ToricFiberData:
     use and then shared by every monodromy computation on the fibre.
     """
 
-    polytope: DelzantPolytope
-    relations: LatticeBasis
-    potential: LaurentPolynomial
+    def __init__(self, polytope: DelzantPolytope, relations: LatticeBasis, potential: LaurentPolynomial):
+        self._init(polytope, relations, potential)
 
     @cached_property
     def partition(self) -> NormalPartition:

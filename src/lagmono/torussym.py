@@ -9,7 +9,6 @@ the worked order-3 action (x, y) -> (y, 1/(xy)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -17,13 +16,34 @@ from typing import Iterable, Sequence
 from .errors import NonUnimodularError, ParseError
 from .groups import MatrixGroup, cayley_closure, compose
 from .intlat import IntMat, LatticeBasis, Vec
+from .value import Value
 
 
-@dataclass(frozen=True, order=True)
-class TorsionPoint:
-    """Point of (Q/Z)^n with every coordinate reduced into [0, 1)."""
+class TorsionPoint(Value):
+    """Point of (Q/Z)^n with every coordinate reduced into [0, 1), ordered by its coordinates."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __lt__(self, other):
+        return self.coords < other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.coords <= other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.coords > other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.coords >= other.coords if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def make(cls, coords: Iterable[Fraction | int]) -> "TorsionPoint":
@@ -58,12 +78,13 @@ def _image(gt: IntMat, den: int, x: Vec) -> Vec:
     return tuple(sum(map(mul, r, x)) % den for r in gt.rows)
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
+class FixedPointSet(Value):
     """Common fixed locus of a family of monomial automorphisms: its sorted points when finite, else None."""
 
-    dim: int
-    points: tuple[TorsionPoint, ...] | None
+    __slots__ = ("dim", "points")
+
+    def __init__(self, dim: int, points: tuple[TorsionPoint, ...] | None):
+        self._init(dim, points)
 
     def finite_points(self) -> tuple[TorsionPoint, ...]:
         if self.points is None:

@@ -1,14 +1,18 @@
-"""Every name a module of lagmono imports is used in that module.
+"""Every name a module of lagmono imports is used in that module, and start-up stays light.
 
 The repository runs no linter, so this stdlib-only check stands in for the
 unused-import rule: each non-``__init__`` module is parsed with ``ast`` and
 every name bound by an import must appear as a name somewhere else in the
 module, annotations included.  ``__init__`` is skipped because its imports
-are the package's re-exports.
+are the package's re-exports.  Every CLI invocation pays ``import
+lagmono.cli``, so no module imports ``dataclasses``, which with ``inspect``
+took about a third of that import.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +47,20 @@ def test_module_uses_every_import(module):
 def test_check_finds_an_unused_import():
     source = "from fractions import Fraction\nimport math, os.path\n\nx = math.pi\n"
     assert unused_imports(source) == {"Fraction", "os"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    return modules | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_does_not_import_dataclasses(module):
+    assert "dataclasses" not in imported_modules(ast.parse((SRC / module).read_text()))
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    probe = "import sys, lagmono.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         cwd=SRC.parent, timeout=60)
+    assert out.stdout == "[]\n"
