@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -339,11 +340,21 @@ def _command_path(argv: list[str]) -> tuple[str, ...]:
     return ()
 
 
+# argparse's own test: a token like this is a value, not an option, while no option string looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option_like(token: str) -> bool:
+    """Whether argparse reads token as an option string: it starts with "-" and is no negative number."""
+    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+
+
 def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse builds for a plain, valid argv, read from COMMANDS; None for any other argv.
 
     Plain: at most one --json, first; the full command path; then each declared positional and long
-    option at most once, in any order, as --flag value, with no other token starting with "-".
+    option at most once, in any order, as --flag value, with no other option-like token.  A negative
+    number such as -2 is a value, as for argparse while no option string looks like a negative number.
     """
     as_json = argv[:1] == ["--json"]
     rest = argv[as_json:]
@@ -359,8 +370,8 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
         return None
     given, tokens, positionals = {}, iter(rest[len(path):]), (name for name in arguments if name[0] != "-")
     for token in tokens:
-        name, value = (token, next(tokens, "-")) if token.startswith("-") else (next(positionals, None), token)
-        if name not in arguments or name in given or value.startswith("-"):
+        name, value = (token, next(tokens, "-")) if _option_like(token) else (next(positionals, None), token)
+        if name not in arguments or name in given or _option_like(value):
             return None
         given[name] = value
     fields = dict(zip(["command"] + ["subcommand"] * (len(path) - 1), path), json=as_json)

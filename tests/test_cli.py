@@ -327,7 +327,9 @@ ORACLE_ARGV = [
     [*CRIT, "--bound", "abc"],
     [*CRIT, "--bound", "0"],
     [*CRIT, "--bound", "6", "--cap", "-1"],
+    [*CRIT, "--bound", "-3"],
     [*CRIT],
+    ["clifford", "--at", "-1/2,0", POT],
     # a -- separator
     ["qform", "--", "1", "-1", "0"],
     ["toric", "--", POLY],
@@ -401,6 +403,8 @@ def spy_on_build_parser(monkeypatch):
         [*CRIT, "--cap", "100", "--bound", "6"],
         ["clifford", "--at", "1/3,1/3", POT],
         ["qform", "1", "1", "0"],
+        ["qform", "-2", "3", "-4"],
+        ["--json", "qform", "1", "-1", "0"],
         ["classify2d"],
     ],
     ids=" ".join,
@@ -418,7 +422,10 @@ def test_run_builds_no_parser_for_a_plain_valid_argv(argv, capsys, monkeypatch):
         (["--json", "--json", "potential", "crit", POT], ("potential", "crit")),
         (["classify2d", "-h"], ("classify2d",)),
         (["toric", POLY, "--mode", "bad"], ("toric",)),
-        (["qform", "1", "-1", "0"], ("qform",)),
+        (["clifford", "--at", "-1/2,0", POT], ("clifford",)),
+        (["toric", "-"], ("toric",)),
+        ([*CRIT, "--bound", "-3"], ("potential", "crit")),
+        (["qform", "-1.5", "1", "0"], ("qform",)),
         (["-h"], ()),
         (["--js", "toric", POLY], ()),
         (["potential"], ()),
@@ -460,7 +467,9 @@ def test_plain_reader_knows_every_argument_keyword():
 FLAGS = sorted({flag for arguments in ARGUMENTS.values() for flag in arguments if flag.startswith("-")})
 NAMES = sorted({name for path in ARGUMENTS for name in path})
 VALUES = [POLY, POT, "compact", "vertex", "6", "100", "1", "0", "-1", "", "abc", "1/3,1/3", "bad"]
-HOSTILE = ["-h", "--", "--js", "--at=1/2", "--json"]
+HOSTILE = ["-h", "--", "--js", "--at=1/2", "--json", "-"]
+# Tokens argparse reads as negative numbers, and near misses that it reads as option strings.
+NEGATIVE = ["-2", "-0", "-17", "-1.5", "-.5", "-3\n", "-1/2,0", "-1e3", "-1.", "- 2", "-x2"]
 
 
 @st.composite
@@ -468,11 +477,39 @@ def argvs(draw):
     """A command path with its own arguments in any order, each maybe left out, among stray tokens."""
     path = draw(st.one_of(st.sampled_from(PATHS), st.lists(st.sampled_from(NAMES), max_size=2).map(tuple)))
     own = [name for name in ARGUMENTS.get(path, ()) if draw(st.integers(0, 4))]
-    values = st.one_of(st.sampled_from(["1", "6", "compact"]), st.sampled_from(VALUES + HOSTILE))
+    values = st.one_of(st.sampled_from(["1", "6", "compact", "-2"]), st.sampled_from(VALUES + HOSTILE + NEGATIVE))
     pieces = [[name, draw(values)] if name.startswith("-") else [draw(values)] for name in own]
-    pieces += draw(st.lists(st.sampled_from(FLAGS + NAMES + VALUES + HOSTILE).map(lambda token: [token]), max_size=2))
+    strays = st.sampled_from(FLAGS + NAMES + VALUES + HOSTILE + NEGATIVE).map(lambda token: [token])
+    pieces += draw(st.lists(strays, max_size=2))
     tail = [token for piece in draw(st.permutations(pieces)) for token in piece]
     return [*draw(st.lists(st.just("--json"), max_size=2)), *path, *tail]
+
+
+def test_no_option_looks_like_a_negative_number():
+    """The plain reader takes -2 for a value, which argparse does only while no option string looks like a number."""
+    assert cli._NEGATIVE_NUMBER.pattern == argparse.ArgumentParser()._negative_number_matcher.pattern
+    options = ["-h", "--help", "--json", *FLAGS]
+    assert [flag for flag in options if cli._NEGATIVE_NUMBER.match(flag)] == []
+    parsers = [cli.build_parser()]
+    for parser in parsers:  # every parser and subparser, breadth first
+        assert not parser._has_negative_number_optionals
+        parsers += [child for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+                    for child in action.choices.values()]
+    assert len(parsers) == len(ARGUMENTS) + 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clifford", "--at", "-1/2,0", POT], "lagmono clifford: error: argument --at: expected one argument\n"),
+        ([*CRIT, "--bound", "-3"], "lagmono potential crit: error: argument --bound: must be a positive integer\n"),
+        (["qform", "1", "-1.5", "0"], "lagmono qform: error: argument mu2: invalid int value: '-1.5'\n"),
+    ],
+    ids=["--at -1/2,0", "--bound -3", "qform -1.5"],
+)
+def test_option_like_and_refused_negative_values_keep_argparse_messages(argv, message, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith(message)
 
 
 @settings(max_examples=1000, deadline=None)
