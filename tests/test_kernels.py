@@ -2429,11 +2429,11 @@ def test_heavy_group_embedding_equals_old_searches(name, parts):
 
 @st.composite
 def unimodular_pairs(draw, n):
-    """(u, u^-1) for a signed permutation followed by up to three elementary shears."""
+    """(u, u^-1) for a signed permutation followed by up to three elementary shears (none when n = 1)."""
     perm = draw(st.permutations(range(n)))
     u = signed_permutation(perm, draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
     u_inv = u.transpose()
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3 if n > 1 else 0))):
         i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
         c = draw(st.sampled_from((1, -1)))
         shear = [[int(r == col) for col in range(n)] for r in range(n)]
@@ -2728,8 +2728,8 @@ def locus_rows(draw):
 
 @st.composite
 def unimodular_families(draw):
-    """1-3 matrices of GL(n, Z), n = 2-4, each a drawn unimodular change of basis or an element of a MOVED_CASES group."""
-    n = draw(st.integers(2, 4))
+    """1-3 matrices of GL(n, Z), n = 1-4, each a drawn unimodular change of basis or an element of a MOVED_CASES group."""
+    n = draw(st.integers(1, 4))
     matrix = unimodular_pairs(n).map(lambda pair: pair[0])
     if elements := [g for group in MOVED_CASES.values() if group.dim == n for g in group.elements]:
         matrix = st.one_of(matrix, st.sampled_from(elements))
@@ -2905,7 +2905,7 @@ DELZANT_BASES = {
 def moved_polytopes(draw, p, mode):
     """p in the given mode under a unimodular change of basis, a rational translation and a facet shuffle."""
     n = p.dim
-    u = draw(unimodular_pairs(n))[0] if n > 1 else IntMat.from_rows([[draw(st.sampled_from((1, -1)))]])
+    u = draw(unimodular_pairs(n))[0]
     shift = draw(st.lists(offsets, min_size=n, max_size=n))
     order = draw(st.permutations(range(p.nfacets)))
     normals = tuple(u.apply(p.normals[j]) for j in order)
