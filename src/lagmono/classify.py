@@ -48,7 +48,9 @@ class GroupCatalog(Value):
     __slots__ = ("dim", "entries", "q_class")
 
     def __init__(self, dim: int, entries: tuple[tuple[str, MatrixGroup], ...], q_class: bool = False):
-        self._init(dim, entries, q_class)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "q_class", q_class)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
@@ -139,7 +141,11 @@ class ClassVerdict2D(Value):
         toric_tag: Literal["IMPOSSIBLE", "TORIC_REALIZED", "TORIC_IMPOSSIBLE"],
         realized_by: tuple[str, ...] = (),
     ):
-        self._init(name, admissible, witness, toric_tag, realized_by)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "toric_tag", toric_tag)
+        object.__setattr__(self, "realized_by", realized_by)
 
 
 def toric_realized_labels() -> dict[str, tuple[str, ...]]:
@@ -226,7 +232,11 @@ class ConjectureVerdict(Value):
         parts: tuple[int, ...] | None = None,
         embedding: tuple[tuple[IntMat, tuple[Perm, ...]], ...] | None = None,
     ):
-        self._init(name, status, witness, parts, embedding)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "embedding", embedding)
 
 
 def _symmetric_part_choices(n: int) -> list[tuple[int, ...]]:

@@ -41,7 +41,9 @@ class CliffordData(Value):
     __slots__ = ("lam", "mu", "nu")
 
     def __init__(self, lam: Cyc, mu: Cyc, nu: Cyc):
-        self._init(lam, mu, nu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
     @property
     def half_integral(self) -> bool:
@@ -58,7 +60,10 @@ class CliffordElement(Value):
     __slots__ = ("a0", "au", "av", "auv")
 
     def __init__(self, a0: Cyc, au: Cyc, av: Cyc, auv: Cyc):
-        self._init(a0, au, av, auv)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "au", au)
+        object.__setattr__(self, "av", av)
+        object.__setattr__(self, "auv", auv)
 
     @classmethod
     def even(cls, p: Cyc | int, q: Cyc | int) -> "CliffordElement":
@@ -141,7 +146,8 @@ class ContinuationResult(Value):
     __slots__ = ("status", "witness")
 
     def __init__(self, status: Literal["solvable", "unsolvable", "unknown"], witness: CliffordElement | None = None):
-        self._init(status, witness)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
 
 def _action_images(action: IntMat) -> tuple[int, int, int]:
@@ -391,7 +397,9 @@ class BinaryForm(Value):
     __slots__ = ("lam", "mu2", "nu")
 
     def __init__(self, lam: int, mu2: int, nu: int):
-        self._init(lam, mu2, nu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu2", mu2)
+        object.__setattr__(self, "nu", nu)
 
     def matrix(self) -> IntMat:
         return IntMat.from_rows([[self.lam, self.mu2], [self.mu2, self.nu]])
@@ -501,7 +509,8 @@ class ShearConstraints(Value):
     __slots__ = ("kind", "divisors")
 
     def __init__(self, kind: Literal["any", "multiples", "zero"], divisors: tuple[int, ...] = ()):
-        self._init(kind, divisors)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "divisors", divisors)
 
     def modulus(self) -> int | None:
         if self.kind != "multiples":
@@ -523,7 +532,14 @@ class Rk1Report(Value):
         sign: int | None = None,
         flipped: bool = False,
     ):
-        self._init(case, group_bound, shears, a, b, k, sign, flipped)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "group_bound", group_bound)
+        object.__setattr__(self, "shears", shears)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "flipped", flipped)
 
 
 def _extract_univariate(w: LaurentPolynomial) -> dict[int, int]:
@@ -657,7 +673,9 @@ class HessianPointData(Value):
     def __init__(
         self, point: TorsionPoint, constants: tuple[Cyc, Cyc, Cyc], normalized: tuple[Cyc, Cyc, Cyc] | None = None
     ):
-        self._init(point, constants, normalized)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "normalized", normalized)
 
 
 class HessianCheckReport(Value):
@@ -672,7 +690,12 @@ class HessianCheckReport(Value):
         eps_pair: tuple[int, int] | None = None,
         points: tuple[HessianPointData, ...] = (),
     ):
-        self._init(kind, status, form, epsilon, eps_pair, points)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "eps_pair", eps_pair)
+        object.__setattr__(self, "points", points)
 
 
 def hessian_theorem_check(

@@ -166,7 +166,8 @@ class _ElementList:
 
 class PermutationGroup(_ElementList, Value):
     def __init__(self, degree: int, elements: tuple[Perm, ...]):
-        self._init(degree, elements)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "elements", elements)
 
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[Perm]) -> "PermutationGroup":
@@ -190,7 +191,8 @@ class MatrixGroup(_ElementList, Value):
     O, the orbit of e_1, .., e_n, which spans Z^n: perms[k][i] is the index in O of elements[k] O[i]."""
 
     def __init__(self, dim: int, elements: tuple[IntMat, ...]):
-        self._init(dim, elements)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "elements", elements)
 
     @classmethod
     def from_elements(cls, dim: int, elements: Iterable[IntMat]) -> "MatrixGroup":

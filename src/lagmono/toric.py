@@ -59,7 +59,10 @@ class DelzantPolytope(Value):
             raise ValueError("normal length differs from dimension")
         if len(normals) != len(offsets):
             raise ValueError("need one offset per facet normal")
-        self._init(dim, normals, offsets, mode)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def nfacets(self) -> int:
@@ -76,7 +79,8 @@ class Vertex(Value):
     __slots__ = ("point", "active")
 
     def __init__(self, point: tuple[Fraction, ...], active: tuple[int, ...]):
-        self._init(point, active)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "active", active)
 
 
 class ValidationReport(Value):
@@ -90,7 +94,11 @@ class ValidationReport(Value):
         vertices: tuple[Vertex, ...] = (),
         warnings: tuple[str, ...] = (),
     ):
-        self._init(ok, failure, witness, vertices, warnings)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "warnings", warnings)
 
     def __str__(self) -> str:
         if self.ok:
@@ -281,7 +289,8 @@ class NormalPartition(Value):
     __slots__ = ("size", "blocks")
 
     def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
-        self._init(size, blocks)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "blocks", blocks)
 
     def __str__(self) -> str:
         return " ".join(
@@ -315,7 +324,9 @@ class ToricFiberData(Value):
     """
 
     def __init__(self, polytope: DelzantPolytope, relations: LatticeBasis, potential: LaurentPolynomial):
-        self._init(polytope, relations, potential)
+        object.__setattr__(self, "polytope", polytope)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "potential", potential)
 
     @cached_property
     def partition(self) -> NormalPartition:

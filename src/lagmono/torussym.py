@@ -84,7 +84,8 @@ class FixedPointSet(Value):
     __slots__ = ("dim", "points")
 
     def __init__(self, dim: int, points: tuple[TorsionPoint, ...] | None):
-        self._init(dim, points)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "points", points)
 
     def finite_points(self) -> tuple[TorsionPoint, ...]:
         if self.points is None:

@@ -22,11 +22,6 @@ class Value:
         get = attrgetter(*cls._fields)
         cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
 
-    def _init(self, *values) -> None:
-        """Store the fields, in ``_fields`` order."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._astuple(self) == self._astuple(other)

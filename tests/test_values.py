@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import lagmono
 from lagmono.classify import ClassVerdict2D, ConjectureVerdict, GroupCatalog
 from lagmono.cyclotomic import CyclotomicNumber
 from lagmono.floer import (
@@ -30,6 +31,7 @@ from lagmono.intlat import IntMat, LatticeBasis
 from lagmono.laurent import LaurentPolynomial
 from lagmono.toric import DelzantPolytope, Mode, NormalPartition, ToricFiberData, ValidationReport, Vertex
 from lagmono.torussym import FixedPointSet, TorsionPoint
+from lagmono.value import Value
 
 F = Fraction
 M = IntMat(((1, 2), (3, 4)))
@@ -124,8 +126,10 @@ def names(cls) -> list[str]:
     return [part.split("=")[0] for part in CASES[cls][0].split(", ")]
 
 
-def test_twenty_four_classes():
-    assert len(CLASSES) == 24
+def test_every_value_class_is_pinned():
+    classes = {c for module in vars(lagmono).values() if inspect.ismodule(module) for c in vars(module).values()
+               if inspect.isclass(c) and issubclass(c, Value) and c is not Value}
+    assert classes == set(CLASSES) and len(CLASSES) == 24
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
