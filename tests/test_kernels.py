@@ -46,7 +46,10 @@ the grid walk of ``laurent.torsion_critical_points`` that built a Fraction
 ``old_matrix_chain``), and the group and matrix block of ``cli.run_toric``,
 which walked each monodromy group and induced its generators' matrices on its
 own (``old_toric_records``, run with the Fraction validation and normalisation
-as ``old_toric_run``).
+as ``old_toric_run``), and the Euclidean rounds of ``intlat._hermite`` that
+rebuilt the list of nonzero rows for each pivot (``old_hermite``), and the
+forced-point search that joined every state to every step, full-rank steps
+included (``old_unpruned_forced_critical_points``).
 ``floer._two_column_kernel`` is checked against the old elimination loop.
 They are kept here only as oracles.
 """
@@ -141,6 +144,7 @@ from lagmono.torussym import (
     TorsionPoint,
     _delta_rows,
     _full_rank_locus,
+    _image,
     _points,
     first_moved_point,
     forced_critical_points,
@@ -1373,6 +1377,38 @@ def old_from_vectors(ambient, vectors):
     return LatticeBasis(ambient, tuple(r for r in h.rows if any(x != 0 for x in r)))
 
 
+def old_hermite(h: list[list[int]], nc: int) -> list[list[int]]:
+    """Hermite row elimination of the first nc columns of h, in place; later columns ride along."""
+    nr, r = len(h), 0
+    for c in range(nc):
+        # Euclidean row reduction in column c below row r, the smallest entry first.
+        while nz := [i for i in range(r, nr) if h[i][c]]:
+            piv = min(nz, key=lambda i: abs(h[i][c]))
+            h[r], h[piv] = h[piv], h[r]
+            if len(nz) == 1:
+                break
+            for i in range(r + 1, nr):
+                if h[i][c]:
+                    q = h[i][c] // h[r][c]
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+        if r < nr and h[r][c]:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+            r += 1
+    return h
+
+
+def old_hermite_pair(m: IntMat) -> tuple[IntMat, IntMat]:
+    """``hermite_normal_form`` through ``old_hermite``: the transform rides along as identity columns."""
+    nr, nc = m.nrows, m.ncols
+    rows = old_hermite([list(r) + [int(i == j) for j in range(nr)] for i, r in enumerate(m.rows)], nc)
+    return IntMat.from_rows(r[:nc] for r in rows), IntMat.from_rows(r[nc:] for r in rows)
+
+
 def old_forced_critical_points(group):
     """Enumeration of subsets, in index order, whose rank rises at each element."""
     n = group.dim
@@ -1437,6 +1473,44 @@ def old_lattice_forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     loci = [_full_rank_locus(state.basis) for state in seen if state.rank == n]
     den = math.lcm(*(det for det, _ in loci))
     return FixedPointSet(n, _points(den, {tuple(a * (den // det) for a in x) for det, xs in loci for x in xs}))
+
+
+def old_unpruned_forced_critical_points(group: MatrixGroup) -> FixedPointSet:
+    """``torussym.forced_critical_points`` before it pruned joins: every queued state tries every step.
+
+    One step per cyclic subgroup; a step joined to the zero state is the step itself; conjugation
+    orbits are walked only for states below rank n, under the generators that are not central;
+    the points are the full-rank loci closed under x -> g^T x.
+    """
+    n, gens = group.dim, group.generators()
+    perm = dict(zip(group, group.perms))
+    moving = [h for h in gens if any(compose(perm[h], perm[g]) != compose(perm[g], perm[h]) for g in gens)]
+    steps = dict.fromkeys(LatticeBasis._of(n, [*_delta_rows(g)]) for g in group.cyclic_generators())
+    seen: set[LatticeBasis] = set()
+    queue = [LatticeBasis(n, ())]
+    for state in queue:  # appended to while read, so breadth first
+        for step in steps:
+            if state.rank and all(map(state.member, step.basis)):
+                continue
+            joined = LatticeBasis._of(n, [*state.basis, *step.basis]) if state.rank else step
+            if joined.rank == state.rank or joined in seen:
+                continue
+            seen.add(joined)
+            if joined.rank < n:
+                queue.append(joined)
+                if moving:
+                    orbit = cayley_closure(joined, moving, lambda s, h: LatticeBasis._of(n, [*map(h.apply, s.basis)]))
+                    seen.update(orbit)
+    loci = [_full_rank_locus(state.basis) for state in seen if state.rank == n]
+    den = math.lcm(*(det for det, _ in loci))
+    points = list({tuple(a * (den // det) for a in x) for det, xs in loci for x in xs})
+    closed, transposes = set(points), [h.transpose() for h in moving]
+    for x in points:  # appended to while read: the closure under every g^T
+        for gt in transposes:
+            if (y := _image(gt, den, x)) not in closed:
+                closed.add(y)
+                points.append(y)
+    return FixedPointSet(n, _points(den, closed))
 
 
 @functools.lru_cache(maxsize=None)
@@ -2557,6 +2631,28 @@ class TestLatticeSearchOracle:
         assert_forced_equals_lattice_search(UNWALKED_LOCI)
 
 
+def assert_forced_equals_unpruned_search(group):
+    assert forced_critical_points(group) == old_unpruned_forced_critical_points(group)
+
+
+class TestUnprunedSearchOracle:
+    @pytest.mark.parametrize("name", MOVED_CASES)
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_search_equals_unpruned_search_on_conjugates(self, name, data):
+        group = MOVED_CASES[name]
+        assert_forced_equals_unpruned_search(group.conjugate(*data.draw(unimodular_pairs(group.dim))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups())
+    def test_search_equals_unpruned_search_on_small_groups(self, group):
+        assert_forced_equals_unpruned_search(group)
+
+    @pytest.mark.parametrize("group", [B4, UNWALKED_LOCI], ids=["B4", "UNWALKED_LOCI"])
+    def test_search_equals_unpruned_search_on_pinned_groups(self, group):
+        assert_forced_equals_unpruned_search(group)
+
+
 def orbit_walks(group):
     """(state, generators) of every orbit walk that forced_critical_points hands to cayley_closure."""
     with mock.patch.object(torussym, "cayley_closure", wraps=cayley_closure) as spy:
@@ -2815,6 +2911,37 @@ int_matrices = st.integers(0, 5).flatmap(
 )
 
 
+# Up to 8 rows of 0-5 entries in [-50, 50], a row all zero a third of the time:
+# more rows than columns, zero rows, zero columns and negative pivots all occur.
+kernel_matrices = st.integers(0, 5).flatmap(
+    lambda c: st.tuples(
+        st.just(c),
+        st.lists(
+            st.one_of(st.just([0] * c), st.lists(st.integers(-50, 50), min_size=c, max_size=c), st.lists(st.integers(-50, 50), min_size=c, max_size=c)),
+            max_size=8,
+        ),
+    )
+)
+
+KERNEL_EDGE_CASES = [
+    (3, []),
+    (0, [[], [], []]),
+    (2, [[0, 0], [0, 0], [0, 0]]),
+    (2, [[-4, 6], [-6, 9], [-2, -50], [0, -7]]),
+    (3, [[0, -5, 3], [0, -5, 3], [0, 0, -1], [-50, 50, 49]]),
+    (1, [[-50], [35], [-21]]),
+    (4, [[0, 0, 0, -3]]),
+]
+
+
+def assert_hermite_equals_old_kernel(n, rows):
+    """(h, u) of the n-column matrix and the lattice its rows span equal those of ``old_hermite``."""
+    m = IntMat(tuple(map(tuple, rows)))
+    assert hermite_normal_form(m) == old_hermite_pair(m)
+    old_basis = tuple(tuple(r) for r in old_hermite([list(r) for r in rows], n) if any(r))
+    assert LatticeBasis.from_vectors(n, rows) == LatticeBasis(n, old_basis)
+
+
 def int_rows(r, c):
     """r rows of c entries in [-9, 9]."""
     return st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r)
@@ -2835,6 +2962,15 @@ class TestHermitePath:
         _, rows = case
         m = IntMat.from_rows(rows)
         assert hermite_normal_form(m) == old_hermite_normal_form(m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_matrices)
+    def test_hermite_form_equals_old_kernel(self, case):
+        assert_hermite_equals_old_kernel(*case)
+
+    @pytest.mark.parametrize("n, rows", KERNEL_EDGE_CASES)
+    def test_edge_cases_equal_old_kernel(self, n, rows):
+        assert_hermite_equals_old_kernel(n, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(int_matrices)
