@@ -141,27 +141,34 @@ def hermite_normal_form(m: IntMat) -> tuple[IntMat, IntMat]:
 
 
 def _hermite(h: list[list[int]], nc: int) -> list[list[int]]:
-    """Hermite row elimination of the first nc columns of h, in place; later columns ride along."""
+    """Hermite row elimination of the first nc columns of h, in place; later columns ride along.
+
+    Each Euclidean round in column c swaps up the first row with the least nonzero |entry|, which
+    reduces the rows below it; the scan that reduces them picks the next round's pivot.
+    """
     nr, r = len(h), 0
     for c in range(nc):
-        # Euclidean row reduction in column c below row r, the smallest entry first.
-        while nz := [i for i in range(r, nr) if h[i][c]]:
-            piv = min(nz, key=lambda i: abs(h[i][c]))
+        least = 0
+        for i in range(r, nr):
+            if (x := abs(h[i][c])) and (x < least or not least):
+                piv, least = i, x
+        if not least:
+            continue
+        while least:
             h[r], h[piv] = h[piv], h[r]
-            if len(nz) == 1:
-                break
+            p, pc, least = h[r], h[r][c], 0
             for i in range(r + 1, nr):
-                if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-        if r < nr and h[r][c]:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-            r += 1
+                if (x := h[i][c]) and (q := x // pc):
+                    h[i] = row = [a - q * b for a, b in zip(h[i], p)]
+                    x = row[c]
+                if x and (abs(x) < least or not least):
+                    piv, least = i, abs(x)
+        if pc < 0:
+            h[r] = p = [-x for x in p]
+        for i in range(r):
+            if q := h[i][c] // p[c]:
+                h[i] = [a - q * b for a, b in zip(h[i], p)]
+        r += 1
     return h
 
 
@@ -213,15 +220,18 @@ class LatticeBasis(Value):
         """Exact membership test against the canonical echelon basis; a non-integral vector is no member."""
         if len(v) != self.ambient:
             raise ValueError("dimension mismatch")
-        w = list(v)
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if w[p] % row[p] != 0:
+        w, p = list(v), 0
+        for row in self.basis:  # the pivots increase, so each scan starts past the last pivot
+            while not row[p]:
+                if w[p]:  # no later row reaches column p
+                    return False
+                p += 1
+            if w[p] % row[p]:
                 return False
-            q = w[p] // row[p]
-            if q:
+            if q := w[p] // row[p]:
                 w = [a - q * b for a, b in zip(w, row)]
-        return all(x == 0 for x in w)
+            p += 1
+        return not any(w[p:])
 
 
 def kernel_lattice(m: IntMat) -> LatticeBasis:

@@ -139,14 +139,17 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     ord(g).  A breadth-first search over canonical LatticeBasis states adds one
     distinct L(g) per step, one g per cyclic subgroup, skipping a step whose
     rows are members of the state or that does not raise its rank; joined to the
-    zero state, a step is in Hermite form.  Conjugation by h maps L(S) to L(S)
-    h^T and is trivial for a central h, so the orbit of each new state of rank
-    below n is walked by ``cayley_closure`` under the generators that are not
-    central (none, in an abelian group) and marked seen, and only the state
-    itself is extended.  It is exact: a subset S of rank n holds a subset, in
-    index order, whose rank rises at each element, and the state of that subset,
-    whose locus contains Fix(S), is conjugate to a full-rank state reached from
-    an orbit representative.  Full-rank states are not walked: the answer unites
+    zero state, a step is in Hermite form.  A nonzero state tries only the steps
+    of rank below n: a full-rank L(g) is seen from the zero state, and Fix(S +
+    L(g)) lies in Fix(g).  Conjugation by h maps L(S) to L(S) h^T and is trivial
+    for a central h, so the orbit of each new state of rank below n is walked by
+    ``cayley_closure`` under the generators that are not central (none, in an
+    abelian group) and marked seen, and only the state itself is extended.  It
+    is exact: a subset S of rank n holds a subset, in index order, whose rank
+    rises at each element, and the state of that subset, whose locus contains
+    Fix(S), is conjugate to a full-rank state reached from an orbit
+    representative, or its last element g has L(g) of rank n, whose locus then
+    contains Fix(S).  Full-rank states are not walked: the answer unites
     their loci, read off their Hermite bases, and closes the points under x ->
     g^T x, since Fix(L h^T) = h^-T Fix(L) and the forced set is G-invariant.
     The points stay integer numerators over the lcm of the loci's det H until
@@ -156,10 +159,11 @@ def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
     perm = dict(zip(group, group.perms))  # the generators not central, found by permutation products
     moving = [h for h in gens if any(compose(perm[h], perm[g]) != compose(perm[g], perm[h]) for g in gens)]
     steps = dict.fromkeys(LatticeBasis._of(n, [*_delta_rows(g)]) for g in group.cyclic_generators())
+    low = [step for step in steps if step.rank < n]
     seen: set[LatticeBasis] = set()
     queue = [LatticeBasis(n, ())]
     for state in queue:  # appended to while read, so breadth first
-        for step in steps:
+        for step in low if state.rank else steps:
             if state.rank and all(map(state.member, step.basis)):
                 continue
             joined = LatticeBasis._of(n, [*state.basis, *step.basis]) if state.rank else step
@@ -190,6 +194,8 @@ def first_moved_point(group: MatrixGroup, points: Sequence[TorsionPoint]) -> tup
     numerators x over den, the lcm of the points' orders: g moves x when g^T x != x (mod den).
     """
     den, xs = _numerators(points)
+    if all(_image(g.transpose(), den, x) == x for g in group.generators() for x in xs):
+        return None  # each point's stabiliser holds the generators, so it is the whole group
     for g in group.nonidentity():
         gt = g.transpose()
         for p, x in zip(points, xs):

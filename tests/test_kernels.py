@@ -2653,6 +2653,27 @@ class TestUnprunedSearchOracle:
         assert_forced_equals_unpruned_search(group)
 
 
+def lattice_eliminations(search, group):
+    """(the search's answer on group, its number of LatticeBasis._of calls: steps, joins and orbit images)."""
+    with mock.patch.object(LatticeBasis, "_of", wraps=LatticeBasis._of) as spy:
+        answer = search(group)
+    return answer, spy.call_count
+
+
+class TestPrunedJoins:
+    @pytest.mark.parametrize("name", FORCED_HEAVY_CASES)
+    def test_full_rank_steps_join_only_the_zero_state(self, name):
+        # Steps, states and orbit walks are those of the unpruned search, so the
+        # eliminations saved are its joins of a nonzero state with a full-rank step.
+        group = FORCED_HEAVY_CASES[name]
+        pruned, calls = lattice_eliminations(forced_critical_points, group)
+        unpruned, old_calls = lattice_eliminations(old_unpruned_forced_critical_points, group)
+        assert pruned == unpruned
+        full_rank_step = any(LatticeBasis.from_vectors(group.dim, _delta_rows(g)).rank == group.dim for g in group)
+        assert calls < old_calls if full_rank_step else calls == old_calls
+        assert full_rank_step == (name != "S4")  # every permutation matrix fixes (1, 1, 1, 1)
+
+
 def orbit_walks(group):
     """(state, generators) of every orbit walk that forced_critical_points hands to cayley_closure."""
     with mock.patch.object(torussym, "cayley_closure", wraps=cayley_closure) as spy:
@@ -2882,6 +2903,28 @@ class TestMovedPoint:
         for g in group.elements[:4]:
             for p in points:
                 assert act(g, p) == old_act(g, p)
+
+    def test_admissible_and_moved_groups_equal_fraction_scan(self):
+        verdicts = set()
+        for name, group in MOVED_CASES.items():
+            points = forced_critical_points(group).finite_points()
+            assert first_moved_point(group, points) == old_first_moved_point(group, points), name
+            verdicts.add(first_moved_point(group, points) is None)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(), st.data())
+    def test_points_fixed_by_the_generators_are_fixed_by_the_group(self, group, data):
+        common = monomial_fixed_points(group.generators() or [IntMat.identity(group.dim)]).points
+        for points in (common or (), forced_critical_points(group).finite_points() + tuple(data.draw(torsion_points(group.dim, 3)))):
+            assert first_moved_point(group, points) == old_first_moved_point(group, points)
+
+    @pytest.mark.parametrize("name", ["3f", "signs", "S4", "signs4"])
+    def test_admissible_group_scans_no_element(self, name):
+        group = MOVED_CASES[name]
+        points = forced_critical_points(group).finite_points()
+        with mock.patch.object(MatrixGroup, "nonidentity", side_effect=AssertionError("element scan")):
+            assert first_moved_point(group, points) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_empty_point_list_and_trivial_group(self, n):
