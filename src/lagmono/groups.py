@@ -215,8 +215,8 @@ class MatrixGroup(_ElementList, Value):
             return cls.from_elements(dim, closure)
         orbit, images = action
         walk = cayley_closure(identity_perm(len(orbit)), images, compose)
-        # O starts with e_1, .., e_n, so column j of g is g e_j = O[perm[j]], and the rows of
-        # IntMat.canonical_key's codes, compared row by row, come from the codes of those points.
+        # O starts with e_1, .., e_n, so column j of g is g e_j = O[perm[j]]; the sort key holds g's
+        # canonical_key codes row by row, read off the codes of those points, so it orders alike.
         codes = [tuple(2 * abs(x) + (x < 0) for x in v) for v in orbit]
         perms = tuple(sorted(walk, key=lambda p: tuple(zip(*map(codes.__getitem__, p[:dim])))))
         group = cls(dim, tuple(IntMat._of(tuple(zip(*map(orbit.__getitem__, p[:dim])))) for p in perms))

@@ -228,6 +228,19 @@ def test_member_matches_rational_solve(rows, v):
     assert lattice.member(v) == brute_member(v, lattice.basis)
 
 
+@given(
+    st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4), max_size=3),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3),
+    st.lists(st.integers(min_value=-1, max_value=1), min_size=4, max_size=4),
+)
+def test_member_matches_rational_solve_near_the_lattice(rows, coeffs, offset):
+    # A lattice vector moved by a small integer offset: a basis of rank at most 3 in Z^4
+    # leaves a column without a pivot, where a non-member can differ from the lattice.
+    lattice = LatticeBasis.from_vectors(4, rows)
+    v = [sum(c * b[j] for c, b in zip(coeffs, lattice.basis)) + o for j, o in enumerate(offset)]
+    assert lattice.member(v) == brute_member(v, lattice.basis)
+
+
 def test_minkowski_bound():
     assert tuple(minkowski_bound(n) for n in range(1, 7)) == (2, 24, 48, 5760, 11520, 2903040)
 
