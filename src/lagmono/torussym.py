@@ -194,7 +194,7 @@ def first_moved_point(group: MatrixGroup, points: Sequence[TorsionPoint]) -> tup
     numerators x over den, the lcm of the points' orders: g moves x when g^T x != x (mod den).
     """
     den, xs = _numerators(points)
-    if all(_image(g.transpose(), den, x) == x for g in group.generators() for x in xs):
+    if all(_image(gt, den, x) == x for gt in map(IntMat.transpose, group.generators()) for x in xs):
         return None  # each point's stabiliser holds the generators, so it is the whole group
     for g in group.nonidentity():
         gt = g.transpose()
