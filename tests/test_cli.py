@@ -321,6 +321,10 @@ ORACLE_ARGV = [
     ["toric"],
     ["classify2d", "extra"],
     [*CRIT, "--bound", "6", "--json"],
+    # a repeated option whose first value argparse refuses
+    ["toric", POLY, "--mode", "bad", "--mode", "compact"],
+    [*CRIT, "--bound", "0", "--bound", "6"],
+    [*CRIT, "--bound", "x", "--bound", "6"],
     # bad int and positive-int values
     ["qform", "1", "x", "0"],
     ["qform", "1"],
@@ -335,6 +339,48 @@ ORACLE_ARGV = [
     ["toric", "--", POLY],
     ["--", "toric", POLY],
 ]
+
+
+ORACLE_GOLDEN = FIXTURES.parent / "tests" / "golden" / "cli-oracle-argv.jsonl"
+
+
+def oracle_line(argv, capsys, monkeypatch):
+    """One JSON line holding argv and what run makes of it at 80 columns: exit code, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = invoke(capsys, *argv)
+    return json.dumps({"argv": argv, "code": code, "stdout": out, "stderr": err}) + "\n"
+
+
+def test_oracle_golden_holds_one_line_per_argv_in_order():
+    lines = ORACLE_GOLDEN.read_text().splitlines()
+    assert [json.loads(line)["argv"] for line in lines] == ORACLE_ARGV
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_ARGV)), ids=lambda i: " ".join(ORACLE_ARGV[i]) or "(empty)")
+def test_oracle_argv_output_matches_golden(index, capsys, monkeypatch):
+    golden = ORACLE_GOLDEN.read_text().splitlines(keepends=True)[index]
+    assert oracle_line(ORACLE_ARGV[index], capsys, monkeypatch) == golden
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["toric", POLY, "--mode", "bad", "--mode", "compact"],
+         "lagmono toric: error: argument --mode: invalid choice: 'bad' (choose from 'compact', 'vertex')\n"),
+        ([*CRIT, "--bound", "0", "--bound", "6"],
+         "lagmono potential crit: error: argument --bound: must be a positive integer\n"),
+        ([*CRIT, "--bound", "x", "--bound", "6"],
+         "lagmono potential crit: error: argument --bound: must be a positive integer\n"),
+    ],
+    ids=["--mode bad --mode compact", "--bound 0 --bound 6", "--bound x --bound 6"],
+)
+def test_repeated_option_is_declined_and_argparse_checks_each_value(argv, message, capsys, monkeypatch):
+    """argparse checks every occurrence of an option, so the plain reader, which would keep the last, declines."""
+    monkeypatch.chdir(FIXTURES.parent)
+    assert cli._plain_args(argv) is None
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith(message)
 
 
 @pytest.mark.parametrize("argv", ORACLE_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
