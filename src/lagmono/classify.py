@@ -52,15 +52,6 @@ class GroupCatalog(Value):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "q_class", q_class)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    def group(self, name: str) -> MatrixGroup:
-        for entry_name, group in self.entries:
-            if entry_name == name:
-                return group
-        raise KeyError(name)
-
 
 @functools.cache
 def catalog_n2() -> GroupCatalog:

@@ -4,10 +4,8 @@ Every subcommand builds a list of records (dicts); the text renderer prints
 them one field per line and the --json flag emits the same records as JSON
 lines, field for field.  Exit codes: 0 success, 2 validation failure,
 3 parse error.  A plain, valid argv is read straight from COMMANDS and builds
-no parser.  Any other argv builds from COMMANDS only its own command's parser
-(the full one when argv names no complete command), so argparse writes every
-help, usage and error message, word for word the full parser's.  Nothing is
-cached.
+no parser.  Any other argv builds the full parser from COMMANDS, so argparse
+writes every help, usage and error message.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -299,38 +297,32 @@ COMMANDS = {
 }
 
 
-def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
-    """The full parser, or with a command path such as ("potential", "crit") only that path's subparsers."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagmono",
         description="Exact monodromy computations for monotone Lagrangian torus fibres",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
-    _add_commands(parser, COMMANDS, path, "command")
+    _add_commands(parser, COMMANDS, "command")
     return parser
 
 
-def _add_commands(parser, table: dict, path: tuple[str, ...], dest: str) -> None:
-    # A selected level keeps the full choice list in its usage line through the metavar.
-    metavar = "{" + ",".join(table) + "}" if path else None
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name in path[:1] or table:
-        help_text, target, arguments = table[name]
+def _add_commands(parser, table: dict, dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, target, arguments) in table.items():
         child = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments.items():
             child.add_argument(flag, **keywords)
         if isinstance(target, dict):
-            _add_commands(child, target, path[1:], "subcommand")
+            _add_commands(child, target, "subcommand")
         else:
             child.set_defaults(func=globals()[target])
 
 
 def _command_path(argv: list[str]) -> tuple[str, ...]:
-    """The command names argv starts with after any --json, or () when it names no complete command."""
+    """The command names argv starts with, or () when it names no complete command."""
     table, path = COMMANDS, ()
     for token in argv:
-        if token == "--json" and not path:
-            continue
         if token not in table:
             return ()
         path += (token,)
@@ -359,7 +351,7 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     as_json = argv[:1] == ["--json"]
     rest = argv[as_json:]
     path = _command_path(rest)
-    if not path or rest[0] == "--json":
+    if not path:
         return None
     table, arguments = COMMANDS, {}
     for name in path:
@@ -394,7 +386,7 @@ def run(argv: list[str]) -> int:
     args = _plain_args(argv)
     if args is None:
         try:
-            args = build_parser(_command_path(argv)).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse has printed its message; keep its exit code
             return exc.code
     try:

@@ -305,16 +305,6 @@ class CyclotomicNumber(Value):
     def __rtruediv__(self, other):
         return _coerce(other) * self.inverse()
 
-    def galois(self, a: int) -> "CyclotomicNumber":
-        """Image under zeta -> zeta^a, for a coprime to the conductor."""
-        d = self.conductor
-        if math.gcd(a, d) != 1:
-            raise ValueError("galois exponent must be coprime to the conductor")
-        out = [0] * d
-        for i, c in enumerate(self.nums):
-            out[(i * a) % d] += c
-        return CyclotomicNumber._from_image(d, out, self.den)
-
     def _columns(self) -> list[list[int]]:
         """The columns nums zeta^i mod Phi_d for i < phi(d).
 

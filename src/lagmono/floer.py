@@ -26,7 +26,7 @@ from .errors import (
     NotUnivariateError,
     UnsupportedActionError,
 )
-from .intlat import IntMat, hermite_normal_form, primitive_vector, vec_gcd
+from .intlat import IntMat, hermite_normal_form, primitive_vector
 from .laurent import LaurentPolynomial, _first_partials, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 from .value import Value
@@ -92,13 +92,6 @@ class CliffordElement(Value):
     def scale(self, c: Cyc | int) -> "CliffordElement":
         c = _cyc(c)
         return CliffordElement(self.a0 * c, self.au * c, self.av * c, self.auv * c)
-
-    def __str__(self) -> str:
-        parts = []
-        for coeff, name in ((self.a0, "1"), (self.au, "u"), (self.av, "v"), (self.auv, "uv")):
-            if not coeff.is_zero():
-                parts.append(f"({coeff})*{name}" if name != "1" else f"({coeff})")
-        return " + ".join(parts) if parts else "0"
 
 
 def _cyc(x) -> Cyc:
@@ -411,9 +404,6 @@ class BinaryForm(Value):
         m = u.transpose() @ self.matrix() @ u
         return BinaryForm(m.rows[0][0], m.rows[0][1], m.rows[1][1])
 
-    def __str__(self) -> str:
-        return str(self.matrix())
-
 
 HYPERBOLIC = BinaryForm(0, 1, 0)
 
@@ -565,7 +555,7 @@ def _cyclotomic_factor_profile(poly: dict[int, int]) -> tuple[int, list[int]] | 
     coeffs = [0] * (max(poly) - low + 1)
     for e, c in poly.items():
         coeffs[e - low] = c
-    content = vec_gcd(coeffs) * (1 if coeffs[-1] > 0 else -1)
+    content = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
     coeffs = [c // content for c in coeffs]
     if coeffs[-1] != 1 or abs(coeffs[0]) != 1:
         return None  # a product of Phi_d is monic with constant term +-1

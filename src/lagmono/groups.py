@@ -114,10 +114,6 @@ class _ElementList:
         return len(self.elements)
 
     @functools.cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.elements)
-
-    @functools.cached_property
     def perm_chain(self) -> tuple[tuple[Perm, ...], tuple[Perm, ...], tuple[int, ...]]:
         """(gens, walk, sizes) as permutations, found once per group.
 
@@ -157,9 +153,6 @@ class _ElementList:
                 covered.update(q for k, q in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1)
         return firsts
 
-    def __contains__(self, x) -> bool:
-        return x in self._members
-
     def __iter__(self) -> Iterator:
         return iter(self.elements)
 
@@ -172,10 +165,6 @@ class PermutationGroup(_ElementList, Value):
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[Perm]) -> "PermutationGroup":
         return cls(degree, tuple(sorted(set(elements))))
-
-    @classmethod
-    def from_generators(cls, degree: int, gens: Iterable[Perm]) -> "PermutationGroup":
-        return cls.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose))
 
     @property
     def perms(self) -> tuple[Perm, ...]:
@@ -236,9 +225,6 @@ class MatrixGroup(_ElementList, Value):
     def nonidentity(self) -> list[IntMat]:
         ident = IntMat.identity(self.dim)
         return [g for g in self.elements if g != ident]
-
-    def conjugate(self, u: IntMat, u_inv: IntMat) -> "MatrixGroup":
-        return MatrixGroup.from_elements(self.dim, [u @ g @ u_inv for g in self.elements])
 
 
 def _basis_orbit(dim: int, gens: Sequence[IntMat], cap: int) -> tuple[list[Vec], list[Perm]] | None:

@@ -27,10 +27,6 @@ def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def vec_gcd(a: Sequence[int]) -> int:
-    return math.gcd(*a)
-
-
 def primitive_vector(a: Sequence[Fraction | int]) -> Vec:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -102,9 +98,6 @@ class IntMat(Value):
 
     def transpose(self) -> "IntMat":
         return IntMat._of(tuple(zip(*self.rows))) if self.rows else self
-
-    def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
 
     def det(self) -> int:
         """Determinant by the fraction-free Bareiss elimination."""

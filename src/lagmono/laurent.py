@@ -68,10 +68,6 @@ class LaurentPolynomial(Value):
     def zero(cls, dim: int) -> "LaurentPolynomial":
         return cls(dim, ())
 
-    @classmethod
-    def monomial(cls, dim: int, expo: Sequence[int], coeff: int = 1) -> "LaurentPolynomial":
-        return cls(dim, ((tuple(expo), coeff),))
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.dim != other.dim:
             raise DimensionError(f"operands have {self.dim} and {other.dim} variables")

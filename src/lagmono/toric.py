@@ -33,7 +33,6 @@ from .intlat import (
     integer_rref,
     kernel_lattice,
     primitive_vector,
-    vec_gcd,
 )
 from .laurent import LaurentPolynomial
 from .torussym import content_lines, read_dim, read_fields, read_ints
@@ -99,15 +98,6 @@ class ValidationReport(Value):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "warnings", warnings)
-
-    def __str__(self) -> str:
-        if self.ok:
-            text = "PASS"
-        else:
-            text = f"FAIL {self.failure}: {self.witness}"
-        for w in self.warnings:
-            text += f" [warning: {w}]"
-        return text
 
 
 def _integer_levels(p: DelzantPolytope) -> tuple[int, list[int]]:
@@ -202,7 +192,7 @@ def validate_delzant(p: DelzantPolytope) -> ValidationReport:
 def _normal_failure(p: DelzantPolytope) -> tuple[str, str] | None:
     """The first failure (code, witness) of the checks on the normals alone, or None."""
     for j, nu in enumerate(p.normals):
-        if all(x == 0 for x in nu) or vec_gcd(nu) != 1:
+        if all(x == 0 for x in nu) or math.gcd(*nu) != 1:
             return "NON_PRIMITIVE_NORMAL", f"facet {j + 1} normal {nu}"
     if len(set(p.normals)) != p.nfacets:
         return "DUPLICATE_NORMAL", "repeated facet normal"
@@ -291,11 +281,6 @@ class NormalPartition(Value):
     def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "blocks", blocks)
-
-    def __str__(self) -> str:
-        return " ".join(
-            "{" + ", ".join(str(i + 1) for i in block) + "}" for block in self.blocks
-        )
 
 
 def coefficient_partition(k: LatticeBasis) -> NormalPartition:

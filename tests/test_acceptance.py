@@ -43,6 +43,7 @@ from lagmono.monodromy import hamiltonian_monodromy, symplectic_monodromy
 from lagmono.polytopes import STANDARD_FIXTURES
 from lagmono.torussym import TorsionPoint, monomial_fixed_points
 from lagmono.toric import toric_fiber_data
+from test_classify import planar_class
 from test_floer import clifford_data
 from test_monodromy import permute_vector
 from test_torussym import act
@@ -301,7 +302,7 @@ def test_criterion_11_oracle_suites():
     klein = MatrixGroup.from_generators(
         2, [IntMat.from_rows([[-1, 0], [0, 1]]), IntMat.from_rows([[1, 0], [0, -1]])]
     )
-    for group, parts in ((klein, (2, 2)), (catalog_n2().group("3f"), (3,))):
+    for group, parts in ((klein, (2, 2)), (planar_class("3f"), (3,))):
         embedding = embed_symmetric_product(group, parts)
         assert embedding is not None
         images = dict(embedding)

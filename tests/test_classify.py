@@ -22,17 +22,23 @@ from lagmono import groups
 from lagmono.errors import NonUnimodularError, NotFiniteError, ParseError, SearchTooLargeError
 from lagmono.groups import MatrixGroup
 from lagmono.intlat import IntMat, bareiss_solve, matrix_order, minkowski_bound
+from test_groups import conjugate_group
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def planar_class(name):
+    """The representative of the named class in catalog_n2()."""
+    return dict(catalog_n2().entries)[name]
 
 
 class TestCatalog13:
     def test_thirteen_entries(self):
         catalog = catalog_n2()
-        assert catalog.names() == CLASS_NAMES_2D
+        assert tuple(name for name, _ in catalog.entries) == CLASS_NAMES_2D
 
     def test_axis_pair_group(self):
-        group = catalog_n2().group("2f")
+        group = planar_class("2f")
         expected = {
             IntMat.identity(2),
             IntMat.from_rows([[-1, 0], [0, -1]]),
@@ -42,10 +48,10 @@ class TestCatalog13:
         assert set(group.elements) == expected
 
     def test_hexagonal_dihedral_order(self):
-        assert catalog_n2().group("6ft").order == 12
+        assert planar_class("6ft").order == 12
 
     def test_expected_orders(self):
-        orders = {name: catalog_n2().group(name).order for name in CLASS_NAMES_2D}
+        orders = {name: planar_class(name).order for name in CLASS_NAMES_2D}
         assert orders == {
             "1": 1, "1f": 2, "1t": 2, "2": 2, "2f": 4, "2t": 4,
             "3": 3, "3f": 6, "3t": 6, "4": 4, "4ft": 8, "6": 6, "6ft": 12,
@@ -96,7 +102,7 @@ class TestIdentify:
             for _ in range(8):
                 u, u_inv = random_unimodular(rng)
                 assert u @ u_inv == IntMat.identity(u.nrows)
-                conj = group.conjugate(u, u_inv)
+                conj = conjugate_group(group, u, u_inv)
                 assert identify_class_n2(conj) == name
                 count += 1
         assert count >= 100
@@ -142,8 +148,8 @@ class TestIdentify:
         names = []
         for group in found:
             name = identify_class_n2(group)
-            target = set(catalog_n2().group(name).elements)
-            assert any(set(group.conjugate(x, x_inv).elements) == target for x, x_inv in conjugators), name
+            target = set(planar_class(name).elements)
+            assert any(set(conjugate_group(group, x, x_inv).elements) == target for x, x_inv in conjugators), name
             names.append(name)
         assert sorted(set(names)) == sorted(CLASS_NAMES_2D)
 
@@ -274,7 +280,7 @@ class TestEmbedding:
         assert embed_symmetric_product(group, (2, 2, 2)) is None
 
     def test_symmetric_three_realization(self):
-        group = catalog_n2().group("3f")
+        group = planar_class("3f")
         embedding = embed_symmetric_product(group, (3,))
         assert embedding is not None
         images = dict(embedding)
@@ -294,7 +300,7 @@ class TestEmbedding:
         assert b3.order == 48
         for parts in ((4,), (3, 2), (2, 2, 2)):
             assert embed_symmetric_product(b3, parts) is None
-        assert embed_symmetric_product(catalog_n2().group("6ft"), (3,)) is None
+        assert embed_symmetric_product(planar_class("6ft"), (3,)) is None
 
 
 class TestGlOrderFeasible:

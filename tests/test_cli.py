@@ -383,16 +383,6 @@ def test_repeated_option_is_declined_and_argparse_checks_each_value(argv, messag
     assert (code, out) == (2, "") and err.endswith(message)
 
 
-@pytest.mark.parametrize("argv", ORACLE_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
-def test_selected_parser_matches_full_parser(argv, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(FIXTURES.parent)
-    selected = invoke(capsys, *argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda path=(): full())
-    assert invoke(capsys, *argv) == selected
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -424,19 +414,17 @@ def subparser_choices(parser):
 PATHS = [(name,) for name in cli.COMMANDS if name != "potential"] + [("potential", "crit"), ("potential", "rk1")]
 
 
-@pytest.mark.parametrize("path", PATHS, ids=" ".join)
-def test_selected_parser_registers_one_subparser_per_level(path):
-    parser = cli.build_parser(path)
-    for name in path:
-        choices = subparser_choices(parser)
-        assert list(choices) == [name]
-        parser = choices[name]
-
-
 def spy_on_build_parser(monkeypatch):
+    """The list of commands of each parser run builds."""
     built = []
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda path=(): built.append(path) or full(path))
+
+    def spy():
+        parser = full()
+        built.append(list(subparser_choices(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
     return built
 
 
@@ -463,28 +451,29 @@ def test_run_builds_no_parser_for_a_plain_valid_argv(argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, path",
+    "argv",
     [
-        (["--json", "--json", "potential", "crit", POT], ("potential", "crit")),
-        (["classify2d", "-h"], ("classify2d",)),
-        (["toric", POLY, "--mode", "bad"], ("toric",)),
-        (["clifford", "--at", "-1/2,0", POT], ("clifford",)),
-        (["toric", "-"], ("toric",)),
-        ([*CRIT, "--bound", "-3"], ("potential", "crit")),
-        (["qform", "-1.5", "1", "0"], ("qform",)),
-        (["-h"], ()),
-        (["--js", "toric", POLY], ()),
-        (["potential"], ()),
-        (["potential", "bogus"], ()),
-        (["potential", "--json", "rk1", POT], ()),
-        (["--", "toric", POLY], ()),
-        ([], ()),
+        ["--json", "--json", "potential", "crit", POT],
+        ["classify2d", "-h"],
+        ["toric", POLY, "--mode", "bad"],
+        ["clifford", "--at", "-1/2,0", POT],
+        ["toric", "-"],
+        [*CRIT, "--bound", "-3"],
+        ["qform", "-1.5", "1", "0"],
+        ["-h"],
+        ["--js", "toric", POLY],
+        ["potential"],
+        ["potential", "bogus"],
+        ["potential", "--json", "rk1", POT],
+        ["--", "toric", POLY],
+        [],
     ],
+    ids=lambda argv: " ".join(argv) or "(empty)",
 )
-def test_run_builds_the_parser_of_the_named_command(argv, path, capsys, monkeypatch):
+def test_run_builds_the_full_parser_once_for_a_declined_argv(argv, capsys, monkeypatch):
     built = spy_on_build_parser(monkeypatch)
     invoke(capsys, *argv)
-    assert built == [path]
+    assert built == [list(cli.COMMANDS)]
 
 
 def test_every_golden_argv_is_plain():
@@ -558,9 +547,12 @@ def test_option_like_and_refused_negative_values_keep_argparse_messages(argv, me
     assert (code, out) == (2, "") and err.endswith(message)
 
 
+PARSER = cli.build_parser()
+
+
 @settings(max_examples=1000, deadline=None)
 @given(argvs())
 def test_plain_reader_agrees_with_argparse(argv):
     plain = cli._plain_args(argv)
     if plain is not None:
-        assert vars(plain) == vars(cli.build_parser(cli._command_path(argv)).parse_args(argv))
+        assert vars(plain) == vars(PARSER.parse_args(argv))

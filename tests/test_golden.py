@@ -19,6 +19,7 @@ from lagmono.cli import run
 from lagmono.cyclotomic import CyclotomicNumber
 from lagmono.floer import CliffordData, continuation_solvable
 from lagmono.intlat import IntMat
+from test_cyclotomic import galois
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "expected" / "golden"
@@ -129,7 +130,7 @@ def continuation_lines():
     lines = []
     for case, k in problems:
         constants = [
-            CyclotomicNumber(cond, tuple(Fraction(c) for c in coeffs)).galois(k)
+            galois(CyclotomicNumber(cond, tuple(Fraction(c) for c in coeffs)), k)
             for cond, coeffs in case["constants"]
         ]
         result = continuation_solvable(

@@ -18,6 +18,16 @@ from lagmono.groups import (
 from lagmono.intlat import IntMat, matrix_order, residue_mod_3
 
 
+def permutation_group(degree, gens):
+    """The permutation group generated by gens, closed by one Cayley walk."""
+    return PermutationGroup.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose))
+
+
+def conjugate_group(group, u, u_inv):
+    """The matrix group u G u^-1."""
+    return MatrixGroup.from_elements(group.dim, [u @ g @ u_inv for g in group.elements])
+
+
 def left_closure(elems, frontier, gens, mul):
     """Close the set elems under left multiplication by gens, multiplying only new elements.
 
@@ -124,7 +134,7 @@ def check_resumed_walks(gens, identity, mul):
 @given(perm_generators)
 def test_permutation_groups_match_oracle(case):
     degree, gens = case
-    group = PermutationGroup.from_generators(degree, gens)
+    group = permutation_group(degree, gens)
     check_group_layer(group, gens, identity_perm(degree), compose)
 
 
@@ -163,7 +173,7 @@ def test_cap_is_exact(monkeypatch):
         MatrixGroup.from_generators(2, [rot])
     monkeypatch.setattr(groups, "MAX_ELEMENTS", 5)
     with pytest.raises(SearchTooLargeError, match="not verified finite"):
-        PermutationGroup.from_generators(3, [(1, 2, 0), (1, 0, 2)])
+        permutation_group(3, [(1, 2, 0), (1, 0, 2)])
 
 
 @pytest.mark.parametrize(
@@ -238,7 +248,7 @@ def test_infinite_group_plus_identity_refused_at_once(name, rank):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: PermutationGroup.from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+        lambda: permutation_group(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
         lambda: MatrixGroup.from_generators(
             3, [IntMat.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), IntMat.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
         ),

@@ -1,12 +1,15 @@
-"""Every name a module of lagmono imports is used in that module, and start-up stays light.
+"""Every name a module of lagmono imports is used in that module, nothing public is dead, and start-up stays light.
 
 The repository runs no linter, so this stdlib-only check stands in for the
 unused-import rule: each non-``__init__`` module is parsed with ``ast`` and
 every name bound by an import must appear as a name somewhere else in the
 module, annotations included.  ``__init__`` is skipped because its imports
-are the package's re-exports.  Every CLI invocation pays ``import
-lagmono.cli``, so no module imports ``dataclasses``, which with ``inspect``
-took about a third of that import.
+are the package's re-exports.  In the same way, every public function and
+method is either exported in ``lagmono.__all__`` or named somewhere in the
+code of ``src/lagmono`` or ``perfbench``; one that only tests call belongs in
+the tests.  Every CLI invocation pays ``import lagmono.cli``, so no module
+imports ``dataclasses``, which with ``inspect`` took about a third of that
+import.
 """
 
 import ast
@@ -16,7 +19,10 @@ import sys
 
 import pytest
 
+import lagmono
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lagmono"
+PERFBENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -64,3 +70,56 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          cwd=SRC.parent, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public module-level function and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name, attribute and identifier-shaped string in a module; a def's own name is none of these."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def unreached(modules: list[str], readers: list[str], exported: set[str]) -> list[str]:
+    """The public functions and methods of modules that are not exported and not named in modules or readers."""
+    trees = [ast.parse(source) for source in modules]
+    named = set().union(exported, *map(referenced_names, trees), *(referenced_names(ast.parse(s)) for s in readers))
+    return [qualified for tree in trees for qualified, name in public_definitions(tree) if name not in named]
+
+
+def test_every_public_function_is_exported_or_named():
+    modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    readers = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unreached(modules, readers, set(lagmono.__all__)) == []
+
+
+def test_check_finds_unreached_definitions():
+    source = (
+        "import re\n\n"
+        "def exported():\n    return getattr(used(), 'by_string')\n\n"
+        "def used():\n    return re.match('a', 'a').group()\n\n"
+        "def dead():\n    return 'not an identifier'\n\n"
+        "class A:\n"
+        "    def group(self):\n        pass\n\n"
+        "    def by_string(self):\n        pass\n\n"
+        "    def read(self):\n        pass\n\n"
+        "    def unused(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n"
+    )
+    assert unreached([source], ["A().read()\n"], {"exported"}) == ["dead", "A.unused"]

@@ -272,7 +272,7 @@ class TestLargeOrder:
         assert evaluate(w, self.POINT).is_zero()
 
     def test_primitive_root_keeps_full_conductor(self):
-        value = evaluate(LaurentPolynomial.monomial(1, (1,)), pt(F(1, 146_969)))
+        value = evaluate(LaurentPolynomial.from_dict(1, {(1,): 1}), pt(F(1, 146_969)))
         assert value.conductor == 146_969
         assert value.coeffs == (0, 1) + (0,) * (euler_phi(146_969) - 2)
 
@@ -299,11 +299,11 @@ class TestDimensionErrors:
 
     def test_add(self):
         with pytest.raises(DimensionError):
-            W_CP2 + LaurentPolynomial.monomial(1, (1,))
+            W_CP2 + LaurentPolynomial.from_dict(1, {(1,): 1})
 
     def test_mul(self):
         with pytest.raises(DimensionError):
-            W_CP2 * LaurentPolynomial.monomial(3, (1, 0, 0))
+            W_CP2 * LaurentPolynomial.from_dict(3, {(1, 0, 0): 1})
 
     def test_relabel(self):
         with pytest.raises(DimensionError):

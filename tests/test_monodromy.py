@@ -74,7 +74,7 @@ class TestHamiltonianMonodromy:
     def test_blowup_is_single_transposition(self):
         group = hamiltonian_monodromy(fiber("bl1cp2"))
         assert group.order == 2
-        assert (2, 1, 0, 3) in group
+        assert (2, 1, 0, 3) in group.elements
 
     def test_projective_plane_full_symmetric(self):
         assert hamiltonian_monodromy(fiber("cp2")).order == 6
@@ -123,7 +123,7 @@ class TestInducedMatrices:
     def test_blowup_transposition_matrix(self):
         data = fiber("bl1cp2")
         group = induced_matrix_group(data, hamiltonian_monodromy(data))
-        assert IntMat.from_rows([[0, 1], [1, 0]]) in group
+        assert IntMat.from_rows([[0, 1], [1, 0]]) in group.elements
 
     def test_identity_maps_to_identity(self):
         data = fiber("cp2")

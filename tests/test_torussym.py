@@ -21,6 +21,7 @@ from lagmono.torussym import (
     monomial_fixed_points,
     parse_group,
 )
+from test_groups import conjugate_group
 
 MINUS_I = IntMat.from_rows([[-1, 0], [0, -1]])
 ROT3 = IntMat.from_rows([[0, -1], [1, -1]])
@@ -225,7 +226,7 @@ class TestAdmissibleGroup:
                     )
                     u_inv = s_inv @ u_inv
                 assert u @ u_inv == IntMat.identity(u.nrows)
-                conj, _ = admissible_group(group.conjugate(u, u_inv))
+                conj, _ = admissible_group(conjugate_group(group, u, u_inv))
                 assert conj == base
 
 
