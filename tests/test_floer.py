@@ -24,6 +24,7 @@ from lagmono.floer import (
     BinaryForm,
     CliffordData,
     CliffordElement,
+    ContinuationResult,
     Rk1Report,
     ShearConstraints,
     clifford_constants,
@@ -237,11 +238,33 @@ class TestContinuation:
                 for m in range(-8, 9):
                     for action, parity in ((shear(m), "even"), (reflection(m), "odd")):
                         result = continuation_solvable(d, action, parity, conductor)
-                        searched = _bounded_search(d, action, parity, 5, _solution_space(d, action, parity))
+                        space = _solution_space(d, action, parity)
+                        if len(space) == 2:  # lam = 0 under shear(0), which the closed form decides
+                            assert _verify_witness(result.witness, d, action, parity)
+                            continue
+                        searched = _bounded_search(d, action, parity, 5, space)
                         if result.status == "solvable":
                             assert searched is not None
                         elif result.status == "unsolvable":
                             assert searched is None
+
+    def test_two_dimensional_space_only_for_zero_constants_under_the_identity(self):
+        # Every residual row vanishes only there; the closed form decides the even case, and the
+        # odd parity-norm form is zero, so the bounded search never meets a two-dimensional space.
+        values = [rat(F(k, 2)) for k in range(-4, 5)] + [zeta(3), zeta(4) + 1, zeta(5) * F(1, 2)]
+        actions = [IntMat.from_rows([[e1, m], [0, e2]]) for e1 in (1, -1) for e2 in (1, -1) for m in range(-2, 3)]
+        two_dimensional = [
+            (constants, action, parity)
+            for constants in itertools.product(values, repeat=3)
+            for action in actions
+            for parity in ("even", "odd")
+            if len(_solution_space(CliffordData(*constants), action, parity)) == 2
+        ]
+        zero, identity = (rat(0),) * 3, IntMat.identity(2)
+        assert two_dimensional == [(zero, identity, "even"), (zero, identity, "odd")]
+        d = CliffordData(*zero)
+        assert continuation_solvable(d, identity, "even", 1) == ContinuationResult("solvable", scalar(1))
+        assert continuation_solvable(d, identity, "odd", 1) == ContinuationResult("unsolvable")
 
     def test_diagonal_reflection_constrains_nu(self):
         # Action fixing u and negating v: odd continuation element needs
@@ -330,6 +353,17 @@ class TestRk1Classifier:
         report = rk1_classify(w)
         assert report.case == "RESIDUAL"
         assert report.shears.kind == "zero"
+
+    @pytest.mark.parametrize(
+        "terms", [{(1,): 1, (-1,): -1}, {(1,): -1, (-1,): 1}, {(0,): 3, (1,): 1, (-1,): -1}],
+        ids=["x - 1/x", "-x + 1/x", "3 + x - 1/x"],
+    )
+    def test_unequal_pair_is_residual(self, terms):
+        assert rk1_classify(LaurentPolynomial.from_dict(1, terms)).case == "RESIDUAL"
+
+    def test_modulus_only_for_multiples(self):
+        assert ShearConstraints("any").modulus() is None
+        assert ShearConstraints("zero", (0,)).modulus() is None
 
     def test_high_degree_potential_is_quick(self):
         # The factor profile scans d up to 2 * 31^2 + 2; it must build only the

@@ -1,28 +1,28 @@
-"""Every name a module of lagmono imports is used in that module, nothing public is dead, and start-up stays light.
+"""Every name a module of lagmono imports is used in that module, every def runs or has a reason, and start-up stays light.
 
 The repository runs no linter, so this stdlib-only check stands in for the
 unused-import rule: each non-``__init__`` module is parsed with ``ast`` and
 every name bound by an import must appear as a name somewhere else in the
 module, annotations included.  ``__init__`` is skipped because its imports
-are the package's re-exports.  In the same way, every public function and
-method is either exported in ``lagmono.__all__`` or named somewhere in the
-code of ``src/lagmono`` or ``perfbench``; one that only tests call belongs in
-the tests.  Every CLI invocation pays ``import lagmono.cli``, so no module
-imports ``dataclasses``, which with ``inspect`` took about a third of that
-import.
+are the package's re-exports.  ``never_run.py`` runs every command of the
+goldens and of the CLI oracle and one pass of each benchmark workload under
+a profiler in a fresh interpreter, and lists each function and method of
+``src/lagmono`` whose code never ran; that list must be exactly the names of
+``NEVER_RUN``, each kept for the reason given there.  Code that only tests
+run belongs in the tests.  Every CLI invocation pays ``import lagmono.cli``,
+so no module imports ``dataclasses``, which with ``inspect`` took about a
+third of that import.
 """
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import lagmono
-
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lagmono"
-PERFBENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -72,54 +72,35 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert out.stdout == "[]\n"
 
 
-def public_definitions(tree: ast.Module):
-    """(qualified name, name) of each public module-level function and each public method of a module-level class."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member.name
+# Every def that no command, golden, oracle argv or benchmark operation runs, with why it stays.
+NEVER_RUN = {
+    "cli.main": "the console script's entry point; the probe calls cli.run",
+    "cyclotomic.CyclotomicNumber.__hash__": "keeps values hashable, with the meaning of the field-tuple hash",
+    "cyclotomic.CyclotomicNumber.__rsub__": "called only by tests",
+    "cyclotomic.CyclotomicNumber.__rtruediv__": "called only by tests",
+    "floer.CliffordElement.__add__": "called only by tests",
+    "groups.MatrixGroup.perms": "computes only for groups built by from_elements; from_generators fills it in",
+    "intlat.IntMat.__neg__": "called only by tests",
+    "laurent.LaurentPolynomial.__add__": "called only by tests",
+    "laurent.LaurentPolynomial.__mul__": "called only by tests",
+    "laurent.LaurentPolynomial.__neg__": "called only by tests",
+    "laurent.LaurentPolynomial.__sub__": "called only by tests",
+    "laurent.LaurentPolynomial.zero": "called only by tests",
+    "laurent.gradient_hessian": "called only by tests",
+    "torussym.TorsionPoint.__eq__": "called only by tests",
+    "torussym.TorsionPoint.__ge__": "called only by tests",
+    "torussym.TorsionPoint.__gt__": "called only by tests",
+    "torussym.TorsionPoint.__hash__": "called only by tests",
+    "torussym.TorsionPoint.__le__": "called only by tests",
+    "torussym.TorsionPoint.__lt__": "called only by tests",
+    "torussym.monomial_fixed_points": "called only by tests",
+    "value.Value.__delattr__": "refuses deletion from a frozen value",
+    "value.Value.__repr__": "the repr of a value, which no command prints",
+    "value.Value.__setattr__": "refuses assignment to a frozen value",
+}
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Every name, attribute and identifier-shaped string in a module; a def's own name is none of these."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            names.add(node.value)
-    return names
-
-
-def unreached(modules: list[str], readers: list[str], exported: set[str]) -> list[str]:
-    """The public functions and methods of modules that are not exported and not named in modules or readers."""
-    trees = [ast.parse(source) for source in modules]
-    named = set().union(exported, *map(referenced_names, trees), *(referenced_names(ast.parse(s)) for s in readers))
-    return [qualified for tree in trees for qualified, name in public_definitions(tree) if name not in named]
-
-
-def test_every_public_function_is_exported_or_named():
-    modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    readers = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
-    assert unreached(modules, readers, set(lagmono.__all__)) == []
-
-
-def test_check_finds_unreached_definitions():
-    source = (
-        "import re\n\n"
-        "def exported():\n    return getattr(used(), 'by_string')\n\n"
-        "def used():\n    return re.match('a', 'a').group()\n\n"
-        "def dead():\n    return 'not an identifier'\n\n"
-        "class A:\n"
-        "    def group(self):\n        pass\n\n"
-        "    def by_string(self):\n        pass\n\n"
-        "    def read(self):\n        pass\n\n"
-        "    def unused(self):\n        pass\n\n"
-        "    def _private(self):\n        pass\n"
-    )
-    assert unreached([source], ["A().read()\n"], {"exported"}) == ["dead", "A.unused"]
+def test_every_def_runs_or_is_named_with_its_reason(tmp_path):
+    probe = [sys.executable, str(pathlib.Path(__file__).with_name("never_run.py")), str(tmp_path)]
+    out = subprocess.run(probe, capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(out.stdout) == sorted(NEVER_RUN)
