@@ -2,7 +2,8 @@
 
 Each row is (format, text, message).  The parser raises ParseError with
 exactly that message, and the matching subcommand prints it after
-``parse error: `` and exits 3.
+``parse error: `` and exits 3.  A file that is not UTF-8 text is refused in
+the same way, by every subcommand that reads one.
 """
 
 import pytest
@@ -89,3 +90,24 @@ def test_cli_exit_code(fmt, text, message, tmp_path, capsys):
     assert run([*argv, str(path)]) == EXIT_PARSE == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toric", "PATH"],
+        ["filter", "PATH"],
+        ["conjecture", "PATH"],
+        ["potential", "crit", "PATH", "--bound", "6"],
+        ["potential", "rk1", "PATH"],
+        ["clifford", "PATH", "--at", "0,0"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_undecodable_file_is_a_parse_error(argv, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe" + "dim 2\n".encode("utf-16-le"))  # a UTF-16 file, with its byte-order mark
+    assert run([str(path) if token == "PATH" else token for token in argv]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert (captured.out, captured.err) == ("", f"parse error: cannot read {path}: {reason}\n")
