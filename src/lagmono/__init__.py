@@ -44,7 +44,6 @@ from .intlat import (
 from .laurent import (
     LaurentPolynomial,
     evaluate,
-    gradient_hessian,
     invariance_check,
     is_critical,
     parse_laurent,
@@ -73,7 +72,6 @@ from .torussym import (
     TorsionPoint,
     admissible_group,
     forced_critical_points,
-    monomial_fixed_points,
     parse_group,
 )
 

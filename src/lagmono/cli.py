@@ -161,7 +161,7 @@ def run_classify2d(args) -> int:
 def run_filter(args) -> int:
     group = parse_group(_read(args.group))
     records = [{"record": "group", "dim": group.dim, "order": group.order}]
-    forced = forced_critical_points(group).finite_points()
+    forced = forced_critical_points(group).points
     records.append({"record": "forced_critical_points", "count": len(forced), "points": list(forced)})
     witness = first_moved_point(group, forced)
     records.append({"record": "admissible", "value": witness is None, **_witness(witness)})

@@ -245,13 +245,8 @@ class CyclotomicNumber(Value):
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binary(other, lambda x, y: x - y)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __neg__(self):
         return self._scaled(-1)
@@ -281,8 +276,6 @@ class CyclotomicNumber(Value):
                     image[(i * a + j * b) % d] += x * y
         return CyclotomicNumber._from_image(d, image, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "CyclotomicNumber":
         """Field inverse: den times the x with sum of x_i (nums zeta^i) = 1.
 
@@ -301,9 +294,6 @@ class CyclotomicNumber(Value):
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
 
     def _columns(self) -> list[list[int]]:
         """The columns nums zeta^i mod Phi_d for i < phi(d).

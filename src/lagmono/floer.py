@@ -79,11 +79,6 @@ class CliffordElement(Value):
     def is_integral(self) -> bool:
         return all(c.is_integral() for c in (self.a0, self.au, self.av, self.auv))
 
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(
-            self.a0 + other.a0, self.au + other.au, self.av + other.av, self.auv + other.auv
-        )
-
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return CliffordElement(
             self.a0 - other.a0, self.au - other.au, self.av - other.av, self.auv - other.auv
@@ -281,6 +276,10 @@ def continuation_solvable(
     shear [[1, m], [0, 1]] and the odd reflection [[-1, m], [0, 1]];
     otherwise a bounded search over rational-integer coefficient pairs
     either produces a verified witness or the result is reported unknown.
+    The solutions form a two-dimensional space only when lam = mu = nu = 0
+    under the identity action, where every residual row vanishes: the closed
+    form decides that case when even, and the parity-norm form is zero when
+    odd, so the search only ever meets a line.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -312,11 +311,8 @@ def continuation_solvable(
         return ContinuationResult("unsolvable")
     # If the parity norm vanishes identically on the solution space no
     # invertible element exists at all.
-    probes = list(solutions)
-    if len(solutions) == 2:
-        probes.append((solutions[0][0] + solutions[1][0], solutions[0][1] + solutions[1][1]))
     form = _norm_form(d, parity)
-    if all(_form_value(form, x1, x2).is_zero() for x1, x2 in probes):
+    if all(_form_value(form, x1, x2).is_zero() for x1, x2 in solutions):
         return ContinuationResult("unsolvable")
     found = _bounded_search(d, action, parity, SEARCH_HEIGHT, solutions)
     if found is not None:
@@ -338,23 +334,15 @@ def _verify_witness(
 def _bounded_search(
     d: CliffordData, action: IntMat, parity: str, height: int, solutions: list[tuple[Cyc, Cyc]]
 ) -> CliffordElement | None:
-    """Search rational-integer coefficient pairs of the solution space by increasing height.
+    """Search the rational-integer coefficient pairs of the solution line by increasing height.
 
-    Every pair solves a two-dimensional space; a one-dimensional space holds
-    only the integer points of its line.  Within one height, x1 ascends,
-    then x2.  A pair is screened by the parity-norm form, and the first one
-    it takes to an integral unit is checked by the Clifford product itself
-    before it is returned.
+    The space is one-dimensional whenever continuation_solvable searches it
+    (see there).  A pair is screened by the parity-norm form, and the first
+    one it takes to an integral unit is checked by the Clifford product
+    itself before it is returned.
     """
-    if len(solutions) == 2:
-        points = (
-            (x1, x2) for h in range(1, height + 1) for x1 in range(-h, h + 1) for x2 in range(-h, h + 1)
-            if h in (abs(x1), abs(x2))
-        )
-    else:
-        points = _line_points(solutions, height)
     form = _norm_form(d, parity)
-    for x1, x2 in points:
+    for x1, x2 in _line_points(solutions, height):
         if _form_value(form, x1, x2).is_integral_unit():
             c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
             assert _verify_witness(c, d, action, parity)
@@ -363,13 +351,12 @@ def _bounded_search(
 
 
 def _line_points(solutions: list[tuple[Cyc, Cyc]], height: int):
-    """Nonzero integer points of the line spanned by (v1, v2), by height up to height.
+    """Nonzero integer points of the line spanned by the one solution (v1, v2), by height up to height.
 
-    They are (0, +-h) when v1 = 0 and +-k (q, p) when v2 / v1 = p / q in
-    lowest terms with q > 0; an irrational slope leaves none.
+    The search only meets one-dimensional spaces (see continuation_solvable).
+    The points are (0, +-h) when v1 = 0 and +-k (q, p) when v2 / v1 = p / q
+    in lowest terms with q > 0; an irrational slope leaves none.
     """
-    if len(solutions) != 1:
-        return
     (v1, v2), = solutions
     slope = None if v1.is_zero() else v2 / v1
     if slope is not None and not slope.is_rational():

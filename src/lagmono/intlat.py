@@ -87,11 +87,8 @@ class IntMat(Value):
         cols = list(zip(*other.rows))
         return IntMat._of(tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows]))
 
-    def __neg__(self) -> "IntMat":
-        return IntMat._of(tuple(tuple(-x for x in r) for r in self.rows))
-
     def apply(self, v: Sequence) -> tuple:
-        """Matrix times column vector; accepts exact scalars of any type."""
+        """Matrix times a column vector of integers or Fractions."""
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
         return tuple(dot(r, v) for r in self.rows)

@@ -10,8 +10,8 @@ giving the partial's image in Z[x]/(x^d - 1), with x standing for
 exp(2 pi i / d).  The partial vanishes at p exactly when that image folds to
 zero on the tensor basis of Z[zeta_d] (``cyclotomic._fold``).  The torsion
 grid stays in integer numerators over the bound until one ``TorsionPoint`` is
-built per returned point.  ``evaluate`` and ``gradient_hessian`` build full
-``CyclotomicNumber`` values from the same image for callers that need them.
+built per returned point.  ``evaluate`` builds a full ``CyclotomicNumber``
+value from the same image for callers that need one.
 """
 
 from __future__ import annotations
@@ -63,34 +63,6 @@ class LaurentPolynomial(Value):
     @classmethod
     def from_dict(cls, dim: int, terms: Mapping[Sequence[int], int]) -> "LaurentPolynomial":
         return cls(dim, tuple((tuple(e), c) for e, c in terms.items()))
-
-    @classmethod
-    def zero(cls, dim: int) -> "LaurentPolynomial":
-        return cls(dim, ())
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.dim != other.dim:
-            raise DimensionError(f"operands have {self.dim} and {other.dim} variables")
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial.from_dict(self.dim, out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.dim, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.dim != other.dim:
-            raise DimensionError(f"operands have {self.dim} and {other.dim} variables")
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPolynomial.from_dict(self.dim, out)
 
     def partial(self, i: int) -> "LaurentPolynomial":
         """Affine partial derivative with respect to the i-th variable."""
@@ -152,16 +124,6 @@ def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     d = p.order()
     scaled = [c.numerator * (d // c.denominator) for c in p.coords]
     return CyclotomicNumber._from_image(d, _image(w, scaled, d))
-
-
-def gradient_hessian(
-    w: LaurentPolynomial, p: TorsionPoint
-) -> tuple[tuple[CyclotomicNumber, ...], tuple[tuple[CyclotomicNumber, ...], ...]]:
-    """Affine first and second partials of w, evaluated exactly at p."""
-    partials = _first_partials(w)
-    grad = tuple(evaluate(f, p) for f in partials)
-    hess = tuple(tuple(evaluate(f.partial(j), p) for j in range(w.dim)) for f in partials)
-    return grad, hess
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,37 +13,19 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NonUnimodularError, ParseError
+from .errors import ParseError
 from .groups import MatrixGroup, cayley_closure, compose
 from .intlat import IntMat, LatticeBasis, Vec
 from .value import Value
 
 
 class TorsionPoint(Value):
-    """Point of (Q/Z)^n with every coordinate reduced into [0, 1), ordered by its coordinates."""
+    """Point of (Q/Z)^n with every coordinate reduced into [0, 1)."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]):
         object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other):
-        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
-    def __lt__(self, other):
-        return self.coords < other.coords if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.coords <= other.coords if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.coords > other.coords if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.coords >= other.coords if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def make(cls, coords: Iterable[Fraction | int]) -> "TorsionPoint":
@@ -79,18 +61,13 @@ def _image(gt: IntMat, den: int, x: Vec) -> Vec:
 
 
 class FixedPointSet(Value):
-    """Common fixed locus of a family of monomial automorphisms: its sorted points when finite, else None."""
+    """The finitely many points of (Q/Z)^dim that forced_critical_points finds, sorted by their coordinates."""
 
     __slots__ = ("dim", "points")
 
-    def __init__(self, dim: int, points: tuple[TorsionPoint, ...] | None):
+    def __init__(self, dim: int, points: tuple[TorsionPoint, ...]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points", points)
-
-    def finite_points(self) -> tuple[TorsionPoint, ...]:
-        if self.points is None:
-            raise ValueError("fixed locus is infinite")
-        return self.points
 
 
 def _delta_rows(g: IntMat) -> tuple[tuple[int, ...], ...]:
@@ -109,24 +86,6 @@ def _full_rank_locus(h: Sequence[Vec]) -> tuple[int, list[Vec]]:
             col[r] = -sum(h[r][j] * col[j] for j in range(r + 1, i + 1)) // h[r][r]
         points = [tuple(a + w * c for a, c in zip(p, col)) for p in points for w in range(h[i][i])]
     return det, [tuple(a % det for a in p) for p in points]
-
-
-def monomial_fixed_points(gs: Sequence[IntMat]) -> FixedPointSet:
-    """All v in (Q/Z)^n with g^T v = v mod 1 for every g in gs.
-
-    The locus is finite exactly when the stacked g^T - I have rank n, and is then
-    read off the Hermite basis of their row lattice; below rank n its points are None.
-    """
-    if not gs:
-        raise ValueError("need at least one matrix")
-    n = gs[0].nrows
-    for g in gs:
-        if g.nrows != n or g.ncols != n:
-            raise ValueError("dimension mismatch")
-        if abs(g.det()) != 1:
-            raise NonUnimodularError(f"matrix {g} is not unimodular")
-    lattice = LatticeBasis.from_vectors(n, [row for g in gs for row in _delta_rows(g)])
-    return FixedPointSet(n, _points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None)
 
 
 def forced_critical_points(group: MatrixGroup) -> FixedPointSet:
@@ -210,7 +169,7 @@ def admissible_group(group: MatrixGroup) -> tuple[bool, tuple[IntMat, TorsionPoi
     Returns (True, None) or (False, (element, moved point)) with the first
     witness in canonical element and point order.
     """
-    witness = first_moved_point(group, forced_critical_points(group).finite_points())
+    witness = first_moved_point(group, forced_critical_points(group).points)
     return witness is None, witness
 
 

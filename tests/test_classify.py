@@ -22,7 +22,7 @@ from lagmono import groups
 from lagmono.errors import NonUnimodularError, NotFiniteError, ParseError, SearchTooLargeError
 from lagmono.groups import MatrixGroup
 from lagmono.intlat import IntMat, bareiss_solve, matrix_order, minkowski_bound
-from test_groups import conjugate_group
+from test_groups import conjugate_group, negated
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -108,7 +108,7 @@ class TestIdentify:
         assert count >= 100
 
     def test_rejections(self):
-        rank3 = MatrixGroup.from_generators(3, [-IntMat.identity(3)])
+        rank3 = MatrixGroup.from_generators(3, [negated(IntMat.identity(3))])
         with pytest.raises(ValueError, match="dimension 2"):
             identify_class_n2(rank3)
         shear = IntMat.from_rows([[1, 1], [0, 1]])

@@ -23,6 +23,11 @@ def permutation_group(degree, gens):
     return PermutationGroup.from_elements(degree, cayley_closure(identity_perm(degree), list(gens), compose))
 
 
+def negated(m):
+    """The matrix -m."""
+    return IntMat.from_rows([[-x for x in row] for row in m.rows])
+
+
 def conjugate_group(group, u, u_inv):
     """The matrix group u G u^-1."""
     return MatrixGroup.from_elements(group.dim, [u @ g @ u_inv for g in group.elements])
@@ -206,7 +211,7 @@ def test_rank_six_group_closes_below_the_element_limit():
         IntMat.from_rows([[int(k == j) - cartan[i][j] * (k == i) for j in range(6)] for k in range(6)]) for i in range(6)
     ]
     coxeter = functools.reduce(IntMat.__matmul__, reflections)
-    group = MatrixGroup.from_generators(6, [reflections[0], -coxeter])
+    group = MatrixGroup.from_generators(6, [reflections[0], negated(coxeter)])
     assert group.order == 10_080
 
 

@@ -76,24 +76,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 NEVER_RUN = {
     "cli.main": "the console script's entry point; the probe calls cli.run",
     "cyclotomic.CyclotomicNumber.__hash__": "keeps values hashable, with the meaning of the field-tuple hash",
-    "cyclotomic.CyclotomicNumber.__rsub__": "called only by tests",
-    "cyclotomic.CyclotomicNumber.__rtruediv__": "called only by tests",
-    "floer.CliffordElement.__add__": "called only by tests",
     "groups.MatrixGroup.perms": "computes only for groups built by from_elements; from_generators fills it in",
-    "intlat.IntMat.__neg__": "called only by tests",
-    "laurent.LaurentPolynomial.__add__": "called only by tests",
-    "laurent.LaurentPolynomial.__mul__": "called only by tests",
-    "laurent.LaurentPolynomial.__neg__": "called only by tests",
-    "laurent.LaurentPolynomial.__sub__": "called only by tests",
-    "laurent.LaurentPolynomial.zero": "called only by tests",
-    "laurent.gradient_hessian": "called only by tests",
-    "torussym.TorsionPoint.__eq__": "called only by tests",
-    "torussym.TorsionPoint.__ge__": "called only by tests",
-    "torussym.TorsionPoint.__gt__": "called only by tests",
-    "torussym.TorsionPoint.__hash__": "called only by tests",
-    "torussym.TorsionPoint.__le__": "called only by tests",
-    "torussym.TorsionPoint.__lt__": "called only by tests",
-    "torussym.monomial_fixed_points": "called only by tests",
     "value.Value.__delattr__": "refuses deletion from a frozen value",
     "value.Value.__repr__": "the repr of a value, which no command prints",
     "value.Value.__setattr__": "refuses assignment to a frozen value",

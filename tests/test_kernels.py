@@ -28,7 +28,7 @@ Gauss-Jordan family of ``intlat`` (``old_rational_rref``,
 forms of its callers: ``old_monotone_normalize``, ``old_extreme_ray`` (for
 ``toric._recession_ray``), and the Smith normal form of ``intlat`` with the
 fixed locus read off it (``old_smith_normal_form``, ``old_fixed_locus``, for
-``torussym.monomial_fixed_points``), the Fraction action and moved-point scan
+``monomial_fixed_points`` of test_torussym), the Fraction action and moved-point scan
 of ``torussym`` (``old_act``, ``old_first_moved_point``), and the Hermite loop
 that carried its transform through every call, ``LatticeBasis.from_vectors``
 included (``old_hermite_normal_form``, ``old_from_vectors``), the
@@ -147,7 +147,6 @@ from lagmono.torussym import (
     _points,
     first_moved_point,
     forced_critical_points,
-    monomial_fixed_points,
 )
 from lagmono.polytopes import STANDARD_FIXTURES, blowup_cp2, cube, projective_product, projective_space
 from lagmono.toric import (
@@ -166,9 +165,10 @@ from lagmono.toric import (
 from test_classify import planar_class
 from test_cyclotomic import galois, zeta
 from test_floer import clifford_data
-from test_groups import conjugate_group
+from test_groups import conjugate_group, negated
+from test_laurent import add
 from test_monodromy import permute_vector
-from test_torussym import act
+from test_torussym import act, monomial_fixed_points, sorted_points
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Cyc = CyclotomicNumber
@@ -934,7 +934,7 @@ def old_line_screen(solutions, height):
         for h in range(1, height + 1)
         for x1 in range(-h, h + 1)
         for x2 in range(-h, h + 1)
-        if max(abs(x1), abs(x2)) == h and any(x1 * v2 == x2 * v1 for v1, v2 in solutions)
+        if max(abs(x1), abs(x2)) == h and any(v2 * x1 == v1 * x2 for v1, v2 in solutions)
     ]
 
 
@@ -1301,14 +1301,14 @@ def old_smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     return IntMat.from_rows(u), IntMat.from_rows(d), IntMat.from_rows(v)
 
 
-def old_fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> FixedPointSet:
-    """All v in (Q/Z)^n with r . v in Z for every row r, from one Smith form; None in place of infinitely many."""
+def old_fixed_locus(n: int, rows: Sequence[Sequence[int]]) -> tuple[TorsionPoint, ...] | None:
+    """All v in (Q/Z)^n with r . v in Z for every row r, sorted, from one Smith form; None in place of infinitely many."""
     _, d, v = old_smith_normal_form(IntMat.from_rows(rows))
     divisors = [d.rows[i][i] if i < d.nrows else 0 for i in range(n)]
     if 0 in divisors:
-        return FixedPointSet(n, None)
+        return None
     axes = [[Fraction(k, di) for k in range(di)] for di in divisors]
-    return FixedPointSet(n, tuple(sorted(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*axes))))
+    return sorted_points(TorsionPoint.make(v.apply(combo)) for combo in itertools.product(*axes))
 
 
 def old_act(g: IntMat, p: TorsionPoint) -> TorsionPoint:
@@ -1428,13 +1428,13 @@ def old_forced_critical_points(group):
             subset = chosen + [g]
             if new_rank == n:
                 fixed = old_fixed_locus(n, [row for g in subset for row in _delta_rows(g)])
-                assert fixed.points is not None
-                found.update(fixed.finite_points())
+                assert fixed is not None
+                found.update(fixed)
             elif len(subset) < n:
                 extend(idx + 1, subset, rows, new_rank)
 
     extend(0, [], [], 0)
-    return tuple(sorted(found))
+    return sorted_points(found)
 
 
 def old_lattice_forced_critical_points(group: MatrixGroup) -> FixedPointSet:
@@ -2131,13 +2131,12 @@ class TestOldClass:
             assert_same(new.inverse(), old.inverse())
         for q in (0, 1, -2, Fraction(1, 2), Fraction(-3, 4)):
             assert_same(new * q, old * q)
-            assert_same(q * new, q * old)
             assert_same(new + q, old + q)
-            assert_same(q - new, q - old)
+            assert_same(Cyc.from_rational(q) - new, q - old)
             if q:
                 assert_same(new / q, old / q)
             if new:
-                assert_same(q / new, q / old)
+                assert_same(Cyc.from_rational(q) / new, q / old)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 36), st.integers(1, 3), st.data())
@@ -2160,7 +2159,6 @@ class TestRationalScaling:
     def test_scaling_equals_canonicalising_constructor(self, x, q):
         expected = Cyc(x.conductor, tuple(q * c for c in x.coeffs))
         assert x * q == expected
-        assert q * x == expected
         assert x * Cyc.from_rational(q) == expected
         assert Cyc.from_rational(q) * x == expected
         assert -x == Cyc(x.conductor, tuple(-c for c in x.coeffs))
@@ -2216,11 +2214,13 @@ class TestClosedForms:
 
 
 class TestBoundedSearch:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(clifford_problems(), st.integers(0, 6))
     def test_witness_equals_residual_column_screen(self, problem, height):
         data, action, parity = problem
-        found = _bounded_search(data, action, parity, height, _solution_space(data, action, parity))
+        solutions = _solution_space(data, action, parity)
+        assume(len(solutions) == 1)  # the only spaces continuation_solvable searches
+        found = _bounded_search(data, action, parity, height, solutions)
         assert found == old_bounded_search(data, action, parity, height)
 
     @settings(max_examples=60, deadline=None)
@@ -2303,9 +2303,9 @@ def potentials_and_maps(draw, singular):
     w = LaurentPolynomial.from_dict(n, dict(zip(exponents, coeffs)))
     order = None if singular else matrix_order(g)
     if order and draw(st.booleans()):
-        power, total = IntMat.identity(n), LaurentPolynomial.zero(n)
+        power, total = IntMat.identity(n), LaurentPolynomial(n, ())
         for _ in range(order):
-            total, power = total + w.relabel(power), power @ g
+            total, power = add(total, w.relabel(power)), power @ g
         w = total
     return w, g
 
@@ -2529,7 +2529,7 @@ SMALL_GROUP_AMBIENTS = [
     planar_class("4ft"),
     planar_class("6ft"),
     FORCED_HEAVY_CASES["B3"],
-    MatrixGroup.from_generators(3, [block_sum(g, IntMat.identity(1)) for g in planar_class("6ft").generators()] + [-IntMat.identity(3)]),
+    MatrixGroup.from_generators(3, [block_sum(g, IntMat.identity(1)) for g in planar_class("6ft").generators()] + [negated(IntMat.identity(3))]),
     *(group for _, group in ingest_catalog((FIXTURES / "rank3_extensions.cat").read_text()).entries),
 ]
 
@@ -2563,12 +2563,12 @@ def stabiliser_forced_points(group):
             no_fixed_vector[stab] = old_rational_rank(rows) == n
         if no_fixed_vector[stab]:
             out.append(TorsionPoint.make(Fraction(x, order) for x in k))
-    return tuple(sorted(out))
+    return sorted_points(out)
 
 
 def assert_forced_equals_subset_enumeration(group, u_pair):
     conjugate = conjugate_group(group, *u_pair)
-    assert forced_critical_points(conjugate).finite_points() == old_forced_critical_points(conjugate)
+    assert forced_critical_points(conjugate).points == old_forced_critical_points(conjugate)
 
 
 class TestForcedCriticalPoints:
@@ -2589,7 +2589,7 @@ class TestForcedCriticalPoints:
     @settings(max_examples=40, deadline=None)
     @given(small_groups())
     def test_forced_points_equal_stabiliser_brute_force(self, group):
-        assert forced_critical_points(group).finite_points() == stabiliser_forced_points(group)
+        assert forced_critical_points(group).points == stabiliser_forced_points(group)
 
 
 B4 = MatrixGroup.from_generators(4, [diagonal(-1, 1, 1, 1), *(signed_permutation(p, (1,) * 4) for p in ((1, 0, 2, 3), (1, 2, 3, 0)))])
@@ -2606,7 +2606,7 @@ UNWALKED_LOCI = MatrixGroup.from_generators(4, [IntMat.from_rows(g) for g in (
 
 
 def assert_forced_equals_lattice_search(group):
-    assert forced_critical_points(group).finite_points() == old_lattice_forced_critical_points(group).finite_points()
+    assert forced_critical_points(group).points == old_lattice_forced_critical_points(group).points
 
 
 class TestLatticeSearchOracle:
@@ -2628,7 +2628,7 @@ class TestLatticeSearchOracle:
 
     def test_points_are_closed_under_the_group(self):
         assert UNWALKED_LOCI.order == 48
-        assert len(forced_critical_points(UNWALKED_LOCI).finite_points()) == 28
+        assert len(forced_critical_points(UNWALKED_LOCI).points) == 28
         assert_forced_equals_lattice_search(UNWALKED_LOCI)
 
 
@@ -2698,7 +2698,7 @@ class TestOrbitWalks:
         assert all(state.rank < group.dim and gens == non_central(group, group.generators()) for state, gens in walks)
 
     def test_central_generator_is_left_out_of_every_walk(self):
-        minus = -IntMat.identity(3)
+        minus = negated(IntMat.identity(3))
         planar = [block_sum(g, IntMat.identity(1)) for g in planar_class("4ft").generators()]
         group = MatrixGroup.from_generators(3, [*planar, minus])
         handed = (*group.generators(), minus)  # no greedy pick takes -I, so hand it in
@@ -2861,17 +2861,17 @@ class TestFixedLocus:
         # Tuple for tuple when finite, None for both when not.
         n, rows = case
         lattice = LatticeBasis.from_vectors(n, rows)
-        assert (_points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None) == old_fixed_locus(n, rows).points
+        assert (_points(*_full_rank_locus(lattice.basis)) if lattice.rank == n else None) == old_fixed_locus(n, rows)
 
     @settings(max_examples=200, deadline=None)
     @given(unimodular_families())
     def test_monomial_fixed_points_equal_smith_locus(self, gs):
         n = gs[0].nrows
-        assert monomial_fixed_points(gs).points == old_fixed_locus(n, [r for g in gs for r in _delta_rows(g)]).points
+        assert monomial_fixed_points(gs) == old_fixed_locus(n, [r for g in gs for r in _delta_rows(g)])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_fixes_the_whole_torus(self, n):
-        assert monomial_fixed_points([IntMat.identity(n)]).points is None is old_fixed_locus(n, _delta_rows(IntMat.identity(n))).points
+        assert monomial_fixed_points([IntMat.identity(n)]) is None is old_fixed_locus(n, _delta_rows(IntMat.identity(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -2891,7 +2891,7 @@ class TestMovedPoint:
     def test_integer_scan_equals_fraction_scan_on_conjugates(self, name, data):
         group = MOVED_CASES[name]
         conjugate = conjugate_group(group, *data.draw(unimodular_pairs(group.dim)))
-        forced = forced_critical_points(conjugate).finite_points()
+        forced = forced_critical_points(conjugate).points
         extra = data.draw(torsion_points(group.dim))
         for points in (forced, extra, forced + tuple(extra), tuple(extra) + forced):
             assert first_moved_point(conjugate, points) == old_first_moved_point(conjugate, points)
@@ -2908,7 +2908,7 @@ class TestMovedPoint:
     def test_admissible_and_moved_groups_equal_fraction_scan(self):
         verdicts = set()
         for name, group in MOVED_CASES.items():
-            points = forced_critical_points(group).finite_points()
+            points = forced_critical_points(group).points
             assert first_moved_point(group, points) == old_first_moved_point(group, points), name
             verdicts.add(first_moved_point(group, points) is None)
         assert verdicts == {True, False}
@@ -2916,14 +2916,14 @@ class TestMovedPoint:
     @settings(max_examples=60, deadline=None)
     @given(small_groups(), st.data())
     def test_points_fixed_by_the_generators_are_fixed_by_the_group(self, group, data):
-        common = monomial_fixed_points(group.generators() or [IntMat.identity(group.dim)]).points
-        for points in (common or (), forced_critical_points(group).finite_points() + tuple(data.draw(torsion_points(group.dim, 3)))):
+        common = monomial_fixed_points(group.generators() or [IntMat.identity(group.dim)])
+        for points in (common or (), forced_critical_points(group).points + tuple(data.draw(torsion_points(group.dim, 3)))):
             assert first_moved_point(group, points) == old_first_moved_point(group, points)
 
     @pytest.mark.parametrize("name", ["3f", "signs", "S4", "signs4"])
     def test_admissible_group_scans_no_element(self, name):
         group = MOVED_CASES[name]
-        points = forced_critical_points(group).finite_points()
+        points = forced_critical_points(group).points
         with mock.patch.object(MatrixGroup, "nonidentity", side_effect=AssertionError("element scan")):
             assert first_moved_point(group, points) is None
 
@@ -2931,7 +2931,7 @@ class TestMovedPoint:
     def test_empty_point_list_and_trivial_group(self, n):
         trivial = MatrixGroup.from_generators(n, [])
         points = (TorsionPoint.make([Fraction(1, 2)] * n), TorsionPoint.make([Fraction(k, 7) for k in range(n)]))
-        for group in (trivial, MatrixGroup.from_generators(n, [-IntMat.identity(n)])):
+        for group in (trivial, MatrixGroup.from_generators(n, [negated(IntMat.identity(n))])):
             assert first_moved_point(group, ()) is None is old_first_moved_point(group, ())
         assert first_moved_point(trivial, points) is None is old_first_moved_point(trivial, points)
 
@@ -3062,7 +3062,7 @@ class TestHermitePath:
         inner = st.lists(st.integers(-9, 9), min_size=3, max_size=3)
         b = IntMat.from_rows(data.draw(st.lists(inner, min_size=a.ncols, max_size=a.ncols)))
         h, u = hermite_normal_form(a)
-        for m in (a @ b, -a, -b, a.transpose(), b.transpose(), IntMat.identity(c), h, u):
+        for m in (a @ b, negated(a), negated(b), a.transpose(), b.transpose(), IntMat.identity(c), h, u):
             assert_unchecked_equals_checked(m)
 
 
@@ -3376,7 +3376,7 @@ def old_fraction_grid_points(w, bound):
             visited[mixed] = 1
         if is_critical(w, grid_point(combo)):
             out.extend(grid_point(image) for image in orbit)
-    return tuple(sorted(set(out)))
+    return sorted_points(set(out))
 
 
 def symmetrised(dim, raw_terms):
