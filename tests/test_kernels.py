@@ -8,8 +8,9 @@ determinant behind ``CyclotomicNumber.norm``, the polynomial divisions
 scan of the cyclotomic canonical form (Galois-fixedness loop, descent matrix
 and power table), the power-table promotion, the Euclidean inverse and the
 Fraction solve that replaced it, the Clifford-product residual columns and
-residual-column screen of ``floer._bounded_search`` and its pair-by-pair line
-screen, the block-map search of ``monodromy.symplectic_monodromy``, the word
+residual-column screen of ``floer._bounded_search``, its pair-by-pair line
+screen and its line search that took one cyclotomic norm per point
+(``old_line_search``, with ``old_line_points``), the block-map search of ``monodromy.symplectic_monodromy``, the word
 breadth-first search behind ``groups.cayley_closure``
 (``old_cayley_closure``), the word expansion and multiplication-table check
 of ``classify.embed_symmetric_product`` and its search that re-walks each
@@ -87,7 +88,6 @@ from lagmono.floer import (
     _conjugation_residuals,
     _cyclotomic_factor_profile,
     _element_from_pair,
-    _line_points,
     _form_value,
     _norm_form,
     _parity_norm,
@@ -925,6 +925,33 @@ def old_bounded_search(d, action, parity, height):
                 if norm is not None and norm.is_integral_unit() and c.is_integral():
                     return c
     return None
+
+
+def old_line_search(d, action, parity, height, solutions):
+    """The line search that took a full cyclotomic norm of the parity-norm form at every point it visited."""
+    form = _norm_form(d, parity)
+    for x1, x2 in old_line_points(solutions, height):
+        if _form_value(form, x1, x2).is_integral_unit():
+            c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
+            assert _verify_witness(c, d, action, parity)
+            return c
+    return None
+
+
+def old_line_points(solutions, height):
+    """Nonzero integer points of the line spanned by the one solution (v1, v2), by height up to height.
+
+    The points are (0, +-h) when v1 = 0 and +-k (q, p) when v2 / v1 = p / q
+    in lowest terms with q > 0; an irrational slope leaves none.
+    """
+    (v1, v2), = solutions
+    slope = None if v1.is_zero() else v2 / v1
+    if slope is not None and not slope.is_rational():
+        return
+    q, p = (0, 1) if slope is None else primitive_vector((1, slope.as_rational()))
+    for k in range(1, height // max(q, abs(p)) + 1):
+        yield -k * q, -k * p
+        yield k * q, k * p
 
 
 def old_line_screen(solutions, height):
@@ -2223,6 +2250,43 @@ class TestBoundedSearch:
         found = _bounded_search(data, action, parity, height, solutions)
         assert found == old_bounded_search(data, action, parity, height)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(clifford_problems(), st.integers(0, 60))
+    def test_witness_equals_old_line_search(self, problem, height):
+        data, action, parity = problem
+        solutions = _solution_space(data, action, parity)
+        assume(len(solutions) == 1)  # the only spaces continuation_solvable searches
+        found = _bounded_search(data, action, parity, height, solutions)
+        assert found == old_line_search(data, action, parity, height, solutions)
+
+    @pytest.mark.parametrize("unit", [1, -1, zeta(3), zeta(4), zeta(5) + 1, zeta(12, 5), 2, zeta(4) + 1])
+    def test_unit_at_depth_equals_old_line_search(self, unit):
+        # With mu = nu and 2 lam != mu the odd solution line of [[1, -1], [0, -1]] is (0, 1), where
+        # the parity norm at (0, k) is k^2 nu: nu = unit / j^2 puts the only witness at k = j.
+        action = IntMat.from_rows([[1, -1], [0, -1]])
+        is_unit = (Cyc.one() * unit).is_integral_unit()
+        for j in range(1, 8):
+            nu = Cyc.from_rational(Fraction(1, j * j)) * unit
+            data = CliffordData(Cyc.from_rational(3), nu, nu)
+            solutions = _solution_space(data, action, "odd")
+            assert solutions == [(Cyc.zero(), Cyc.one())]
+            for height in (j - 1, j, 60):
+                found = _bounded_search(data, action, "odd", height, solutions)
+                assert found == old_line_search(data, action, "odd", height, solutions)
+                expected = CliffordElement.odd(0, -j) if is_unit and height >= j else None
+                assert found == expected, (unit, j, height)
+
+    @pytest.mark.parametrize(
+        "nu, av, status",
+        [(Fraction(1, 4), -2, "solvable"), (Fraction(1, 9), -3, "solvable"), (Fraction(1, 2601), None, "unknown")],
+    )
+    def test_pinned_depths(self, nu, av, status):
+        # lam = 1/4, mu = nu: the unit on the line (0, 1) lies at k = 2, 3 and 51, one past SEARCH_HEIGHT.
+        data = CliffordData(*(Cyc.from_rational(x) for x in (Fraction(1, 4), nu, nu)))
+        result = continuation_solvable(data, IntMat.from_rows([[1, -1], [0, -1]]), "odd", 1)
+        assert result.status == status
+        assert result.witness == (None if av is None else CliffordElement.odd(0, av))
+
     @settings(max_examples=60, deadline=None)
     @given(
         cyclotomics(conductors=(1, 3, 4)),
@@ -2236,7 +2300,7 @@ class TestBoundedSearch:
             v2 = v1 * Cyc.from_rational(slope)
         if v1.is_zero() and v2.is_zero():
             v2 = Cyc.one()
-        assert list(_line_points([(v1, v2)], height)) == old_line_screen([(v1, v2)], height)
+        assert list(old_line_points([(v1, v2)], height)) == old_line_screen([(v1, v2)], height)
 
 
 def closed_form_shapes(m):
