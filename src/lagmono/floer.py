@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi_table
+from .cyclotomic import CyclotomicNumber, _polydivmod, cyclotomic_polynomial, euler_phi, euler_phi_table
 from .errors import (
     BadDiscriminantError,
     DimensionError,
@@ -32,7 +32,7 @@ from .torussym import TorsionPoint
 from .value import Value
 
 Cyc = CyclotomicNumber
-SEARCH_HEIGHT = 50  # the largest coefficient height continuation_solvable's bounded search tries
+SEARCH_HEIGHT = 50  # the largest coefficient height the line search tries; a unit past it reads unknown
 
 
 class CliffordData(Value):
@@ -274,8 +274,11 @@ def continuation_solvable(
     which checks every witness before it is returned.  With mu = nu = 0 and
     lam a rational integer, a divisibility closed form decides the even
     shear [[1, m], [0, 1]] and the odd reflection [[-1, m], [0, 1]];
-    otherwise a bounded search over rational-integer coefficient pairs
-    either produces a verified witness or the result is reported unknown.
+    otherwise the rational-integer points +-k (q, p) of the solution line up
+    to height SEARCH_HEIGHT either give a verified witness or the result is
+    reported unknown.  The parity norm there is k^2 F, F its value at (q, p),
+    of norm k^(2 phi) N(F), so one norm of F names the only k that can give
+    a unit; a k past the height leaves the answer unknown.
     The solutions form a two-dimensional space only when lam = mu = nu = 0
     under the identity action, where every residual row vanishes: the closed
     form decides that case when even, and the parity-norm form is zero when
@@ -334,37 +337,31 @@ def _verify_witness(
 def _bounded_search(
     d: CliffordData, action: IntMat, parity: str, height: int, solutions: list[tuple[Cyc, Cyc]]
 ) -> CliffordElement | None:
-    """Search the rational-integer coefficient pairs of the solution line by increasing height.
+    """The point -k (q, p) of the solution line, k <= height // max(q, |p|), where the parity norm is a unit.
 
     The space is one-dimensional whenever continuation_solvable searches it
-    (see there).  A pair is screened by the parity-norm form, and the first
-    one it takes to an integral unit is checked by the Clifford product
-    itself before it is returned.
-    """
-    form = _norm_form(d, parity)
-    for x1, x2 in _line_points(solutions, height):
-        if _form_value(form, x1, x2).is_integral_unit():
-            c = _element_from_pair((Cyc.from_rational(x1), Cyc.from_rational(x2)), parity)
-            assert _verify_witness(c, d, action, parity)
-            return c
-    return None
-
-
-def _line_points(solutions: list[tuple[Cyc, Cyc]], height: int):
-    """Nonzero integer points of the line spanned by the one solution (v1, v2), by height up to height.
-
-    The search only meets one-dimensional spaces (see continuation_solvable).
-    The points are (0, +-h) when v1 = 0 and +-k (q, p) when v2 / v1 = p / q
-    in lowest terms with q > 0; an irrational slope leaves none.
+    (see there), and (q, p) is its primitive integer point: (0, 1) when the
+    solution (v1, v2) has v1 = 0, else p / q = v2 / v1 in lowest terms with
+    q > 0; an irrational slope leaves no point.  At +-k (q, p) the
+    parity-norm form is k^2 F, F its value at (q, p); a rational multiple
+    keeps F's conductor c, so N(k^2 F) = k^(2 phi(c)) N(F), and F in lowest
+    terms makes k^2 F integral exactly when F.den divides k^2.  One norm
+    thus decides the line, as at most one k has k^(2 phi(c)) |N(F)| = 1;
+    the Clifford product itself checks the pair before it is returned.
     """
     (v1, v2), = solutions
     slope = None if v1.is_zero() else v2 / v1
     if slope is not None and not slope.is_rational():
-        return
+        return None
     q, p = (0, 1) if slope is None else primitive_vector((1, slope.as_rational()))
+    value = _form_value(_norm_form(d, parity), q, p)
+    norm, power = value.norm(), 2 * euler_phi(value.conductor)
     for k in range(1, height // max(q, abs(p)) + 1):
-        yield -k * q, -k * p
-        yield k * q, k * p
+        if abs(norm.numerator) * k ** power == norm.denominator and k * k % value.den == 0:
+            c = _element_from_pair((Cyc.from_rational(-k * q), Cyc.from_rational(-k * p)), parity)
+            assert _verify_witness(c, d, action, parity)
+            return c
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2259,6 +2259,15 @@ class TestBoundedSearch:
         found = _bounded_search(data, action, parity, height, solutions)
         assert found == old_line_search(data, action, parity, height, solutions)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(clifford_problems(), st.integers(0, 60))
+    def test_one_norm_before_the_witness_check(self, problem, height):
+        data, action, parity = problem
+        solutions = _solution_space(data, action, parity)
+        assume(len(solutions) == 1)
+        search = functools.partial(_bounded_search, data, action, parity, height, solutions)
+        assert norms_before_witness_check(search) <= 1
+
     @pytest.mark.parametrize("unit", [1, -1, zeta(3), zeta(4), zeta(5) + 1, zeta(12, 5), 2, zeta(4) + 1])
     def test_unit_at_depth_equals_old_line_search(self, unit):
         # With mu = nu and 2 lam != mu the odd solution line of [[1, -1], [0, -1]] is (0, 1), where
@@ -2283,9 +2292,11 @@ class TestBoundedSearch:
     def test_pinned_depths(self, nu, av, status):
         # lam = 1/4, mu = nu: the unit on the line (0, 1) lies at k = 2, 3 and 51, one past SEARCH_HEIGHT.
         data = CliffordData(*(Cyc.from_rational(x) for x in (Fraction(1, 4), nu, nu)))
-        result = continuation_solvable(data, IntMat.from_rows([[1, -1], [0, -1]]), "odd", 1)
+        action = IntMat.from_rows([[1, -1], [0, -1]])
+        result = continuation_solvable(data, action, "odd", 1)
         assert result.status == status
         assert result.witness == (None if av is None else CliffordElement.odd(0, av))
+        assert norms_before_witness_check(lambda: continuation_solvable(data, action, "odd", 1)) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -2301,6 +2312,18 @@ class TestBoundedSearch:
         if v1.is_zero() and v2.is_zero():
             v2 = Cyc.one()
         assert list(old_line_points([(v1, v2)], height)) == old_line_screen([(v1, v2)], height)
+
+
+def norms_before_witness_check(call):
+    """How many CyclotomicNumber.norm calls the call makes before its first floer._verify_witness."""
+    events = []
+    norm, verify = CyclotomicNumber.norm, floer._verify_witness
+    with mock.patch.object(CyclotomicNumber, "norm", autospec=True,
+                           side_effect=lambda x: events.append("norm") or norm(x)), \
+            mock.patch.object(floer, "_verify_witness",
+                              side_effect=lambda *args: events.append("verify") or verify(*args)):
+        call()
+    return events.index("verify") if "verify" in events else len(events)
 
 
 def closed_form_shapes(m):
