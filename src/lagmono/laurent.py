@@ -22,13 +22,14 @@ import math
 from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, _fold
-from .errors import DimensionError, GridTooLargeError, ParseError
+from .errors import DimensionError, GridTooLargeError, ParseError, SearchTooLargeError
 from .intlat import IntMat
 from .torussym import TorsionPoint, _points, content_lines, read_dim, read_fields, read_ints
 from .value import Value
 
 Exponent = tuple[int, ...]
 GRID_CAP = 200_000  # the most grid points torsion_critical_points walks unless told otherwise
+ORDER_LIMIT = 1_000_000  # the largest point order evaluate and is_critical take; each allocates that many ints
 
 
 class LaurentPolynomial(Value):
@@ -102,9 +103,13 @@ class LaurentPolynomial(Value):
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def _check_dim(w: LaurentPolynomial, p: TorsionPoint) -> None:
+def _order(w: LaurentPolynomial, p: TorsionPoint) -> int:
+    """The order of p, refused past ORDER_LIMIT before an image of that length is allocated."""
     if p.dim != w.dim:
         raise DimensionError(f"point has {p.dim} coordinates, potential has {w.dim} variables")
+    if (d := p.order()) > ORDER_LIMIT:
+        raise SearchTooLargeError(f"point order exceeds {ORDER_LIMIT}, the limit of exact evaluation; this proves nothing")
+    return d
 
 
 def _image(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> list[int]:
@@ -120,8 +125,7 @@ def _image(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> list[int]:
 
 def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
     """Exact value of w at the unitary point with angles p."""
-    _check_dim(w, p)
-    d = p.order()
+    d = _order(w, p)
     scaled = [c.numerator * (d // c.denominator) for c in p.coords]
     return CyclotomicNumber._from_image(d, _image(w, scaled, d))
 
@@ -154,8 +158,7 @@ def is_critical(w: LaurentPolynomial, p: TorsionPoint) -> bool:
     is z_i times the affine one, term by term, so at a unitary point its
     image is the affine image shifted mod d: the two vanish together.
     """
-    _check_dim(w, p)
-    d = p.order()
+    d = _order(w, p)
     return _critical(w, [c.numerator * (d // c.denominator) for c in p.coords], d)
 
 

@@ -338,6 +338,9 @@ ORACLE_ARGV = [
     ["qform", "--", "1", "-1", "0"],
     ["toric", "--", POLY],
     ["--", "toric", POLY],
+    # points whose order passes laurent.ORDER_LIMIT
+    ["clifford", POT, "--at", "1e-400,0"],
+    ["clifford", POT, "--at", "1/1000000007,0"],
 ]
 
 

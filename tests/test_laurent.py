@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagmono.cyclotomic import CyclotomicNumber, euler_phi
-from lagmono.errors import DimensionError, GridTooLargeError, ParseError, ValidationError
+from lagmono.errors import DimensionError, GridTooLargeError, ParseError, SearchTooLargeError, ValidationError
 from lagmono.intlat import IntMat, LatticeBasis
 from lagmono.laurent import (
+    ORDER_LIMIT,
     LaurentPolynomial,
     _first_partials,
     evaluate,
@@ -314,6 +315,16 @@ class TestLargeOrder:
         assert not is_critical(w, self.POINT)
         assert evaluate(w.partial(1), self.POINT).is_zero()
         assert evaluate(w.partial(0), self.POINT).conductor == 47 * 53
+
+    def test_orders_past_the_limit_are_refused(self):
+        # 10^400 cannot even be a list length; the refusal comes before any image is allocated.
+        assert ORDER_LIMIT >= 146_969
+        w = LaurentPolynomial.from_dict(1, {(1,): 1})
+        for point in (pt(F(1, ORDER_LIMIT + 1)), pt(F(1, 10**400)), pt(F(1, 1_000_000_007))):
+            for call in (evaluate, is_critical):
+                with pytest.raises(SearchTooLargeError, match=f"exceeds {ORDER_LIMIT}.*proves nothing"):
+                    call(w, point)
+        assert not is_critical(w, pt(F(1, ORDER_LIMIT)))
 
 
 class TestDimensionErrors:
