@@ -10,11 +10,12 @@ and power table), the power-table promotion, the Euclidean inverse and the
 Fraction solve that replaced it, the Clifford-product residual columns and
 residual-column screen of ``floer._bounded_search``, its pair-by-pair line
 screen and its line search that took one cyclotomic norm per point
-(``old_line_search``, with ``old_line_points``), the block-map search of ``monodromy.symplectic_monodromy``, the word
-breadth-first search behind ``groups.cayley_closure``
-(``old_cayley_closure``), the word expansion and multiplication-table check
-of ``classify.embed_symmetric_product`` and its search that re-walks each
-prefix subgroup (``old_rewalk_embed_symmetric_product``), the fixed-point
+(``old_line_search``, with ``old_line_points``), the block-map search of
+``monodromy.symplectic_monodromy``, the word breadth-first search behind
+``groups.cayley_closure`` (``old_cayley_closure``), the word expansion and
+multiplication-table check of ``classify.embed_symmetric_product`` and its
+search that re-walks each prefix subgroup
+(``old_rewalk_embed_symmetric_product``), the fixed-point
 search of ``classify.gl_order_feasible``, the subset enumeration of
 ``torussym.forced_critical_points`` and its lattice-state search that walks
 the conjugation orbit of every new state under every generator
