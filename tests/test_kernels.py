@@ -45,7 +45,9 @@ the grid walk of ``laurent.torsion_critical_points`` that built a Fraction
 ``TorsionPoint`` for every tested orbit and kept point
 (``old_fraction_grid_points``), and the closure and subgroup chain of
 ``MatrixGroup`` walked by ``IntMat`` products (``old_matrix_from_generators``,
-``old_matrix_chain``), and the group and matrix block of ``cli.run_toric``,
+``old_matrix_chain``), with the residue and bound loop of
+``groups.cayley_closure`` that refused infinite groups
+(``old_matrix_closure``), and the group and matrix block of ``cli.run_toric``,
 which walked each monodromy group and induced its generators' matrices on its
 own (``old_toric_records``, run with the Fraction validation and normalisation
 as ``old_toric_run``), and the Euclidean rounds of ``intlat._hermite`` that
@@ -109,7 +111,7 @@ from lagmono.classify import (
     ingest_catalog,
 )
 from lagmono import groups, laurent, torussym
-from lagmono.errors import NotFiniteError, NotMonotoneError, SearchTooLargeError
+from lagmono.errors import NotFiniteError, NotMonotoneError, SearchTooLargeError, ValidationError
 from lagmono.groups import (
     MatrixGroup,
     PermutationGroup,
@@ -2797,9 +2799,32 @@ class TestOrbitWalks:
         assert walks and all(gens == non_central(group, handed) for _, gens in walks)
 
 
+def old_matrix_closure(identity, gens, mul, residue, bound):
+    """The residue and bound loop of ``groups.cayley_closure``: every element of the group generated
+    by gens, in breadth-first order.  Two distinct elements with one residue, or more than bound
+    elements, prove the group infinite (NotFiniteError); past MAX_ELEMENTS elements it is not
+    verified finite (SearchTooLargeError)."""
+    walk, members, seen = [identity], {identity}, {residue(identity)}
+    for g in walk:
+        for s in gens:
+            h = mul(g, s)
+            if h not in members:
+                r = residue(h)
+                if r in seen:
+                    raise NotFiniteError("group is infinite: two distinct elements share a residue")
+                seen.add(r)
+                members.add(h)
+                walk.append(h)
+                if len(walk) > bound:
+                    raise NotFiniteError(f"group is infinite: order above Minkowski's bound {bound}")
+                if len(walk) > groups.MAX_ELEMENTS:
+                    raise SearchTooLargeError(f"more than {groups.MAX_ELEMENTS} elements; group not verified finite")
+    return walk
+
+
 def old_matrix_from_generators(dim, gens):
     """The sorted elements of the group generated by gens, closed by IntMat products."""
-    closure = cayley_closure(IntMat.identity(dim), list(gens), IntMat.__matmul__, residue_mod_3, minkowski_bound(dim))
+    closure = old_matrix_closure(IntMat.identity(dim), list(gens), IntMat.__matmul__, residue_mod_3, minkowski_bound(dim))
     return tuple(sorted(set(closure), key=IntMat.canonical_key))
 
 
@@ -2839,6 +2864,15 @@ def conjugated_generators(draw):
     return ambient.dim, [u @ g @ u_inv for g in draw(st.lists(st.sampled_from(ambient.elements), max_size=3))]
 
 
+@st.composite
+def small_unimodular_generators(draw):
+    """(dim, gens): one to three unimodular matrices of rank 2 to 4 with entries in [-2, 2]."""
+    dim = draw(st.integers(2, 4))
+    gens = draw(st.lists(unimodular_pairs(dim), min_size=1, max_size=3))
+    assume(all(abs(x) <= 2 for g, _ in gens for row in g.rows for x in row))
+    return dim, [g for g, _ in gens]
+
+
 def hyperoctahedral(n):
     """B_n, the signed permutation matrices, from a sign change, a transposition and an n-cycle."""
     cycle = tuple(range(1, n)) + (0,)
@@ -2860,6 +2894,20 @@ class TestMatrixWalkOracle:
     def test_closure_of_drawn_generators_equals_matrix_walks(self, case):
         dim, gens = case
         assert_matrix_walks_equal_old(MatrixGroup.from_generators(dim, gens), gens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_unimodular_generators())
+    def test_closure_or_refusal_equals_old_closure(self, case):
+        # A group the IntMat walk closes has the same elements; one it refuses is refused with the same class.
+        dim, gens = case
+        try:
+            elements = old_matrix_from_generators(dim, gens)
+        except (NotFiniteError, SearchTooLargeError) as refusal:
+            with pytest.raises(ValidationError) as raised:
+                MatrixGroup.from_generators(dim, gens)
+            assert raised.type is type(refusal)
+        else:
+            assert MatrixGroup.from_generators(dim, gens).elements == elements
 
     @pytest.mark.parametrize("n, order", [(4, 384), (5, 3840)])
     def test_hyperoctahedral_groups_equal_matrix_walks(self, n, order):
