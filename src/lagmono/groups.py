@@ -5,9 +5,11 @@ isomorphism searches trivial.  Element lists are stored in a canonical sorted
 order so all reports are deterministic.  Closures, generating sets and orbits
 come from one breadth-first search over the right Cayley graph,
 ``cayley_closure``, which can extend the walk of a subgroup by one more
-generator; each group keeps one such chain of subgroups.  Matrix groups are
-walked as permutations of their basis-vector orbit; IntMat products only refuse
-groups.  No walk passes MAX_ELEMENTS elements, a limit, not proof of infiniteness.
+generator; each group keeps one such chain of subgroups.  A matrix group is
+walked as permutations of its basis-vector orbit, which ``_basis_orbit`` finds
+by matrix-vector products; that walk alone refuses a matrix group, with a proof
+that it is infinite or past a limit.  No walk passes MAX_ELEMENTS elements, a
+limit, not proof of infiniteness.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NonUnimodularError, NotFiniteError, SearchTooLargeError
-from .intlat import IntMat, Vec, dot, minkowski_bound, residue_mod_3
+from .intlat import IntMat, Vec, dot, minkowski_bound
 from .value import Value
 
 Perm = tuple[int, ...]
@@ -60,46 +62,28 @@ def perm_order(p: Perm) -> int:
 
 
 def cayley_closure(
-    identity: E,
-    gens: Sequence[Any],
-    mul: Callable[[E, Any], E],
-    residue: Callable[[E], Hashable] | None = None,
-    bound: int | None = None,
-    prefix: Sequence[E] | None = None,
+    identity: E, gens: Sequence[Any], mul: Callable[[E, Any], E], prefix: Sequence[E] | None = None
 ) -> list[E]:
     """Every element of the group generated by gens, in breadth-first order.
 
     Breadth-first search over the right Cayley graph, one product per element
-    and generator; positive products reach every inverse in a finite group
-    and infinitely many elements otherwise.  With mul(x, g) an action of the
-    group on points and identity a point, the same walk lists the orbit of
-    that point.  ``prefix``, the walk for gens[:-1], is closed under
-    gens[:-1]: it starts the result and only its products by the last
-    generator are taken.  ``residue``, when given, is a homomorphism to a
-    finite group that is injective on every finite subgroup, so two distinct
-    elements with one residue prove the group infinite.  ``bound``, when
-    given, divides the order of every finite group of the kind (Minkowski's
-    bound), so more elements prove it infinite too.  NotFiniteError is raised
-    on either proof, and SearchTooLargeError past MAX_ELEMENTS elements (not
-    verified finite).
+    and generator; positive products reach every inverse in a finite group.
+    With mul(x, g) an action of the group on points and identity a point, the
+    same walk lists the orbit of that point.  ``prefix``, the walk for
+    gens[:-1], is closed under gens[:-1]: it starts the result and only its
+    products by the last generator are taken.  The walk proves nothing:
+    past MAX_ELEMENTS elements it raises SearchTooLargeError (not verified
+    finite), so an infinite group must be refused before it is walked.
     """
     walk = [identity] if prefix is None else list(prefix)
     closed = 0 if prefix is None else len(walk)
     members = set(walk)
-    seen = None if residue is None else set(map(residue, walk))
     for i, g in enumerate(walk):  # walk grows as it is read: a first-in first-out queue
         for s in gens[-1:] if i < closed else gens:
             h = mul(g, s)
             if h not in members:
-                if seen is not None:
-                    r = residue(h)
-                    if r in seen:
-                        raise NotFiniteError("group is infinite: two distinct elements share a residue")
-                    seen.add(r)
                 members.add(h)
                 walk.append(h)
-                if bound is not None and len(walk) > bound:
-                    raise NotFiniteError(f"group is infinite: order above Minkowski's bound {bound}")
                 if len(walk) > MAX_ELEMENTS:
                     raise SearchTooLargeError(f"more than {MAX_ELEMENTS} elements; group not verified finite")
     return walk
@@ -190,19 +174,15 @@ class MatrixGroup(_ElementList, Value):
 
     @classmethod
     def from_generators(cls, dim: int, gens: Iterable[IntMat]) -> "MatrixGroup":
-        """Close the generators as permutations of their basis orbit.  When the orbit walk proves the group
-        infinite or passes n M(n) points (no finite group has more) or MAX_ELEMENTS, IntMat products close it."""
+        """Close the generators as permutations of O, their basis orbit, which ``_basis_orbit`` walks or
+        refuses; no two matrices are multiplied."""
         gens = list(gens)
         for g in gens:
             if g.nrows != dim or g.ncols != dim:
                 raise ValueError("generator dimension mismatch")
             if abs(g.det()) != 1:
                 raise NonUnimodularError(f"generator {g} has determinant {g.det()}")
-        action = _basis_orbit(dim, gens, min(dim * minkowski_bound(dim), MAX_ELEMENTS))
-        if action is None:
-            closure = cayley_closure(IntMat.identity(dim), gens, IntMat.__matmul__, residue_mod_3, minkowski_bound(dim))
-            return cls.from_elements(dim, closure)
-        orbit, images = action
+        orbit, images = _basis_orbit(dim, gens)
         walk = cayley_closure(identity_perm(len(orbit)), images, compose)
         # O starts with e_1, .., e_n, so column j of g is g e_j = O[perm[j]]; the sort key holds g's
         # canonical_key codes row by row, read off the codes of those points, so it orders alike.
@@ -227,13 +207,18 @@ class MatrixGroup(_ElementList, Value):
         return [g for g in self.elements if g != ident]
 
 
-def _basis_orbit(dim: int, gens: Sequence[IntMat], cap: int) -> tuple[list[Vec], list[Perm]] | None:
-    """(O, each generator's permutation of O), or None when the group is infinite or O has more than cap points.
+def _basis_orbit(dim: int, gens: Sequence[IntMat]) -> tuple[list[Vec], list[Perm]]:
+    """(O, each generator's permutation of O), walked breadth first from e_1, .., e_n, one matrix-vector
+    product per point and generator; a group that is infinite or has too large an O is refused.
 
-    O is walked breadth first from e_1, .., e_n, one matrix-vector product per point and generator.  A point
-    first reached from e_j is t e_j for an element t of the walk, marked (j, t mod 3).  For one j, distinct
-    points have distinct t, so a repeated mark shows two distinct elements with one residue (``residue_mod_3``).
+    A finite group G has at most n |G| <= n M(n) points in O.  So while M(n) <= MAX_ELEMENTS (n <= 5), a point
+    past n M(n) proves G infinite (NotFiniteError); otherwise a point past MAX_ELEMENTS leaves G not verified
+    finite (SearchTooLargeError).  A point first reached from e_j is t e_j for an element t of the walk, marked
+    (j, t mod 3).  For one j, distinct points have distinct t, so a repeated mark shows two distinct elements
+    with one residue mod 3, which proves G infinite: the kernel of GL(n, Z) -> GL(n, F_3) is torsion-free.
     """
+    bound = minkowski_bound(dim)
+    cap = dim * bound if bound <= MAX_ELEMENTS else MAX_ELEMENTS
     ident = IntMat.identity(dim).rows
     orbit, marks = list(ident), [(j, ident) for j in range(dim)]
     index, seen = {v: i for i, v in enumerate(orbit)}, set(marks)
@@ -242,9 +227,13 @@ def _basis_orbit(dim: int, gens: Sequence[IntMat], cap: int) -> tuple[list[Vec],
         for g, image in zip(gens, images):
             w = g.apply(v)
             if w not in index:
+                if len(orbit) >= cap:
+                    if bound <= MAX_ELEMENTS:
+                        raise NotFiniteError(f"group is infinite: order above Minkowski's bound {bound}")
+                    raise SearchTooLargeError(f"more than {cap} basis-orbit points; group not verified finite")
                 mark = (j, tuple(tuple(dot(r, c) % 3 for c in zip(*t)) for r in g.rows))
-                if mark in seen or len(orbit) >= cap:
-                    return None
+                if mark in seen:
+                    raise NotFiniteError("group is infinite: two distinct elements share a residue")
                 seen.add(mark)
                 index[w] = len(orbit)
                 orbit.append(w)

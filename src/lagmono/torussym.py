@@ -240,7 +240,7 @@ def parse_group(text: str) -> MatrixGroup:
 
     Line 1 is ``dim <n>``, followed by ``gen`` blocks (see read_group_block).
     ``#`` starts a comment.  Closing raises NotFiniteError on an infinite
-    group and SearchTooLargeError past the element limit (cayley_closure).
+    group and SearchTooLargeError past a limit (MatrixGroup.from_generators).
     """
     lines = content_lines(text)
     if not lines:

@@ -252,7 +252,7 @@ class TestIngest:
 
     def test_group_past_the_element_limit_is_named(self, monkeypatch):
         monkeypatch.setattr(groups, "MAX_ELEMENTS", 3)
-        with pytest.raises(SearchTooLargeError, match="^group 'rot4': more than 3 elements; group not verified finite$"):
+        with pytest.raises(SearchTooLargeError, match="^group 'rot4': more than 3 basis-orbit points; group not verified finite$"):
             ingest_catalog("group rot4\ndim 2\ngen\n0 -1\n1 0\n")
 
     def test_rejects_duplicate_names(self):

@@ -12,6 +12,7 @@ from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 from lagmono import cli
 from lagmono.cli import run
+from lagmono.intlat import IntMat
 from lagmono.laurent import GRID_CAP
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -164,6 +165,25 @@ class TestFilter:
         group.write_text(text)
         code, out, err = invoke(capsys, "filter", str(group))
         assert (code, out, err) == (2, "", "validation error: group is infinite: two distinct elements share a residue\n")
+
+    def test_rank_six_group_past_the_orbit_limit_is_refused_at_once(self, capsys, tmp_path):
+        # X B6 X^-1 for X^-1 = L L L^T, L the lower unitriangular matrix of ones: each column of X^-1 has six
+        # distinct nonzero absolute values, so its B6 orbit alone has 2^6 6! = 46,080 points, and O has 276,480.
+        lower = IntMat.from_rows([[int(j <= i) for j in range(6)] for i in range(6)])
+        lower_inv = IntMat.from_rows([[int(i == j) - int(i == j + 1) for j in range(6)] for i in range(6)])
+        x, x_inv = lower_inv.transpose() @ lower_inv @ lower_inv, lower @ lower @ lower.transpose()
+        sign = [[(-1) ** (i == 0) * (i == j) for j in range(6)] for i in range(6)]
+        swap, cycle = [[[int(p[i] == j) for j in range(6)] for i in range(6)] for p in ([1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0])]
+        text = "dim 6\n"
+        for g in (sign, swap, cycle):
+            rows = (x @ IntMat.from_rows(g) @ x_inv).rows
+            text += "gen\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        group = tmp_path / "b6_conjugate.group"
+        group.write_text(text)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "filter", str(group))
+        assert time.perf_counter() - start < 10
+        assert (code, out, err) == (2, "", "validation error: more than 50000 basis-orbit points; group not verified finite\n")
 
 
 class TestConjecture:

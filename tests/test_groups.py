@@ -15,7 +15,7 @@ from lagmono.groups import (
     compose,
     identity_perm,
 )
-from lagmono.intlat import IntMat, matrix_order, residue_mod_3
+from lagmono.intlat import IntMat, matrix_order
 
 
 def permutation_group(degree, gens):
@@ -190,17 +190,14 @@ def test_cap_is_exact(monkeypatch):
     ids=["rank-2", "rank-3"],
 )
 def test_infinite_group_refused_past_minkowski_bound(gens, bound, monkeypatch):
-    # No two of the first M(n) + 1 elements share a residue mod 3, so only the bound refuses the group.
-    walked = []
-
-    def counted(g):
-        walked.append(g)
-        return residue_mod_3(g)
-
-    monkeypatch.setattr(groups, "residue_mod_3", counted)
+    # The basis orbit reaches a point past n M(n), where no finite group goes, before any mark repeats
+    # (on the rank-3 input, at that point), and the refusal multiplies no two matrices.
+    products = []
+    matmul = IntMat.__matmul__
+    monkeypatch.setattr(IntMat, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
     with pytest.raises(NotFiniteError, match=f"Minkowski's bound {bound}$"):
         MatrixGroup.from_generators(len(gens[0]), [IntMat.from_rows(g) for g in gens])
-    assert len(walked) == bound + 1
+    assert products == []
 
 
 def test_rank_six_group_closes_below_the_element_limit():

@@ -266,9 +266,12 @@ class TestGroupParsing:
             parse_group("dim 2\ngen\n1 0\n")
 
     def test_closure_cap(self, monkeypatch):
-        # The shear is proved infinite mod 3; a finite group past the element limit is only not verified finite.
-        monkeypatch.setattr(groups, "MAX_ELEMENTS", 3)
-        with pytest.raises(NotFiniteError):
+        # Below M(2) = 24 the element limit also caps the basis orbit and proves nothing.  The shear's
+        # fifth orbit point, within a limit of 5, repeats a mark mod 3, which proves it infinite; a finite
+        # group whose orbit passes a limit of 3 is only not verified finite.
+        monkeypatch.setattr(groups, "MAX_ELEMENTS", 5)
+        with pytest.raises(NotFiniteError, match="share a residue$"):
             parse_group("dim 2\ngen\n1 1\n0 1\n")
+        monkeypatch.setattr(groups, "MAX_ELEMENTS", 3)
         with pytest.raises(SearchTooLargeError, match="not verified finite"):
             parse_group(GROUP_TEXT)
