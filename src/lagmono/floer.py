@@ -84,10 +84,6 @@ class CliffordElement(Value):
             self.a0 - other.a0, self.au - other.au, self.av - other.av, self.auv - other.auv
         )
 
-    def scale(self, c: Cyc | int) -> "CliffordElement":
-        c = _cyc(c)
-        return CliffordElement(self.a0 * c, self.au * c, self.av * c, self.auv * c)
-
 
 def _cyc(x) -> Cyc:
     return x if isinstance(x, Cyc) else Cyc.from_rational(x)
@@ -158,8 +154,8 @@ def _conjugation_residuals(
     sign = -1 if parity == "odd" else 1
     u = CliffordElement.odd(1, 0)
     v = CliffordElement.odd(0, 1)
-    action_u = CliffordElement.odd(eps1, m).scale(sign)
-    action_v = CliffordElement.odd(0, eps2).scale(sign)
+    action_u = CliffordElement.odd(sign * eps1, sign * m)
+    action_v = CliffordElement.odd(0, sign * eps2)
     return [
         clifford_mul(c, u, d) - clifford_mul(action_u, c, d),
         clifford_mul(c, v, d) - clifford_mul(action_v, c, d),

@@ -32,7 +32,6 @@ from .intlat import (
     dot,
     integer_rref,
     kernel_lattice,
-    primitive_vector,
 )
 from .laurent import LaurentPolynomial
 from .torussym import content_lines, read_dim, read_fields, read_ints
@@ -146,14 +145,14 @@ def _recession_ray(p: DelzantPolytope) -> tuple[int, ...] | None:
     n, N = p.dim, p.nfacets
     # Called only once a vertex exists, so the normals span, the recession
     # cone is pointed, and it is nonzero exactly when it has an extreme ray,
-    # spanned by the kernel of some n-1 independent normals: their signed
-    # maximal minors, which all vanish exactly when the normals are dependent.
+    # spanned by the integer kernel of some n-1 independent normals, of rank 1
+    # exactly then, with a primitive Hermite basis vector.  Built by columns,
+    # the matrix is 1 x 0 for n = 1, with kernel Z.
     for subset in itertools.combinations(range(N), n - 1):
-        rows = [p.normals[j] for j in subset]
-        minors = [(-1) ** c * IntMat.from_rows(r[:c] + r[c + 1 :] for r in rows).det() for c in range(n)]
-        if not any(minors):
+        kernel = kernel_lattice(IntMat.from_rows([[p.normals[j][c] for j in subset] for c in range(n)]))
+        if kernel.rank != 1:
             continue
-        direction = primitive_vector(minors)
+        direction = kernel.basis[0]
         for candidate in (direction, tuple(-x for x in direction)):
             if all(dot(candidate, nu) >= 0 for nu in p.normals):
                 return candidate
