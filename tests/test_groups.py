@@ -190,8 +190,9 @@ def test_cap_is_exact(monkeypatch):
     ids=["rank-2", "rank-3"],
 )
 def test_infinite_group_refused_past_minkowski_bound(gens, bound, monkeypatch):
-    # The basis orbit reaches a point past n M(n), where no finite group goes, before any mark repeats
-    # (on the rank-3 input, at that point), and the refusal multiplies no two matrices.
+    # The basis orbit reaches a point past n M(n), where no finite group goes, before any mark repeats;
+    # on the rank-3 input a mark repeats at that point, and the bound is checked first.  The refusal
+    # multiplies no two matrices.
     products = []
     matmul = IntMat.__matmul__
     monkeypatch.setattr(IntMat, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
