@@ -54,7 +54,10 @@ as ``old_toric_run``), and the Euclidean rounds of ``intlat._hermite`` that
 rebuilt the list of nonzero rows for each pivot (``old_hermite``), and the
 forced-point search that joined every state to every step, full-rank steps
 included (``old_unpruned_forced_critical_points``).
-``floer._two_column_kernel`` is checked against the old elimination loop.
+``floer._two_column_kernel`` is checked against the old elimination loop
+and against its dense form, which formed the minor of every row, zero rows
+included (``old_two_column_kernel``), and ``floer.clifford_mul`` against the
+dense product that multiplied every pair of coordinates (``old_clifford_mul``).
 They are kept here only as oracles.
 """
 
@@ -98,6 +101,7 @@ from lagmono.floer import (
     _solution_space,
     _two_column_kernel,
     _verify_witness,
+    clifford_mul,
     continuation_solvable,
     reduce_binary_form,
 )
@@ -350,6 +354,33 @@ def old_residual_columns(d, action, parity):
 
 def old_solution_space(d, action, parity):
     return old_kernel_pairs(list(zip(*old_residual_columns(d, action, parity))))
+
+
+def old_clifford_mul(a, b, d):
+    """The dense product of floer.clifford_mul: every coordinate pair multiplied, zeros included."""
+    lam, mu, nu = d.lam, d.mu, d.nu
+    c0 = (
+        a.a0 * b.a0
+        + lam * a.au * b.au
+        + mu * a.av * b.au
+        + nu * a.av * b.av
+        - lam * nu * a.auv * b.auv
+    )
+    cu = a.a0 * b.au + a.au * b.a0 + mu * a.auv * b.au - nu * a.av * b.auv + nu * a.auv * b.av
+    cv = a.a0 * b.av + a.av * b.a0 + lam * a.au * b.auv + mu * a.av * b.auv - lam * a.auv * b.au
+    cuv = a.a0 * b.auv + a.auv * b.a0 + a.au * b.av - a.av * b.au + mu * a.auv * b.auv
+    return CliffordElement(c0, cu, cv, cuv)
+
+
+def old_two_column_kernel(rows):
+    """floer._two_column_kernel forming the minor of every row, zero rows included."""
+    first = next(((a, b) for a, b in rows if a or b), None)
+    if first is None:
+        return [(Cyc.one(), Cyc.zero()), (Cyc.zero(), Cyc.one())]
+    a, b = first
+    if any(a * e - b * c for c, e in rows):
+        return []
+    return [(-b / a, Cyc.one())] if a else [(Cyc.one(), Cyc.zero())]
 
 
 def old_det_fraction(rows):
@@ -1803,6 +1834,23 @@ def clifford_problems(draw):
     return CliffordData(*constants), action, draw(st.sampled_from(("even", "odd")))
 
 
+@st.composite
+def sparse_clifford_products(draw):
+    """(a, b, d) over Q or one Q(zeta_c), c = 3, 4, 5: each coordinate of a and b zero about half the time,
+    or a u-only or v-only element."""
+    field = cyclotomics(conductors=(draw(st.sampled_from((1, 3, 4, 5))),), denominators=(1, 2))
+
+    def element():
+        shape = draw(st.sampled_from(("sparse", "sparse", "u", "v")))
+        if shape == "u":
+            return CliffordElement.odd(draw(field), 0)
+        if shape == "v":
+            return CliffordElement.odd(0, draw(field))
+        return CliffordElement(*(draw(field) if draw(st.booleans()) else Cyc.zero() for _ in range(4)))
+
+    return element(), element(), CliffordData(*draw(st.lists(field, min_size=3, max_size=3)))
+
+
 def polytope_product(a, b):
     """Product of two monotone polytopes: the normals of each, padded with zeros."""
     normals = [nu + (0,) * b.dim for nu in a.normals] + [(0,) * a.dim + nu for nu in b.normals]
@@ -1913,6 +1961,17 @@ class TestElimination:
     @given(two_column_rows())
     def test_kernel_over_cyclotomics_equals_old_loop(self, rows):
         assert _two_column_kernel(rows) == old_kernel_pairs(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(clifford_problems())
+    def test_kernel_of_residual_rows_equals_old_kernel(self, problem):
+        rows = list(zip(*_residual_columns(*problem)))
+        assert _two_column_kernel(rows) == old_two_column_kernel(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_clifford_products())
+    def test_clifford_product_equals_old_dense_product(self, problem):
+        assert clifford_mul(*problem) == old_clifford_mul(*problem)
 
     @settings(max_examples=15, deadline=None)
     @given(
