@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedActionError,
 )
 from .intlat import IntMat, hermite_normal_form, primitive_vector
-from .laurent import LaurentPolynomial, _first_partials, evaluate, invariance_check, is_critical
+from .laurent import LaurentPolynomial, _second_partials, evaluate, invariance_check, is_critical
 from .torussym import TorsionPoint
 from .value import Value
 
@@ -73,11 +73,14 @@ class CliffordElement(Value):
     def odd(cls, s: Cyc | int, t: Cyc | int) -> "CliffordElement":
         return cls(Cyc.zero(), _cyc(s), _cyc(t), Cyc.zero())
 
+    def coords(self) -> tuple[Cyc, Cyc, Cyc, Cyc]:
+        return (self.a0, self.au, self.av, self.auv)
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in (self.a0, self.au, self.av, self.auv))
+        return all(c.is_zero() for c in self.coords())
 
     def is_integral(self) -> bool:
-        return all(c.is_integral() for c in (self.a0, self.au, self.av, self.auv))
+        return all(c.is_integral() for c in self.coords())
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return CliffordElement(
@@ -89,37 +92,55 @@ def _cyc(x) -> Cyc:
     return x if isinstance(x, Cyc) else Cyc.from_rational(x)
 
 
+# e_i e_j for the basis e = (1, u, v, uv), from u^2 = lam, vu = mu - uv and v^2 = nu: terms
+# (k, sign, factors), each sign times the named constants (indices into lam, mu, nu) times e_k.
+_BASIS_PRODUCTS = (
+    # 1 e_j = e_j
+    (((0, 1, ()),), ((1, 1, ()),), ((2, 1, ()),), ((3, 1, ()),)),
+    # u u = lam, u v = uv, u uv = lam v
+    (((1, 1, ()),), ((0, 1, (0,)),), ((3, 1, ()),), ((2, 1, (0,)),)),
+    # v u = mu - uv, v v = nu, v uv = mu v - nu u
+    (((2, 1, ()),), ((0, 1, (1,)), (3, -1, ())), ((0, 1, (2,)),), ((2, 1, (1,)), (1, -1, (2,)))),
+    # uv u = mu u - lam v, uv v = nu u, uv uv = mu uv - lam nu
+    (((3, 1, ()),), ((1, 1, (1,)), (2, -1, (0,))), ((1, 1, (2,)),), ((3, 1, (1,)), (0, -1, (0, 2)))),
+)
+
+
 def clifford_mul(a: CliffordElement, b: CliffordElement, d: CliffordData) -> CliffordElement:
-    """Product reduced to the basis 1, u, v, uv via vu = mu - uv."""
-    lam, mu, nu = d.lam, d.mu, d.nu
-    c0 = (
-        a.a0 * b.a0
-        + lam * a.au * b.au
-        + mu * a.av * b.au
-        + nu * a.av * b.av
-        - lam * nu * a.auv * b.auv
-    )
-    cu = a.a0 * b.au + a.au * b.a0 + mu * a.auv * b.au - nu * a.av * b.auv + nu * a.auv * b.av
-    cv = a.a0 * b.av + a.av * b.a0 + lam * a.au * b.auv + mu * a.av * b.auv - lam * a.auv * b.au
-    cuv = a.a0 * b.auv + a.auv * b.a0 + a.au * b.av - a.av * b.au + mu * a.auv * b.auv
-    return CliffordElement(c0, cu, cv, cuv)
+    """Product on the basis 1, u, v, uv: a_i b_j e_i e_j summed through _BASIS_PRODUCTS.
+
+    A pair (i, j) with a_i or b_j zero is skipped unmultiplied, so a product
+    of two one-coordinate elements reads one table entry.
+    """
+    constants = d.constants()
+    out = [Cyc.zero()] * 4
+    right = [(j, y) for j, y in enumerate(b.coords()) if y]
+    for i, x in enumerate(a.coords()):
+        if x:
+            for j, y in right:
+                xy = x * y
+                for k, sign, factors in _BASIS_PRODUCTS[i][j]:
+                    term = xy
+                    for f in factors:
+                        term = term * constants[f]
+                    out[k] = out[k] + term if sign > 0 else out[k] - term
+    return CliffordElement(*out)
 
 
 def clifford_constants(w: LaurentPolynomial, p: TorsionPoint) -> CliffordData:
     """-1/2 times the Hessian of w at a critical torsion point.
 
-    Values may leave the cyclotomic integers when mixed second partials are
-    odd; that is reported through the half_integral flag, not rejected.
+    The three second partials come from ``laurent._second_partials``, built
+    once per potential.  Values may leave the cyclotomic integers when mixed
+    second partials are odd; that is reported through the half_integral
+    flag, not rejected.
     """
     if w.dim != 2:
         raise DimensionError("Clifford constants need a two-variable potential")
     if not is_critical(w, p):
         raise NotCriticalError(f"{p} is not a critical point")
-    first, second = _first_partials(w)
-    lam = evaluate(first.partial(0), p) * Fraction(-1, 2)
-    mu = -evaluate(first.partial(1), p)
-    nu = evaluate(second.partial(1), p) * Fraction(-1, 2)
-    return CliffordData(lam, mu, nu)
+    w00, w01, w11 = (evaluate(h, p) for h in _second_partials(w))
+    return CliffordData(w00 * Fraction(-1, 2), -w01, w11 * Fraction(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +189,8 @@ def _parity_norm(c: CliffordElement, d: CliffordData, parity: str) -> Cyc:
         prod = clifford_mul(c, c, d)
     else:
         prod = clifford_mul(c, CliffordElement.even(c.a0 + d.mu * c.auv, -c.auv), d)
-    assert prod.au.is_zero() and prod.av.is_zero() and prod.auv.is_zero()
+    if any(prod.coords()[1:]):
+        raise AssertionError(f"parity norm of {c} is not a scalar")
     return prod.a0
 
 
@@ -226,15 +248,16 @@ def _residual_columns(
 def _two_column_kernel(rows: Sequence[Sequence[Cyc]]) -> list[tuple[Cyc, Cyc]]:
     """Basis over Q(zeta) of {(x1, x2) : a x1 + b x2 = 0 for every row (a, b)}.
 
-    With no nonzero row every pair solves.  Otherwise the first nonzero row
-    (a, b) leaves (-b/a, 1), or (1, 0) when a = 0, unless some row (c, e)
-    has a nonzero minor a e - b c and only zero solves.
+    Zero rows are dropped first: they constrain nothing, and their minors
+    are 0.  With no row left every pair solves.  Otherwise the first row
+    (a, b) leaves (-b/a, 1), or (1, 0) when a = 0, unless some later row
+    (c, e) has a nonzero minor a e - b c and only zero solves.
     """
-    first = next(((a, b) for a, b in rows if a or b), None)
-    if first is None:
+    rows = [(a, b) for a, b in rows if a or b]
+    if not rows:
         return [(Cyc.one(), Cyc.zero()), (Cyc.zero(), Cyc.one())]
-    a, b = first
-    if any(a * e - b * c for c, e in rows):
+    a, b = rows[0]
+    if any(a * e - b * c for c, e in rows[1:]):
         return []
     return [(-b / a, Cyc.one())] if a else [(Cyc.one(), Cyc.zero())]
 
@@ -300,9 +323,7 @@ def continuation_solvable(
         step = 2 * lam if parity == "even" else 2
         q, r = divmod(m, step) if step else (0, m)
         if r == 0 and (parity == "even" or lam in (1, -1)):
-            c = _element_from_pair((1, -q), parity)
-            assert _verify_witness(c, d, action, parity)
-            return ContinuationResult("solvable", c)
+            return ContinuationResult("solvable", _checked(_element_from_pair((1, -q), parity), d, action, parity))
         return ContinuationResult("unsolvable")
 
     solutions = _solution_space(d, action, parity)
@@ -330,6 +351,13 @@ def _verify_witness(
     return _parity_norm(c, d, parity).is_integral_unit()
 
 
+def _checked(c: CliffordElement, d: CliffordData, action: IntMat, parity: str) -> CliffordElement:
+    """c, once the Clifford product itself shows it a continuation element; unlike assert, -O keeps the check."""
+    if not _verify_witness(c, d, action, parity):
+        raise AssertionError(f"witness {c} fails the Clifford product check")
+    return c
+
+
 def _bounded_search(
     d: CliffordData, action: IntMat, parity: str, height: int, solutions: list[tuple[Cyc, Cyc]]
 ) -> CliffordElement | None:
@@ -354,9 +382,7 @@ def _bounded_search(
     norm, power = value.norm(), 2 * euler_phi(value.conductor)
     for k in range(1, height // max(q, abs(p)) + 1):
         if abs(norm.numerator) * k ** power == norm.denominator and k * k % value.den == 0:
-            c = _element_from_pair((Cyc.from_rational(-k * q), Cyc.from_rational(-k * p)), parity)
-            assert _verify_witness(c, d, action, parity)
-            return c
+            return _checked(_element_from_pair((-k * q, -k * p), parity), d, action, parity)
     return None
 
 

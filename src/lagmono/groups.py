@@ -8,8 +8,9 @@ come from one breadth-first search over the right Cayley graph,
 generator; each group keeps one such chain of subgroups.  A matrix group is
 walked as permutations of its basis-vector orbit, which ``_basis_orbit`` finds
 by matrix-vector products; that walk alone refuses a matrix group, with a proof
-that it is infinite or past a limit.  No walk passes MAX_ELEMENTS elements, a
-limit, not proof of infiniteness.
+that it is infinite or past a limit.  No walk passes MAX_ELEMENTS elements,
+and no walk of permutations passes MAX_CELLS cells (elements times points):
+limits, not proofs of infiniteness.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .value import Value
 Perm = tuple[int, ...]
 E = TypeVar("E", bound=Hashable)
 MAX_ELEMENTS = 50_000  # the most elements any explicit list may hold
+MAX_CELLS = 100 * MAX_ELEMENTS  # the most entries a walk of permutations may hold, elements times degree
 
 
 def identity_perm(n: int) -> Perm:
@@ -62,7 +64,7 @@ def perm_order(p: Perm) -> int:
 
 
 def cayley_closure(
-    identity: E, gens: Sequence[Any], mul: Callable[[E, Any], E], prefix: Sequence[E] | None = None
+    identity: E, gens: Sequence[Any], mul: Callable[[E, Any], E], prefix: Sequence[E] | None = None, width: int = 1
 ) -> list[E]:
     """Every element of the group generated by gens, in breadth-first order.
 
@@ -72,9 +74,12 @@ def cayley_closure(
     same walk lists the orbit of that point.  ``prefix``, the walk for
     gens[:-1], is closed under gens[:-1]: it starts the result and only its
     products by the last generator are taken.  The walk proves nothing:
-    past MAX_ELEMENTS elements it raises SearchTooLargeError (not verified
-    finite), so an infinite group must be refused before it is walked.
+    past MAX_ELEMENTS elements, or past MAX_CELLS cells with ``width`` cells
+    per element (the degree of a permutation), it raises
+    SearchTooLargeError (not verified finite), so an infinite group must be
+    refused before it is walked.
     """
+    most = min(MAX_ELEMENTS, MAX_CELLS // width)
     walk = [identity] if prefix is None else list(prefix)
     closed = 0 if prefix is None else len(walk)
     members = set(walk)
@@ -84,8 +89,13 @@ def cayley_closure(
             if h not in members:
                 members.add(h)
                 walk.append(h)
-                if len(walk) > MAX_ELEMENTS:
-                    raise SearchTooLargeError(f"more than {MAX_ELEMENTS} elements; group not verified finite")
+                if len(walk) > most:
+                    if len(walk) > MAX_ELEMENTS:
+                        raise SearchTooLargeError(f"more than {MAX_ELEMENTS} elements; group not verified finite")
+                    raise SearchTooLargeError(
+                        f"permutation table exceeds {MAX_CELLS} cells at {width} points per element, "
+                        "the limit of explicit groups; this proves nothing"
+                    )
     return walk
 
 
@@ -112,7 +122,7 @@ class _ElementList:
                 break
             if x not in members:
                 gens.append(x)
-                walk = cayley_closure(identity, gens, compose, prefix=walk)
+                walk = cayley_closure(identity, gens, compose, prefix=walk, width=len(identity))
                 members.update(walk[sizes[-1]:])
                 sizes.append(len(walk))
         return tuple(gens), tuple(walk), tuple(sizes)
@@ -183,7 +193,7 @@ class MatrixGroup(_ElementList, Value):
             if abs(g.det()) != 1:
                 raise NonUnimodularError(f"generator {g} has determinant {g.det()}")
         orbit, images = _basis_orbit(dim, gens)
-        walk = cayley_closure(identity_perm(len(orbit)), images, compose)
+        walk = cayley_closure(identity_perm(len(orbit)), images, compose, width=len(orbit))
         # O starts with e_1, .., e_n, so column j of g is g e_j = O[perm[j]]; the sort key holds g's
         # canonical_key codes row by row, read off the codes of those points, so it orders alike.
         codes = [tuple(2 * abs(x) + (x < 0) for x in v) for v in orbit]

@@ -132,8 +132,18 @@ def evaluate(w: LaurentPolynomial, p: TorsionPoint) -> CyclotomicNumber:
 
 @functools.lru_cache(maxsize=64)
 def _first_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
-    """Affine first partials of w, kept across grid points and Hessian evaluations."""
+    """Affine first partials of w, kept across grid points and criticality tests."""
     return tuple(w.partial(i) for i in range(w.dim))
+
+
+@functools.lru_cache(maxsize=64)
+def _second_partials(w: LaurentPolynomial) -> tuple[LaurentPolynomial, ...]:
+    """Affine second partials d_i d_j w for i <= j, row by row, kept across Hessian evaluations.
+
+    A cache of their own: only ``floer.clifford_constants`` reads them, so the
+    grid walk and ``is_critical`` never build them.
+    """
+    return tuple(f.partial(j) for i, f in enumerate(_first_partials(w)) for j in range(i, w.dim))
 
 
 def _vanishes(w: LaurentPolynomial, scaled: Sequence[int], d: int) -> bool:

@@ -12,6 +12,7 @@ from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 from lagmono import cli
 from lagmono.cli import run
+from lagmono.groups import MAX_CELLS
 from lagmono.intlat import IntMat
 from lagmono.laurent import GRID_CAP
 
@@ -169,21 +170,43 @@ class TestFilter:
     def test_rank_six_group_past_the_orbit_limit_is_refused_at_once(self, capsys, tmp_path):
         # X B6 X^-1 for X^-1 = L L L^T, L the lower unitriangular matrix of ones: each column of X^-1 has six
         # distinct nonzero absolute values, so its B6 orbit alone has 2^6 6! = 46,080 points, and O has 276,480.
-        lower = IntMat.from_rows([[int(j <= i) for j in range(6)] for i in range(6)])
-        lower_inv = IntMat.from_rows([[int(i == j) - int(i == j + 1) for j in range(6)] for i in range(6)])
-        x, x_inv = lower_inv.transpose() @ lower_inv @ lower_inv, lower @ lower @ lower.transpose()
-        sign = [[(-1) ** (i == 0) * (i == j) for j in range(6)] for i in range(6)]
-        swap, cycle = [[[int(p[i] == j) for j in range(6)] for i in range(6)] for p in ([1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0])]
-        text = "dim 6\n"
-        for g in (sign, swap, cycle):
-            rows = (x @ IntMat.from_rows(g) @ x_inv).rows
-            text += "gen\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        x, x_inv = LOWER_INV.transpose() @ LOWER_INV @ LOWER_INV, LOWER @ LOWER @ LOWER.transpose()
         group = tmp_path / "b6_conjugate.group"
-        group.write_text(text)
+        group.write_text(b6_conjugate_text(x, x_inv))
         start = time.perf_counter()
         code, out, err = invoke(capsys, "filter", str(group))
         assert time.perf_counter() - start < 10
         assert (code, out, err) == (2, "", "validation error: more than 50000 basis-orbit points; group not verified finite\n")
+
+    def test_rank_six_group_past_the_table_limit_is_refused_at_once(self, capsys, tmp_path):
+        # X B6 X^-1 for X^-1 = L: the columns of L are the sums e_j + .. + e_6, so O is X applied to every nonzero
+        # vector with entries in {-1, 0, 1}, 728 points, within both orbit caps; the group's permutation table
+        # would hold 46,080 x 728 = 33,546,240 cells.
+        group = tmp_path / "b6_conjugate.group"
+        group.write_text(b6_conjugate_text(LOWER_INV, LOWER))
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "filter", str(group))
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err == (
+            f"validation error: permutation table exceeds {MAX_CELLS} cells at 728 points per element, "
+            "the limit of explicit groups; this proves nothing\n"
+        )
+
+
+LOWER = IntMat.from_rows([[int(j <= i) for j in range(6)] for i in range(6)])  # lower unitriangular, all ones
+LOWER_INV = IntMat.from_rows([[int(i == j) - int(i == j + 1) for j in range(6)] for i in range(6)])
+
+
+def b6_conjugate_text(x, x_inv):
+    """The group file of X B6 X^-1, B6 generated by a sign change, a transposition and a 6-cycle."""
+    sign = [[(-1) ** (i == 0) * (i == j) for j in range(6)] for i in range(6)]
+    swap, cycle = [[[int(p[i] == j) for j in range(6)] for i in range(6)] for p in ([1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0])]
+    text = "dim 6\n"
+    for g in (sign, swap, cycle):
+        rows = (x @ IntMat.from_rows(g) @ x_inv).rows
+        text += "gen\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    return text
 
 
 class TestConjecture:

@@ -1,12 +1,19 @@
 """Clifford algebras, continuation obstructions, quadratic forms, rank-1 reports."""
 
 import itertools
+import json
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from lagmono import floer, laurent
 from lagmono.cyclotomic import CyclotomicNumber
 from lagmono.errors import (
     BadDiscriminantError,
@@ -38,7 +45,7 @@ from lagmono.floer import (
     _verify_witness,
 )
 from lagmono.intlat import IntMat
-from lagmono.laurent import LaurentPolynomial, torsion_critical_points
+from lagmono.laurent import LaurentPolynomial, is_critical, torsion_critical_points
 from lagmono.torussym import TorsionPoint
 from test_cyclotomic import zeta
 from test_laurent import add, gradient_hessian
@@ -276,6 +283,39 @@ class TestContinuation:
         assert continuation_solvable(bad, act, "odd", 1).status in ("unsolvable", "unknown")
 
 
+    def test_failed_witness_checks_raise_under_optimize(self):
+        # python -O strips assert statements; with the witness check made to fail, the closed form, the line
+        # search and the parity norm must each still raise rather than return an unchecked answer.
+        probe = textwrap.dedent("""
+            import json, sys
+            from fractions import Fraction
+            from unittest import mock
+            from lagmono import floer
+            from lagmono.cyclotomic import CyclotomicNumber
+            from lagmono.intlat import IntMat
+
+            def outcome(call):
+                try:
+                    return repr(call())
+                except AssertionError:
+                    return "AssertionError"
+
+            integer = floer.CliffordData(*map(CyclotomicNumber.from_rational, (1, 0, 0)))
+            quarter = floer.CliffordData(*[CyclotomicNumber.from_rational(Fraction(1, 4))] * 3)
+            shear, flip = IntMat.from_rows([[1, 2], [0, 1]]), IntMat.from_rows([[1, -1], [0, -1]])
+            with mock.patch.object(floer, "_verify_witness", return_value=False):
+                closed = outcome(lambda: floer.continuation_solvable(integer, shear, "even", 1))
+                line = outcome(lambda: floer.continuation_solvable(quarter, flip, "odd", 1))
+            with mock.patch.object(floer, "clifford_mul", return_value=floer.CliffordElement.odd(1, 0)):
+                norm = outcome(lambda: floer._parity_norm(floer.CliffordElement.odd(1, 0), integer, "odd"))
+            print(json.dumps([sys.flags.optimize, closed, line, norm]))
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": str(src)}, timeout=60)
+        assert json.loads(out.stdout) == [1, "AssertionError", "AssertionError", "AssertionError"]
+
+
 class TestBinaryForms:
     def test_already_hyperbolic(self):
         canonical, u = reduce_binary_form(BinaryForm(0, 1, 0))
@@ -485,3 +525,46 @@ class TestHessianTheorem:
         with pytest.raises(NotInvariantError) as info:
             hessian_theorem_check(LaurentPolynomial.from_dict(2, terms), kind)
         assert str(info.value) == f"potential is not invariant under {generator}"
+
+
+def clear_caches(module):
+    """Empty every functools cache of the module, so that the next calls build from scratch."""
+    for f in vars(module).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def count_partials(call):
+    """How many LaurentPolynomial.partial calls the call makes, with the laurent caches emptied first."""
+    clear_caches(laurent)
+    with mock.patch.object(LaurentPolynomial, "partial", autospec=True, side_effect=LaurentPolynomial.partial) as spy:
+        call()
+    return spy.call_count
+
+
+class TestPartialsCaches:
+    @pytest.mark.parametrize(
+        "w, kind",
+        [
+            (W_CP2, "ORDER3"),
+            (W_SQUARE, "ORDER2_F"),
+            (LaurentPolynomial.from_dict(2, {(1, 1): 1, (-1, -1): 1}), "ORDER2"),
+        ],
+    )
+    def test_hessian_check_builds_five_partials_per_potential(self, w, kind):
+        # Two first and three second partials for each distinct potential, the reference models included,
+        # however many points each is evaluated at.
+        potentials = []
+        constants = floer.clifford_constants
+        with mock.patch.object(floer, "clifford_constants", side_effect=lambda w, p: potentials.append(w) or constants(w, p)):
+            partials = count_partials(lambda: hessian_theorem_check(w, kind))
+        assert len(potentials) > len(set(potentials))
+        assert partials <= 5 * len(set(potentials))
+
+    def test_grid_and_criticality_build_no_second_partial(self):
+        def walk():
+            points = torsion_critical_points(W_CP2, 6)
+            assert all(is_critical(W_CP2, p) for p in points)
+
+        assert count_partials(walk) == 2
+        assert count_partials(lambda: (walk(), clifford_constants(W_CP2, pt(0, 0)))) == 5

@@ -2360,6 +2360,15 @@ class TestBoundedSearch:
         assert result.witness == (None if av is None else CliffordElement.odd(0, av))
         assert norms_before_witness_check(lambda: continuation_solvable(data, action, "odd", 1)) == 1
 
+    @pytest.mark.parametrize("nu, av", [(Fraction(1, 4), -2), (Fraction(1, 9), -3)])
+    def test_witness_check_multiplies_only_nonzero_pairs(self, nu, av):
+        # The solvable cases of test_pinned_depths: the dense product made 160 cyclotomic products per check.
+        data = CliffordData(*(Cyc.from_rational(x) for x in (Fraction(1, 4), nu, nu)))
+        action = IntMat.from_rows([[1, -1], [0, -1]])
+        with mock.patch.object(Cyc, "__mul__", autospec=True, side_effect=Cyc.__mul__) as mul:
+            assert _verify_witness(CliffordElement.odd(0, av), data, action, "odd")
+        assert mul.call_count <= 11
+
     @settings(max_examples=60, deadline=None)
     @given(
         cyclotomics(conductors=(1, 3, 4)),
