@@ -556,7 +556,8 @@ class TestPartialsCaches:
         # however many points each is evaluated at.
         potentials = []
         constants = floer.clifford_constants
-        with mock.patch.object(floer, "clifford_constants", side_effect=lambda w, p: potentials.append(w) or constants(w, p)):
+        spy = mock.patch.object(floer, "clifford_constants", side_effect=lambda v, p: potentials.append(v) or constants(v, p))
+        with spy:
             partials = count_partials(lambda: hessian_theorem_check(w, kind))
         assert len(potentials) > len(set(potentials))
         assert partials <= 5 * len(set(potentials))
