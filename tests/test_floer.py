@@ -282,7 +282,6 @@ class TestContinuation:
         bad = clifford_data(5, 0, 2)
         assert continuation_solvable(bad, act, "odd", 1).status in ("unsolvable", "unknown")
 
-
     def test_failed_witness_checks_raise_under_optimize(self):
         # python -O strips assert statements; with the witness check made to fail, the closed form, the line
         # search and the parity norm must each still raise rather than return an unchecked answer.
